@@ -4,8 +4,11 @@ Everything here is a deterministic numerical evaluation: the association
 (serving-distance) laws of the max-average-power scheduler over a marked
 PPP, the Laplace functional of the out-of-cluster interference, the SINR
 coverage integral, hop-count latency bounds, and the per-gain throughput.
-Semi-infinite integrals are truncated at ``QuadratureSpec.truncation_radius_m``
-with an analytic tail bound folded into the reported error estimate.
+The distance laws are closed form; the Laplace functional and coverage use
+fixed-node Gauss-Legendre panels in log radius, refined by halving until the
+tolerances of `QuadratureSpec` hold. Semi-infinite integrals are truncated
+at ``QuadratureSpec.truncation_radius_m`` with an analytic tail bound folded
+into the reported error estimate.
 
 The Monte Carlo twin of every estimator lives in `mmtier.montecarlo`; the two
 modules share only `mmtier.channel`, so they can cross-validate each other.
@@ -34,7 +37,7 @@ _TWO_PI = 2.0 * math.pi
 
 
 class QuadratureError(ArithmeticError):
-    """Raised when adaptive quadrature fails to converge or a tail bound blows up.
+    """Raised when panel refinement fails to converge or a tail bound blows up.
 
     Carries the best available value and its error estimate so callers can
     decide whether to record or abort.
@@ -48,7 +51,11 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and the finite stand-in for infinite integration limits."""
+    """Tolerances and the finite stand-in for infinite integration limits.
+
+    Panels are halved until halving moves a result by at most
+    max(abs_tol, rel_tol * value).
+    """
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
@@ -102,60 +109,116 @@ def _quad(func, a: float, b: float, quad: QuadratureSpec, points=None, abs_tol=N
     return out[0], out[1]
 
 
-def _blockage_breakpoints(blockage: BlockageModel) -> list[float]:
+# Fixed-node panel quadrature. Every integral below is a sum over
+# Gauss-Legendre panels in log-radius, split at the integrand's kinks; an
+# estimate is accepted once halving every panel moves it by at most
+# max(abs_tol, rel_tol * value), and that difference is its quadrature error.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
+_PANEL_WIDTH = 2.0   # width in ln(radius) of the coarsest panels
+_MAX_HALVINGS = 4
+_MAX_TENSOR = 1 << 18  # (row, node) pairs per block of the interference tensor: 2 MB
+# Coverage integrates the serving distance from 1e-6 * r0 up: the mass below
+# is at most pi * lambda0 * (1e-6 * r0)^2 = 1e-12.
+_R_MIN_FACTOR = 1e-6
+
+
+def _panel_edges(breaks, halvings: int) -> np.ndarray:
+    """Panel edges over [breaks[0], breaks[-1]] with an edge at every break.
+
+    Each gap between breaks holds ceil(gap / _PANEL_WIDTH) * 2**halvings equal
+    panels, so one more halving splits every panel in two.
+    """
+    edges = [np.asarray(breaks[:1], dtype=float)]
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        n = max(1, math.ceil((b - a) / _PANEL_WIDTH)) << halvings
+        edges.append(np.linspace(a, b, n + 1)[1:])
+    return np.concatenate(edges)
+
+
+def _gauss_nodes(edges: np.ndarray):
+    """Nodes and weights of the Gauss-Legendre rule on every panel, panel-major."""
+    half = 0.5 * np.diff(edges)
+    mid = edges[:-1] + half
+    return (mid[:, None] + half[:, None] * _GL_X).ravel(), (half[:, None] * _GL_W).ravel()
+
+
+def _log_breaks(lo: float, hi: float, points) -> list[float]:
+    """ln of lo, hi and every point strictly between them, ascending."""
+    inner = sorted({math.log(p) for p in points if lo < p < hi})
+    return [math.log(lo), *inner, math.log(hi)]
+
+
+def _refine(evaluate, quad: QuadratureSpec, what: str):
+    """Evaluate at successively halved panels until two evaluations agree.
+
+    ``evaluate(halvings)`` returns a tuple whose first item is the estimate.
+    Returns the finer tuple and the difference of the last two estimates.
+    """
+    coarse = evaluate(0)
+    for halvings in range(1, _MAX_HALVINGS + 1):
+        fine = evaluate(halvings)
+        err = abs(fine[0] - coarse[0])
+        if not math.isfinite(err):
+            break
+        if err <= max(quad.abs_tol, quad.rel_tol * abs(fine[0])):
+            return fine, err
+        coarse = fine
+    raise QuadratureError(f"{what} did not converge after {halvings} panel halvings",
+                          value=fine[0], error_estimate=err)
+
+
+# ---------------------------------------------------------------------------
+# Association-distance laws (closed form)
+# ---------------------------------------------------------------------------
+
+
+def _radial_mass(blockage: BlockageModel, state: str, z):
+    """int_0^z P_state(r) r dr, elementwise over z >= 0."""
+    q = blockage.param
+    half_sq = 0.5 * z * z
     if blockage.kind == "exponential":
-        mu = blockage.param
-        return [mu, 5.0 * mu, 20.0 * mu, 60.0 * mu]
-    if blockage.kind == "los_ball":
-        return [blockage.param]
-    return []
+        x = z / q
+        los = q * q * (-np.expm1(-x) - x * np.exp(-x))
+    elif blockage.kind == "los_ball":
+        los = 0.5 * np.minimum(z, q) ** 2
+    else:
+        los = q * half_sq
+    return los if state == LOS else half_sq - los
 
 
-def integrated_radial_probability(blockage: BlockageModel, state: str, z: float,
-                                  quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Integral of P_state(r) * r over [0, z] by adaptive quadrature.
+def _radial_mass_beyond(blockage: BlockageModel, state: str, z: float) -> float:
+    """int_z^inf P_state(r) r dr; inf when the state's far field is unbounded."""
+    q = blockage.param
+    if state == LOS:
+        if blockage.kind == "exponential":
+            return q * q * math.exp(-z / q) * (1.0 + z / q)
+        if blockage.kind == "los_ball":
+            return 0.5 * max(q * q - z * z, 0.0)
+        return math.inf if q > 0.0 else 0.0
+    return 0.0 if blockage.kind == "constant" and q == 1.0 else math.inf
+
+
+def _state_probability(blockage: BlockageModel, state: str, r):
+    """P_state(r): the LOS probability or its complement."""
+    p = los_probability(r, blockage)
+    return p if state == LOS else 1.0 - p
+
+
+def integrated_radial_probability(blockage: BlockageModel, state: str, z,
+                                  quad: QuadratureSpec = DEFAULT_QUAD):
+    """Integral of P_state(r) * r over [0, z], in closed form.
 
     This is the mean number of state-``state`` points of a unit-intensity
-    PPP inside a disc of radius z, divided by 2*pi.
+    PPP inside a disc of radius z, divided by 2*pi. For exponential blockage
+    the LOS part is mu^2 (1 - e^(-z/mu) (1 + z/mu)). Accepts a scalar or an
+    array; ``quad`` is not used.
     """
     _check_state(state)
-    if z < 0.0:
+    z_arr = np.asarray(z, dtype=float)
+    if np.any(z_arr < 0.0):
         raise ValueError("upper limit must be non-negative")
-    if z == 0.0:
-        return 0.0
-
-    if state == LOS:
-        def integrand(r):
-            return los_probability(r, blockage) * r
-    else:
-        def integrand(r):
-            return (1.0 - los_probability(r, blockage)) * r
-
-    value, _ = _quad(integrand, 0.0, z, quad, points=_blockage_breakpoints(blockage))
-    return value
-
-
-def _cumulative_radial_probability(blockage: BlockageModel, state: str, grid: np.ndarray,
-                                   refine: int = 16) -> np.ndarray:
-    """Integral of P_state(r) * r from 0 to each grid value (grid sorted ascending).
-
-    Vectorized companion of `integrated_radial_probability` for table building:
-    each grid interval is subdivided ``refine`` times and accumulated with the
-    trapezoid rule, which is plenty for the smooth blockage laws here. Scalar
-    call sites use the adaptive path instead.
-    """
-    nodes = np.concatenate([[0.0], np.asarray(grid, dtype=float)])
-    # refine x (len(nodes)-1) matrix of subinterval edges, flattened in order
-    frac = np.linspace(0.0, 1.0, refine + 1)
-    fine = nodes[:-1, None] + np.diff(nodes)[:, None] * frac[None, :]
-    fine = np.concatenate([[0.0], fine[:, 1:].ravel()])
-    p = los_probability(fine, blockage)
-    if state == NLOS:
-        p = 1.0 - p
-    vals = p * fine
-    seg = 0.5 * (vals[1:] + vals[:-1]) * np.diff(fine)
-    cum_fine = np.concatenate([[0.0], np.cumsum(seg)])
-    return cum_fine[refine::refine]
+    out = _radial_mass(blockage, state, z_arr)
+    return float(out) if np.ndim(z) == 0 else out
 
 
 def nearest_distance_pdf(z, state: str, lam: float, blockage: BlockageModel,
@@ -165,56 +228,18 @@ def nearest_distance_pdf(z, state: str, lam: float, blockage: BlockageModel,
     The APs of the given state form an inhomogeneous PPP of radial intensity
     lam * P_state(r); the nearest-point law is
     2*pi*z*lam*P(z) * exp(-2*pi*lam * int_0^z P(r) r dr). Total mass below 1
-    when the state can be globally absent (the void probability).
+    when the state can be globally absent (the void probability). Closed form,
+    elementwise over an array ``z``; ``quad`` is not used.
     """
     _check_state(state)
     if not lam > 0.0:
         raise ValueError("intensity must be positive")
-    if np.ndim(z) == 0:
-        zf = float(z)
-        if zf < 0.0:
-            raise ValueError("distance must be non-negative")
-        p_state = los_probability(zf, blockage)
-        if state == NLOS:
-            p_state = 1.0 - p_state
-        cum = integrated_radial_probability(blockage, state, zf, quad)
-        return _TWO_PI * zf * lam * p_state * math.exp(-_TWO_PI * lam * cum)
-
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
+    z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr < 0.0):
         raise ValueError("distance must be non-negative")
-    if len(z_arr) <= 64:
-        # The dense-trapezoid cumulative needs a fine grid; small batches go
-        # through the adaptive path at full accuracy.
-        return np.array([nearest_distance_pdf(float(zi), state, lam, blockage, quad)
-                         for zi in z_arr])
-    order = np.argsort(z_arr)
-    sorted_z = z_arr[order]
-    cum = _cumulative_radial_probability(blockage, state, sorted_z)
-    p_state = los_probability(sorted_z, blockage)
-    if state == NLOS:
-        p_state = 1.0 - p_state
-    vals = _TWO_PI * sorted_z * lam * np.atleast_1d(p_state) * np.exp(-_TWO_PI * lam * cum)
-    out = np.empty_like(vals)
-    out[order] = vals
-    return out
-
-
-def _exclusion_exponent(r: float, state: str, lam: float, channel: ChannelParams,
-                        quad: QuadratureSpec) -> float:
-    """log of the probability that no opposite-state AP beats a state-``state`` AP at r.
-
-    An NLOS AP at t has more average power than a LOS AP at r iff
-    t < r^(alpha_los/alpha_nlos), and symmetrically for the other serving state;
-    the void probability of the opposite-state PPP on that disc supplies the factor.
-    """
-    if state == LOS:
-        w = r ** (channel.alpha_los / channel.alpha_nlos)
-        other = NLOS
-    else:
-        w = r ** (channel.alpha_nlos / channel.alpha_los)
-        other = LOS
-    return -_TWO_PI * lam * integrated_radial_probability(channel.blockage, other, w, quad)
+    out = (_TWO_PI * lam * z_arr * _state_probability(blockage, state, z_arr)
+           * np.exp(-_TWO_PI * lam * _radial_mass(blockage, state, z_arr)))
+    return float(out) if np.ndim(z) == 0 else out
 
 
 def serving_distance_pdf(r, state: str, lam: float, channel: ChannelParams,
@@ -223,39 +248,22 @@ def serving_distance_pdf(r, state: str, lam: float, channel: ChannelParams,
 
     The serving AP is in state ``state`` at distance r when the nearest AP of
     that state sits at r and no AP of the other state offers more average
-    power; the law is nearest_distance_pdf * the opposite-state void factor.
-    Summing the two states gives a proper density with unit total mass.
+    power: an opposite-state AP at t wins iff t < r^(alpha_state/alpha_other),
+    so the law is nearest_distance_pdf * that disc's opposite-state void
+    probability. Summing the two states gives a proper density with unit
+    total mass. Closed form, elementwise over an array ``r``.
     """
     _check_state(state)
     if not lam > 0.0:
         raise ValueError("intensity must be positive")
-    r_in = np.asarray(r, dtype=float)
-    if np.ndim(r) == 0:
-        if r_in <= 0.0:
-            raise ValueError("serving distance must be positive")
-        base = nearest_distance_pdf(float(r_in), state, lam, channel.blockage, quad)
-        return base * math.exp(_exclusion_exponent(float(r_in), state, lam, channel, quad))
-
-    r_arr = np.atleast_1d(r_in)
+    r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0):
         raise ValueError("serving distance must be positive")
-    if len(r_arr) <= 64:
-        return np.array([serving_distance_pdf(float(ri), state, lam, channel, quad)
-                         for ri in r_arr])
-    order = np.argsort(r_arr)
-    sorted_r = r_arr[order]
-    base = nearest_distance_pdf(sorted_r, state, lam, channel.blockage, quad)
-    if state == LOS:
-        w = sorted_r ** (channel.alpha_los / channel.alpha_nlos)
-        other = NLOS
-    else:
-        w = sorted_r ** (channel.alpha_nlos / channel.alpha_los)
-        other = LOS
-    cum = _cumulative_radial_probability(channel.blockage, other, w)
-    vals = base * np.exp(-_TWO_PI * lam * cum)
-    out = np.empty_like(vals)
-    out[order] = vals
-    return out
+    other = NLOS if state == LOS else LOS
+    w = r_arr ** (channel.alpha(state) / channel.alpha(other))
+    out = (nearest_distance_pdf(r_arr, state, lam, channel.blockage, quad)
+           * np.exp(-_TWO_PI * lam * _radial_mass(channel.blockage, other, w)))
+    return float(out) if np.ndim(r) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -398,52 +406,68 @@ def _tail_radial_bound(blockage: BlockageModel, state: str, start: float, alpha:
     return start ** (2.0 - alpha) / (alpha - 2.0) if alpha > 2.0 else math.inf
 
 
-def _interference_exponent_terms(s: float, lower: float, k: int, state: str,
-                                 channel: ChannelParams, beam: BeamParams,
-                                 quad: QuadratureSpec, abs_tol: float):
-    """One state's contribution to the interference exponent plus (err, tail).
+def _interference_exponent(s: np.ndarray, lower: np.ndarray, state: str,
+                           channel: ChannelParams, pmf, upper: float,
+                           halvings: int) -> np.ndarray:
+    """Per row i, int_{lower_i}^upper (1 - GainMoment(s_i, t)) P_state(t) t dt.
 
-    The exponent term is int_lower^Rmax (1 - GainMoment(s, r)) P_state(r) r dr;
-    the tail is an analytic bound on the discarded (Rmax, inf) part, per unit
-    2*pi*intensity. ``abs_tol`` is the caller's tolerance on the exponent.
+    With unit-mean exponential fading, 1 - GainMoment = sum_g p_g x g/(1 + x g),
+    x = s * beta * t^-alpha. Rows share one set of panels in ln t, split at the
+    blockage's LOS-ball radius; a row takes the nodes of the panels above its
+    lower limit plus a partial panel of its own from that limit to the next
+    edge. Rows go through in blocks of at most _MAX_TENSOR (row, node) pairs.
     """
+    out = np.zeros(len(s))
+    live = np.flatnonzero(lower < upper)
+    if not len(live):
+        return out
     alpha = channel.alpha(state)
-    blockage = channel.blockage
-    pmf = beam_gain_pmf(beam, k)
+    ball = [channel.blockage.param] if channel.blockage.kind == "los_ball" else []
+    edges = _panel_edges(_log_breaks(float(lower[live].min()), upper, ball), halvings)
+    u, w = _gauss_nodes(edges)
+    t = np.exp(u)
+    v = w * _state_probability(channel.blockage, state, t) * t * t  # dt = t du
+    node_panel = np.arange(len(u)) // len(_GL_X)
+    step = max(1, _MAX_TENSOR // len(u))
+    for start in range(0, len(live), step):
+        rows = live[start:start + step]
+        log_s = np.log(s[rows] * channel.beta)
+        log_lower = np.log(lower[rows])
+        first = np.searchsorted(edges, log_lower)
+        half = 0.5 * (edges[first] - log_lower)
+        u_part = (log_lower + half)[:, None] + half[:, None] * _GL_X
+        t_part = np.exp(u_part)
+        v_part = (half[:, None] * _GL_W * t_part**2
+                  * _state_probability(channel.blockage, state, t_part))
+        # inv_x = 1/x = t^alpha / (s beta), set to inf below the lower limit;
+        # x g/(1 + x g) = g/(g + inv_x) stays exact as x -> 0 and x -> inf.
+        with np.errstate(over="ignore"):
+            inv_x = np.exp(alpha * u - log_s[:, None])
+            inv_x_part = np.exp(alpha * u_part - log_s[:, None])
+        np.copyto(inv_x, np.inf, where=node_panel < first[:, None])
+        term = np.empty_like(inv_x)
+        for g, p in zip(pmf.gains, pmf.probs):
+            if p > 0.0:
+                np.divide(g, np.add(inv_x, g, out=term), out=term)
+                out[rows] += p * (term @ v
+                                  + np.einsum("ij,ij->i", g / (g + inv_x_part), v_part))
+    return out
+
+
+def _interference_tail(s_beta_gain: float, lower_los: float, lower_nlos: float,
+                       channel: ChannelParams, quad: QuadratureSpec) -> float:
+    """Bound on the exponent's part beyond the truncation radius, per unit 2*pi*lambda."""
     upper = quad.truncation_radius_m
-    tail_start = max(lower, upper)
-    tail = s * channel.beta * pmf.expected_gain * _tail_radial_bound(
-        blockage, state, tail_start, alpha, quad)
-    if lower >= upper:
-        return 0.0, 0.0, tail
-
-    # Fading expectation in partial fractions, unrolled for speed in the hot loop.
-    (g0, g1, g2), (p0, p1, p2) = pmf.gains, pmf.probs
-    beta = channel.beta
-    if state == LOS:
-        def integrand(r):
-            a = s * beta * r**-alpha
-            g = p0 / (1.0 + a * g0) + p1 / (1.0 + a * g1) + p2 / (1.0 + a * g2)
-            return (1.0 - g) * los_probability(r, blockage) * r
-    else:
-        def integrand(r):
-            a = s * beta * r**-alpha
-            g = p0 / (1.0 + a * g0) + p1 / (1.0 + a * g1) + p2 / (1.0 + a * g2)
-            return (1.0 - g) * (1.0 - los_probability(r, blockage)) * r
-
-    # Knees of 1 - G sit where s*beta*g*r^-alpha ~ 1 for each gain atom;
-    # geometric hints cover the decades of the slowly-decaying stretch.
-    pts = list(_blockage_breakpoints(blockage))
-    for g in pmf.gains:
-        x = s * channel.beta * g
-        if x > 0.0:
-            pts.append(x ** (1.0 / alpha))
-    p = 4.0 * lower
-    while p < upper:
-        pts.append(p)
-        p *= 8.0
-    val, err = _quad(integrand, lower, upper, quad, points=pts, abs_tol=abs_tol)
-    return val, err, tail
+    tail = s_beta_gain * (
+        _tail_radial_bound(channel.blockage, LOS, max(lower_los, upper), channel.alpha_los, quad)
+        + _tail_radial_bound(channel.blockage, NLOS, max(lower_nlos, upper),
+                             channel.alpha_nlos, quad))
+    if not math.isfinite(tail):
+        raise QuadratureError(
+            "interference tail bound diverges beyond the truncation radius "
+            f"(blockage={channel.blockage.kind}, alphas=({channel.alpha_los}, "
+            f"{channel.alpha_nlos})); the far field is not integrable")
+    return tail
 
 
 def laplace_interference(s: float, serving_distance: float, serving_state: str, k: int,
@@ -455,8 +479,8 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
     interferer with more average power: same-state interferers start at d,
     opposite-state ones at d^(alpha_serving/alpha_other). The two independent
     state fields contribute one exponential factor each. Returns the value
-    in (0, 1]; with ``full_output`` also an absolute error estimate combining
-    quadrature error and the analytic truncation tail bound.
+    in (0, 1]; with ``full_output`` also an absolute error estimate: the
+    panel-halving difference plus the analytic truncation tail bound.
     """
     _check_state(serving_state)
     if s < 0.0:
@@ -468,34 +492,24 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
     if s == 0.0 or lambda0 == 0.0:
         return (1.0, 0.0) if full_output else 1.0
 
+    pmf = beam_gain_pmf(beam, k)
+    other = NLOS if serving_state == LOS else LOS
     d = serving_distance
-    if serving_state == LOS:
-        lower_los = d
-        lower_nlos = d ** (channel.alpha_los / channel.alpha_nlos)
-    else:
-        lower_nlos = d
-        lower_los = d ** (channel.alpha_nlos / channel.alpha_los)
+    lower = {serving_state: d, other: d ** (channel.alpha(serving_state) / channel.alpha(other))}
+    tail = _TWO_PI * lambda0 * _interference_tail(
+        s * channel.beta * pmf.expected_gain, lower[LOS], lower[NLOS], channel, quad)
+    s_arr = np.array([s])
+    upper = quad.truncation_radius_m
 
-    # An absolute error e on the exponent perturbs the value by ~e, so the
-    # inner quadrature tolerance follows from abs_tol via the 2*pi*lambda0 scale.
-    exponent_tol = max(quad.abs_tol, 0.1 * quad.abs_tol / (_TWO_PI * lambda0))
-    val_l, err_l, tail_l = _interference_exponent_terms(
-        s, lower_los, k, LOS, channel, beam, quad, exponent_tol)
-    val_n, err_n, tail_n = _interference_exponent_terms(
-        s, lower_nlos, k, NLOS, channel, beam, quad, exponent_tol)
+    def evaluate(halvings):
+        exponent = sum(_interference_exponent(s_arr, np.array([lower[st]]), st, channel, pmf,
+                                              upper, halvings)[0] for st in (LOS, NLOS))
+        return (math.exp(-_TWO_PI * lambda0 * exponent),)
 
-    tail = _TWO_PI * lambda0 * (tail_l + tail_n)
-    if not math.isfinite(tail):
-        raise QuadratureError(
-            "interference tail bound diverges beyond the truncation radius "
-            f"(blockage={channel.blockage.kind}, alphas=({channel.alpha_los}, "
-            f"{channel.alpha_nlos})); the far field is not integrable")
-
-    exponent = _TWO_PI * lambda0 * (val_l + val_n)
-    value = math.exp(-exponent)
-    err = value * (_TWO_PI * lambda0 * (err_l + err_n) + tail)
+    (value,), quad_err = _refine(evaluate, quad, "interference Laplace functional")
     if full_output:
-        return value, err
+        # the far field scales the value by a factor in [max(0, 1 - tail), 1]
+        return value, quad_err + value * min(tail, 1.0)
     return value
 
 
@@ -522,87 +536,69 @@ def conditional_coverage(tau: float, r: float, k: int, state: str, lambda0: floa
     return value
 
 
-def _serving_weight_literal(r: float, state: str, lambda0: float, channel: ChannelParams,
-                            quad: QuadratureSpec) -> float | None:
-    """Coverage weight in ratio form: f_state(r) * f_other(w) / (2*pi*w*lam*P_other(w)).
-
-    Returns None where the ratio is 0/0 (opposite-state probability vanishes).
-    Algebraically identical to `serving_distance_pdf`; kept as a consistency
-    cross-check because the ratio form is the more error-prone one.
-    """
-    if state == LOS:
-        w = r ** (channel.alpha_los / channel.alpha_nlos)
-        other = NLOS
-        p_other = 1.0 - los_probability(w, channel.blockage)
-    else:
-        w = r ** (channel.alpha_nlos / channel.alpha_los)
-        other = LOS
-        p_other = los_probability(w, channel.blockage)
-    if p_other <= 1e-300:
-        return None
-    f_state = nearest_distance_pdf(r, state, lambda0, channel.blockage, quad)
-    f_other = nearest_distance_pdf(w, other, lambda0, channel.blockage, quad)
-    return f_state * f_other / (_TWO_PI * w * lambda0 * p_other)
-
-
-def _check_weight_forms(lambda0: float, channel: ChannelParams, quad: QuadratureSpec) -> None:
-    """Assert the simplified and ratio weight forms agree at probe radii."""
-    r0 = math.sqrt(1.0 / (math.pi * lambda0))
-    for state in (LOS, NLOS):
-        for r in (0.25 * r0, r0, 4.0 * r0):
-            literal = _serving_weight_literal(r, state, lambda0, channel, quad)
-            if literal is None:
-                continue
-            simplified = serving_distance_pdf(r, state, lambda0, channel, quad)
-            tol = quad.rel_tol * max(abs(simplified), abs(literal)) + quad.abs_tol
-            if abs(literal - simplified) > tol:
-                raise QuadratureError(
-                    f"coverage weight forms disagree at r={r:g} ({state}): "
-                    f"ratio form {literal!r} vs simplified {simplified!r}")
-
-
 def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelParams,
                          beam: BeamParams, quad: QuadratureSpec = DEFAULT_QUAD,
                          full_output: bool = False):
     """Coverage P(SINR > tau) of a typical receiver, marginalized over association.
 
-    Integrates conditional_coverage against the two serving-distance branches.
-    The branch weights use the simplified (void-factor) form, which removes the
-    0/0 of the ratio form where a state's probability vanishes; agreement of
-    the two forms is asserted at probe radii on every call.
+    Integrates conditional_coverage against the two serving-distance branches
+    (Bai & Heath's Laplace-functional form) as one tensor quadrature: outer
+    panels in ln r from 1e-6 r0 to the truncation radius, inner panels in ln t
+    for every outer node at once. The reported error sums the panel-halving
+    difference, the truncation tail bound weighted by the integrand, and the
+    serving-distance mass outside the outer range.
     """
     if not tau > 0.0:
         raise ValueError("SINR threshold must be positive")
     if not lambda0 > 0.0:
         raise ValueError("tier intensity must be positive")
-    _ = beam_gain_pmf(beam, k)  # validates k against the RF-chain budget
-    _check_weight_forms(lambda0, channel, quad)
-
-    r0 = math.sqrt(1.0 / (math.pi * lambda0))
-    outer_pts = [f * r0 for f in (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
-    # Evaluation-weighted sums for first-order propagation of the inner
-    # (conditional-coverage) errors through the outer integral.
-    sums = {"wc": 0.0, "we": 0.0}
-
-    def make_integrand(state: str):
-        def integrand(r):
-            weight = serving_distance_pdf(r, state, lambda0, channel, quad)
-            if weight == 0.0:
-                return 0.0
-            cov, cov_err = conditional_coverage(tau, r, k, state, lambda0, channel,
-                                                beam, quad, full_output=True)
-            sums["wc"] += weight * cov
-            sums["we"] += weight * cov_err
-            return weight * cov
-        return integrand
-
+    pmf = beam_gain_pmf(beam, k)  # validates k against the RF-chain budget
+    blockage = channel.blockage
     upper = quad.truncation_radius_m
-    val_l, err_l = _quad(make_integrand(LOS), 0.0, upper, quad, points=outer_pts)
-    val_n, err_n = _quad(make_integrand(NLOS), 0.0, upper, quad, points=outer_pts)
-    value = val_l + val_n
+    r0 = math.sqrt(1.0 / (math.pi * lambda0))
+    r_min = _R_MIN_FACTOR * min(r0, upper)
+    # Outer edges: where an NLOS-served receiver's LOS exclusion disc reaches
+    # the truncation radius; r0, 2 r0 and 4 r0, beyond which the law falls like
+    # exp(-pi lambda0 r^2); for a LOS ball of radius b, b itself and where
+    # either exclusion disc reaches b.
+    ratio = channel.alpha_los / channel.alpha_nlos
+    breaks = [upper ** ratio, r0, 2.0 * r0, 4.0 * r0]
+    if blockage.kind == "los_ball":
+        breaks += [blockage.param, blockage.param ** ratio, blockage.param ** (1.0 / ratio)]
+    # The far-field tail of each node's Laplace exponent is at most s times
+    # this (the bound from the truncation radius covers every exclusion radius).
+    tail_per_s = _TWO_PI * lambda0 * _interference_tail(
+        channel.beta * pmf.expected_gain, upper, upper, channel, quad)
+
+    def evaluate(halvings):
+        u, w = _gauss_nodes(_panel_edges(_log_breaks(r_min, upper, breaks), halvings))
+        r = np.exp(u)
+        value = tail_err = 0.0
+        for state in (LOS, NLOS):
+            other = NLOS if state == LOS else LOS
+            weight = w * r * serving_distance_pdf(r, state, lambda0, channel, quad)  # dr = r du
+            keep = weight > 0.0
+            rs, weight = r[keep], weight[keep]
+            s = rs ** channel.alpha(state) * tau / (beam.g_main**2 * channel.beta)
+            exponent = (_interference_exponent(s, rs, state, channel, pmf, upper, halvings)
+                        + _interference_exponent(
+                            s, rs ** (channel.alpha(state) / channel.alpha(other)), other,
+                            channel, pmf, upper, halvings))
+            covered = weight * np.exp(-s * channel.noise_power - _TWO_PI * lambda0 * exponent)
+            value += float(covered.sum())
+            tail_err += float(covered @ np.minimum(s * tail_per_s, 1.0))
+        return value, tail_err
+
+    (value, tail_err), quad_err = _refine(evaluate, quad, "coverage integral")
+    # Serving-distance mass outside [r_min, upper]: at most pi lambda0 r_min^2
+    # below, and at most each state's nearest-AP mass beyond upper above.
+    outside = math.pi * lambda0 * r_min**2
+    for state in (LOS, NLOS):
+        beyond = _radial_mass_beyond(blockage, state, upper)
+        outside += (math.exp(-_TWO_PI * lambda0 * _radial_mass(blockage, state, upper))
+                    * -math.expm1(-_TWO_PI * lambda0 * beyond))
     value = min(max(value, 0.0), 1.0)
-    inner_rel = sums["we"] / sums["wc"] if sums["wc"] > 0.0 else 0.0
-    err = err_l + err_n + inner_rel * value
+    err = quad_err + tail_err + outside
     if full_output:
         return value, err
     return value

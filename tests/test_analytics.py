@@ -1,10 +1,13 @@
 """Closed-form reductions, sampling oracles and structural properties of the
 analytical module."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from mmtier import (
@@ -28,18 +31,56 @@ from mmtier import (
     tabulate_serving_distance,
     throughput,
 )
-from mmtier import analytics
+from mmtier import analytics, los_probability
 from mmtier.analytics import evaluate_point
 
+import adaptive_oracle as oracle
 from conftest import MU_M, intensity_for
 
 ALWAYS_LOS = BlockageModel.constant(1.0)
+HALF_LOS = BlockageModel.constant(0.5)
 LAM = intensity_for(100.0)
+LOS_BALL_CHANNEL = ChannelParams(2.0, 4.0, 1.0, BlockageModel.los_ball(100.0))
 
 
 def rayleigh_nearest_pdf(z, lam):
     """Nearest-neighbor distance law of a homogeneous PPP (no blockage)."""
     return 2.0 * math.pi * z * lam * math.exp(-math.pi * lam * z * z)
+
+
+def _serving_weight_literal(r: float, state: str, lambda0: float, channel: ChannelParams,
+                            quad: QuadratureSpec) -> float | None:
+    """Coverage weight in ratio form: f_state(r) * f_other(w) / (2*pi*w*lam*P_other(w)).
+
+    Returns None where the ratio is 0/0 (opposite-state probability vanishes).
+    Algebraically identical to `serving_distance_pdf`; kept as a consistency
+    cross-check because the ratio form is the more error-prone one.
+    """
+    if state == LOS:
+        w = r ** (channel.alpha_los / channel.alpha_nlos)
+        other = NLOS
+        p_other = 1.0 - los_probability(w, channel.blockage)
+    else:
+        w = r ** (channel.alpha_nlos / channel.alpha_los)
+        other = LOS
+        p_other = los_probability(w, channel.blockage)
+    if p_other <= 1e-300:
+        return None
+    f_state = nearest_distance_pdf(r, state, lambda0, channel.blockage, quad)
+    f_other = nearest_distance_pdf(w, other, lambda0, channel.blockage, quad)
+    return f_state * f_other / (2.0 * math.pi * w * lambda0 * p_other)
+
+
+def _check_weight_forms(lambda0: float, channel: ChannelParams, quad: QuadratureSpec) -> None:
+    """Assert the simplified and ratio weight forms agree at probe radii."""
+    r0 = math.sqrt(1.0 / (math.pi * lambda0))
+    for state in (LOS, NLOS):
+        for r in (0.25 * r0, r0, 4.0 * r0):
+            literal = _serving_weight_literal(r, state, lambda0, channel, quad)
+            if literal is None:
+                continue
+            simplified = serving_distance_pdf(r, state, lambda0, channel, quad)
+            assert literal == pytest.approx(simplified, rel=quad.rel_tol, abs=1e-300), (r, state)
 
 
 class TestNearestDistancePdf:
@@ -104,6 +145,43 @@ class TestServingDistancePdf:
             r = float(serving_table.radii[i])
             assert serving_table.pdf_los[i] == pytest.approx(
                 serving_distance_pdf(r, LOS, lam0, channel, quad), rel=1e-5, abs=1e-12)
+
+
+BLOCKAGE_KINDS = {
+    "exponential": BlockageModel.exponential(MU_M),
+    "los_ball": BlockageModel.los_ball(100.0),
+    "constant": HALF_LOS,
+}
+# Lengths on both sides of 64, where the distance laws once switched from
+# adaptive quadrature to a trapezoid table.
+SPLIT_RADII = list(np.linspace(5.0, 600.0, 65))
+
+
+class TestBatchIndependence:
+    """A distance-law value must not depend on how many radii share its call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(BLOCKAGE_KINDS)), state=st.sampled_from([LOS, NLOS]),
+           radii=st.lists(st.floats(1.0, 3000.0), min_size=1, max_size=140))
+    @example(kind="exponential", state=LOS, radii=SPLIT_RADII)
+    @example(kind="exponential", state=NLOS, radii=SPLIT_RADII)
+    def test_value_independent_of_array_length(self, kind, state, radii):
+        chan = ChannelParams(2.0, 4.0, 1.0, BLOCKAGE_KINDS[kind])
+        r = np.array(radii)
+        for law in (lambda x: serving_distance_pdf(x, state, LAM, chan),
+                    lambda x: nearest_distance_pdf(x, state, LAM, chan.blockage)):
+            whole = law(r)
+            np.testing.assert_allclose(law(r[:64]), whole[:64], rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose([law(float(x)) for x in r], whole, rtol=1e-14, atol=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(sorted(BLOCKAGE_KINDS)), r0=st.floats(50.0, 300.0),
+           alpha_los=st.floats(2.0, 3.0), alpha_gap=st.floats(0.0, 2.0))
+    def test_serving_table_has_unit_mass(self, kind, r0, alpha_los, alpha_gap):
+        chan = ChannelParams(alpha_los, alpha_los + alpha_gap, 1.0, BLOCKAGE_KINDS[kind])
+        table = tabulate_serving_distance(intensity_for(r0), chan)
+        # the table's trapezoid masses carry its own 1e-3 contract
+        assert table.total_mass == pytest.approx(1.0, abs=1e-3)
 
 
 class TestGainMoment:
@@ -206,13 +284,8 @@ class TestConditionalCoverage:
         assert abs(got - estimate) < 0.02
 
     def test_coverage_weight_forms_agree(self, lam0, channel, quad):
-        from mmtier.analytics import _serving_weight_literal
-        for state in (LOS, NLOS):
-            for r in (30.0, 100.0, 400.0):
-                literal = _serving_weight_literal(r, state, lam0, channel, quad)
-                simplified = serving_distance_pdf(r, state, lam0, channel, quad)
-                if literal is not None:
-                    assert literal == pytest.approx(simplified, rel=1e-6, abs=1e-300)
+        for chan in (channel, LOS_BALL_CHANNEL, dataclasses.replace(channel, blockage=HALF_LOS)):
+            _check_weight_forms(lam0, chan, quad)
 
 
 class TestCoverageProbability:
@@ -239,9 +312,62 @@ class TestCoverageProbability:
         c2 = coverage_probability(3.0, 6, lam0, channel, beam, fine)
         assert abs(c1 - c2) <= max(e1, 1e-12)
 
+    def test_error_covers_a_longer_truncation(self, lam0, channel, beam):
+        # The interference beyond the truncation radius and the serving
+        # distances beyond it are both in the error estimate.
+        for tau, k in ((0.1, 1), (10.0, 6), (1000.0, 12)):
+            short, err = coverage_probability(tau, k, lam0, channel, beam,
+                                              QuadratureSpec(truncation_radius_m=1000.0),
+                                              full_output=True)
+            far = coverage_probability(tau, k, lam0, channel, beam,
+                                       QuadratureSpec(truncation_radius_m=20000.0))
+            assert abs(short - far) <= err, (tau, k, short, far, err)
+
     def test_k_validated(self, lam0, channel, beam, quad):
         with pytest.raises(ValueError):
             coverage_probability(1.0, 13, lam0, channel, beam, quad)
+
+
+# (channel, tau, k): the engine's reference setting, the other two blockage
+# laws (constant blockage needs alpha_los > 2 for a finite far field) and
+# a noise-limited case.
+ORACLE_CASES = {
+    "exponential": (ChannelParams(2.0, 4.0, 1.0, BlockageModel.exponential(MU_M)), 2.0, 6),
+    "los_ball": (LOS_BALL_CHANNEL, 0.5, 3),
+    "constant": (ChannelParams(2.5, 4.0, 1.0, HALF_LOS), 1.0, 6),
+    "noise": (ChannelParams(2.0, 4.0, 1.0, BlockageModel.exponential(MU_M), noise_power=0.5),
+              1.0, 1),
+}
+
+
+class TestAdaptiveOracle:
+    """The fixed-node engine against the nested adaptive quadrature it replaced
+    (`adaptive_oracle`): each pair agrees within the sum of its two errors."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_coverage(self, case, lam0, beam, quad):
+        chan, tau, k = ORACLE_CASES[case]
+        got, err = coverage_probability(tau, k, lam0, chan, beam, quad, full_output=True)
+        want, want_err = oracle.coverage_probability(tau, k, lam0, chan, beam, quad,
+                                                     full_output=True)
+        assert abs(got - want) <= err + want_err, (got, err, want, want_err)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_conditional_coverage_and_laplace(self, case, lam0, beam, quad):
+        chan, tau, k = ORACLE_CASES[case]
+        for state in (LOS, NLOS):
+            for r in (20.0, 90.0, 300.0):
+                got = conditional_coverage(tau, r, k, state, lam0, chan, beam, quad,
+                                           full_output=True)
+                want = oracle.conditional_coverage(tau, r, k, state, lam0, chan, beam, quad,
+                                                   full_output=True)
+                assert abs(got[0] - want[0]) <= got[1] + want[1], (state, r, got, want)
+                for s in (0.3, 30.0, 3000.0):
+                    got = laplace_interference(s, r, state, k, lam0, chan, beam, quad,
+                                               full_output=True)
+                    want = oracle.laplace_interference(s, r, state, k, lam0, chan, beam, quad,
+                                                       full_output=True)
+                    assert abs(got[0] - want[0]) <= got[1] + want[1], (state, r, s, got, want)
 
 
 class TestReferenceSettingCurves:

@@ -92,11 +92,14 @@ class TestRunSweep:
 class TestSerializationFormats:
     def test_csv_shape_and_empty_mc_cells(self, fast_cfg):
         cfg = dataclasses.replace(fast_cfg, tau_db_list=(5.0,), k_list=(2,))
-        text = sweep_to_csv(run_sweep(cfg))
-        header, line = text.strip().split("\n")
+        (row,) = run_sweep(cfg)
+        header, line = sweep_to_csv([row]).strip().split("\n")
         assert header.startswith("tau_db,k,coverage_analytic,coverage_mc,mc_ci")
         fields = line.split(",")
         assert fields[3] == "" and fields[4] == ""  # no MC columns requested
+        # numbers print as plain floats that read back exactly
+        assert float(fields[2]) == row.coverage_analytic
+        assert float(fields[7]) == row.quad_error
 
     def test_json_carries_full_config(self, fast_cfg):
         cfg = dataclasses.replace(fast_cfg, tau_db_list=(5.0,), k_list=(2,))
