@@ -53,18 +53,15 @@ from .geometry import (
     topology_to_gnuplot,
 )
 from .montecarlo import (
-    AssociationHistogram,
     HopRealization,
     SimConfig,
     SimulationError,
     compute_sinr,
-    empirical_association_pdf,
     empirical_coverage,
     empirical_laplace,
     realize_hop,
     serving_distance_samples,
     sinr_samples,
-    sinr_trace_csv,
     trial_stream,
     wilson_halfwidth,
 )

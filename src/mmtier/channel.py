@@ -185,7 +185,8 @@ class GainPmf:
             raise ValueError(f"gain probabilities sum to {total!r}, not 1")
         if any(p < 0.0 or p > 1.0 for p in self.probs):
             raise ValueError("gain probabilities must lie in [0, 1]")
-        object.__setattr__(self, "_edges", np.cumsum(self.probs))
+        e0, e1, _ = np.cumsum(self.probs).tolist()
+        object.__setattr__(self, "_edges", (e0, e1))
         object.__setattr__(self, "_gain_arr", np.asarray(self.gains, dtype=float))
 
     @property
@@ -193,10 +194,15 @@ class GainPmf:
         return math.fsum(g * p for g, p in zip(self.gains, self.probs))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` i.i.d. gains (one uniform variate per draw)."""
-        idx = self._edges.searchsorted(rng.random(size), side="right")
-        idx = np.minimum(idx, 2)  # guard the u == 1.0 corner
-        return self._gain_arr[idx]
+        """Draw ``size`` i.i.d. gains (one uniform variate per draw).
+
+        Atom i is drawn when u lies in [e_{i-1}, e_i) of the cumulative edges;
+        the last atom takes every u >= e_1, so rounding of the final edge
+        cannot index past it.
+        """
+        u = rng.random(size)
+        e0, e1 = self._edges
+        return self._gain_arr.take(np.add(u >= e0, u >= e1, dtype=np.intp))
 
 
 def beam_gain_pmf(beam: BeamParams, k: int) -> GainPmf:

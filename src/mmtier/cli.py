@@ -7,7 +7,7 @@ cross-check suite).
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 validation failure. Output files contain no timestamps and are byte
-identical for identical configurations; MMTIER_THREADS only changes speed.
+identical for identical configurations.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import dataclasses
 import json
 import logging
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,15 +31,6 @@ from .config import ConfigError, ExperimentConfig, parse_config
 from .montecarlo import SimulationError
 
 log = logging.getLogger("mmtier")
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("MMTIER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        log.warning("ignoring unparsable MMTIER_THREADS=%r", raw)
-        return 1
 
 
 def _db_to_linear(db: float) -> float:
@@ -78,7 +68,7 @@ class SweepRow:
 SWEEP_HEADER = "tau_db,k,coverage_analytic,coverage_mc,mc_ci,latency_hops,throughput_bps,quad_error"
 
 
-def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
+def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Evaluate the full (tau, k) grid in deterministic grid order.
 
     Per-row quadrature failures are recorded (NaN coverage, infinite error)
@@ -106,7 +96,7 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
             cov_mc = ci = None
             if sim is not None:
                 cov_mc, ci = montecarlo.empirical_coverage(
-                    tau, k, net.lambda_tier0, channel, beam, sim, threads=threads)
+                    tau, k, net.lambda_tier0, channel, beam, sim)
             rows.append(SweepRow(tau_db=tau_db, k=k, coverage_analytic=cov,
                                  coverage_mc=cov_mc, mc_ci=ci, latency=latency,
                                  throughput=thr, quad_error=err))
@@ -174,8 +164,7 @@ class CheckResult:
         return f"{status} {self.name}: measured={self.measured:.6g} threshold={self.threshold:.6g}{extra}"
 
 
-def run_validate(cfg: ExperimentConfig, threads: int = 1,
-                 corrupt_alpha_nlos: float = 0.0,
+def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0,
                  laplace_tuples: int = 20) -> list[CheckResult]:
     """Cross-check every analytical quantity against its simulation twin.
 
@@ -200,7 +189,7 @@ def run_validate(cfg: ExperimentConfig, threads: int = 1,
     checks.append(CheckResult("serving-distance-mass", mass_err <= 1e-3, mass_err, 1e-3))
 
     # 2/3. Simulated association distances match the law (KS) and its LOS split.
-    dist, is_los = montecarlo.serving_distance_samples(lam0, channel, sim, threads)
+    dist, is_los = montecarlo.serving_distance_samples(lam0, channel, sim)
     ks = stats.ks_1samp(dist, table.cdf_at)
     checks.append(CheckResult("association-distance-ks", ks.pvalue > 0.01,
                               ks.pvalue, 0.01, f"D={ks.statistic:.4g}"))
@@ -224,8 +213,7 @@ def run_validate(cfg: ExperimentConfig, threads: int = 1,
         s = r**alpha0 * _db_to_linear(tau_db) / (beam.g_main**2 * channel.beta)
         lap, lap_err = analytics.laplace_interference(
             s, r, state, k, lam0, channel_analytic, beam, quad, full_output=True)
-        emp, se = montecarlo.empirical_laplace(s, r, state, k, lam0, channel, beam,
-                                               sim, threads)
+        emp, se = montecarlo.empirical_laplace(s, r, state, k, lam0, channel, beam, sim)
         tol = 3.0 * se + lap_err + 1e-9
         score = abs(lap - emp) / tol
         if score > worst:
@@ -243,8 +231,7 @@ def run_validate(cfg: ExperimentConfig, threads: int = 1,
         for k in cfg.k_list:
             cov = analytics.coverage_probability(tau, k, lam0, channel_analytic, beam, quad)
             cov_grid[(tau_db, k)] = cov
-            est, ci = montecarlo.empirical_coverage(tau, k, lam0, channel, beam, sim,
-                                                    threads=threads)
+            est, ci = montecarlo.empirical_coverage(tau, k, lam0, channel, beam, sim)
             tol = max(0.02, 2.0 * ci)
             gap = abs(cov - est)
             if gap / tol > worst_gap:
@@ -264,12 +251,11 @@ def run_validate(cfg: ExperimentConfig, threads: int = 1,
     checks.append(CheckResult("coverage-monotone-gain", mono_k, float(mono_k), 1.0))
 
     # 6/7. Topology statistics: CSR without multiplexing, clustering with it.
-    checks.extend(topology_checks(cfg, threads))
+    checks.extend(topology_checks(cfg))
     return checks
 
 
-def topology_checks(cfg: ExperimentConfig, threads: int = 1,
-                    window_factor: float = 8.0) -> list[CheckResult]:
+def topology_checks(cfg: ExperimentConfig, window_factor: float = 8.0) -> list[CheckResult]:
     """Spatial-statistics checks of the realized topology.
 
     Per-tier CSR with multiplexing disabled (every tier is a displaced PPP,
@@ -380,13 +366,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s",
                         level=logging.ERROR if args.quiet else logging.INFO)
-    threads = _threads_from_env()
 
     try:
         cfg = load_config(args.config, args.command, args)
         out_dir = Path(cfg.out_dir)
         if args.command in ("coverage", "throughput"):
-            rows = run_sweep(cfg, threads=threads)
+            rows = run_sweep(cfg)
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / "sweep.csv").write_text(sweep_to_csv(rows), encoding="utf-8")
             (out_dir / "sweep.json").write_text(sweep_to_json(cfg, rows), encoding="utf-8")
@@ -401,8 +386,7 @@ def main(argv=None) -> int:
                 print("wrote " + ", ".join(str(p) for p in paths))
             return 0
         # validate
-        checks = run_validate(cfg, threads=threads,
-                              corrupt_alpha_nlos=args.corrupt_analytics_alpha_nlos)
+        checks = run_validate(cfg, corrupt_alpha_nlos=args.corrupt_analytics_alpha_nlos)
         report = "\n".join(c.line() for c in checks) + "\n"
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "validation.txt").write_text(report, encoding="utf-8")

@@ -63,7 +63,6 @@ class ExperimentConfig:
     window_radius_m: float = 0.0  # 0 -> truncation radius
     mc_trials: int = 0
     seed: int = 1
-    batch_size: int = 1024
     floor_hops: bool = False
     # topology realization
     topology_window_radius_m: float = 0.0  # 0 -> 10 * r0
@@ -138,7 +137,6 @@ class ExperimentConfig:
             window_radius_m=window,
             trials=max(self.mc_trials, 1),
             master_seed=self.seed,
-            batch_size=self.batch_size,
             truncation_radius_m=trunc,
         )
 
@@ -154,7 +152,7 @@ _BLOCKAGE_PARAM_KEYS = {
     "constant": "blockage_p",
 }
 
-_INT_KEYS = {"rf_chains", "k", "mc_trials", "seed", "batch_size"}
+_INT_KEYS = {"rf_chains", "k", "mc_trials", "seed"}
 _BOOL_KEYS = {"floor_hops"}
 _STR_KEYS = {"blockage", "out_dir", "mode"}
 _LIST_KEYS = {"tau_db_list", "k_list"}
@@ -303,7 +301,6 @@ def to_text(cfg: ExperimentConfig) -> str:
     emit("topology_window_radius_m", cfg.topology_window_radius_m)
     emit("mc_trials", cfg.mc_trials)
     emit("seed", cfg.seed)
-    emit("batch_size", cfg.batch_size)
     emit("floor_hops", cfg.floor_hops)
     emit("tau_db_list", cfg.tau_db_list)
     emit("k_list", cfg.k_list)

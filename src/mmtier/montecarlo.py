@@ -6,14 +6,14 @@ marked PPP, associate with the maximum-average-power AP, and measure SINR,
 association distances and the interference Laplace functional empirically.
 
 Every trial owns a counter-based random stream derived from the master seed
-(Philox keyed by seed, counter set from the trial index), so estimates are
-bitwise reproducible no matter how trials are batched or threaded.
+(Philox keyed by seed, counter set from the trial index), so a trial's draws,
+and hence every estimate, are bitwise reproducible and do not depend on how
+many other trials run.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,8 +21,8 @@ import numpy as np
 
 from .channel import (
     LOS,
-    NLOS,
     BeamParams,
+    BlockageModel,
     ChannelParams,
     beam_gain_pmf,
     _check_state,
@@ -45,7 +45,7 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo run geometry and reproducibility knobs.
+    """Monte Carlo run geometry, trial count and master seed.
 
     ``truncation_radius_m``, when given, is the analytical truncation radius
     the window must cover so that simulation and quadrature discard the same
@@ -55,7 +55,6 @@ class SimConfig:
     window_radius_m: float
     trials: int
     master_seed: int = 0
-    batch_size: int = 1024
     truncation_radius_m: float | None = None
 
     def __post_init__(self):
@@ -63,8 +62,6 @@ class SimConfig:
             raise ValueError("window radius must be positive")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be positive")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master seed must fit in 64 bits")
         if self.truncation_radius_m is not None \
@@ -83,7 +80,7 @@ class _StreamFactory:
     """One reusable Philox generator, rewound to a trial's counter on demand.
 
     Produces bit-identical streams to `trial_stream` while skipping the
-    per-trial object construction. Not thread-safe: give each worker its own.
+    per-trial object construction.
     """
 
     def __init__(self, master_seed: int, substream: int):
@@ -101,6 +98,43 @@ class _StreamFactory:
         state["uinteger"] = 0
         self._bits.state = state
         return self._gen
+
+
+def _trial_streams(sim: SimConfig, substream: int):
+    """The generators of trials 0 .. sim.trials - 1, in order (one object, rewound)."""
+    factory = _StreamFactory(sim.master_seed, substream)
+    return (factory.at(i) for i in range(sim.trials))
+
+
+def _marked_ppp(rng: np.random.Generator, mean_count: float, window_m: float,
+                blockage: BlockageModel):
+    """One non-empty draw of the LOS-marked PPP on the disc of radius window_m.
+
+    Returns (radii, angle uniforms, LOS marks, empty draws resampled); the
+    angle of point i is 2*pi times its uniform. The stream is a Poisson count
+    n, then 3n uniforms: radii, angles, LOS marks. An empty draw is resampled;
+    persistent emptiness aborts, since it means the window is far too small
+    for the intensity.
+    """
+    if not mean_count > 0.0:
+        raise ValueError("intensity must be positive")
+    resamples = 0
+    n = rng.poisson(mean_count)
+    while n == 0:
+        resamples += 1
+        if resamples > _EMPTY_RESAMPLE_LIMIT:
+            raise SimulationError(
+                "PPP sample repeatedly empty; window too small for the intensity")
+        n = rng.poisson(mean_count)
+    u = rng.random(3 * n)
+    radii = window_m * np.sqrt(u[:n])
+    is_los = u[2 * n:] < _p_los_raw(radii, blockage)
+    return radii, u[n:2 * n], is_los, resamples
+
+
+def _mean_power(radii: np.ndarray, is_los: np.ndarray, channel: ChannelParams) -> np.ndarray:
+    """Average received power per unit intercept, d^-alpha(state)."""
+    return radii ** -np.where(is_los, channel.alpha_los, channel.alpha_nlos)
 
 
 @dataclass
@@ -139,30 +173,17 @@ def realize_hop(lambda0: float, channel: ChannelParams, sim: SimConfig,
 
     Transmitters form a PPP(lambda0) on the window, each independently LOS
     with probability P_L(distance). The serving AP maximizes the average
-    received power beta * d^-alpha(state); everyone else interferes. An empty
-    draw is resampled (counted); persistent emptiness aborts, since it means
-    the window is far too small for the intensity.
+    received power beta * d^-alpha(state); everyone else interferes. Empty
+    draws are resampled and counted. This is the per-realization reference
+    that `sinr_samples` reproduces from the same stream without positions.
     """
-    if not lambda0 > 0.0:
-        raise ValueError("intensity must be positive")
-    mean_count = lambda0 * math.pi * sim.window_radius_m**2
-    resamples = 0
-    while True:
-        n = rng.poisson(mean_count)
-        radii = sim.window_radius_m * np.sqrt(rng.random(n))
-        angles = 2.0 * math.pi * rng.random(n)
-        is_los = rng.random(n) < _p_los_raw(radii, channel.blockage)
-        if n > 0:
-            break
-        resamples += 1
-        if resamples > _EMPTY_RESAMPLE_LIMIT:
-            raise SimulationError(
-                "PPP sample repeatedly empty; window too small for the intensity")
+    radii, turns, is_los, resamples = _marked_ppp(
+        rng, lambda0 * math.pi * sim.window_radius_m**2, sim.window_radius_m,
+        channel.blockage)
+    angles = 2.0 * math.pi * turns
     positions = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    alpha = np.where(is_los, channel.alpha_los, channel.alpha_nlos)
-    avg_power = radii**-alpha
-    serving = int(np.argmax(avg_power))
-    keep = np.arange(n) != serving
+    serving = int(np.argmax(_mean_power(radii, is_los, channel)))
+    keep = np.arange(len(radii)) != serving
     return HopRealization(
         serving_position=positions[serving],
         serving_is_los=bool(is_los[serving]),
@@ -198,31 +219,6 @@ def compute_sinr(real: HopRealization, k: int, channel: ChannelParams, beam: Bea
     return signal / denom
 
 
-def _map_trials(fn, trials: int, master_seed: int, substream: int,
-                threads: int = 1, batch: int = 1024) -> list:
-    """Evaluate fn(i, rng_i) for every trial with its counter-based stream.
-
-    Trials are dispatched in fixed chunks, each chunk owning one stream
-    factory; results land in trial order, so the output is identical for any
-    thread count or chunk execution order.
-    """
-    results = [None] * trials
-    starts = range(0, trials, batch)
-
-    def run_chunk(start: int) -> None:
-        factory = _StreamFactory(master_seed, substream)
-        for i in range(start, min(start + batch, trials)):
-            results[i] = fn(i, factory.at(i))
-
-    if threads <= 1:
-        for s in starts:
-            run_chunk(s)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, starts))
-    return results
-
-
 def _check_resample_rate(resamples: int, trials: int) -> None:
     if resamples > max(1.0, 1e-4 * trials):
         raise SimulationError(
@@ -231,23 +227,38 @@ def _check_resample_rate(resamples: int, trials: int) -> None:
 
 
 def sinr_samples(k: int, lambda0: float, channel: ChannelParams, beam: BeamParams,
-                 sim: SimConfig, threads: int = 1) -> np.ndarray:
-    """Per-trial SINR draws of the typical-receiver experiment (linear scale)."""
+                 sim: SimConfig) -> np.ndarray:
+    """Per-trial SINR draws of the typical-receiver experiment (linear scale).
 
-    def one(i: int, rng: np.random.Generator) -> tuple[float, int]:
-        real = realize_hop(lambda0, channel, sim, rng)
-        return compute_sinr(real, k, channel, beam, rng), real.resamples
-
-    results = _map_trials(one, sim.trials, sim.master_seed, _SUB_COVERAGE,
-                          threads, sim.batch_size)
-    _check_resample_rate(sum(r for _, r in results), sim.trials)
-    return np.array([s for s, _ in results])
+    Trial i equals compute_sinr(realize_hop(...)) on trial i's stream; the
+    fading of the serving AP and of the interferers comes from one draw.
+    """
+    pmf = beam_gain_pmf(beam, k)
+    mean_count = lambda0 * math.pi * sim.window_radius_m**2
+    out = np.empty(sim.trials)
+    resamples = 0
+    for i, rng in enumerate(_trial_streams(sim, _SUB_COVERAGE)):
+        radii, _, is_los, extra = _marked_ppp(rng, mean_count, sim.window_radius_m,
+                                              channel.blockage)
+        resamples += extra
+        power = _mean_power(radii, is_los, channel)
+        j = int(power.argmax())
+        fading = rng.exponential(size=len(radii))
+        weights = fading[1:] * pmf.sample(rng, len(radii) - 1)
+        # Interferers are every point but j, in draw order: skip j without a copy.
+        interference = channel.beta * float(weights[:j] @ power[:j]
+                                             + weights[j:] @ power[j + 1:])
+        denom = channel.noise_power + interference
+        out[i] = (math.inf if denom == 0.0
+                  else fading[0] * beam.g_main**2 * channel.beta * power[j] / denom)
+    _check_resample_rate(resamples, sim.trials)
+    return out
 
 
 @lru_cache(maxsize=16)
 def _sinr_samples_cached(k: int, lambda0: float, channel: ChannelParams, beam: BeamParams,
-                         sim: SimConfig, threads: int) -> np.ndarray:
-    return sinr_samples(k, lambda0, channel, beam, sim, threads)
+                         sim: SimConfig) -> np.ndarray:
+    return sinr_samples(k, lambda0, channel, beam, sim)
 
 
 def wilson_halfwidth(successes: int, trials: int, z: float = _WILSON_Z) -> float:
@@ -260,8 +271,7 @@ def wilson_halfwidth(successes: int, trials: int, z: float = _WILSON_Z) -> float
 
 
 def empirical_coverage(tau: float, k: int, lambda0: float, channel: ChannelParams,
-                       beam: BeamParams, sim: SimConfig,
-                       threads: int = 1) -> tuple[float, float]:
+                       beam: BeamParams, sim: SimConfig) -> tuple[float, float]:
     """Fraction of trials with SINR above tau, plus a 95% Wilson half-width.
 
     The SINR draws depend only on (k, lambda0, channel, beam, sim), so
@@ -272,97 +282,31 @@ def empirical_coverage(tau: float, k: int, lambda0: float, channel: ChannelParam
         raise ValueError("SINR threshold must be positive")
     if sim.trials < 100:
         raise ValueError("coverage estimation needs at least 100 trials")
-    samples = _sinr_samples_cached(k, lambda0, channel, beam, sim, threads)
+    samples = _sinr_samples_cached(k, lambda0, channel, beam, sim)
     covered = int(np.count_nonzero(samples > tau))
     return covered / sim.trials, wilson_halfwidth(covered, sim.trials)
 
 
-def sinr_trace_csv(k: int, lambda0: float, channel: ChannelParams, beam: BeamParams,
-                   sim: SimConfig, threads: int = 1) -> str:
-    """Raw per-trial SINR dump for external analysis.
-
-    Columns: trial, sinr_db, serving_state, serving_distance_m. Uses the same
-    per-trial streams as `sinr_samples`, so the dumped SINRs are exactly the
-    ones behind `empirical_coverage` for this configuration.
-    """
-
-    def one(i: int, rng: np.random.Generator):
-        real = realize_hop(lambda0, channel, sim, rng)
-        sinr = compute_sinr(real, k, channel, beam, rng)
-        return sinr, real.serving_is_los, real.serving_distance
-
-    rows = ["trial,sinr_db,serving_state,serving_distance_m"]
-    results = _map_trials(one, sim.trials, sim.master_seed, _SUB_COVERAGE,
-                          threads, sim.batch_size)
-    for i, (sinr, is_los, dist) in enumerate(results):
-        sinr_db = math.inf if sinr == math.inf else 10.0 * math.log10(sinr)
-        rows.append(f"{i},{sinr_db!r},{LOS if is_los else NLOS},{dist!r}")
-    return "\n".join(rows) + "\n"
-
-
-def serving_distance_samples(lambda0: float, channel: ChannelParams, sim: SimConfig,
-                             threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def serving_distance_samples(lambda0: float, channel: ChannelParams,
+                             sim: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Association distances and LOS flags over sim.trials realizations."""
     mean_count = lambda0 * math.pi * sim.window_radius_m**2
-    blockage = channel.blockage
-
-    def one(i: int, rng: np.random.Generator) -> tuple[float, bool, int]:
-        resamples = 0
-        while True:
-            n = rng.poisson(mean_count)
-            radii = sim.window_radius_m * np.sqrt(rng.random(n))
-            rng.random(n)  # angles, kept in the draw order of realize_hop
-            is_los = rng.random(n) < _p_los_raw(radii, blockage)
-            if n > 0:
-                break
-            resamples += 1
-            if resamples > _EMPTY_RESAMPLE_LIMIT:
-                raise SimulationError(
-                    "PPP sample repeatedly empty; window too small for the intensity")
-        alpha = np.where(is_los, channel.alpha_los, channel.alpha_nlos)
-        serving = int(np.argmax(radii**-alpha))
-        return float(radii[serving]), bool(is_los[serving]), resamples
-
-    results = _map_trials(one, sim.trials, sim.master_seed, _SUB_ASSOCIATION,
-                          threads, sim.batch_size)
-    _check_resample_rate(sum(r for *_, r in results), sim.trials)
-    dist = np.array([d for d, _, _ in results])
-    is_los = np.array([l for _, l, _ in results], dtype=bool)
+    dist = np.empty(sim.trials)
+    is_los = np.empty(sim.trials, dtype=bool)
+    resamples = 0
+    for i, rng in enumerate(_trial_streams(sim, _SUB_ASSOCIATION)):
+        radii, _, los, extra = _marked_ppp(rng, mean_count, sim.window_radius_m,
+                                           channel.blockage)
+        resamples += extra
+        j = int(_mean_power(radii, los, channel).argmax())
+        dist[i], is_los[i] = radii[j], los[j]
+    _check_resample_rate(resamples, sim.trials)
     return dist, is_los
-
-
-@dataclass(frozen=True)
-class AssociationHistogram:
-    """Normalized serving-distance histogram, split by serving link state."""
-
-    bin_edges: np.ndarray
-    mass_los: np.ndarray
-    mass_nlos: np.ndarray
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.mass_los.sum() + self.mass_nlos.sum())
-
-
-def empirical_association_pdf(lambda0: float, channel: ChannelParams, sim: SimConfig,
-                              bins: int = 100, threads: int = 1) -> AssociationHistogram:
-    """Histogram of serving distances; bin masses over both states sum to 1."""
-    if sim.trials < 10_000:
-        raise ValueError("association histogram needs at least 10^4 trials")
-    dist, is_los = serving_distance_samples(lambda0, channel, sim, threads)
-    edges = np.histogram_bin_edges(dist, bins=bins)
-    count_los, _ = np.histogram(dist[is_los], bins=edges)
-    count_nlos, _ = np.histogram(dist[~is_los], bins=edges)
-    return AssociationHistogram(
-        bin_edges=edges,
-        mass_los=count_los / sim.trials,
-        mass_nlos=count_nlos / sim.trials,
-    )
 
 
 def empirical_laplace(s: float, serving_distance: float, serving_state: str, k: int,
                       lambda0: float, channel: ChannelParams, beam: BeamParams,
-                      sim: SimConfig, threads: int = 1) -> tuple[float, float]:
+                      sim: SimConfig) -> tuple[float, float]:
     """Sample mean of exp(-s * I) conditioned on the serving AP, plus its std error.
 
     The serving AP is pinned at the given distance/state; interferers are the
@@ -377,31 +321,36 @@ def empirical_laplace(s: float, serving_distance: float, serving_state: str, k: 
         raise ValueError("serving distance must be positive")
     if sim.trials < 10_000:
         raise ValueError("Laplace estimation needs at least 10^4 trials")
+    vals = _laplace_samples(s, serving_distance, serving_state, k, lambda0, channel, beam, sim)
+    mean = math.fsum(vals) / sim.trials
+    var = math.fsum((vals - mean) ** 2) / (sim.trials - 1)
+    return mean, math.sqrt(var / sim.trials)
+
+
+def _laplace_samples(s: float, serving_distance: float, serving_state: str, k: int,
+                     lambda0: float, channel: ChannelParams, beam: BeamParams,
+                     sim: SimConfig) -> np.ndarray:
+    """Per-trial exp(-s * I) behind `empirical_laplace`, trial i on trial i's stream.
+
+    The stream has no angle uniforms and no resampling: an empty window is a
+    valid conditioned draw.
+    """
     if serving_state == LOS:
         excl_los = serving_distance
         excl_nlos = serving_distance ** (channel.alpha_los / channel.alpha_nlos)
     else:
         excl_nlos = serving_distance
         excl_los = serving_distance ** (channel.alpha_nlos / channel.alpha_los)
-
     pmf = beam_gain_pmf(beam, k)
     mean_count = lambda0 * math.pi * sim.window_radius_m**2
-    blockage = channel.blockage
-
-    def one(i: int, rng: np.random.Generator) -> float:
+    vals = np.empty(sim.trials)
+    for i, rng in enumerate(_trial_streams(sim, _SUB_LAPLACE)):
         n = rng.poisson(mean_count)
-        radii = sim.window_radius_m * np.sqrt(rng.random(n))
-        is_los = rng.random(n) < _p_los_raw(radii, blockage)
-        keep = np.where(is_los, radii > excl_los, radii > excl_nlos)
-        d = radii[keep]
-        h = rng.exponential(size=len(d))
-        gains = pmf.sample(rng, len(d))
-        alpha = np.where(is_los[keep], channel.alpha_los, channel.alpha_nlos)
-        interference = float(np.sum(h * gains * channel.beta * d**-alpha))
-        return math.exp(-s * interference)
-
-    vals = _map_trials(one, sim.trials, sim.master_seed, _SUB_LAPLACE,
-                       threads, sim.batch_size)
-    mean = math.fsum(vals) / sim.trials
-    var = math.fsum((v - mean) ** 2 for v in vals) / (sim.trials - 1)
-    return mean, math.sqrt(var / sim.trials)
+        u = rng.random(2 * n)
+        radii = sim.window_radius_m * np.sqrt(u[:n])
+        is_los = u[n:] < _p_los_raw(radii, channel.blockage)
+        keep = radii > np.where(is_los, excl_los, excl_nlos)
+        power = _mean_power(radii[keep], is_los[keep], channel)
+        weights = rng.exponential(size=len(power)) * pmf.sample(rng, len(power))
+        vals[i] = math.exp(-s * channel.beta * float(weights @ power))
+    return vals

@@ -13,7 +13,6 @@ check demonstrates.
 """
 
 import math
-import os
 import subprocess
 import sys
 
@@ -52,7 +51,6 @@ from mmtier.config import parse_config
 from conftest import intensity_for
 
 SEED = 20240810
-THREADS = max(1, int(os.environ.get("MMTIER_THREADS", "1")))
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -109,7 +107,7 @@ def test_criterion_3_association_distance_oracle(r0_m, channel, serving_table,
     assert mass_err <= 1e-3
 
     sim = SimConfig(window_radius_m=2500.0, trials=100_000, master_seed=SEED)
-    dist, _ = serving_distance_samples(lam, channel, sim, threads=THREADS)
+    dist, _ = serving_distance_samples(lam, channel, sim)
     ks = stats.ks_1samp(dist, table.cdf_at)
     report(f"3 (association law, r0={r0_m:.0f} m)", ks.pvalue > 0.01,
            f"mass error {mass_err:.2e}, KS D={ks.statistic:.5f} p={ks.pvalue:.4f}")
@@ -133,8 +131,7 @@ def test_criterion_4_interference_transform_oracle(lam0, channel, beam, quad,
         s = r**alpha * tau / (beam.g_main**2 * channel.beta)
         analytic, a_err = laplace_interference(s, r, state, k, lam0, channel,
                                                beam, quad, full_output=True)
-        emp, se = empirical_laplace(s, r, state, k, lam0, channel, beam, sim,
-                                    threads=THREADS)
+        emp, se = empirical_laplace(s, r, state, k, lam0, channel, beam, sim)
         z = abs(analytic - emp) / (3.0 * se + a_err + 1e-9)
         if z > worst_z:
             worst_z = z
@@ -158,8 +155,7 @@ def test_criterion_5_coverage_agreement(lam0, channel, beam, quad):
         tau = 10.0 ** (tau_db / 10.0)
         for k in K_GRID:
             cov = coverage_probability(tau, k, lam0, channel, beam, quad)
-            est, ci = empirical_coverage(tau, k, lam0, channel, beam, sim,
-                                         threads=THREADS)
+            est, ci = empirical_coverage(tau, k, lam0, channel, beam, sim)
             analytic[(tau_db, k)] = cov
             tol = max(0.02, 2.0 * ci)
             ratio = abs(cov - est) / tol
@@ -313,17 +309,16 @@ def test_criterion_8_byte_identical_outputs(tmp_path):
     cfg_path = tmp_path / "det.cfg"
     cfg_path.write_text(DETERMINISM_CFG)
     digests = {}
-    for run, threads in (("a", "1"), ("b", "4"), ("c", "1")):
+    for run in ("a", "b"):
         out = tmp_path / run
-        env = dict(os.environ, MMTIER_THREADS=threads)
         for mode in ("coverage", "topology"):
             proc = subprocess.run(
                 [sys.executable, "-m", "mmtier", mode, "--config", str(cfg_path),
                  "--out", str(out), "--quiet"],
-                capture_output=True, env=env, text=True)
+                capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
         digests[run] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    ok = digests["a"] == digests["b"] == digests["c"]
+    ok = digests["a"] == digests["b"]
     report("8 (deterministic outputs)", ok,
-           f"{sorted(digests['a'])} byte-identical across reruns and thread counts")
+           f"{sorted(digests['a'])} byte-identical across reruns")
     assert ok

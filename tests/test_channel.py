@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mmtier import (
     LOS,
@@ -173,6 +173,29 @@ class TestBeamGainPmf:
         for gain, prob in zip(pmf.gains, pmf.probs):
             frac = np.mean(draws == gain)
             assert frac == pytest.approx(prob, abs=0.006)
+
+    @settings(max_examples=200)
+    @given(pmf=st.one_of(
+               st.floats(0.0, 1.0).map(lambda p: GainPmf(
+                   gains=(9.0, 3.0, 1.0), probs=(p * p, 2.0 * p * (1.0 - p), (1.0 - p)**2))),
+               # theta_a * k = 2*pi: every main lobe aligned, two zero atoms
+               st.integers(1, 12).map(lambda k: beam_gain_pmf(
+                   BeamParams(theta_a=2.0 * math.pi / k, g_main=100.0, g_side=1.0,
+                              rf_chains=k), k))),
+           u=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    @example(pmf=GainPmf(gains=(9.0, 3.0, 1.0), probs=(0.0, 0.0, 1.0)), u=[])
+    @example(pmf=GainPmf(gains=(9.0, 3.0, 1.0), probs=(0.0, 1.0, 0.0)), u=[])
+    def test_sample_picks_the_searchsorted_atom(self, pmf, u):
+        edges = np.cumsum(pmf.probs)
+        u = np.concatenate([u, edges, np.nextafter(edges, 0.0), [0.0, 1.0]])
+
+        class FixedUniforms:
+            def random(self, size):
+                assert size == len(u)
+                return u
+
+        want = np.asarray(pmf.gains)[np.minimum(edges.searchsorted(u, side="right"), 2)]
+        np.testing.assert_array_equal(pmf.sample(FixedUniforms(), len(u)), want)
 
 
 class TestFading:

@@ -192,17 +192,15 @@ class TestMainExitCodes:
                      "--quiet"]) == 0
         assert (tmp_path / "topology.csv").exists()
 
-    def test_sweep_outputs_deterministic(self, tmp_path, monkeypatch):
+    def test_sweep_outputs_deterministic(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(BASE + "mc_trials = 300\ntau_db_list = 5\nk_list = 6\n")
         outs = []
-        for name, threads in (("a", "1"), ("b", "4")):
-            monkeypatch.setenv("MMTIER_THREADS", threads)
+        for name in ("a", "b"):
             out = tmp_path / name
             assert main(["coverage", "--config", str(cfg), "--out", str(out),
                          "--quiet"]) == 0
             outs.append((out / "sweep.csv").read_bytes())
-            monkeypatch.delenv("MMTIER_THREADS")
         assert outs[0] == outs[1]
 
     def test_seed_and_trials_overrides(self, tmp_path):

@@ -36,6 +36,8 @@ def test_missing_blockage_warns_and_defaults(caplog):
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("warp_factor = 9\n")
+    with pytest.raises(ConfigError, match="unknown key 'batch_size'"):
+        parse_config("batch_size = 64\nblockage = exponential\n")
 
 
 def test_malformed_line_rejected():
@@ -98,7 +100,7 @@ def test_roundtrip_identity():
         "blockage = exponential\nblockage_mu_m = 120.5\ntheta_a_deg = 15\n"
         "g_main_db = 18\ng_side_db = -3\nrel_tol = 1e-5\nabs_tol = 1e-8\n"
         "truncation_radius_m = 3000\nwindow_radius_m = 3200\nmc_trials = 500\n"
-        "seed = 42\nbatch_size = 64\nfloor_hops = true\n"
+        "seed = 42\nfloor_hops = true\n"
         "tau_db_list = -5, 0, 5\nk_list = 1, 2, 6\nout_dir = results\n"
         "mode = throughput\n"
     )

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmtier import (
     LOS,
@@ -14,17 +15,15 @@ from mmtier import (
     SimConfig,
     SimulationError,
     compute_sinr,
-    empirical_association_pdf,
     empirical_coverage,
     empirical_laplace,
     realize_hop,
     serving_distance_samples,
     sinr_samples,
-    sinr_trace_csv,
     trial_stream,
     wilson_halfwidth,
 )
-from mmtier.montecarlo import _StreamFactory
+from mmtier.montecarlo import _SUB_COVERAGE, _StreamFactory, _laplace_samples
 
 from conftest import intensity_for
 
@@ -47,8 +46,6 @@ class TestSimConfig:
             SimConfig(window_radius_m=0.0, trials=10)
         with pytest.raises(ValueError):
             SimConfig(window_radius_m=100.0, trials=0)
-        with pytest.raises(ValueError):
-            SimConfig(window_radius_m=100.0, trials=10, batch_size=0)
 
     def test_window_must_cover_truncation(self):
         with pytest.raises(ValueError):
@@ -151,17 +148,6 @@ class TestEmpiricalCoverage:
                      for t in (0.1, 1.0, 10.0, 100.0)]
         assert all(a >= b for a, b in zip(estimates, estimates[1:]))
 
-    def test_deterministic_across_threads_and_batches(self, lam0, channel, beam):
-        base = SimConfig(window_radius_m=2500.0, trials=600, master_seed=99,
-                         batch_size=1024)
-        odd = SimConfig(window_radius_m=2500.0, trials=600, master_seed=99,
-                        batch_size=7)
-        a = sinr_samples(6, lam0, channel, beam, base, threads=1)
-        b = sinr_samples(6, lam0, channel, beam, base, threads=4)
-        c = sinr_samples(6, lam0, channel, beam, odd, threads=3)
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(a, c)
-
     def test_minimum_trials_enforced(self, lam0, channel, beam):
         sim = SimConfig(window_radius_m=2500.0, trials=50, master_seed=0)
         with pytest.raises(ValueError):
@@ -180,18 +166,11 @@ class TestEmpiricalCoverage:
 
 
 class TestAssociation:
-    def test_histogram_mass_and_split(self, lam0, channel, sim, serving_table):
-        hist = empirical_association_pdf(lam0, channel, sim)
-        assert hist.total_mass == pytest.approx(1.0, abs=1e-12)
-        mc_los = hist.mass_los.sum()
+    def test_los_split_matches_serving_table(self, lam0, channel, sim, serving_table):
+        _, is_los = serving_distance_samples(lam0, channel, sim)
         p = serving_table.los_mass / serving_table.total_mass
         se = math.sqrt(p * (1.0 - p) / sim.trials)
-        assert abs(mc_los - p) < 4.0 * se
-
-    def test_minimum_trials_enforced(self, lam0, channel):
-        sim = SimConfig(window_radius_m=2500.0, trials=500, master_seed=0)
-        with pytest.raises(ValueError):
-            empirical_association_pdf(lam0, channel, sim)
+        assert abs(np.mean(is_los) - p) < 4.0 * se
 
     def test_rayleigh_law_without_blockage(self, lam0):
         from scipy import stats
@@ -201,26 +180,6 @@ class TestAssociation:
         assert np.all(is_los)
         result = stats.ks_1samp(dist, lambda r: 1.0 - np.exp(-math.pi * lam0 * r * r))
         assert result.pvalue > 0.01
-
-
-class TestSinrTrace:
-    def test_trace_matches_coverage_samples(self, lam0, channel, beam):
-        sim = SimConfig(window_radius_m=2500.0, trials=200, master_seed=13)
-        text = sinr_trace_csv(6, lam0, channel, beam, sim)
-        lines = text.strip().split("\n")
-        assert lines[0] == "trial,sinr_db,serving_state,serving_distance_m"
-        assert len(lines) == sim.trials + 1
-        samples = sinr_samples(6, lam0, channel, beam, sim)
-        for line, sinr in zip(lines[1:], samples):
-            _, sinr_db, state, dist = line.split(",")
-            assert float(sinr_db) == pytest.approx(10.0 * math.log10(sinr), rel=1e-12)
-            assert state in ("los", "nlos") and float(dist) > 0.0
-
-    def test_trace_deterministic(self, lam0, channel, beam):
-        sim = SimConfig(window_radius_m=2500.0, trials=50, master_seed=13)
-        a = sinr_trace_csv(3, lam0, channel, beam, sim)
-        b = sinr_trace_csv(3, lam0, channel, beam, sim, threads=2)
-        assert a == b
 
 
 class TestEmpiricalLaplace:
@@ -243,3 +202,87 @@ class TestEmpiricalLaplace:
             analytic = laplace_interference(s, r, state, k, lam0, channel, beam, quad)
             mean, se = empirical_laplace(s, r, state, k, lam0, channel, beam, sim)
             assert abs(analytic - mean) < 3.0 * se + 1e-6
+
+
+GOLDEN_SIM = SimConfig(window_radius_m=1000.0, trials=16, master_seed=2718)
+# serving_distance_samples(lam0, ., GOLDEN_SIM) as recorded before the samplers
+# shared one marked-PPP draw; the streams must not have moved.
+GOLDEN_ASSOCIATION = {
+    "exponential": (
+        [251.58625339692887, 95.71559489585901, 31.633174135721088, 43.669083113745145,
+         217.71239379543283, 57.684751726756026, 83.57449892904422, 96.17352600283323,
+         650.0158886277012, 62.651377726529596, 157.90207819982243, 74.38780490224694,
+         38.404526222379296, 60.611908020509276, 42.05239202120228, 21.44131896692548],
+        [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1]),
+    "los_ball": (
+        [187.00578531191871, 81.2663802168108, 31.633174135721088, 43.669083113745145,
+         90.22060302773876, 57.684751726756026, 83.57449892904422, 58.92666025342481,
+         140.75868985836743, 62.651377726529596, 108.25886115187242, 74.38780490224694,
+         38.404526222379296, 60.611908020509276, 42.05239202120228, 21.44131896692548],
+        [0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1]),
+}
+# (s, r, state, k, blockage) -> empirical_laplace (mean, se) on a 1000 m window,
+# 10^4 trials, seed 2718, recorded the same way.
+GOLDEN_LAPLACE = [
+    ((30.0, 80.0, LOS, 6, "exponential"), (0.44334029886271875, 0.004180501580017067)),
+    ((3.0, 40.0, NLOS, 2, "exponential"), (0.9999790702317645, 2.728014766120247e-06)),
+    ((1e4, 90.0, LOS, 12, "los_ball"), (0.3848841693431454, 0.0027156097499235416)),
+]
+
+
+def _golden_channel(kind: str) -> ChannelParams:
+    if kind == "exponential":
+        return ChannelParams(2.0, 4.0, 1.0, BlockageModel.exponential(141.4))
+    return ChannelParams(2.0, 4.0, 1.0, BlockageModel.los_ball(100.0), noise_power=1e-9)
+
+
+class TestMarkedPppSampler:
+    @pytest.mark.parametrize("blockage, noise, k", [
+        (BlockageModel.exponential(141.4), 0.0, 6),
+        (BlockageModel.los_ball(100.0), 0.0, 3),
+        (BlockageModel.exponential(141.4), 1e-7, 12),
+    ], ids=["exponential", "los_ball", "noise"])
+    def test_sinr_matches_per_realization_reference(self, lam0, beam, blockage, noise, k):
+        chan = ChannelParams(2.0, 4.0, 1.0, blockage, noise_power=noise)
+        sim = SimConfig(window_radius_m=1000.0, trials=40, master_seed=31)
+        got = sinr_samples(k, lam0, chan, beam, sim)
+        ref = []
+        for i in range(sim.trials):
+            rng = trial_stream(sim.master_seed, i, _SUB_COVERAGE)
+            ref.append(compute_sinr(realize_hop(lam0, chan, sim, rng), k, chan, beam, rng))
+        np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), m=st.integers(1, 12), extra=st.integers(0, 12))
+    def test_first_trials_do_not_depend_on_the_trial_count(self, lam0, channel, beam,
+                                                           seed, m, extra):
+        def run(trials):
+            sim = SimConfig(window_radius_m=500.0, trials=trials, master_seed=seed)
+            return (sinr_samples(6, lam0, channel, beam, sim),
+                    *serving_distance_samples(lam0, channel, sim),
+                    _laplace_samples(30.0, 80.0, LOS, 6, lam0, channel, beam, sim))
+
+        for short, long in zip(run(m), run(m + extra)):
+            np.testing.assert_array_equal(short, long[:m])
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_ASSOCIATION))
+    def test_association_golden_values(self, lam0, kind):
+        dist, is_los = serving_distance_samples(lam0, _golden_channel(kind), GOLDEN_SIM)
+        want_dist, want_los = GOLDEN_ASSOCIATION[kind]
+        assert dist.tolist() == want_dist
+        assert is_los.tolist() == [bool(v) for v in want_los]
+
+    @pytest.mark.parametrize("args, want", GOLDEN_LAPLACE)
+    def test_laplace_golden_values(self, lam0, beam, args, want):
+        *tup, kind = args
+        sim = SimConfig(window_radius_m=1000.0, trials=10_000, master_seed=2718)
+        got = empirical_laplace(*tup, lam0, _golden_channel(kind), beam, sim)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("window_m", [0.1, 60.0], ids=["always-empty", "often-empty"])
+    def test_window_too_small_raises(self, lam0, channel, beam, window_m):
+        sim = SimConfig(window_radius_m=window_m, trials=100, master_seed=3)
+        with pytest.raises(SimulationError):
+            sinr_samples(6, lam0, channel, beam, sim)
+        with pytest.raises(SimulationError):
+            serving_distance_samples(lam0, channel, sim)
