@@ -45,10 +45,8 @@ from .geometry import (
     csr_global_test,
     points_in_window,
     ripley_k,
-    sample_cluster,
     sample_ppp,
     select_scheduled,
-    split_by_los,
     topology_to_csv,
     topology_to_gnuplot,
 )

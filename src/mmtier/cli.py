@@ -263,8 +263,9 @@ def topology_checks(cfg: ExperimentConfig, window_factor: float = 8.0) -> list[C
     multiplexing on (some relay tier must break the CSR envelope at small
     radii). Realizations are built on a guard-padded window and analyzed on
     the nominal one, so edge depletion of the displacement chain stays out of
-    the statistics. Ripley's K is quadratic in the point count, hence the
-    dedicated ``window_factor`` window rather than the simulation one.
+    the statistics. Every K estimate is compared against 200 reference CSR
+    draws, hence the dedicated ``window_factor`` window rather than the much
+    larger simulation one.
     """
     channel = cfg.channel()
     quad = cfg.quad()

@@ -16,9 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import analytics
-from .channel import BlockageModel, ChannelParams, los_probability
+from .channel import ChannelParams
 from .analytics import QuadratureSpec, DEFAULT_QUAD
 
 
@@ -83,23 +84,11 @@ def sample_ppp(intensity: float, window: Window, rng: np.random.Generator) -> np
     return pts + window.center.as_array()
 
 
-def split_by_los(points: np.ndarray, origin: Point, blockage: BlockageModel,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Mark each point LOS with probability P_L(distance to origin), independently.
-
-    Returns (los, nlos) arrays; together they partition the input.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    d = np.hypot(pts[:, 0] - origin.x, pts[:, 1] - origin.y)
-    is_los = rng.random(len(pts)) < los_probability(d, blockage)
-    return pts[is_los], pts[~is_los]
-
-
 class RadialSampler:
     """Inverse-CDF sampler for an isotropic displacement's radial distance.
 
-    Built from any radial density via a dense table; `sample` consumes one
-    uniform variate per draw, so sampling stays reproducible and cheap.
+    Built from a dense table of any radial density; `quantile` maps one
+    uniform variate to one radius, so sampling stays reproducible and cheap.
     """
 
     def __init__(self, radii: np.ndarray, pdf: np.ndarray):
@@ -120,53 +109,15 @@ class RadialSampler:
         self._cdf = cdf / mass
 
     @classmethod
-    def from_pdf(cls, pdf, r_max: float | None = None, grid_size: int = 4096) -> "RadialSampler":
-        """Tabulate a callable density (must accept ndarray input); if r_max is
-        omitted, grow until the mass converges."""
-        if r_max is None:
-            r_max = 1.0
-            prev_mass = -1.0
-            for _ in range(80):
-                grid = np.linspace(0.0, r_max, grid_size + 1)
-                vals = np.asarray(pdf(grid[1:]), dtype=float)
-                mass = float(np.trapezoid(np.concatenate([[0.0], vals]), grid))
-                if prev_mass > 0.0 and mass - prev_mass < 1e-12 * max(mass, 1.0):
-                    break
-                prev_mass = mass
-                r_max *= 2.0
-            else:
-                raise ValueError("radial pdf mass did not converge; pass r_max explicitly")
-        grid = np.linspace(0.0, r_max, grid_size + 1)
-        vals = np.concatenate([[0.0], np.asarray(pdf(grid[1:]), dtype=float)])
-        return cls(grid, vals)
-
-    @classmethod
     def from_serving_distance(cls, lam: float, channel: ChannelParams,
                               quad: QuadratureSpec = DEFAULT_QUAD) -> "RadialSampler":
         """Sampler for the max-average-power association distance at intensity lam."""
         table = analytics.tabulate_serving_distance(lam, channel, quad)
         return cls(table.radii, table.pdf_total)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
+    def quantile(self, u) -> np.ndarray:
+        """Inverse CDF: the radius at each uniform variate (any array shape)."""
         return np.interp(u, self._cdf, self._radii)
-
-
-def sample_cluster(center: Point, k: int, serving_pdf, rng: np.random.Generator) -> np.ndarray:
-    """k i.i.d. receiver positions, isotropic around the cluster center.
-
-    Radial distances follow ``serving_pdf`` (a radial density callable, or a
-    prebuilt `RadialSampler` for bulk use); angles are uniform. Each point's
-    law is the same regardless of k.
-    """
-    if k < 1:
-        raise ValueError("cluster size must be at least 1")
-    sampler = serving_pdf if isinstance(serving_pdf, RadialSampler) \
-        else RadialSampler.from_pdf(serving_pdf)
-    radii = sampler.sample(rng, k)
-    angles = 2.0 * math.pi * rng.random(k)
-    return np.column_stack([center.x + radii * np.cos(angles),
-                            center.y + radii * np.sin(angles)])
 
 
 def select_scheduled(tier: np.ndarray, cluster_map, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -281,9 +232,12 @@ def build_tier_topology(net: analytics.NetworkParams, channel: ChannelParams,
     for i, k_i in enumerate(gains):
         prev_clusters = cluster_map[i - 1] if i > 0 else None
         sched, idx = select_scheduled(tiers[i], prev_clusters, rng)
-        clusters = np.empty((len(sched), k_i, 2))
-        for j, xy in enumerate(sched):
-            clusters[j] = sample_cluster(Point(xy[0], xy[1]), k_i, sampler, rng)
+        # Cluster j takes k_i radius uniforms, then k_i angle uniforms.
+        u = rng.random((len(sched), 2, k_i))
+        radii = sampler.quantile(u[:, 0])
+        angles = 2.0 * math.pi * u[:, 1]
+        clusters = np.stack([sched[:, 0, None] + radii * np.cos(angles),
+                             sched[:, 1, None] + radii * np.sin(angles)], axis=-1)
         scheduled.append(sched)
         scheduled_idx.append(idx)
         cluster_map.append(clusters)
@@ -308,6 +262,12 @@ def ripley_k(points: np.ndarray, window: Window, radii) -> np.ndarray:
     boundary is at least r contribute neighbor counts at radius r, so no
     disk is censored. For a homogeneous PPP, K(r) ~ pi r^2. Radii where no
     point qualifies yield NaN.
+
+    Neighbor pairs come from one KD-tree query at the largest radius, so
+    memory is linear in the point count plus the pairs within that radius.
+    A pair at distance d counts for an endpoint at every sorted radius from
+    the first one >= d up to the last one <= the endpoint's boundary
+    distance; one difference array accumulates all radii at once.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(pts)
@@ -319,20 +279,26 @@ def ripley_k(points: np.ndarray, window: Window, radii) -> np.ndarray:
 
     center = window.center.as_array()
     boundary = window.radius - np.hypot(*(pts - center).T)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    np.fill_diagonal(dist, np.inf)
+    order = np.argsort(radii)
+    sorted_r = radii[order]
+    n_r = len(sorted_r)
+    # The tree's own distances may differ from hypot in the last bits; the
+    # pad admits every candidate, and hypot alone decides d <= r (pairs
+    # beyond the largest radius land at index n_r and drop out).
+    i, j = cKDTree(pts).query_pairs(radii.max(initial=0.0) * (1.0 + 1e-9),
+                                    output_type="ndarray").T
+    d = np.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1])
+    first = np.repeat(np.searchsorted(sorted_r, d, "left"), 2)
+    stop = np.searchsorted(sorted_r, boundary, "right")
+    last = np.maximum(first, stop[np.column_stack([i, j]).ravel()])
+    steps = np.bincount(first, minlength=n_r + 1) - np.bincount(last, minlength=n_r + 1)
+    pair_counts = np.cumsum(steps)[:n_r]
+    interior = n - np.cumsum(np.bincount(stop, minlength=n_r + 1))[:n_r]
 
     lam_hat = n / window.area
-    out = np.empty(len(radii))
-    for i, r in enumerate(radii):
-        interior = boundary >= r
-        m = int(np.count_nonzero(interior))
-        if m == 0:
-            out[i] = np.nan
-            continue
-        neighbor_counts = np.count_nonzero(dist[interior] <= r, axis=1)
-        out[i] = neighbor_counts.mean() / lam_hat
+    out = np.full(n_r, np.nan)
+    has = interior > 0
+    out[order[has]] = pair_counts[has] / interior[has] / lam_hat
     return out
 
 

@@ -18,8 +18,9 @@ from mmtier.cli import (
     run_validate,
     sweep_to_csv,
     sweep_to_json,
+    topology_checks,
 )
-from mmtier.config import ConfigError, parse_config
+from mmtier.config import ConfigError, ExperimentConfig, parse_config
 from mmtier import analytics
 
 BASE = """
@@ -130,6 +131,19 @@ class TestEmitTopology:
                            "topology_window_radius_m = 1\ntruncation_radius_m = 10\n")
         emit_topology(cfg, tmp_path)
         assert (tmp_path / "topology.csv").read_text() == "tier,x,y,scheduled\n"
+
+
+class TestTopologyChecks:
+    def test_default_config_measurements_are_golden(self):
+        # Recorded before Ripley's K moved to KD-tree pair counts and the tier
+        # build to one draw per hop. The clustering excess passes by only
+        # 0.006, so any change to the build's stream or to K must show here.
+        checks = topology_checks(ExperimentConfig())
+        assert [(c.name, c.measured, c.passed) for c in checks] == [
+            ("topology-csr-first-tier-k1", 0.9108334029602598, True),
+            ("topology-csr-last-tier-k1", 0.7099190496250128, True),
+            ("topology-clustering-k>1", 0.006241049415152304, True),
+        ]
 
 
 VALIDATE_CFG = BASE + "mc_trials = 10000\ntau_db_list = 10\nk_list = 6\n"

@@ -1,31 +1,29 @@
 """Point-process construction and spatial-statistics tests."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from mmtier import (
-    LOS,
-    BlockageModel,
-    ChannelParams,
     NetworkParams,
     Point,
     RadialSampler,
     Window,
     build_tier_topology,
     csr_envelope,
-    los_probability,
     ripley_k,
-    sample_cluster,
     sample_ppp,
     select_scheduled,
-    split_by_los,
     topology_to_csv,
     topology_to_gnuplot,
 )
 
+import ripley_oracle
 from conftest import intensity_for
 
 ORIGIN = Point(0.0, 0.0)
@@ -72,46 +70,14 @@ class TestSamplePpp:
             Point(math.inf, 0.0)
 
 
-class TestSplitByLos:
-    def test_always_los(self):
-        pts = sample_ppp(0.01, Window(ORIGIN, 50.0), np.random.default_rng(2))
-        los, nlos = split_by_los(pts, ORIGIN, BlockageModel.constant(1.0),
-                                 np.random.default_rng(0))
-        assert len(los) == len(pts) and len(nlos) == 0
-
-    def test_never_los(self):
-        pts = sample_ppp(0.01, Window(ORIGIN, 50.0), np.random.default_rng(2))
-        los, nlos = split_by_los(pts, ORIGIN, BlockageModel.constant(0.0),
-                                 np.random.default_rng(0))
-        assert len(los) == 0 and len(nlos) == len(pts)
-
-    def test_partition_is_exhaustive(self, blockage):
-        pts = sample_ppp(0.02, Window(ORIGIN, 60.0), np.random.default_rng(5))
-        los, nlos = split_by_los(pts, ORIGIN, blockage, np.random.default_rng(1))
-        assert len(los) + len(nlos) == len(pts)
-        recombined = np.vstack([los, nlos])
-        assert np.array_equal(np.sort(recombined, axis=0), np.sort(pts, axis=0))
-
-    def test_fraction_matches_blockage_probability(self, blockage):
-        # Points pinned on a circle of fixed radius: the LOS count is binomial
-        # with success probability P_L(r).
-        r = 180.0
-        n = 20_000
-        angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        pts = np.column_stack([r * np.cos(angles), r * np.sin(angles)])
-        los, _ = split_by_los(pts, ORIGIN, blockage, np.random.default_rng(11))
-        p = los_probability(r, blockage)
-        se = math.sqrt(p * (1.0 - p) / n)
-        assert abs(len(los) / n - p) < 4.0 * se
-
-
 class TestRadialSampler:
     def test_matches_rayleigh_nearest_law(self):
         lam = intensity_for(100.0)
         def pdf(r):
             return 2.0 * math.pi * r * lam * np.exp(-math.pi * lam * r * r)
-        sampler = RadialSampler.from_pdf(pdf)
-        draws = sampler.sample(np.random.default_rng(13), 20_000)
+        grid = np.linspace(0.0, 1000.0, 4097)  # 1 - CDF(1000 m) = e^-100
+        sampler = RadialSampler(grid, pdf(grid))
+        draws = sampler.quantile(np.random.default_rng(13).random(20_000))
         # closed-form CDF of the nearest-neighbor law
         result = stats.ks_1samp(draws, lambda r: 1.0 - np.exp(-math.pi * lam * r * r))
         assert result.pvalue > 0.01
@@ -121,49 +87,6 @@ class TestRadialSampler:
             RadialSampler(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
             RadialSampler(np.array([1.0, 0.5]), np.array([0.1, 0.1]))
-
-
-class TestSampleCluster:
-    def test_k_zero_rejected(self, serving_sampler):
-        with pytest.raises(ValueError):
-            sample_cluster(ORIGIN, 0, serving_sampler, np.random.default_rng(1))
-
-    def test_distance_law_matches_quadrature(self, serving_sampler, serving_table):
-        rng = np.random.default_rng(21)
-        draws = np.concatenate([
-            np.hypot(*sample_cluster(ORIGIN, 1, serving_sampler, rng).T)
-            for _ in range(10_000)])
-        result = stats.ks_1samp(draws, serving_table.cdf_at)
-        assert result.pvalue > 0.01
-
-    def test_marginal_independent_of_cluster_size(self, serving_sampler):
-        rng = np.random.default_rng(22)
-        singles = np.concatenate([
-            np.hypot(*sample_cluster(ORIGIN, 1, serving_sampler, rng).T)
-            for _ in range(4000)])
-        six = np.vstack([sample_cluster(ORIGIN, 6, serving_sampler, rng)
-                         for _ in range(4000)])
-        # first member of each size-6 cluster against the singletons
-        member = np.hypot(six[::6, 0], six[::6, 1])
-        result = stats.ks_2samp(singles, member)
-        assert result.pvalue > 0.01
-
-    def test_isotropy(self, serving_sampler):
-        rng = np.random.default_rng(23)
-        center = Point(40.0, -10.0)
-        pts = np.vstack([sample_cluster(center, 6, serving_sampler, rng)
-                         for _ in range(4000)])
-        angles = np.arctan2(pts[:, 1] + 10.0, pts[:, 0] - 40.0)
-        counts, _ = np.histogram(angles, bins=24, range=(-math.pi, math.pi))
-        result = stats.chisquare(counts)
-        assert result.pvalue > 0.01
-
-    def test_accepts_raw_pdf_callable(self):
-        lam = intensity_for(50.0)
-        def pdf(r):
-            return 2.0 * math.pi * r * lam * np.exp(-math.pi * lam * r * r)
-        pts = sample_cluster(ORIGIN, 3, pdf, np.random.default_rng(4))
-        assert pts.shape == (3, 2)
 
 
 class TestSelectScheduled:
@@ -208,8 +131,11 @@ class TestSelectScheduled:
         window = Window(ORIGIN, 8.0 * r0)
         rng = np.random.default_rng(31)
         parents = sample_ppp(lam0, window, rng)
-        clusters = np.stack([sample_cluster(Point(*xy), 6, serving_sampler, rng)
-                             for xy in parents])
+        u = rng.random((len(parents), 2, 6))
+        radii = serving_sampler.quantile(u[:, 0])
+        angles = 2.0 * math.pi * u[:, 1]
+        clusters = parents[:, None, :] + np.stack(
+            [radii * np.cos(angles), radii * np.sin(angles)], axis=-1)
         tier = clusters.reshape(-1, 2)
         selected, _ = select_scheduled(tier, clusters, rng)
         radii = r0 * np.array([0.25, 0.5, 1.0, 1.5])
@@ -217,6 +143,26 @@ class TestSelectScheduled:
         lo, hi = csr_envelope(len(selected) / window.area, window, radii, 200,
                               np.random.default_rng(32))
         assert np.all((k_hat >= lo) & (k_hat <= hi))
+
+
+def cluster_displacements(lam0, channel, sampler, k, seeds, radius=1500.0):
+    """Offsets of every cluster point from its scheduled parent, (m, k, 2)."""
+    net = NetworkParams(lambda_total=13 * lam0, lambda_tier0=lam0,
+                        rf_chains=12, bandwidth=1.0, gain_per_hop=k)
+    out = []
+    for seed in seeds:
+        topo = build_tier_topology(net, channel, Window(ORIGIN, radius),
+                                   np.random.default_rng(seed), sampler=sampler)
+        out += [c - sched[:, None, :] for sched, c in zip(topo.scheduled, topo.cluster_map)]
+    return np.concatenate(out)
+
+
+# sha256 of topology_to_csv on a 600 m window, seed 2024, recorded before the
+# per-hop cluster draw replaced one draw per transmitter: the stream is unchanged.
+GOLDEN_CSV_SHA256 = {
+    1: "ecaf7494f21876089d2d55ca04e2bf960dbcad3d30248ff45f14c403d7a94b35",
+    6: "6020ef27861698b7b260c8548dad5b4775dbaccc90e0508ded61cd8ab973b3c2",
+}
 
 
 class TestBuildTopology:
@@ -259,6 +205,50 @@ class TestBuildTopology:
                                 sampler=serving_sampler)
         for ta, tb in zip(a.tiers, b.tiers):
             np.testing.assert_array_equal(ta, tb)
+
+    @pytest.mark.parametrize("k", sorted(GOLDEN_CSV_SHA256))
+    def test_stream_matches_golden_dump(self, k, lam0, channel, serving_sampler):
+        net = NetworkParams(lambda_total=13 * lam0, lambda_tier0=lam0,
+                            rf_chains=12, bandwidth=1.0, gain_per_hop=k)
+        topo = build_tier_topology(net, channel, Window(ORIGIN, 600.0),
+                                   np.random.default_rng(2024), sampler=serving_sampler)
+        text = topology_to_csv(topo)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CSV_SHA256[k]
+
+    def test_cluster_distance_law_matches_quadrature(self, lam0, channel, serving_sampler,
+                                                     serving_table):
+        offsets = cluster_displacements(lam0, channel, serving_sampler, 1, range(4))
+        draws = np.hypot(offsets[..., 0], offsets[..., 1]).ravel()
+        assert len(draws) > 8000
+        result = stats.ks_1samp(draws, serving_table.cdf_at)
+        assert result.pvalue > 0.01
+
+    def test_cluster_marginal_independent_of_gain(self, lam0, channel, serving_sampler):
+        singles = cluster_displacements(lam0, channel, serving_sampler, 1, [71])
+        six = cluster_displacements(lam0, channel, serving_sampler, 6, [72, 73],
+                                    radius=3000.0)
+        assert len(singles) > 2000 and len(six) > 3000
+        # every member of a size-6 cluster, and its first member alone,
+        # against the singletons
+        single_r = np.hypot(singles[..., 0], singles[..., 1]).ravel()
+        six_r = np.hypot(six[..., 0], six[..., 1])
+        assert stats.ks_2samp(single_r, six_r.ravel()).pvalue > 0.01
+        assert stats.ks_2samp(single_r, six_r[:, 0]).pvalue > 0.01
+
+    def test_cluster_isotropy(self, lam0, channel, serving_sampler):
+        six = cluster_displacements(lam0, channel, serving_sampler, 6, [74, 75],
+                                    radius=1000.0).reshape(-1, 2)
+        angles = np.arctan2(six[:, 1], six[:, 0])
+        counts, _ = np.histogram(angles, bins=24, range=(-math.pi, math.pi))
+        result = stats.chisquare(counts)
+        assert result.pvalue > 0.01
+
+    def test_zero_gain_rejected(self, lam0, channel, serving_sampler):
+        net = NetworkParams(lambda_total=13 * lam0, lambda_tier0=lam0,
+                            rf_chains=12, bandwidth=1.0)
+        with pytest.raises(ValueError):
+            build_tier_topology(net, channel, Window(ORIGIN, 400.0), np.random.default_rng(1),
+                                gains=[0, 12], sampler=serving_sampler)
 
     def test_infeasible_split_rejected(self, lam0, channel, serving_sampler):
         window = Window(ORIGIN, 400.0)
@@ -333,6 +323,61 @@ class TestRipleyK:
         k_hat = ripley_k(pts, window, np.array([5.0]))
         assert k_hat[0] > 100.0 * math.pi * 25.0
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 150),
+           center=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+           radius=st.floats(1.0, 1e3), spread=st.floats(0.05, 1.3),
+           lattice=st.booleans(),
+           fractions=st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.9, 0.999])
+                              | st.floats(1e-3, 0.999), min_size=1, max_size=8))
+    @example(seed=1, n=3, center=(0.0, 0.0), radius=10.0, spread=0.5, lattice=False,
+             fractions=[0.999])  # no point is interior: NaN
+    def test_matches_oracle(self, seed, n, center, radius, spread, lattice, fractions):
+        # Off-origin windows, points spilling past the border, unsorted and
+        # duplicate radii; on a lattice, pair distances tie with each other.
+        window = Window(Point(*center), radius)
+        rng = np.random.default_rng(seed)
+        offsets = spread * radius * rng.uniform(-1.0, 1.0, size=(n, 2))
+        if lattice:
+            step = radius / 8.0
+            offsets = step * np.round(offsets / step)
+        pts = window.center.as_array() + offsets
+        radii = radius * np.array(fractions + fractions[:2])
+        got = ripley_k(pts, window, radii)
+        want = ripley_oracle.ripley_k(pts, window, radii)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_lattice_ties_match_oracle(self):
+        # Integer lattice without its origin point: pair distances equal the
+        # radii 1 and 2 exactly, and the points at distance 1, 3 and 4 from the
+        # center sit exactly 4, 2 and 1 from the border. No point is 4.5 from
+        # the border, so K(4.5) is NaN.
+        window = Window(ORIGIN, 5.0)
+        grid = np.array([(x, y) for x in range(-5, 6) for y in range(-5, 6)
+                         if 0 < math.hypot(x, y) <= 5.0], dtype=float)
+        radii = np.array([2.0, 1.0, 4.0, 4.5, 1.0, np.nextafter(1.0, 0.0), 3.0])
+        got = ripley_k(grid, window, radii)
+        want = ripley_oracle.ripley_k(grid, window, radii)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[3]) and np.all(np.isfinite(np.delete(got, 3)))
+        assert got[1] == got[4] > got[5]  # the tie at d = r counts
+
+    def test_memory_linear_in_points(self, lam0):
+        # ~10^4 points at the full relay density: an n x n distance tensor
+        # alone would take ~1.5 GB.
+        window = Window(ORIGIN, math.sqrt(1e4 / (13.0 * lam0 * math.pi)))
+        pts = sample_ppp(13.0 * lam0, window, np.random.default_rng(81))
+        assert len(pts) > 9000
+        radii = 100.0 * np.array([0.25, 0.5, 1.0, 1.5, 2.0])
+        tracemalloc.start()
+        try:
+            k_hat = ripley_k(pts, window, radii)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert np.all(np.abs(k_hat / (math.pi * radii**2) - 1.0) < 0.1)
+
     def test_validation(self):
         window = Window(ORIGIN, 10.0)
         with pytest.raises(ValueError):
@@ -371,9 +416,8 @@ class TestSerialization:
 
     def test_empty_topology_serializes(self, channel, quad):
         lam = 1e-9
-        sampler = RadialSampler.from_pdf(
-            lambda r: 2 * math.pi * r * lam * np.exp(-math.pi * lam * r * r),
-            r_max=1e5)
+        grid = np.linspace(0.0, 1e5, 4097)
+        sampler = RadialSampler(grid, 2 * math.pi * grid * lam * np.exp(-math.pi * lam * grid**2))
         net = NetworkParams(lambda_total=3e-9, lambda_tier0=lam, rf_chains=12,
                             bandwidth=1.0, gain_per_hop=1)
         topo = build_tier_topology(net, channel, Window(ORIGIN, 1.0),
