@@ -16,11 +16,13 @@ modules share only `mmtier.channel`, so they can cross-validate each other.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .channel import (
     LOS,
@@ -80,35 +82,6 @@ class QuadratureSpec:
 DEFAULT_QUAD = QuadratureSpec()
 
 
-def _quad(func, a: float, b: float, quad: QuadratureSpec, points=None, abs_tol=None):
-    """scipy adaptive quadrature wrapped to return (value, error) or raise.
-
-    ``points`` are optional breakpoint hints (clipped to the open interval).
-    """
-    if b <= a:
-        return 0.0, 0.0
-    pts = None
-    if points is not None:
-        pts = sorted({p for p in points if a < p < b})
-        if not pts:
-            pts = None
-    out = integrate.quad(
-        func, a, b,
-        epsabs=quad.abs_tol if abs_tol is None else abs_tol,
-        epsrel=quad.rel_tol,
-        limit=250,
-        points=pts,
-        full_output=1,
-    )
-    if len(out) > 3:
-        value, err = out[0], out[1]
-        raise QuadratureError(
-            f"quadrature on [{a:g}, {b:g}] did not converge: {out[3]}",
-            value=value, error_estimate=err,
-        )
-    return out[0], out[1]
-
-
 # Fixed-node panel quadrature. Every integral below is a sum over
 # Gauss-Legendre panels in log-radius, split at the integrand's kinks; an
 # estimate is accepted once halving every panel moves it by at most
@@ -117,6 +90,13 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _PANEL_WIDTH = 2.0   # width in ln(radius) of the coarsest panels
 _MAX_HALVINGS = 4
 _MAX_TENSOR = 1 << 18  # (row, node) pairs per block of the interference tensor: 2 MB
+# A block's inner nodes start at the lowest first panel of its rows, so
+# smaller blocks skip more of the pairs below the rows' lower limits but pay
+# a fixed numpy cost each; on the default sweep 128 rows was the fastest.
+_MAX_BLOCK_ROWS = 128
+# Every grid point is accepted after one halving in the default settings;
+# coverage keeps the plans of up to this many halvings (see `_coverage_plan`).
+_CACHED_HALVINGS = 1
 # Coverage integrates the serving distance from 1e-6 * r0 up: the mass below
 # is at most pi * lambda0 * (1e-6 * r0)^2 = 1e-12.
 _R_MIN_FACTOR = 1e-6
@@ -370,8 +350,8 @@ def gain_moment(s: float, r, k: int, state: str, channel: ChannelParams,
     return out
 
 
-def _tail_radial_bound(blockage: BlockageModel, state: str, start: float, alpha: float,
-                       quad: QuadratureSpec) -> float:
+def _tail_radial_bound(blockage: BlockageModel, state: str, start: float,
+                       alpha: float) -> float:
     """Upper bound on int_start^inf P_state(r) * r^(1-alpha) dr.
 
     Used with 1 - E[exp(-x)] <= E[x] to bound the truncated part of the
@@ -386,9 +366,9 @@ def _tail_radial_bound(blockage: BlockageModel, state: str, start: float, alpha:
             mu = blockage.param
             if alpha >= 1.0:
                 return start ** (1.0 - alpha) * mu * math.exp(-start / mu)
-            val, _ = _quad(lambda r: math.exp(-r / mu) * r ** (1.0 - alpha),
-                           start, start + 80.0 * mu, quad)
-            return val
+            # the upper incomplete gamma function mu^(2-a) Gamma(2-a, start/mu)
+            a = 2.0 - alpha
+            return float(mu**a * special.gamma(a) * special.gammaincc(a, start / mu))
         if kind == "los_ball":
             ball = blockage.param
             if start >= ball:
@@ -406,51 +386,72 @@ def _tail_radial_bound(blockage: BlockageModel, state: str, start: float, alpha:
     return start ** (2.0 - alpha) / (alpha - 2.0) if alpha > 2.0 else math.inf
 
 
-def _interference_exponent(s: np.ndarray, lower: np.ndarray, state: str,
-                           channel: ChannelParams, pmf, upper: float,
-                           halvings: int) -> np.ndarray:
-    """Per row i, int_{lower_i}^upper (1 - GainMoment(s_i, t)) P_state(t) t dt.
+def _exponent_blocks(s: np.ndarray, lower: np.ndarray, state: str, channel: ChannelParams,
+                     upper: float, halvings: int):
+    """Row blocks of the tensor quadrature of the interference exponent.
 
+    Per row i the exponent is int_{lower_i}^upper (1 - GainMoment(s_i, t)) P_state(t) t dt.
     With unit-mean exponential fading, 1 - GainMoment = sum_g p_g x g/(1 + x g),
     x = s * beta * t^-alpha. Rows share one set of panels in ln t, split at the
     blockage's LOS-ball radius; a row takes the nodes of the panels above its
     lower limit plus a partial panel of its own from that limit to the next
-    edge. Rows go through in blocks of at most _MAX_TENSOR (row, node) pairs.
+    edge. Yields blocks of at most _MAX_BLOCK_ROWS rows and _MAX_TENSOR
+    (row, node) pairs, each (rows, v, t_alpha, inv_s_beta, below, v_part,
+    inv_x_part): the row indices; the inner weights and t^alpha at the nodes
+    from the block's lowest first panel up; 1/(s beta) per row, so that 1/x
+    is the outer product of the two factors; the (row, node) pairs below the
+    row's lower limit; and the weights and 1/x of each row's partial panel.
+    Nothing here depends on the gain law, and only ``below`` has one entry
+    per (row, node) pair.
     """
-    out = np.zeros(len(s))
     live = np.flatnonzero(lower < upper)
     if not len(live):
-        return out
+        return
     alpha = channel.alpha(state)
     ball = [channel.blockage.param] if channel.blockage.kind == "los_ball" else []
     edges = _panel_edges(_log_breaks(float(lower[live].min()), upper, ball), halvings)
     u, w = _gauss_nodes(edges)
     t = np.exp(u)
     v = w * _state_probability(channel.blockage, state, t) * t * t  # dt = t du
+    with np.errstate(over="ignore"):
+        t_alpha = np.exp(alpha * u)
     node_panel = np.arange(len(u)) // len(_GL_X)
-    step = max(1, _MAX_TENSOR // len(u))
-    for start in range(0, len(live), step):
-        rows = live[start:start + step]
+    step = min(_MAX_BLOCK_ROWS, max(1, _MAX_TENSOR // len(u)))
+    for rows in np.array_split(live, -(-len(live) // step)):
         log_s = np.log(s[rows] * channel.beta)
         log_lower = np.log(lower[rows])
         first = np.searchsorted(edges, log_lower)
+        lo = int(first.min()) * len(_GL_X)  # nodes below every row's limit are dropped
         half = 0.5 * (edges[first] - log_lower)
         u_part = (log_lower + half)[:, None] + half[:, None] * _GL_X
         t_part = np.exp(u_part)
         v_part = (half[:, None] * _GL_W * t_part**2
                   * _state_probability(channel.blockage, state, t_part))
-        # inv_x = 1/x = t^alpha / (s beta), set to inf below the lower limit;
-        # x g/(1 + x g) = g/(g + inv_x) stays exact as x -> 0 and x -> inf.
         with np.errstate(over="ignore"):
-            inv_x = np.exp(alpha * u - log_s[:, None])
             inv_x_part = np.exp(alpha * u_part - log_s[:, None])
-        np.copyto(inv_x, np.inf, where=node_panel < first[:, None])
+        yield (rows, v[lo:], t_alpha[lo:], np.exp(-log_s), node_panel[lo:] < first[:, None],
+               v_part, inv_x_part)
+
+
+def _apply_exponent(blocks, n: int, pmf, scale: float = 1.0) -> np.ndarray:
+    """Per row, the exponent of `_exponent_blocks` with every s multiplied by ``scale``.
+
+    Each block's 1/x table is formed once per call: the outer product of
+    1/(s beta scale) and t^alpha, set to inf below each row's lower limit.
+    Each gain atom then adds p_g * g/(g + 1/x), which equals p_g x g/(1 + x g)
+    and stays exact as x -> 0 and x -> inf.
+    """
+    out = np.zeros(n)
+    for rows, v, t_alpha, inv_s_beta, below, v_part, inv_x_part in blocks:
+        with np.errstate(over="ignore"):
+            inv_x = np.einsum("i,j->ij", inv_s_beta / scale, t_alpha)
+        np.copyto(inv_x, np.inf, where=below)
+        inv_x_part = inv_x_part / scale
         term = np.empty_like(inv_x)
         for g, p in zip(pmf.gains, pmf.probs):
             if p > 0.0:
                 np.divide(g, np.add(inv_x, g, out=term), out=term)
-                out[rows] += p * (term @ v
-                                  + np.einsum("ij,ij->i", g / (g + inv_x_part), v_part))
+                out[rows] += p * (term @ v + np.einsum("ij,ij->i", g / (g + inv_x_part), v_part))
     return out
 
 
@@ -459,9 +460,9 @@ def _interference_tail(s_beta_gain: float, lower_los: float, lower_nlos: float,
     """Bound on the exponent's part beyond the truncation radius, per unit 2*pi*lambda."""
     upper = quad.truncation_radius_m
     tail = s_beta_gain * (
-        _tail_radial_bound(channel.blockage, LOS, max(lower_los, upper), channel.alpha_los, quad)
+        _tail_radial_bound(channel.blockage, LOS, max(lower_los, upper), channel.alpha_los)
         + _tail_radial_bound(channel.blockage, NLOS, max(lower_nlos, upper),
-                             channel.alpha_nlos, quad))
+                             channel.alpha_nlos))
     if not math.isfinite(tail):
         raise QuadratureError(
             "interference tail bound diverges beyond the truncation radius "
@@ -502,8 +503,10 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
     upper = quad.truncation_radius_m
 
     def evaluate(halvings):
-        exponent = sum(_interference_exponent(s_arr, np.array([lower[st]]), st, channel, pmf,
-                                              upper, halvings)[0] for st in (LOS, NLOS))
+        blocks = itertools.chain.from_iterable(
+            _exponent_blocks(s_arr, np.array([lower[st]]), st, channel, upper, halvings)
+            for st in (LOS, NLOS))
+        exponent = _apply_exponent(blocks, 1, pmf)[0]
         return (math.exp(-_TWO_PI * lambda0 * exponent),)
 
     (value,), quad_err = _refine(evaluate, quad, "interference Laplace functional")
@@ -536,6 +539,66 @@ def conditional_coverage(tau: float, r: float, k: int, state: str, lambda0: floa
     return value
 
 
+def _outer_r_min(lambda0: float, quad: QuadratureSpec) -> float:
+    """Lower limit of the outer integral over the serving distance."""
+    return _R_MIN_FACTOR * min(math.sqrt(1.0 / (math.pi * lambda0)), quad.truncation_radius_m)
+
+
+def _coverage_terms(lambda0: float, channel: ChannelParams, g_main: float,
+                    quad: QuadratureSpec, halvings: int):
+    """The threshold- and gain-free part of the coverage quadrature, lazily.
+
+    Yields, per serving state, the outer weights w * r * f_state(r) of the
+    nodes with non-zero weight, s at tau = 1 (s = tau * r^alpha / (g_main^2
+    beta)), and the `_exponent_blocks` of the same- and opposite-state
+    interferer fields at those s.
+    """
+    blockage = channel.blockage
+    upper = quad.truncation_radius_m
+    r0 = math.sqrt(1.0 / (math.pi * lambda0))
+    # Outer edges: where an NLOS-served receiver's LOS exclusion disc reaches
+    # the truncation radius; r0, 2 r0 and 4 r0, beyond which the law falls like
+    # exp(-pi lambda0 r^2); for a LOS ball of radius b, b itself and where
+    # either exclusion disc reaches b.
+    ratio = channel.alpha_los / channel.alpha_nlos
+    breaks = [upper ** ratio, r0, 2.0 * r0, 4.0 * r0]
+    if blockage.kind == "los_ball":
+        breaks += [blockage.param, blockage.param ** ratio, blockage.param ** (1.0 / ratio)]
+    u, w = _gauss_nodes(_panel_edges(_log_breaks(_outer_r_min(lambda0, quad), upper, breaks),
+                                     halvings))
+    r = np.exp(u)
+    for state in (LOS, NLOS):
+        other = NLOS if state == LOS else LOS
+        weight = w * r * serving_distance_pdf(r, state, lambda0, channel, quad)  # dr = r du
+        keep = weight > 0.0
+        rs, weight = r[keep], weight[keep]
+        s_unit = rs ** channel.alpha(state) / (g_main**2 * channel.beta)
+        blocks = itertools.chain(
+            _exponent_blocks(s_unit, rs, state, channel, upper, halvings),
+            _exponent_blocks(s_unit, rs ** (channel.alpha(state) / channel.alpha(other)),
+                             other, channel, upper, halvings))
+        yield weight, s_unit, blocks
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=8)
+def _coverage_plan(lambda0: float, channel: ChannelParams, g_main: float,
+                   quad: QuadratureSpec, halvings: int):
+    """`_coverage_terms` held in read-only arrays, for the halvings every grid point runs.
+
+    Only tau- and k-free tables are kept, so one plan serves the whole
+    (tau, k) grid of a configuration.
+    """
+    return tuple((_read_only(weight), _read_only(s_unit),
+                  tuple(tuple(_read_only(a) for a in block) for block in blocks))
+                 for weight, s_unit, blocks in _coverage_terms(lambda0, channel, g_main,
+                                                               quad, halvings))
+
+
 def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelParams,
                          beam: BeamParams, quad: QuadratureSpec = DEFAULT_QUAD,
                          full_output: bool = False):
@@ -547,6 +610,10 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     for every outer node at once. The reported error sums the panel-halving
     difference, the truncation tail bound weighted by the integrand, and the
     serving-distance mass outside the outer range.
+
+    The tau- and k-free tables of the quadrature are planned once per
+    configuration and panel count (`_coverage_plan`) for up to
+    _CACHED_HALVINGS halvings; finer panels are planned per call and dropped.
     """
     if not tau > 0.0:
         raise ValueError("SINR threshold must be positive")
@@ -555,35 +622,17 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     pmf = beam_gain_pmf(beam, k)  # validates k against the RF-chain budget
     blockage = channel.blockage
     upper = quad.truncation_radius_m
-    r0 = math.sqrt(1.0 / (math.pi * lambda0))
-    r_min = _R_MIN_FACTOR * min(r0, upper)
-    # Outer edges: where an NLOS-served receiver's LOS exclusion disc reaches
-    # the truncation radius; r0, 2 r0 and 4 r0, beyond which the law falls like
-    # exp(-pi lambda0 r^2); for a LOS ball of radius b, b itself and where
-    # either exclusion disc reaches b.
-    ratio = channel.alpha_los / channel.alpha_nlos
-    breaks = [upper ** ratio, r0, 2.0 * r0, 4.0 * r0]
-    if blockage.kind == "los_ball":
-        breaks += [blockage.param, blockage.param ** ratio, blockage.param ** (1.0 / ratio)]
     # The far-field tail of each node's Laplace exponent is at most s times
     # this (the bound from the truncation radius covers every exclusion radius).
     tail_per_s = _TWO_PI * lambda0 * _interference_tail(
         channel.beta * pmf.expected_gain, upper, upper, channel, quad)
 
     def evaluate(halvings):
-        u, w = _gauss_nodes(_panel_edges(_log_breaks(r_min, upper, breaks), halvings))
-        r = np.exp(u)
+        plan = _coverage_plan if halvings <= _CACHED_HALVINGS else _coverage_terms
         value = tail_err = 0.0
-        for state in (LOS, NLOS):
-            other = NLOS if state == LOS else LOS
-            weight = w * r * serving_distance_pdf(r, state, lambda0, channel, quad)  # dr = r du
-            keep = weight > 0.0
-            rs, weight = r[keep], weight[keep]
-            s = rs ** channel.alpha(state) * tau / (beam.g_main**2 * channel.beta)
-            exponent = (_interference_exponent(s, rs, state, channel, pmf, upper, halvings)
-                        + _interference_exponent(
-                            s, rs ** (channel.alpha(state) / channel.alpha(other)), other,
-                            channel, pmf, upper, halvings))
+        for weight, s_unit, blocks in plan(lambda0, channel, beam.g_main, quad, halvings):
+            s = s_unit * tau
+            exponent = _apply_exponent(blocks, len(s), pmf, tau)
             covered = weight * np.exp(-s * channel.noise_power - _TWO_PI * lambda0 * exponent)
             value += float(covered.sum())
             tail_err += float(covered @ np.minimum(s * tail_per_s, 1.0))
@@ -592,7 +641,7 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     (value, tail_err), quad_err = _refine(evaluate, quad, "coverage integral")
     # Serving-distance mass outside [r_min, upper]: at most pi lambda0 r_min^2
     # below, and at most each state's nearest-AP mass beyond upper above.
-    outside = math.pi * lambda0 * r_min**2
+    outside = math.pi * lambda0 * _outer_r_min(lambda0, quad)**2
     for state in (LOS, NLOS):
         beyond = _radial_mass_beyond(blockage, state, upper)
         outside += (math.exp(-_TWO_PI * lambda0 * _radial_mass(blockage, state, upper))

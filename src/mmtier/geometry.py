@@ -11,7 +11,6 @@ with border correction, CSR envelopes) and the CSV/gnuplot dumps.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -353,27 +352,28 @@ def csr_global_test(points: np.ndarray, window: Window, radii, n_sims: int,
 # ---------------------------------------------------------------------------
 
 
-def topology_to_csv(topo: TierTopology) -> str:
-    """CSV dump: tier, x, y, scheduled flag (1 when the point transmits)."""
-    buf = io.StringIO()
-    buf.write("tier,x,y,scheduled\n")
+def _tier_rows(topo: TierTopology):
+    """Per tier: its index and (x, y, scheduled flag) rows as Python values."""
     for i, tier in enumerate(topo.tiers):
         flags = np.zeros(len(tier), dtype=int)
         if i < len(topo.scheduled_indices):
             flags[topo.scheduled_indices[i]] = 1
-        for (x, y), flag in zip(tier, flags):
-            buf.write(f"{i},{float(x)!r},{float(y)!r},{flag}\n")
-    return buf.getvalue()
+        yield i, zip(tier.tolist(), flags.tolist())
+
+
+def topology_to_csv(topo: TierTopology) -> str:
+    """CSV dump: tier, x, y, scheduled flag (1 when the point transmits)."""
+    lines = ["tier,x,y,scheduled\n"]
+    for i, rows in _tier_rows(topo):
+        lines += [f"{i},{x!r},{y!r},{flag}\n" for (x, y), flag in rows]
+    return "".join(lines)
 
 
 def topology_to_gnuplot(topo: TierTopology) -> str:
     """Gnuplot-ready columns, one index block per tier (blank-line separated)."""
     blocks = []
-    for i, tier in enumerate(topo.tiers):
-        flags = np.zeros(len(tier), dtype=int)
-        if i < len(topo.scheduled_indices):
-            flags[topo.scheduled_indices[i]] = 1
+    for i, rows in _tier_rows(topo):
         lines = [f"# tier {i}"]
-        lines += [f"{float(x)!r} {float(y)!r} {flag}" for (x, y), flag in zip(tier, flags)]
+        lines += [f"{x!r} {y!r} {flag}" for (x, y), flag in rows]
         blocks.append("\n".join(lines))
     return "\n\n\n".join(blocks) + "\n"

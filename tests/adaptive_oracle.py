@@ -4,7 +4,8 @@ Laplace functional and coverage, kept as a test oracle for `mmtier.analytics`.
 This is the nested scipy ``quad`` implementation that `mmtier.analytics`
 replaced with fixed-node panel quadrature. Its code is unchanged except that
 `coverage_probability` no longer runs the weight-form self-check, which is
-now `test_analytics.TestConditionalCoverage.test_coverage_weight_forms_agree`.
+now `test_analytics.TestConditionalCoverage.test_coverage_weight_forms_agree`,
+and that the scipy ``quad`` wrapper `_quad` moved here from `mmtier.analytics`.
 Its error estimates come from QUADPACK and from the same truncation tail
 bound, so the two implementations must agree within the sum of their
 reported errors. One coverage point takes 0.5-3 s.
@@ -13,8 +14,9 @@ reported errors. One coverage point takes 0.5-3 s.
 import math
 
 import numpy as np
+from scipy import integrate
 
-from mmtier.analytics import DEFAULT_QUAD, QuadratureError, QuadratureSpec, _quad, _tail_radial_bound
+from mmtier.analytics import DEFAULT_QUAD, QuadratureError, QuadratureSpec, _tail_radial_bound
 from mmtier.channel import (
     LOS,
     NLOS,
@@ -27,6 +29,35 @@ from mmtier.channel import (
 )
 
 _TWO_PI = 2.0 * math.pi
+
+
+def _quad(func, a: float, b: float, quad: QuadratureSpec, points=None, abs_tol=None):
+    """scipy adaptive quadrature wrapped to return (value, error) or raise.
+
+    ``points`` are optional breakpoint hints (clipped to the open interval).
+    """
+    if b <= a:
+        return 0.0, 0.0
+    pts = None
+    if points is not None:
+        pts = sorted({p for p in points if a < p < b})
+        if not pts:
+            pts = None
+    out = integrate.quad(
+        func, a, b,
+        epsabs=quad.abs_tol if abs_tol is None else abs_tol,
+        epsrel=quad.rel_tol,
+        limit=250,
+        points=pts,
+        full_output=1,
+    )
+    if len(out) > 3:
+        value, err = out[0], out[1]
+        raise QuadratureError(
+            f"quadrature on [{a:g}, {b:g}] did not converge: {out[3]}",
+            value=value, error_estimate=err,
+        )
+    return out[0], out[1]
 
 
 def _blockage_breakpoints(blockage: BlockageModel) -> list[float]:
@@ -200,7 +231,7 @@ def _interference_exponent_terms(s: float, lower: float, k: int, state: str,
     upper = quad.truncation_radius_m
     tail_start = max(lower, upper)
     tail = s * channel.beta * pmf.expected_gain * _tail_radial_bound(
-        blockage, state, tail_start, alpha, quad)
+        blockage, state, tail_start, alpha)
     if lower >= upper:
         return 0.0, 0.0, tail
 

@@ -3,6 +3,7 @@ analytical module."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from mmtier import (
     tabulate_serving_distance,
     throughput,
 )
-from mmtier import analytics, los_probability
+from mmtier import analytics, config, los_probability
 from mmtier.analytics import evaluate_point
 
 import adaptive_oracle as oracle
@@ -326,6 +327,94 @@ class TestCoverageProbability:
     def test_k_validated(self, lam0, channel, beam, quad):
         with pytest.raises(ValueError):
             coverage_probability(1.0, 13, lam0, channel, beam, quad)
+
+
+def _plan_arrays(plan):
+    for weight, s_unit, blocks in plan:
+        yield weight
+        yield s_unit
+        for block in blocks:
+            yield from block
+
+
+class TestCoveragePlan:
+    """The tau- and k-free tables that `coverage_probability` plans once per
+    configuration (`analytics._coverage_plan`)."""
+
+    def test_cold_and_warm_cache_agree_bitwise(self, lam0, channel, beam):
+        specs = (QuadratureSpec(truncation_radius_m=2500.0),
+                 QuadratureSpec(rel_tol=1e-7, truncation_radius_m=4000.0))
+        cases = [(chan, spec, tau, k) for chan in (channel, LOS_BALL_CHANNEL) for spec in specs
+                 for tau, k in ((0.1, 1), (10.0, 6))]
+        cold = {}
+        for case in cases:
+            analytics._coverage_plan.cache_clear()
+            chan, spec, tau, k = case
+            cold[case] = coverage_probability(tau, k, lam0, chan, beam, spec, full_output=True)
+        analytics._coverage_plan.cache_clear()
+        for _ in range(2):
+            for case in cases:
+                chan, spec, tau, k = case
+                warm = coverage_probability(tau, k, lam0, chan, beam, spec, full_output=True)
+                assert warm == cold[case], case
+        # one plan per configuration and panel count, whatever tau and k
+        assert analytics._coverage_plan.cache_info().currsize == 2 * 2 * len(specs)
+
+    def test_cached_arrays_are_read_only(self, lam0, channel, beam, quad):
+        coverage_probability(1.0, 3, lam0, channel, beam, quad)
+        plan = analytics._coverage_plan(lam0, channel, beam.g_main, quad, 0)
+        arrays = list(_plan_arrays(plan))
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            arrays[0][0] = 0.0
+
+    def test_memory_of_the_sweep_benchmark_plans(self):
+        # the default configuration under the two blockage laws of the sweep benchmark
+        configs = [config.parse_config("blockage = exponential\nblockage_mu_m = 141.4\n"),
+                   config.parse_config("blockage = los_ball\nblockage_radius_m = 100\n")]
+        analytics._coverage_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            for cfg in configs:
+                for halvings in range(analytics._CACHED_HALVINGS + 1):
+                    analytics._coverage_plan(cfg.network().lambda_tier0, cfg.channel(),
+                                             cfg.beam().g_main, cfg.quad(), halvings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            analytics._coverage_plan.cache_clear()
+        # the factored plans peak at ~0.7 MB; dense 1/x tables would hold 2.4 MB
+        assert peak < 2 * 2**20
+
+    def test_uncached_halvings_match_the_oracle(self, lam0, beam, quad, monkeypatch):
+        chan, tau, k = ORACLE_CASES["exponential"]
+        halvings = []
+        terms = analytics._coverage_terms
+
+        def record(*args):
+            halvings.append(args[-1])
+            return terms(*args)
+
+        monkeypatch.setattr(analytics, "_coverage_terms", record)
+        analytics._coverage_plan.cache_clear()
+        tight = dataclasses.replace(quad, rel_tol=1e-10, abs_tol=1e-14)
+        got, err = coverage_probability(tau, k, lam0, chan, beam, tight, full_output=True)
+        assert max(halvings) > analytics._CACHED_HALVINGS
+        want, want_err = oracle.coverage_probability(tau, k, lam0, chan, beam, quad,
+                                                     full_output=True)
+        assert abs(got - want) <= err + want_err, (got, err, want, want_err)
+
+
+class TestTailBound:
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.99])
+    def test_exponential_blockage_below_unit_exponent(self, alpha):
+        # closed-form incomplete gamma against adaptive quadrature
+        tight = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
+        for start in (10.0, 2500.0):
+            want, _ = oracle._quad(lambda r: math.exp(-r / MU_M) * r ** (1.0 - alpha),
+                                   start, start + 80.0 * MU_M, tight)
+            got = analytics._tail_radial_bound(BlockageModel.exponential(MU_M), LOS, start, alpha)
+            assert got == pytest.approx(want, rel=1e-9), start
 
 
 # (channel, tau, k): the engine's reference setting, the other two blockage

@@ -163,6 +163,12 @@ GOLDEN_CSV_SHA256 = {
     1: "ecaf7494f21876089d2d55ca04e2bf960dbcad3d30248ff45f14c403d7a94b35",
     6: "6020ef27861698b7b260c8548dad5b4775dbaccc90e0508ded61cd8ab973b3c2",
 }
+# sha256 of topology_to_gnuplot on the same topologies, recorded before the
+# dumps built their lines from Python lists instead of one numpy row at a time.
+GOLDEN_GNUPLOT_SHA256 = {
+    1: "60f1780c7899f90036b8a6bc790f3a15bec326025e99a374138f24f7ff788805",
+    6: "68361be23f9f503ced91bd79fa67bb8bbbb0c6f19b1de86828dbccd944209341",
+}
 
 
 class TestBuildTopology:
@@ -214,6 +220,15 @@ class TestBuildTopology:
                                    np.random.default_rng(2024), sampler=serving_sampler)
         text = topology_to_csv(topo)
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CSV_SHA256[k]
+
+    @pytest.mark.parametrize("k", sorted(GOLDEN_GNUPLOT_SHA256))
+    def test_gnuplot_matches_golden_dump(self, k, lam0, channel, serving_sampler):
+        net = NetworkParams(lambda_total=13 * lam0, lambda_tier0=lam0,
+                            rf_chains=12, bandwidth=1.0, gain_per_hop=k)
+        topo = build_tier_topology(net, channel, Window(ORIGIN, 600.0),
+                                   np.random.default_rng(2024), sampler=serving_sampler)
+        text = topology_to_gnuplot(topo)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_GNUPLOT_SHA256[k]
 
     def test_cluster_distance_law_matches_quadrature(self, lam0, channel, serving_sampler,
                                                      serving_table):
