@@ -14,9 +14,6 @@ from .channel import (
     GainPmf,
     beam_gain_pmf,
     los_probability,
-    nlos_probability,
-    path_loss,
-    sample_fading,
 )
 from .analytics import (
     CoverageResult,
@@ -25,7 +22,6 @@ from .analytics import (
     QuadratureSpec,
     conditional_coverage,
     coverage_probability,
-    gain_moment,
     hop_count,
     laplace_interference,
     latency_bounds,

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .channel import (
     LOS,
@@ -70,13 +70,13 @@ class QuadratureSpec:
             raise ValueError("truncation radius must be positive")
 
     @classmethod
-    def for_tier_intensity(cls, lambda0: float, radius_factor: float = 50.0,
-                           rel_tol: float = 1e-6, abs_tol: float = 1e-9) -> "QuadratureSpec":
-        """Truncate at ``radius_factor`` mean inter-AP distances r0 = (pi*lambda0)^-1/2."""
+    def for_tier_intensity(cls, lambda0: float, rel_tol: float = 1e-6,
+                           abs_tol: float = 1e-9) -> "QuadratureSpec":
+        """Truncate at 50 mean inter-AP distances r0 = (pi*lambda0)^-1/2."""
         if not lambda0 > 0.0:
             raise ValueError("tier intensity must be positive")
         r0 = math.sqrt(1.0 / (math.pi * lambda0))
-        return cls(rel_tol=rel_tol, abs_tol=abs_tol, truncation_radius_m=radius_factor * r0)
+        return cls(rel_tol=rel_tol, abs_tol=abs_tol, truncation_radius_m=50.0 * r0)
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -184,32 +184,14 @@ def _state_probability(blockage: BlockageModel, state: str, r):
     return p if state == LOS else 1.0 - p
 
 
-def integrated_radial_probability(blockage: BlockageModel, state: str, z,
-                                  quad: QuadratureSpec = DEFAULT_QUAD):
-    """Integral of P_state(r) * r over [0, z], in closed form.
-
-    This is the mean number of state-``state`` points of a unit-intensity
-    PPP inside a disc of radius z, divided by 2*pi. For exponential blockage
-    the LOS part is mu^2 (1 - e^(-z/mu) (1 + z/mu)). Accepts a scalar or an
-    array; ``quad`` is not used.
-    """
-    _check_state(state)
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0.0):
-        raise ValueError("upper limit must be non-negative")
-    out = _radial_mass(blockage, state, z_arr)
-    return float(out) if np.ndim(z) == 0 else out
-
-
-def nearest_distance_pdf(z, state: str, lam: float, blockage: BlockageModel,
-                         quad: QuadratureSpec = DEFAULT_QUAD):
+def nearest_distance_pdf(z, state: str, lam: float, blockage: BlockageModel):
     """Density of the distance from the origin to the nearest state-``state`` AP.
 
     The APs of the given state form an inhomogeneous PPP of radial intensity
     lam * P_state(r); the nearest-point law is
     2*pi*z*lam*P(z) * exp(-2*pi*lam * int_0^z P(r) r dr). Total mass below 1
     when the state can be globally absent (the void probability). Closed form,
-    elementwise over an array ``z``; ``quad`` is not used.
+    elementwise over an array ``z``.
     """
     _check_state(state)
     if not lam > 0.0:
@@ -222,8 +204,7 @@ def nearest_distance_pdf(z, state: str, lam: float, blockage: BlockageModel,
     return float(out) if np.ndim(z) == 0 else out
 
 
-def serving_distance_pdf(r, state: str, lam: float, channel: ChannelParams,
-                         quad: QuadratureSpec = DEFAULT_QUAD):
+def serving_distance_pdf(r, state: str, lam: float, channel: ChannelParams):
     """Density (per state) of the distance to the max-average-power AP.
 
     The serving AP is in state ``state`` at distance r when the nearest AP of
@@ -241,7 +222,7 @@ def serving_distance_pdf(r, state: str, lam: float, channel: ChannelParams,
         raise ValueError("serving distance must be positive")
     other = NLOS if state == LOS else LOS
     w = r_arr ** (channel.alpha(state) / channel.alpha(other))
-    out = (nearest_distance_pdf(r_arr, state, lam, channel.blockage, quad)
+    out = (nearest_distance_pdf(r_arr, state, lam, channel.blockage)
            * np.exp(-_TWO_PI * lam * _radial_mass(channel.blockage, other, w)))
     return float(out) if np.ndim(r) == 0 else out
 
@@ -270,15 +251,29 @@ class ServingDistanceTable:
         return np.interp(r, self.radii, self.cdf, left=0.0, right=1.0)
 
 
+def _trapezoid_cdf(radii: np.ndarray, pdf: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cumulative trapezoid integral of a density table, normalized by its own total.
+
+    Returns the CDF at every radius (0 first, exactly 1 last) and the total.
+    `tabulate_serving_distance` and `geometry.RadialSampler` both use it, so a
+    sampler built from the table inverts the table's own CDF.
+    """
+    seg = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(radii)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    mass = float(cum[-1])
+    if not mass > 0.0:
+        raise ValueError("pdf table carries no mass")
+    return cum / mass, mass
+
+
 def tabulate_serving_distance(lam: float, channel: ChannelParams,
-                              quad: QuadratureSpec = DEFAULT_QUAD,
-                              r_max: float | None = None,
-                              grid_size: int = 4096) -> ServingDistanceTable:
+                              quad: QuadratureSpec = DEFAULT_QUAD) -> ServingDistanceTable:
     """Evaluate both serving-distance branches on a grid covering ~all the mass.
 
-    If ``r_max`` is omitted the grid is extended (doubling) until the captured
-    mass stops growing; a final total below 1 - 1e-3 raises, since the law is a
-    proper density.
+    The grid starts at 8 * max(r0, blockage length) with 4096 intervals and
+    doubles in range (and in intervals, up to 32768) until the captured mass
+    stops growing; a final total below 1 - 1e-3 raises, since the law is a
+    proper density. ``quad`` is not used.
     """
     if not lam > 0.0:
         raise ValueError("intensity must be positive")
@@ -289,28 +284,24 @@ def tabulate_serving_distance(lam: float, channel: ChannelParams,
     def build(upper: float, n: int):
         grid = np.linspace(0.0, upper, n + 1)
         pos = grid[1:]
-        pdf_l = np.concatenate([[0.0], serving_distance_pdf(pos, LOS, lam, channel, quad)])
-        pdf_n = np.concatenate([[0.0], serving_distance_pdf(pos, NLOS, lam, channel, quad)])
+        pdf_l = np.concatenate([[0.0], serving_distance_pdf(pos, LOS, lam, channel)])
+        pdf_n = np.concatenate([[0.0], serving_distance_pdf(pos, NLOS, lam, channel)])
         mass_l = float(np.trapezoid(pdf_l, grid))
         mass_n = float(np.trapezoid(pdf_n, grid))
         return grid, pdf_l, pdf_n, mass_l, mass_n
 
-    if r_max is not None:
-        grid, pdf_l, pdf_n, mass_l, mass_n = build(r_max, grid_size)
-    else:
-        upper = 8.0 * r_scale
-        n = grid_size
-        grid, pdf_l, pdf_n, mass_l, mass_n = build(upper, n)
-        while True:
-            upper2 = 2.0 * upper
-            n2 = min(2 * n, 32768)
-            grid2, pdf_l2, pdf_n2, mass_l2, mass_n2 = build(upper2, n2)
-            if (mass_l2 + mass_n2) - (mass_l + mass_n) < 1e-10 and upper > 16.0 * r_scale:
-                break
-            grid, pdf_l, pdf_n, mass_l, mass_n = grid2, pdf_l2, pdf_n2, mass_l2, mass_n2
-            upper, n = upper2, n2
-            if upper > 1e7 * r_scale:
-                raise QuadratureError("serving-distance mass did not converge while extending the grid")
+    upper, n = 8.0 * r_scale, 4096
+    grid, pdf_l, pdf_n, mass_l, mass_n = build(upper, n)
+    while True:
+        upper2 = 2.0 * upper
+        n2 = min(2 * n, 32768)
+        grid2, pdf_l2, pdf_n2, mass_l2, mass_n2 = build(upper2, n2)
+        if (mass_l2 + mass_n2) - (mass_l + mass_n) < 1e-10 and upper > 16.0 * r_scale:
+            break
+        grid, pdf_l, pdf_n, mass_l, mass_n = grid2, pdf_l2, pdf_n2, mass_l2, mass_n2
+        upper, n = upper2, n2
+        if upper > 1e7 * r_scale:
+            raise QuadratureError("serving-distance mass did not converge while extending the grid")
 
     total = mass_l + mass_n
     if abs(total - 1.0) > 1e-3:
@@ -318,8 +309,7 @@ def tabulate_serving_distance(lam: float, channel: ChannelParams,
             f"serving-distance law integrates to {total!r}; grid or tolerances inadequate",
             value=total,
         )
-    cdf = integrate.cumulative_trapezoid(pdf_l + pdf_n, grid, initial=0.0) / total
-    cdf[-1] = 1.0
+    cdf, _ = _trapezoid_cdf(grid, pdf_l + pdf_n)
     return ServingDistanceTable(radii=grid, pdf_los=pdf_l, pdf_nlos=pdf_n, cdf=cdf,
                                 los_mass=mass_l, nlos_mass=mass_n)
 
@@ -327,27 +317,6 @@ def tabulate_serving_distance(lam: float, channel: ChannelParams,
 # ---------------------------------------------------------------------------
 # Interference Laplace functional and coverage
 # ---------------------------------------------------------------------------
-
-
-def gain_moment(s: float, r, k: int, state: str, channel: ChannelParams,
-                beam: BeamParams):
-    """E[exp(-s * beta * h * G * r^-alpha)] over fading h and interferer gain G.
-
-    With unit-mean exponential fading each gain atom contributes
-    p_g / (1 + s*beta*g*r^-alpha); the result lies in (0, 1] and equals 1 at s = 0.
-    """
-    if s < 0.0:
-        raise ValueError("transform variable must be non-negative")
-    pmf = beam_gain_pmf(beam, k)
-    alpha = channel.alpha(state)
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
-        raise ValueError("distance must be positive")
-    attn = channel.beta * r_arr ** -alpha
-    out = sum(p / (1.0 + s * g * attn) for g, p in zip(pmf.gains, pmf.probs))
-    if np.ndim(r) == 0:
-        return float(out)
-    return out
 
 
 def _tail_radial_bound(blockage: BlockageModel, state: str, start: float,
@@ -569,7 +538,7 @@ def _coverage_terms(lambda0: float, channel: ChannelParams, g_main: float,
     r = np.exp(u)
     for state in (LOS, NLOS):
         other = NLOS if state == LOS else LOS
-        weight = w * r * serving_distance_pdf(r, state, lambda0, channel, quad)  # dr = r du
+        weight = w * r * serving_distance_pdf(r, state, lambda0, channel)  # dr = r du
         keep = weight > 0.0
         rs, weight = r[keep], weight[keep]
         s_unit = rs ** channel.alpha(state) / (g_main**2 * channel.beta)
@@ -742,9 +711,7 @@ def hop_count(lambda_total: float, lambda0: float, k: int, allow_floor: bool = F
         return int(m_int)
     if allow_floor:
         return int(math.floor(m_real))
-    raise ValueError(
-        f"density split gives a non-integer hop count {m_real!r}; "
-        "adjust densities or pass allow_floor=True")
+    raise ValueError(f"density split gives a non-integer hop count {m_real!r} at k = {k}")
 
 
 def throughput_identity(k: int, tau: float, net: NetworkParams, cov: float) -> float:

@@ -1,8 +1,8 @@
 """Link-level models for mmWave hops.
 
-Blockage / LOS probability, the two-slope power-law path loss, unit-mean
-Rayleigh (exponential power) fading, and the three-atom beamforming-gain
-distribution induced by two-lobe sectored beams with spatial multiplexing.
+Blockage / LOS probability, the parameters of the two-slope power-law path
+loss, and the three-atom beamforming-gain distribution induced by two-lobe
+sectored beams with spatial multiplexing.
 
 All quantities are linear (no dB anywhere in this module); dB conversion
 belongs to the configuration boundary.
@@ -89,11 +89,6 @@ def los_probability(r, blockage: BlockageModel):
     return out
 
 
-def nlos_probability(r, blockage: BlockageModel):
-    """Complement of `los_probability`; the two always sum to 1."""
-    return 1.0 - los_probability(r, blockage)
-
-
 @dataclass(frozen=True)
 class ChannelParams:
     """Propagation parameters shared by every hop.
@@ -122,22 +117,6 @@ class ChannelParams:
     def alpha(self, state: str) -> float:
         _check_state(state)
         return self.alpha_los if state == LOS else self.alpha_nlos
-
-
-def path_loss(r, state: str, params: ChannelParams):
-    """Linear path-loss gain beta * r^(-alpha_state) at distance r > 0 meters.
-
-    r = 0 is rejected: the power law is singular there and the association
-    distance law puts zero mass on it.
-    """
-    _check_state(state)
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
-        raise ValueError("path loss is only defined for r > 0")
-    out = params.beta * r_arr ** -params.alpha(state)
-    if np.isscalar(r) or np.ndim(r) == 0:
-        return float(out)
-    return out
 
 
 @dataclass(frozen=True)
@@ -224,10 +203,3 @@ def beam_gain_pmf(beam: BeamParams, k: int) -> GainPmf:
         probs=(p * p, 2.0 * p * q, q * q),
     )
 
-
-def sample_fading(rng: np.random.Generator, size=None):
-    """Unit-mean exponential power gain (Rayleigh amplitude fading)."""
-    out = rng.exponential(1.0, size=size)
-    if size is None:
-        return float(out)
-    return out

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import analytics, geometry, montecarlo
 from .analytics import QuadratureError
@@ -130,10 +129,15 @@ def sweep_to_json(cfg: ExperimentConfig, rows: list[SweepRow]) -> str:
 
 def emit_topology(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     """Realize one topology and write the CSV dump plus a gnuplot column file."""
+    net = cfg.network()
+    try:
+        analytics.hop_count(net.lambda_total, net.lambda_tier0, cfg.k, cfg.floor_hops)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}; change k or the densities, or set floor_hops = true") from exc
     window = geometry.Window(geometry.Point(0.0, 0.0), cfg.topology_window_m)
     rng = montecarlo.trial_stream(cfg.seed, 0, substream=17)
-    topo = geometry.build_tier_topology(cfg.network(), cfg.channel(), window, rng,
-                                        allow_residual=cfg.floor_hops, quad=cfg.quad())
+    topo = geometry.build_tier_topology(net, cfg.channel(), window, rng,
+                                        allow_residual=cfg.floor_hops)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "topology.csv"
     dat_path = out_dir / "topology.dat"
@@ -171,6 +175,8 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0,
     ``corrupt_alpha_nlos`` perturbs the NLOS exponent on the analytics side
     only; it exists to prove the coverage-agreement check has teeth.
     """
+    from scipy import stats  # imported here: no other command needs it
+
     if cfg.mc_trials < 10_000:
         raise ConfigError("validate mode needs mc_trials >= 10000")
     channel = cfg.channel()
@@ -255,7 +261,7 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0,
     return checks
 
 
-def topology_checks(cfg: ExperimentConfig, window_factor: float = 8.0) -> list[CheckResult]:
+def topology_checks(cfg: ExperimentConfig) -> list[CheckResult]:
     """Spatial-statistics checks of the realized topology.
 
     Per-tier CSR with multiplexing disabled (every tier is a displaced PPP,
@@ -264,15 +270,14 @@ def topology_checks(cfg: ExperimentConfig, window_factor: float = 8.0) -> list[C
     radii). Realizations are built on a guard-padded window and analyzed on
     the nominal one, so edge depletion of the displacement chain stays out of
     the statistics. Every K estimate is compared against 200 reference CSR
-    draws, hence the dedicated ``window_factor`` window rather than the much
+    draws, hence a dedicated window of radius 8 r0 rather than the much
     larger simulation one.
     """
     channel = cfg.channel()
-    quad = cfg.quad()
     r0 = cfg.r0_m
-    nominal = geometry.Window(geometry.Point(0.0, 0.0), window_factor * r0)
+    nominal = geometry.Window(geometry.Point(0.0, 0.0), 8.0 * r0)
     csr_radii = r0 * np.array([0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
-    sampler = geometry.RadialSampler.from_serving_distance(cfg.lambda0, channel, quad)
+    sampler = geometry.RadialSampler.from_serving_distance(cfg.lambda0, channel)
     checks = []
 
     net1 = dataclasses.replace(cfg.network(), gain_per_hop=1)

@@ -86,8 +86,8 @@ class ExperimentConfig:
             raise ConfigError("k must lie in 1..rf_chains")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if self.mc_trials < 0:
-            raise ConfigError("mc_trials must be non-negative")
+        if self.mc_trials != 0 and self.mc_trials < 100:
+            raise ConfigError("mc_trials must be 0 or at least 100")
         # Eagerly build the typed params so every component invariant trips here.
         self.network()
         self.channel()
@@ -125,10 +125,10 @@ class ExperimentConfig:
         )
 
     def quad(self) -> QuadratureSpec:
-        trunc = self.truncation_radius_m if self.truncation_radius_m > 0.0 \
-            else 50.0 * self.r0_m
-        return QuadratureSpec(rel_tol=self.rel_tol, abs_tol=self.abs_tol,
-                              truncation_radius_m=trunc)
+        if self.truncation_radius_m > 0.0:
+            return QuadratureSpec(rel_tol=self.rel_tol, abs_tol=self.abs_tol,
+                                  truncation_radius_m=self.truncation_radius_m)
+        return QuadratureSpec.for_tier_intensity(self.lambda0, self.rel_tol, self.abs_tol)
 
     def sim(self) -> SimConfig:
         trunc = self.quad().truncation_radius_m

@@ -52,19 +52,11 @@ class Window:
     def area(self) -> float:
         return math.pi * self.radius**2
 
-    @classmethod
-    def default_for(cls, lambda0: float, radius_factor: float = 10.0) -> "Window":
-        """Origin-centered disk of radius_factor mean inter-AP spacings."""
-        if not lambda0 > 0.0:
-            raise ValueError("intensity must be positive")
-        r0 = math.sqrt(1.0 / (math.pi * lambda0))
-        return cls(Point(0.0, 0.0), radius_factor * r0)
-
-    def with_guard(self, hops: int, step_rms_m: float, factor: float = 2.5) -> "Window":
+    def with_guard(self, hops: int, step_rms_m: float) -> "Window":
         """Padded build window: the displacement chain diffuses by roughly
-        sqrt(hops) * step RMS, so sampling parents on the padded disk keeps the
-        late tiers homogeneous over this (nominal) window."""
-        guard = factor * math.sqrt(max(hops, 1)) * step_rms_m
+        sqrt(hops) * step RMS, so sampling parents on a disk padded by 2.5 times
+        that keeps the late tiers homogeneous over this (nominal) window."""
+        guard = 2.5 * math.sqrt(max(hops, 1)) * step_rms_m
         return Window(self.center, self.radius + guard)
 
 
@@ -97,20 +89,17 @@ class RadialSampler:
             raise ValueError("need matching 1-d radius/pdf tables of length >= 2")
         if np.any(np.diff(radii) <= 0.0) or np.any(pdf < 0.0):
             raise ValueError("radii must increase strictly and the pdf be non-negative")
-        seg = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(radii)
-        cdf = np.concatenate([[0.0], np.cumsum(seg)])
-        mass = cdf[-1]
-        if not mass > 0.0:
-            raise ValueError("pdf table carries no mass")
-        self.mass = float(mass)
+        self._cdf, mass = analytics._trapezoid_cdf(radii, pdf)
         self.rms = float(math.sqrt(np.trapezoid(radii**2 * pdf, radii) / mass))
         self._radii = radii
-        self._cdf = cdf / mass
 
     @classmethod
     def from_serving_distance(cls, lam: float, channel: ChannelParams,
                               quad: QuadratureSpec = DEFAULT_QUAD) -> "RadialSampler":
-        """Sampler for the max-average-power association distance at intensity lam."""
+        """Sampler for the max-average-power association distance at intensity lam.
+
+        Inverts the CDF of `analytics.tabulate_serving_distance`; ``quad`` is not used.
+        """
         table = analytics.tabulate_serving_distance(lam, channel, quad)
         return cls(table.radii, table.pdf_total)
 
@@ -189,8 +178,7 @@ def build_tier_topology(net: analytics.NetworkParams, channel: ChannelParams,
                         window: Window, rng: np.random.Generator,
                         gains: list[int] | None = None,
                         allow_residual: bool = False,
-                        sampler: RadialSampler | None = None,
-                        quad: QuadratureSpec = DEFAULT_QUAD) -> TierTopology:
+                        sampler: RadialSampler | None = None) -> TierTopology:
     """Realize the whole tiered topology for one seed.
 
     Tier 0 ~ PPP(lambda_tier0); each hop schedules one transmitter per cluster
@@ -221,7 +209,7 @@ def build_tier_topology(net: analytics.NetworkParams, channel: ChannelParams,
     residual = net.lambda_total - net.lambda_tier0 * (1.0 + sum(gains))
 
     if sampler is None:
-        sampler = RadialSampler.from_serving_distance(net.lambda_tier0, channel, quad)
+        sampler = RadialSampler.from_serving_distance(net.lambda_tier0, channel)
 
     tier0 = sample_ppp(net.lambda_tier0, window, rng)
     tiers = [tier0]
@@ -319,24 +307,22 @@ def _reference_k(intensity: float, window: Window, radii: np.ndarray, n_sims: in
 
 
 def csr_envelope(intensity: float, window: Window, radii, n_sims: int,
-                 rng: np.random.Generator, coverage: float = 0.99) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise CSR envelope of ripley_k from n_sims reference PPP draws."""
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise 99% CSR envelope of ripley_k from n_sims reference PPP draws."""
     radii = np.asarray(radii, dtype=float)
     sims = _reference_k(intensity, window, radii, n_sims, rng)
-    lo_q = (1.0 - coverage) / 2.0
-    lo = np.nanquantile(sims, lo_q, axis=0)
-    hi = np.nanquantile(sims, 1.0 - lo_q, axis=0)
+    lo, hi = np.nanquantile(sims, [0.005, 0.995], axis=0)
     return lo, hi
 
 
 def csr_global_test(points: np.ndarray, window: Window, radii, n_sims: int,
-                    rng: np.random.Generator, alpha: float = 0.01) -> tuple[float, float]:
+                    rng: np.random.Generator) -> tuple[float, float]:
     """Multiplicity-free CSR test: studentized max deviation of Ripley's K.
 
     The statistic is max over radii of |K_hat - mean| / sd under the CSR null
-    (mean/sd from n_sims reference draws); returns (observed, null alpha
+    (mean/sd from n_sims reference draws); returns (observed, null 0.99
     quantile). Observed below the quantile means the pattern is CSR-compatible
-    across all radii simultaneously at level alpha.
+    across all radii simultaneously at level 0.01.
     """
     radii = np.asarray(radii, dtype=float)
     sims = _reference_k(len(points) / window.area, window, radii, n_sims, rng)
@@ -344,7 +330,7 @@ def csr_global_test(points: np.ndarray, window: Window, radii, n_sims: int,
     sd = np.maximum(np.nanstd(sims, axis=0), 1e-12)
     null = np.nanmax(np.abs(sims - mean) / sd, axis=1)
     observed = float(np.nanmax(np.abs(ripley_k(points, window, radii) - mean) / sd))
-    return observed, float(np.nanquantile(null, 1.0 - alpha))
+    return observed, float(np.nanquantile(null, 0.99))
 
 
 # ---------------------------------------------------------------------------

@@ -261,10 +261,11 @@ def _sinr_samples_cached(k: int, lambda0: float, channel: ChannelParams, beam: B
     return sinr_samples(k, lambda0, channel, beam, sim)
 
 
-def wilson_halfwidth(successes: int, trials: int, z: float = _WILSON_Z) -> float:
-    """Half-width of the Wilson score interval for a binomial proportion."""
+def wilson_halfwidth(successes: int, trials: int) -> float:
+    """Half-width of the 95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    z = _WILSON_Z
     p = successes / trials
     denom = 1.0 + z**2 / trials
     return z * math.sqrt(p * (1.0 - p) / trials + z**2 / (4.0 * trials**2)) / denom

@@ -20,9 +20,9 @@ from mmtier import (
     NetworkParams,
     QuadratureError,
     QuadratureSpec,
+    beam_gain_pmf,
     conditional_coverage,
     coverage_probability,
-    gain_moment,
     hop_count,
     laplace_interference,
     latency_bounds,
@@ -49,8 +49,8 @@ def rayleigh_nearest_pdf(z, lam):
     return 2.0 * math.pi * z * lam * math.exp(-math.pi * lam * z * z)
 
 
-def _serving_weight_literal(r: float, state: str, lambda0: float, channel: ChannelParams,
-                            quad: QuadratureSpec) -> float | None:
+def _serving_weight_literal(r: float, state: str, lambda0: float,
+                            channel: ChannelParams) -> float | None:
     """Coverage weight in ratio form: f_state(r) * f_other(w) / (2*pi*w*lam*P_other(w)).
 
     Returns None where the ratio is 0/0 (opposite-state probability vanishes).
@@ -67,8 +67,8 @@ def _serving_weight_literal(r: float, state: str, lambda0: float, channel: Chann
         p_other = los_probability(w, channel.blockage)
     if p_other <= 1e-300:
         return None
-    f_state = nearest_distance_pdf(r, state, lambda0, channel.blockage, quad)
-    f_other = nearest_distance_pdf(w, other, lambda0, channel.blockage, quad)
+    f_state = nearest_distance_pdf(r, state, lambda0, channel.blockage)
+    f_other = nearest_distance_pdf(w, other, lambda0, channel.blockage)
     return f_state * f_other / (2.0 * math.pi * w * lambda0 * p_other)
 
 
@@ -77,10 +77,10 @@ def _check_weight_forms(lambda0: float, channel: ChannelParams, quad: Quadrature
     r0 = math.sqrt(1.0 / (math.pi * lambda0))
     for state in (LOS, NLOS):
         for r in (0.25 * r0, r0, 4.0 * r0):
-            literal = _serving_weight_literal(r, state, lambda0, channel, quad)
+            literal = _serving_weight_literal(r, state, lambda0, channel)
             if literal is None:
                 continue
-            simplified = serving_distance_pdf(r, state, lambda0, channel, quad)
+            simplified = serving_distance_pdf(r, state, lambda0, channel)
             assert literal == pytest.approx(simplified, rel=quad.rel_tol, abs=1e-300), (r, state)
 
 
@@ -140,12 +140,12 @@ class TestServingDistancePdf:
         table = tabulate_serving_distance(intensity_for(r0), channel, quad)
         assert table.total_mass == pytest.approx(1.0, abs=1e-3)
 
-    def test_table_matches_pointwise_pdf(self, serving_table, lam0, channel, quad):
+    def test_table_matches_pointwise_pdf(self, serving_table, lam0, channel):
         idx = [200, 1000, 2500]
         for i in idx:
             r = float(serving_table.radii[i])
             assert serving_table.pdf_los[i] == pytest.approx(
-                serving_distance_pdf(r, LOS, lam0, channel, quad), rel=1e-5, abs=1e-12)
+                serving_distance_pdf(r, LOS, lam0, channel), rel=1e-5, abs=1e-12)
 
 
 BLOCKAGE_KINDS = {
@@ -185,32 +185,62 @@ class TestBatchIndependence:
         assert table.total_mass == pytest.approx(1.0, abs=1e-3)
 
 
+QUARTIC_LOS = ChannelParams(4.0, 4.0, 1.0, ALWAYS_LOS)
+
+
+def _quartic_laplace(s: float, d: float, pmf, lam: float, upper: float) -> float:
+    """Laplace functional of an all-LOS alpha = 4 field between d and upper.
+
+    Per gain atom g, with c = s * beta * g, the exponent's integral of the
+    gain-moment complement is int_d^upper c t / (t^4 + c) dt
+    = sqrt(c)/2 * (atan(upper^2/sqrt(c)) - atan(d^2/sqrt(c))).
+    """
+    exponent = 0.0
+    for g, p in zip(pmf.gains, pmf.probs):
+        rc = math.sqrt(s * QUARTIC_LOS.beta * g)
+        exponent += p * 0.5 * rc * (math.atan(upper**2 / rc) - math.atan(d**2 / rc))
+    return math.exp(-2.0 * math.pi * lam * exponent)
+
+
 class TestGainMoment:
-    def test_unit_at_zero(self, channel, beam):
+    """The gain moment E[exp(-s beta h G t^-alpha)] over fading h and gain G is
+    the atom sum inside `analytics._apply_exponent`; read off `laplace_interference`."""
+
+    def test_unit_at_zero(self, lam0, channel, beam, quad):
+        # s = 1e-300 takes the quadrature path, where 1/x overflows to inf
         for r, k, state in [(10.0, 1, LOS), (200.0, 12, NLOS)]:
-            assert gain_moment(0.0, r, k, state, channel, beam) == pytest.approx(1.0, abs=1e-12)
+            assert laplace_interference(0.0, r, state, k, lam0, channel, beam, quad) == 1.0
+            assert laplace_interference(1e-300, r, state, k, lam0, channel, beam,
+                                        quad) == pytest.approx(1.0, abs=1e-12)
 
-    def test_degenerate_beam_closed_form(self, channel):
+    def test_degenerate_beam_closed_form(self, quad):
         flat = BeamParams(theta_a=0.3, g_main=2.0, g_side=2.0, rf_chains=4)
-        s, r = 3.0, 7.0
-        expected = 1.0 / (1.0 + s * 1.0 * 4.0 * r**-2.0)
-        assert gain_moment(s, r, 2, LOS, channel, flat) == pytest.approx(expected, rel=1e-12)
+        upper = quad.truncation_radius_m
+        for s, d in [(3.0, 7.0), (1.5e6, 50.0)]:
+            expected = _quartic_laplace(s, d, beam_gain_pmf(flat, 2), LAM, upper)
+            got = laplace_interference(s, d, LOS, 2, LAM, QUARTIC_LOS, flat, quad)
+            assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_against_sampling_oracle(self, channel, beam):
-        from mmtier import beam_gain_pmf, sample_fading
+    def test_against_sampling_oracle(self, beam, quad):
+        # one interferer uniform on the annulus [d, upper], with its fading
+        # and beam gain drawn as the Monte Carlo samplers draw them
         rng = np.random.default_rng(99)
-        s, r, k = 120.0, 80.0, 6
+        s, d, k = 1e4, 80.0, 6
+        upper = quad.truncation_radius_m
         pmf = beam_gain_pmf(beam, k)
         n = 1_000_000
-        h = sample_fading(rng, size=n)
+        t = np.sqrt(rng.uniform(d * d, upper * upper, n))
+        h = rng.exponential(size=n)
         g = pmf.sample(rng, n)
-        vals = np.exp(-s * channel.beta * h * g * r**-2.0)
-        got = gain_moment(s, r, k, LOS, channel, beam)
-        se = vals.std(ddof=1) / math.sqrt(n)
-        assert abs(got - vals.mean()) < 3.0 * se
+        vals = -np.expm1(-s * QUARTIC_LOS.beta * h * g * t**-4.0)
+        half_area = 0.5 * (upper**2 - d**2)
+        got = laplace_interference(s, d, LOS, k, LAM, QUARTIC_LOS, beam, quad)
+        exponent = -math.log(got) / (2.0 * math.pi * LAM)
+        se = half_area * vals.std(ddof=1) / math.sqrt(n)
+        assert abs(exponent - half_area * vals.mean()) < 3.0 * se
 
-    def test_strictly_decreasing_in_s(self, channel, beam):
-        vals = [gain_moment(s, 60.0, 3, LOS, channel, beam)
+    def test_strictly_decreasing_in_s(self, lam0, channel, beam, quad):
+        vals = [laplace_interference(s, 60.0, LOS, 3, lam0, channel, beam, quad)
                 for s in (0.0, 1.0, 10.0, 100.0, 1e4)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(0.0 < v <= 1.0 for v in vals)

@@ -1,4 +1,9 @@
-"""Link-level model tests: blockage, path loss, beam gains, fading."""
+"""Link-level model tests: blockage, path loss, beam gains, fading.
+
+Path loss and fading have no public function of their own: the tests read
+them off the code that uses them, `montecarlo._mean_power` (r^-alpha per unit
+intercept, scaled by beta in the samplers) and `montecarlo.compute_sinr`.
+"""
 
 import math
 
@@ -14,11 +19,15 @@ from mmtier import (
     ChannelParams,
     GainPmf,
     beam_gain_pmf,
+    conditional_coverage,
+    laplace_interference,
     los_probability,
-    nlos_probability,
-    path_loss,
-    sample_fading,
+    serving_distance_pdf,
 )
+from mmtier.analytics import _state_probability
+from mmtier.montecarlo import HopRealization, _mean_power, compute_sinr
+
+from conftest import intensity_for
 
 
 class TestBlockage:
@@ -52,8 +61,11 @@ class TestBlockage:
     @given(r=st.floats(min_value=0.0, max_value=1e5),
            mu=st.floats(min_value=1e-3, max_value=1e4))
     def test_states_partition_probability(self, r, mu):
+        # the analytics' per-state probability: the LOS law and its complement
         model = BlockageModel.exponential(mu)
-        assert los_probability(r, model) + nlos_probability(r, model) == pytest.approx(1.0, abs=1e-12)
+        p_los = _state_probability(model, LOS, r)
+        assert p_los == los_probability(r, model)
+        assert p_los + _state_probability(model, NLOS, r) == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=50)
     @given(r1=st.floats(min_value=0.0, max_value=1e4),
@@ -68,6 +80,11 @@ class TestBlockage:
         r = np.array([0.0, 100.0, 300.0])
         np.testing.assert_allclose(los_probability(r, model),
                                    np.exp(-r / 100.0), atol=1e-15)
+
+
+def path_loss(r: float, state: str, params: ChannelParams) -> float:
+    """beta * r^-alpha(state), as the Monte Carlo samplers form it."""
+    return params.beta * float(_mean_power(np.array([r]), np.array([state == LOS]), params)[0])
 
 
 class TestPathLoss:
@@ -85,14 +102,25 @@ class TestPathLoss:
     def test_unit_distance_gives_intercept(self, params):
         assert path_loss(1.0, LOS, params) == 1.0
         assert path_loss(1.0, NLOS, params) == 1.0
+        scaled = ChannelParams(2.0, 4.0, 3.0, BlockageModel.constant(1.0))
+        assert path_loss(1.0, LOS, scaled) == 3.0
 
-    def test_zero_distance_rejected(self, params):
+    def test_zero_distance_rejected(self, params, beam):
+        # the power law is singular at r = 0: every entry point taking a
+        # serving distance rejects it
+        lam = intensity_for(100.0)
         with pytest.raises(ValueError):
-            path_loss(0.0, LOS, params)
+            serving_distance_pdf(0.0, LOS, lam, params)
+        with pytest.raises(ValueError):
+            laplace_interference(1.0, 0.0, LOS, 1, lam, params, beam)
+        with pytest.raises(ValueError):
+            conditional_coverage(1.0, 0.0, 1, LOS, lam, params, beam)
 
-    def test_unknown_state_rejected(self, params):
+    def test_unknown_state_rejected(self, params, beam):
         with pytest.raises(ValueError):
-            path_loss(1.0, "foggy", params)
+            params.alpha("foggy")
+        with pytest.raises(ValueError):
+            conditional_coverage(1.0, 10.0, 1, "foggy", intensity_for(100.0), params, beam)
 
     @given(r1=st.floats(min_value=1e-3, max_value=1e5),
            r2=st.floats(min_value=1e-3, max_value=1e5))
@@ -199,19 +227,33 @@ class TestBeamGainPmf:
 
 
 class TestFading:
-    def test_unit_mean(self):
-        rng = np.random.default_rng(123)
-        draws = sample_fading(rng, size=1_000_000)
+    """With one serving AP at unit distance, unit gains, unit intercept and
+    unit noise, `compute_sinr` returns the serving link's fading draw."""
+
+    CHANNEL = ChannelParams(2.0, 4.0, 1.0, BlockageModel.constant(1.0), noise_power=1.0)
+    BEAM = BeamParams(theta_a=0.5, g_main=1.0, g_side=1.0, rf_chains=1)
+    ALONE = HopRealization(serving_position=np.array([1.0, 0.0]), serving_is_los=True,
+                           interferer_positions=np.empty((0, 2)),
+                           interferer_is_los=np.empty(0, dtype=bool))
+
+    def fading(self, rng, n):
+        return np.array([compute_sinr(self.ALONE, 1, self.CHANNEL, self.BEAM, rng)
+                         for _ in range(n)])
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        return self.fading(np.random.default_rng(123), 100_000)
+
+    def test_unit_mean(self, draws):
         assert draws.mean() == pytest.approx(1.0, abs=0.01)
 
-    def test_median_is_ln2(self):
-        rng = np.random.default_rng(123)
-        draws = sample_fading(rng, size=200_000)
+    def test_median_is_ln2(self, draws):
         frac = np.mean(draws > math.log(2.0))
         assert frac == pytest.approx(0.5, abs=0.005)
 
     def test_reproducible(self):
-        a = sample_fading(np.random.default_rng(5), size=10)
-        b = sample_fading(np.random.default_rng(5), size=10)
+        a = self.fading(np.random.default_rng(5), 10)
+        b = self.fading(np.random.default_rng(5), 10)
         np.testing.assert_array_equal(a, b)
-        assert isinstance(sample_fading(np.random.default_rng(5)), float)
+        assert isinstance(compute_sinr(self.ALONE, 1, self.CHANNEL, self.BEAM,
+                                       np.random.default_rng(5)), float)

@@ -8,8 +8,14 @@ insensitive to it while every trial gets ~40x cheaper.
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import mmtier
 
 from mmtier.cli import (
     emit_topology,
@@ -229,3 +235,31 @@ class TestMainExitCodes:
         b = json.loads((out2 / "sweep.json").read_text())
         assert a["config"]["seed"] == 111 and b["config"]["seed"] == 222
         assert a["rows"][0]["coverage_mc"] != b["rows"][0]["coverage_mc"]
+
+    def test_non_integer_hop_count_is_one(self, tmp_path, caplog):
+        # k = 5 does not divide the 12 relay tiers of the 13x split
+        cfg = tmp_path / "k5.cfg"
+        cfg.write_text(FAST + "k = 5\nfloor_hops = false\n")
+        assert main(["topology", "--config", str(cfg), "--out", str(tmp_path),
+                     "--quiet"]) == 1
+        assert "floor_hops" in caplog.text and "allow_floor" not in caplog.text
+        assert not (tmp_path / "topology.csv").exists()
+
+    def test_too_few_trials_is_one(self, tmp_path, caplog):
+        cfg = tmp_path / "few.cfg"
+        cfg.write_text(FAST)
+        assert main(["coverage", "--config", str(cfg), "--out", str(tmp_path),
+                     "--trials", "50", "--quiet"]) == 1
+        assert "mc_trials must be 0 or at least 100" in caplog.text
+        assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_import_loads_neither_scipy_stats_nor_integrate():
+    # scipy.stats is imported by `validate` alone; scipy.integrate not at all
+    src = str(Path(mmtier.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, mmtier.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

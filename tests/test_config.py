@@ -125,3 +125,11 @@ def test_builder_invariants_surface_as_config_errors():
         parse_config("lambda0 = -1\nblockage = exponential\n")
     with pytest.raises(ConfigError):
         parse_config("mode = dance\nblockage = exponential\n")
+
+
+@pytest.mark.parametrize("trials", [-1, 1, 99])
+def test_mc_trials_below_one_hundred_rejected(trials):
+    # empirical_coverage needs at least 100 trials; 0 turns Monte Carlo off
+    with pytest.raises(ConfigError, match="mc_trials must be 0 or at least 100"):
+        parse_config(f"blockage = exponential\nmc_trials = {trials}\n")
+    assert parse_config("blockage = exponential\nmc_trials = 100\n").mc_trials == 100

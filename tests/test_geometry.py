@@ -10,6 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from mmtier import (
+    BlockageModel,
+    ChannelParams,
     NetworkParams,
     Point,
     RadialSampler,
@@ -19,6 +21,7 @@ from mmtier import (
     ripley_k,
     sample_ppp,
     select_scheduled,
+    tabulate_serving_distance,
     topology_to_csv,
     topology_to_gnuplot,
 )
@@ -81,6 +84,16 @@ class TestRadialSampler:
         # closed-form CDF of the nearest-neighbor law
         result = stats.ks_1samp(draws, lambda r: 1.0 - np.exp(-math.pi * lam * r * r))
         assert result.pvalue > 0.01
+
+    @pytest.mark.parametrize("blockage", [BlockageModel.exponential(141.4),
+                                          BlockageModel.los_ball(100.0)])
+    def test_inverts_the_serving_table_cdf(self, lam0, blockage):
+        # one CDF: the sampler inverts exactly the table that validate's KS test reads
+        channel = ChannelParams(2.0, 4.0, 1.0, blockage)
+        table = tabulate_serving_distance(lam0, channel)
+        sampler = RadialSampler.from_serving_distance(lam0, channel)
+        np.testing.assert_array_equal(sampler._radii, table.radii)
+        np.testing.assert_array_equal(sampler._cdf, table.cdf)
 
     def test_rejects_bad_tables(self):
         with pytest.raises(ValueError):
