@@ -179,11 +179,21 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0,
 
     if cfg.mc_trials < 10_000:
         raise ConfigError("validate mode needs mc_trials >= 10000")
+    net = cfg.network()
+    # The topology checks build relay tiers at k = 1; test the split before
+    # any Monte Carlo trial runs.
+    try:
+        hops1 = analytics.hop_count(net.lambda_total, net.lambda_tier0, 1)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}; validate needs lambda_total to be an integer "
+                          "multiple of lambda0") from exc
+    if hops1 < 1:
+        raise ConfigError("validate needs lambda_total >= 2 lambda0: the topology "
+                          "checks test at least one relay tier")
     channel = cfg.channel()
     channel_analytic = channel if corrupt_alpha_nlos == 0.0 else dataclasses.replace(
         channel, alpha_nlos=channel.alpha_nlos + corrupt_alpha_nlos)
     beam = cfg.beam()
-    net = cfg.network()
     quad = cfg.quad()
     sim = cfg.sim()
     lam0 = cfg.lambda0
@@ -271,7 +281,10 @@ def topology_checks(cfg: ExperimentConfig) -> list[CheckResult]:
     the nominal one, so edge depletion of the displacement chain stays out of
     the statistics. Every K estimate is compared against 200 reference CSR
     draws, hence a dedicated window of radius 8 r0 rather than the much
-    larger simulation one.
+    larger simulation one. The draws of one check are counted many patterns
+    to a KD-tree, up to 8 192 points each (`geometry._reference_k`): a few
+    tree queries per check instead of 200, with the counts of one
+    `ripley_k` per draw.
     """
     channel = cfg.channel()
     r0 = cfg.r0_m

@@ -252,40 +252,89 @@ def ripley_k(points: np.ndarray, window: Window, radii) -> np.ndarray:
 
     Neighbor pairs come from one KD-tree query at the largest radius, so
     memory is linear in the point count plus the pairs within that radius.
-    A pair at distance d counts for an endpoint at every sorted radius from
-    the first one >= d up to the last one <= the endpoint's boundary
-    distance; one difference array accumulates all radii at once.
+    This is the one-pattern case of the batched estimator that also counts
+    the CSR reference draws of `csr_envelope` and `csr_global_test`, many
+    patterns to a tree; both give the integer counts of the direct n x n
+    evaluation.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = len(pts)
-    if n < 2:
+    if len(pts) < 2:
         raise ValueError("Ripley's K needs at least two points")
+    return _ripley_batch([pts], window, radii)[0]
+
+
+# Points per KD-tree when the reference draws are counted in batches. The
+# tree and the pair arrays grow with the batch: at radii up to 2 r0, the 200
+# draws of a check at 6 lambda0 (~77 000 points) in one tree peaked at 80 MB
+# traced, in batches of at most this many points at 14 MB, at the same speed.
+_MAX_BATCH_POINTS = 8192
+
+
+def _ripley_batch(patterns, window: Window, radii: np.ndarray) -> np.ndarray:
+    """Ripley's K of each (n_i, 2) pattern on one window: (n_patterns, n_radii).
+
+    Row p is `ripley_k(patterns[p], window, radii)`; a pattern with fewer
+    than two points gives a NaN row.
+
+    The patterns sit side by side along x for one `cKDTree.query_pairs`, the
+    copies of the window centre `spacing` apart. Every point lies within
+    spacing / 2 - reach of its pattern's centre, so points of two patterns
+    are at least 2 * reach apart and no pair crosses between them. Each
+    pair's distance is taken again with `hypot` on the unshifted
+    coordinates, so the counts do not depend on the batch. A pair at
+    distance d counts for an endpoint at every sorted radius from the first
+    one >= d up to the last one <= the endpoint's boundary distance; one
+    difference array, indexed by label * (n_r + 1) + radius index,
+    accumulates every radius of every pattern at once.
+    """
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0.0) or np.any(radii >= window.radius):
         raise ValueError("radii must be positive and smaller than the window radius")
+    counts = np.array([len(p) for p in patterns])
+    pts = np.concatenate(patterns).reshape(-1, 2)
+    n_pat, n_r = len(counts), len(radii)
 
-    center = window.center.as_array()
-    boundary = window.radius - np.hypot(*(pts - center).T)
-    order = np.argsort(radii)
-    sorted_r = radii[order]
-    n_r = len(sorted_r)
+    label = np.repeat(np.arange(n_pat), counts)
+    from_center = np.hypot(*(pts - window.center.as_array()).T)
+    boundary = window.radius - from_center
     # The tree's own distances may differ from hypot in the last bits; the
     # pad admits every candidate, and hypot alone decides d <= r (pairs
-    # beyond the largest radius land at index n_r and drop out).
-    i, j = cKDTree(pts).query_pairs(radii.max(initial=0.0) * (1.0 + 1e-9),
-                                    output_type="ndarray").T
+    # beyond the largest radius land at index n_r of their row and drop out).
+    reach = radii.max(initial=0.0) * (1.0 + 1e-9)
+    spacing = 2.0 * (from_center.max(initial=0.0) + reach)
+    # Shifting rounds an x coordinate by at most 2^-53 * extent, so a tree
+    # distance moves by at most 2^-52 * extent: under the pad of 1e-9 * r_max
+    # (with a few ulps of r to spare) while extent <= 2^21 * reach. Wider
+    # layouts are split; one pattern is not shifted at all.
+    extent = np.abs(pts[:, 0]).max(initial=0.0) + (n_pat - 1) * spacing
+    if n_pat > 1 and extent > 2.0**21 * reach:
+        half = n_pat // 2
+        return np.vstack([_ripley_batch(patterns[:half], window, radii),
+                          _ripley_batch(patterns[half:], window, radii)])
+    shifted = pts.copy()
+    shifted[:, 0] += label * spacing
+    i, j = cKDTree(shifted).query_pairs(reach, output_type="ndarray").T
     d = np.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1])
-    first = np.repeat(np.searchsorted(sorted_r, d, "left"), 2)
-    stop = np.searchsorted(sorted_r, boundary, "right")
-    last = np.maximum(first, stop[np.column_stack([i, j]).ravel()])
-    steps = np.bincount(first, minlength=n_r + 1) - np.bincount(last, minlength=n_r + 1)
-    pair_counts = np.cumsum(steps)[:n_r]
-    interior = n - np.cumsum(np.bincount(stop, minlength=n_r + 1))[:n_r]
 
-    lam_hat = n / window.area
-    out = np.full(n_r, np.nan)
-    has = interior > 0
-    out[order[has]] = pair_counts[has] / interior[has] / lam_hat
+    order = np.argsort(radii)
+    sorted_r = radii[order]
+    width = n_r + 1
+    size = n_pat * width
+    first = label[i] * width + np.searchsorted(sorted_r, d, "left")
+    stop = label * width + np.searchsorted(sorted_r, boundary, "right")
+    steps = (2 * np.bincount(first, minlength=size)
+             - np.bincount(np.maximum(first, stop[i]), minlength=size)
+             - np.bincount(np.maximum(first, stop[j]), minlength=size))
+    pair_counts = np.cumsum(steps.reshape(n_pat, width), axis=1)[:, :n_r]
+    beyond = np.bincount(stop, minlength=size).reshape(n_pat, width)
+    interior = counts[:, None] - np.cumsum(beyond, axis=1)[:, :n_r]
+
+    has = (interior > 0) & (counts[:, None] >= 2)
+    lam_hat = np.broadcast_to(counts[:, None] / window.area, has.shape)
+    k_sorted = np.full((n_pat, n_r), np.nan)
+    k_sorted[has] = pair_counts[has] / interior[has] / lam_hat[has]
+    out = np.empty_like(k_sorted)
+    out[:, order] = k_sorted
     return out
 
 
@@ -298,12 +347,33 @@ def points_in_window(points: np.ndarray, window: Window) -> np.ndarray:
 
 def _reference_k(intensity: float, window: Window, radii: np.ndarray, n_sims: int,
                  rng: np.random.Generator) -> np.ndarray:
-    sims = np.full((n_sims, len(radii)), np.nan)
-    for s in range(n_sims):
-        pts = sample_ppp(intensity, window, rng)
-        if len(pts) >= 2:
-            sims[s] = ripley_k(pts, window, radii)
-    return sims
+    """Ripley's K of n_sims CSR draws, one row each (NaN below two points).
+
+    Draws the stream of n_sims successive `sample_ppp` calls: per draw a
+    Poisson count n, then n radius and n angle uniforms (one `random(2n)`).
+    All draws are placed at once, then counted in batches of at most
+    `_MAX_BATCH_POINTS` points (a larger draw is a batch of its own).
+    """
+    counts, uniforms = [], []
+    for _ in range(n_sims):
+        n = rng.poisson(intensity * window.area)
+        counts.append(n)
+        uniforms.append(rng.random(2 * n).reshape(2, n))
+    u = np.concatenate(uniforms, axis=1)
+    radius = window.radius * np.sqrt(u[0])
+    angle = 2.0 * math.pi * u[1]
+    pts = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    patterns = np.split(pts + window.center.as_array(), np.cumsum(counts)[:-1])
+
+    rows, batch, size = [], [], 0
+    for pattern in patterns:
+        if batch and size + len(pattern) > _MAX_BATCH_POINTS:
+            rows.append(_ripley_batch(batch, window, radii))
+            batch, size = [], 0
+        batch.append(pattern)
+        size += len(pattern)
+    rows.append(_ripley_batch(batch, window, radii))
+    return np.vstack(rows)
 
 
 def csr_envelope(intensity: float, window: Window, radii, n_sims: int,

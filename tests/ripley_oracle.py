@@ -1,17 +1,22 @@
-"""The n x n evaluation of Ripley's K, kept as a test oracle for
-`mmtier.geometry.ripley_k`.
+"""The n x n evaluation of Ripley's K and the per-draw loop over CSR
+reference patterns, kept as test oracles for `mmtier.geometry`.
 
-This is the implementation that `mmtier.geometry` replaced with KD-tree pair
-counts. Its code is unchanged. It builds an (n, n, 2) difference tensor and,
-at every radius, an (m, n) copy of the interior rows, so its memory grows
+`ripley_k` is the implementation that `mmtier.geometry` replaced with KD-tree
+pair counts. Its code is unchanged. It builds an (n, n, 2) difference tensor
+and, at every radius, an (m, n) copy of the interior rows, so its memory grows
 with the square of the point count. Both implementations count the same
 integer neighbour pairs with the same distance arithmetic, so they must agree
 exactly.
+
+`reference_k` is the loop that `mmtier.geometry._reference_k` replaced with
+one placement of every draw and batched pair counts. Its code is unchanged:
+one `sample_ppp` call and one Ripley's K per draw. Both consume the same
+random stream, so they must agree exactly.
 """
 
 import numpy as np
 
-from mmtier.geometry import Window
+from mmtier.geometry import Window, sample_ppp
 
 
 def ripley_k(points: np.ndarray, window: Window, radii) -> np.ndarray:
@@ -47,3 +52,13 @@ def ripley_k(points: np.ndarray, window: Window, radii) -> np.ndarray:
         neighbor_counts = np.count_nonzero(dist[interior] <= r, axis=1)
         out[i] = neighbor_counts.mean() / lam_hat
     return out
+
+
+def reference_k(intensity: float, window: Window, radii: np.ndarray, n_sims: int,
+                rng: np.random.Generator) -> np.ndarray:
+    sims = np.full((n_sims, len(radii)), np.nan)
+    for s in range(n_sims):
+        pts = sample_ppp(intensity, window, rng)
+        if len(pts) >= 2:
+            sims[s] = ripley_k(pts, window, radii)
+    return sims

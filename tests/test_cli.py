@@ -27,7 +27,7 @@ from mmtier.cli import (
     topology_checks,
 )
 from mmtier.config import ConfigError, ExperimentConfig, parse_config
-from mmtier import analytics
+from mmtier import analytics, montecarlo
 
 BASE = """
 r0_m = 100
@@ -184,6 +184,25 @@ class TestRunValidate:
 
 
 class TestMainExitCodes:
+    @pytest.mark.parametrize("ratio, message", [
+        ("12.5", "non-integer hop count 11.5 at k = 1"),
+        ("1", "at least one relay tier"),
+    ])
+    def test_validate_split_without_relay_tiers_is_one(self, tmp_path, caplog, monkeypatch,
+                                                      ratio, message):
+        # The topology checks build the k = 1 relay tiers; a split that has no
+        # whole number of them must stop validate before any Monte Carlo trial.
+        def no_trials(*args, **kwargs):
+            raise AssertionError("Monte Carlo ran before the density split was checked")
+
+        monkeypatch.setattr(montecarlo, "serving_distance_samples", no_trials)
+        cfg = tmp_path / "split.cfg"
+        cfg.write_text(VALIDATE_CFG.replace("lambda_ratio = 13", f"lambda_ratio = {ratio}"))
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path),
+                     "--quiet"]) == 1
+        assert message in caplog.text
+        assert not (tmp_path / "validation.txt").exists()
+
     def test_config_error_is_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("warp_factor = 9\n")

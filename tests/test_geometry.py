@@ -18,6 +18,7 @@ from mmtier import (
     Window,
     build_tier_topology,
     csr_envelope,
+    geometry,
     ripley_k,
     sample_ppp,
     select_scheduled,
@@ -389,6 +390,79 @@ class TestRipleyK:
         assert np.array_equal(got, want, equal_nan=True)
         assert np.isnan(got[3]) and np.all(np.isfinite(np.delete(got, 3)))
         assert got[1] == got[4] > got[5]  # the tie at d = r counts
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(0, 60), min_size=1, max_size=5),
+           duplicate=st.booleans(),
+           center=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+           radius=st.floats(1.0, 1e3), spread=st.floats(0.05, 1.3),
+           lattice=st.booleans(),
+           fractions=st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.9, 0.999])
+                              | st.floats(1e-3, 0.999), min_size=1, max_size=8))
+    @example(seed=2, sizes=[0, 1, 22, 40], duplicate=True, center=(0.0, 0.0), radius=37.3,
+             spread=1.3, lattice=True, fractions=[0.25, 0.5])  # ties that the shift rounds
+    @example(seed=3, sizes=[30, 30, 30], duplicate=False, center=(1e4, -1e4), radius=1.0,
+             spread=1.0, lattice=False, fractions=[1e-3])  # too wide for one tree: split
+    def test_batch_rows_match_oracle(self, seed, sizes, duplicate, center, radius, spread,
+                                     lattice, fractions):
+        # Every row of a batch is its pattern's K alone: 1-6 patterns, empty
+        # and one-point ones among them (NaN rows), and a repeated pattern,
+        # whose copy would pair with it if the layout let patterns overlap.
+        window = Window(Point(*center), radius)
+        rng = np.random.default_rng(seed)
+        patterns = []
+        for n in sizes:
+            offsets = spread * radius * rng.uniform(-1.0, 1.0, size=(n, 2))
+            if lattice:
+                step = radius / 8.0
+                offsets = step * np.round(offsets / step)
+            patterns.append(window.center.as_array() + offsets)
+        if duplicate:
+            patterns.append(patterns[-1])
+        radii = radius * np.array(fractions + fractions[:2])
+        got = geometry._ripley_batch(patterns, window, radii)
+        assert got.shape == (len(patterns), len(radii))
+        for row, pts in zip(got, patterns):
+            want = (ripley_oracle.ripley_k(pts, window, radii) if len(pts) >= 2
+                    else np.full(len(radii), np.nan))
+            assert np.array_equal(row, want, equal_nan=True)
+
+    def test_tie_survives_a_wide_layout(self):
+        # A pair exactly r = 1e-9 apart: shifting it by whole window widths
+        # rounds its distance by ~1e-7 r, far beyond the 1e-9 r query pad,
+        # so such a layout must be split for every copy to keep the pair.
+        window = Window(ORIGIN, 1.0)
+        pair = np.array([[0.5, 0.0], [0.5 + 1e-9, 0.0]])
+        radii = np.array([pair[1, 0] - pair[0, 0]])
+        got = geometry._ripley_batch([pair] * 6, window, radii)
+        want = ripley_oracle.ripley_k(pair, window, radii)
+        assert want[0] > 0.0 and np.array_equal(got, np.tile(want, (6, 1)))
+
+    def test_reference_draws_match_per_draw_loop(self, lam0):
+        # 200 draws of ~384 points fill several batches of the point cap; the
+        # batched draws must consume the stream of one sample_ppp per draw.
+        window = Window(ORIGIN, 800.0)
+        intensity = 6.0 * lam0
+        assert 200 * intensity * window.area > 4 * geometry._MAX_BATCH_POINTS
+        radii = 100.0 * np.array([0.5, 0.25, 2.0, 1.0, 1.0])
+        got = geometry._reference_k(intensity, window, radii, 200, np.random.default_rng(91))
+        want = ripley_oracle.reference_k(intensity, window, radii, 200,
+                                         np.random.default_rng(91))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.all(np.isfinite(got))
+
+    def test_reference_memory_is_capped(self, lam0):
+        # The same size: with the point cap the traced peak was 13.8 MB; with
+        # all 200 draws (~77 000 points) in one tree it was 80 MB.
+        window = Window(ORIGIN, 800.0)
+        radii = 100.0 * np.array([0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
+        tracemalloc.start()
+        try:
+            csr_envelope(6.0 * lam0, window, radii, 200, np.random.default_rng(92))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_memory_linear_in_points(self, lam0):
         # ~10^4 points at the full relay density: an n x n distance tensor
