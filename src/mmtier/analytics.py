@@ -17,7 +17,6 @@ modules share only `mmtier.channel`, so they can cross-validate each other.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -270,7 +269,7 @@ def tabulate_serving_distance(lam: float, channel: ChannelParams,
                               quad: QuadratureSpec = DEFAULT_QUAD) -> ServingDistanceTable:
     """Evaluate both serving-distance branches on a grid covering ~all the mass.
 
-    The grid starts at 8 * max(r0, blockage length) with 4096 intervals and
+    The grid starts at 32 * max(r0, blockage length) with 16384 intervals and
     doubles in range (and in intervals, up to 32768) until the captured mass
     stops growing; a final total below 1 - 1e-3 raises, since the law is a
     proper density. ``quad`` is not used.
@@ -290,13 +289,13 @@ def tabulate_serving_distance(lam: float, channel: ChannelParams,
         mass_n = float(np.trapezoid(pdf_n, grid))
         return grid, pdf_l, pdf_n, mass_l, mass_n
 
-    upper, n = 8.0 * r_scale, 4096
+    upper, n = 32.0 * r_scale, 16384
     grid, pdf_l, pdf_n, mass_l, mass_n = build(upper, n)
     while True:
         upper2 = 2.0 * upper
         n2 = min(2 * n, 32768)
         grid2, pdf_l2, pdf_n2, mass_l2, mass_n2 = build(upper2, n2)
-        if (mass_l2 + mass_n2) - (mass_l + mass_n) < 1e-10 and upper > 16.0 * r_scale:
+        if (mass_l2 + mass_n2) - (mass_l + mass_n) < 1e-10:
             break
         grid, pdf_l, pdf_n, mass_l, mass_n = grid2, pdf_l2, pdf_n2, mass_l2, mass_n2
         upper, n = upper2, n2
@@ -355,60 +354,83 @@ def _tail_radial_bound(blockage: BlockageModel, state: str, start: float,
     return start ** (2.0 - alpha) / (alpha - 2.0) if alpha > 2.0 else math.inf
 
 
-def _exponent_blocks(s: np.ndarray, lower: np.ndarray, state: str, channel: ChannelParams,
-                     upper: float, halvings: int):
+def _exponent_blocks(s: np.ndarray, fields, channel: ChannelParams, upper: float,
+                     halvings: int):
     """Row blocks of the tensor quadrature of the interference exponent.
 
-    Per row i the exponent is int_{lower_i}^upper (1 - GainMoment(s_i, t)) P_state(t) t dt.
-    With unit-mean exponential fading, 1 - GainMoment = sum_g p_g x g/(1 + x g),
-    x = s * beta * t^-alpha. Rows share one set of panels in ln t, split at the
+    ``fields`` holds the interferer fields of the rows as (lower, state) pairs.
+    Per row i the exponent sums, over the fields, int_{lower_i}^upper
+    (1 - GainMoment(s_i, t)) P_state(t) t dt. With unit-mean exponential
+    fading, 1 - GainMoment = sum_g p_g x g/(1 + x g), x = s * beta * t^-alpha_state.
+    The rows of one field share one set of panels in ln t, split at the
     blockage's LOS-ball radius; a row takes the nodes of the panels above its
     lower limit plus a partial panel of its own from that limit to the next
-    edge. Yields blocks of at most _MAX_BLOCK_ROWS rows and _MAX_TENSOR
-    (row, node) pairs, each (rows, v, t_alpha, inv_s_beta, below, v_part,
-    inv_x_part): the row indices; the inner weights and t^alpha at the nodes
-    from the block's lowest first panel up; 1/(s beta) per row, so that 1/x
-    is the outer product of the two factors; the (row, node) pairs below the
-    row's lower limit; and the weights and 1/x of each row's partial panel.
+    edge. A block's columns are the nodes of every field that is live in its
+    rows (lower < upper), side by side, each field's from the block's lowest
+    first panel in that field up. A new block starts wherever the set of live
+    fields changes, so no block holds a field for a row beyond its truncation.
+    Yields blocks of at most _MAX_BLOCK_ROWS rows and _MAX_TENSOR (row, node)
+    pairs, each (rows, v, t_alpha, inv_s_beta, below, v_part, inv_x_part): the
+    row indices; the inner weights and t^alpha at the block's nodes; 1/(s beta)
+    per row, so that 1/x is the outer product of the two factors; the
+    (row, node) pairs below the row's lower limit; and the weights and 1/x of
+    each row's partial panel in every live field, in the same field order.
     Nothing here depends on the gain law, and only ``below`` has one entry
     per (row, node) pair.
     """
-    live = np.flatnonzero(lower < upper)
-    if not len(live):
-        return
-    alpha = channel.alpha(state)
     ball = [channel.blockage.param] if channel.blockage.kind == "los_ball" else []
-    edges = _panel_edges(_log_breaks(float(lower[live].min()), upper, ball), halvings)
-    u, w = _gauss_nodes(edges)
-    t = np.exp(u)
-    v = w * _state_probability(channel.blockage, state, t) * t * t  # dt = t du
-    with np.errstate(over="ignore"):
-        t_alpha = np.exp(alpha * u)
-    node_panel = np.arange(len(u)) // len(_GL_X)
-    step = min(_MAX_BLOCK_ROWS, max(1, _MAX_TENSOR // len(u)))
-    for rows in np.array_split(live, -(-len(live) // step)):
-        log_s = np.log(s[rows] * channel.beta)
-        log_lower = np.log(lower[rows])
-        first = np.searchsorted(edges, log_lower)
-        lo = int(first.min()) * len(_GL_X)  # nodes below every row's limit are dropped
-        half = 0.5 * (edges[first] - log_lower)
-        u_part = (log_lower + half)[:, None] + half[:, None] * _GL_X
-        t_part = np.exp(u_part)
-        v_part = (half[:, None] * _GL_W * t_part**2
-                  * _state_probability(channel.blockage, state, t_part))
+    live = np.array([lower < upper for lower, _ in fields])
+    tables = []
+    for (lower, state), mask in zip(fields, live):
+        if not mask.any():
+            tables.append(None)
+            continue
+        edges = _panel_edges(_log_breaks(float(lower[mask].min()), upper, ball), halvings)
+        u, w = _gauss_nodes(edges)
+        t = np.exp(u)
+        v = w * _state_probability(channel.blockage, state, t) * t * t  # dt = t du
         with np.errstate(over="ignore"):
-            inv_x_part = np.exp(alpha * u_part - log_s[:, None])
-        yield (rows, v[lo:], t_alpha[lo:], np.exp(-log_s), node_panel[lo:] < first[:, None],
-               v_part, inv_x_part)
+            t_alpha = np.exp(channel.alpha(state) * u)
+        tables.append((edges, v, t_alpha, np.arange(len(u)) // len(_GL_X)))
+    # A field's lower limit rises with the serving distance, so in coverage
+    # each field is live on a prefix of the rows: one cut per field at most.
+    cuts = np.flatnonzero((live[:, 1:] != live[:, :-1]).any(axis=0)) + 1
+    for run in np.split(np.arange(live.shape[1]), cuts):
+        on = np.flatnonzero(live[:, run[:1]].any(axis=1))
+        if not len(on):
+            continue
+        n_cols = sum(len(tables[f][1]) for f in on)
+        step = min(_MAX_BLOCK_ROWS, max(1, _MAX_TENSOR // n_cols))
+        for rows in np.array_split(run, -(-len(run) // step)):
+            log_s = np.log(s[rows] * channel.beta)
+            cols = []
+            for f in on:
+                (lower, state), (edges, v, t_alpha, node_panel) = fields[f], tables[f]
+                log_lower = np.log(lower[rows])
+                first = np.searchsorted(edges, log_lower)
+                lo = int(first.min()) * len(_GL_X)  # nodes below every row's limit are dropped
+                half = 0.5 * (edges[first] - log_lower)
+                u_part = (log_lower + half)[:, None] + half[:, None] * _GL_X
+                t_part = np.exp(u_part)
+                v_part = (half[:, None] * _GL_W * t_part**2
+                          * _state_probability(channel.blockage, state, t_part))
+                with np.errstate(over="ignore"):
+                    inv_x_part = np.exp(channel.alpha(state) * u_part - log_s[:, None])
+                cols.append((v[lo:], t_alpha[lo:], node_panel[lo:] < first[:, None],
+                             v_part, inv_x_part))
+            v, t_alpha, below, v_part, inv_x_part = (np.concatenate(a, axis=-1)
+                                                     for a in zip(*cols))
+            yield rows, v, t_alpha, np.exp(-log_s), below, v_part, inv_x_part
 
 
 def _apply_exponent(blocks, n: int, pmf, scale: float = 1.0) -> np.ndarray:
     """Per row, the exponent of `_exponent_blocks` with every s multiplied by ``scale``.
 
-    Each block's 1/x table is formed once per call: the outer product of
-    1/(s beta scale) and t^alpha, set to inf below each row's lower limit.
-    Each gain atom then adds p_g * g/(g + 1/x), which equals p_g x g/(1 + x g)
-    and stays exact as x -> 0 and x -> inf.
+    Each block's 1/x table, over the nodes of all its fields at once, is
+    formed once per call: the outer product of 1/(s beta scale) and t^alpha,
+    set to inf below each row's lower limit. Each gain atom then adds
+    p_g * g/(g + 1/x), which equals p_g x g/(1 + x g) and stays exact as
+    x -> 0 and x -> inf; one atom loop per block covers every field.
     """
     out = np.zeros(n)
     for rows, v, t_alpha, inv_s_beta, below, v_part, inv_x_part in blocks:
@@ -469,12 +491,11 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
     tail = _TWO_PI * lambda0 * _interference_tail(
         s * channel.beta * pmf.expected_gain, lower[LOS], lower[NLOS], channel, quad)
     s_arr = np.array([s])
+    fields = [(np.array([lower[st]]), st) for st in (LOS, NLOS)]
     upper = quad.truncation_radius_m
 
     def evaluate(halvings):
-        blocks = itertools.chain.from_iterable(
-            _exponent_blocks(s_arr, np.array([lower[st]]), st, channel, upper, halvings)
-            for st in (LOS, NLOS))
+        blocks = _exponent_blocks(s_arr, fields, channel, upper, halvings)
         exponent = _apply_exponent(blocks, 1, pmf)[0]
         return (math.exp(-_TWO_PI * lambda0 * exponent),)
 
@@ -519,8 +540,8 @@ def _coverage_terms(lambda0: float, channel: ChannelParams, g_main: float,
 
     Yields, per serving state, the outer weights w * r * f_state(r) of the
     nodes with non-zero weight, s at tau = 1 (s = tau * r^alpha / (g_main^2
-    beta)), and the `_exponent_blocks` of the same- and opposite-state
-    interferer fields at those s.
+    beta)), and the `_exponent_blocks` at those s, whose blocks hold the
+    same- and the opposite-state interferer fields side by side.
     """
     blockage = channel.blockage
     upper = quad.truncation_radius_m
@@ -542,11 +563,8 @@ def _coverage_terms(lambda0: float, channel: ChannelParams, g_main: float,
         keep = weight > 0.0
         rs, weight = r[keep], weight[keep]
         s_unit = rs ** channel.alpha(state) / (g_main**2 * channel.beta)
-        blocks = itertools.chain(
-            _exponent_blocks(s_unit, rs, state, channel, upper, halvings),
-            _exponent_blocks(s_unit, rs ** (channel.alpha(state) / channel.alpha(other)),
-                             other, channel, upper, halvings))
-        yield weight, s_unit, blocks
+        fields = [(rs, state), (rs ** (channel.alpha(state) / channel.alpha(other)), other)]
+        yield weight, s_unit, _exponent_blocks(s_unit, fields, channel, upper, halvings)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -583,6 +601,9 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     The tau- and k-free tables of the quadrature are planned once per
     configuration and panel count (`_coverage_plan`) for up to
     _CACHED_HALVINGS halvings; finer panels are planned per call and dropped.
+    Each row block of a plan holds both interferer fields of its outer
+    nodes, so a grid point forms one 1/x table and runs one atom loop per
+    block.
     """
     if not tau > 0.0:
         raise ValueError("SINR threshold must be positive")

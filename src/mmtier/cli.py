@@ -113,11 +113,13 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
 
 
 def sweep_to_json(cfg: ExperimentConfig, rows: list[SweepRow]) -> str:
-    config = dataclasses.asdict(cfg)
-    config.pop("out_dir")  # not experiment provenance; keeps outputs location-independent
+    # Plain field dicts: both dataclasses hold only scalars and tuples of
+    # scalars, which json renders as `dataclasses.asdict`'s deep copies would.
+    config = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+              if f.name != "out_dir"}  # not provenance; keeps outputs location-independent
     doc = {
         "config": config,
-        "rows": [dataclasses.asdict(r) for r in rows],
+        "rows": [vars(r) for r in rows],
     }
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
 
@@ -179,17 +181,7 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0,
 
     if cfg.mc_trials < 10_000:
         raise ConfigError("validate mode needs mc_trials >= 10000")
-    net = cfg.network()
-    # The topology checks build relay tiers at k = 1; test the split before
-    # any Monte Carlo trial runs.
-    try:
-        hops1 = analytics.hop_count(net.lambda_total, net.lambda_tier0, 1)
-    except ValueError as exc:
-        raise ConfigError(f"{exc}; validate needs lambda_total to be an integer "
-                          "multiple of lambda0") from exc
-    if hops1 < 1:
-        raise ConfigError("validate needs lambda_total >= 2 lambda0: the topology "
-                          "checks test at least one relay tier")
+    _relay_hops_at_gain_one(cfg.network())  # before any Monte Carlo trial runs
     channel = cfg.channel()
     channel_analytic = channel if corrupt_alpha_nlos == 0.0 else dataclasses.replace(
         channel, alpha_nlos=channel.alpha_nlos + corrupt_alpha_nlos)
@@ -271,6 +263,23 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0,
     return checks
 
 
+def _relay_hops_at_gain_one(net: analytics.NetworkParams) -> int:
+    """Hop count at k = 1, or ConfigError when the split has no whole relay tier.
+
+    The topology checks build the k = 1 relay tiers, so they need
+    lambda_total to be an integer multiple of lambda0, and at least 2 lambda0.
+    """
+    try:
+        hops = analytics.hop_count(net.lambda_total, net.lambda_tier0, 1)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}; validate needs lambda_total to be an integer "
+                          "multiple of lambda0") from exc
+    if hops < 1:
+        raise ConfigError("validate needs lambda_total >= 2 lambda0: the topology "
+                          "checks test at least one relay tier")
+    return hops
+
+
 def topology_checks(cfg: ExperimentConfig) -> list[CheckResult]:
     """Spatial-statistics checks of the realized topology.
 
@@ -284,7 +293,8 @@ def topology_checks(cfg: ExperimentConfig) -> list[CheckResult]:
     larger simulation one. The draws of one check are counted many patterns
     to a KD-tree, up to 8 192 points each (`geometry._reference_k`): a few
     tree queries per check instead of 200, with the counts of one
-    `ripley_k` per draw.
+    `ripley_k` per draw. A density split without a whole k = 1 relay tier
+    raises ConfigError.
     """
     channel = cfg.channel()
     r0 = cfg.r0_m
@@ -294,7 +304,7 @@ def topology_checks(cfg: ExperimentConfig) -> list[CheckResult]:
     checks = []
 
     net1 = dataclasses.replace(cfg.network(), gain_per_hop=1)
-    hops1 = analytics.hop_count(net1.lambda_total, net1.lambda_tier0, 1)
+    hops1 = _relay_hops_at_gain_one(net1)
     build_window = nominal.with_guard(hops1, sampler.rms)
     rng = montecarlo.trial_stream(cfg.seed, 1, substream=29)
     topo1 = geometry.build_tier_topology(net1, channel, build_window, rng, sampler=sampler)

@@ -2,6 +2,7 @@
 analytical module."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -146,6 +147,35 @@ class TestServingDistancePdf:
             r = float(serving_table.radii[i])
             assert serving_table.pdf_los[i] == pytest.approx(
                 serving_distance_pdf(r, LOS, lam0, channel), rel=1e-5, abs=1e-12)
+
+    # sha256 of (radii, pdf_los, pdf_nlos, cdf, [los_mass, nlos_mass]), recorded
+    # while the table still built and discarded grids at 8 and 16 r_scale.
+    @pytest.mark.parametrize("text, digest", [
+        ("blockage = exponential\nblockage_mu_m = 141.4\n",
+         "2834e209b3ef677f085697bb16ae14999924d868c116804122da6483eba63ec8"),
+        ("blockage = los_ball\nblockage_radius_m = 100\n",
+         "2903443d934036e3590eeb16fe0af17e6ca3083dc824d273a77b60b95af92d82"),
+        ("r0_m = 66\nblockage = exponential\nblockage_mu_m = 965\n",
+         "2f450a4be57ca4ca37154268417fa430781b0920148343281574ae6f53763840"),
+    ])
+    def test_table_builds_only_the_grids_it_compares(self, text, digest, monkeypatch):
+        cfg = config.parse_config(text)
+        calls = []
+        pdf = analytics.serving_distance_pdf
+
+        def counted(*args):
+            calls.append(args[1])
+            return pdf(*args)
+
+        monkeypatch.setattr(analytics, "serving_distance_pdf", counted)
+        table = tabulate_serving_distance(cfg.lambda0, cfg.channel())
+        # one grid at 32 r_scale and the doubled one it is compared with, two states each
+        assert calls == [LOS, NLOS, LOS, NLOS]
+        h = hashlib.sha256()
+        for a in (table.radii, table.pdf_los, table.pdf_nlos, table.cdf,
+                  np.array([table.los_mass, table.nlos_mass])):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == digest
 
 
 BLOCKAGE_KINDS = {
@@ -433,6 +463,89 @@ class TestCoveragePlan:
         want, want_err = oracle.coverage_probability(tau, k, lam0, chan, beam, quad,
                                                      full_output=True)
         assert abs(got - want) <= err + want_err, (got, err, want, want_err)
+
+
+def _one_field_exponents(s, fields, chan, upper, halvings, pmf):
+    """Each field's exponent per row, from the one-field case of the block builder."""
+    return [analytics._apply_exponent(analytics._exponent_blocks(s, [field], chan, upper,
+                                                                 halvings), len(s), pmf)
+            for field in fields]
+
+
+def _record_builder_calls(monkeypatch) -> list:
+    """Record the (s, fields, other arguments) of every `_exponent_blocks` call."""
+    calls = []
+    blocks = analytics._exponent_blocks
+
+    def record(s, fields, *args):
+        calls.append((s, fields, args))
+        return blocks(s, fields, *args)
+
+    monkeypatch.setattr(analytics, "_exponent_blocks", record)
+    return calls
+
+
+class TestMergedFieldBlocks:
+    """`analytics._exponent_blocks` puts every interferer field of a row into one
+    block; each row's exponent must equal the sum of its fields built alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(BLOCKAGE_KINDS)), state=st.sampled_from([LOS, NLOS]),
+           radii=st.lists(st.floats(1e-3, 2500.0), min_size=1, max_size=300),
+           tau=st.floats(1e-2, 1e3), k=st.integers(1, 12), halvings=st.integers(0, 1))
+    # NLOS-served rows whose LOS exclusion (r^2) passes the truncation radius at
+    # 50 m, so the LOS field is live on the first rows only; rows out of order;
+    # one row. The channels are the oracle's: the constant law's far field is finite.
+    @example(kind="exponential", state=NLOS, radii=list(np.geomspace(1.0, 2000.0, 300)),
+             tau=1.0, k=6, halvings=1)
+    @example(kind="los_ball", state=NLOS, radii=[60.0, 20.0, 55.0, 3.0], tau=10.0, k=3,
+             halvings=0)
+    @example(kind="constant", state=NLOS, radii=[70.0], tau=1.0, k=1, halvings=0)
+    def test_rows_equal_the_sum_of_their_fields(self, kind, state, radii, tau, k, halvings,
+                                                beam, quad):
+        chan = ORACLE_CASES[kind][0]
+        other = NLOS if state == LOS else LOS
+        r = np.array(radii)
+        s = r ** chan.alpha(state) * tau / (beam.g_main**2 * chan.beta)
+        fields = [(r, state), (r ** (chan.alpha(state) / chan.alpha(other)), other)]
+        pmf = beam_gain_pmf(beam, k)
+        upper = quad.truncation_radius_m
+        merged = analytics._apply_exponent(
+            analytics._exponent_blocks(s, fields, chan, upper, halvings), len(r), pmf)
+        alone = sum(_one_field_exponents(s, fields, chan, upper, halvings, pmf))
+        np.testing.assert_allclose(merged, alone, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("kind", sorted(BLOCKAGE_KINDS))
+    @pytest.mark.parametrize("state, r", [(LOS, 90.0), (NLOS, 20.0), (NLOS, 300.0)])
+    def test_laplace_interference_is_one_merged_row(self, kind, state, r, lam0, beam, quad,
+                                                    monkeypatch):
+        chan = ORACLE_CASES[kind][0]
+        calls = _record_builder_calls(monkeypatch)
+        value = laplace_interference(30.0, r, state, 3, lam0, chan, beam, quad)
+        s, fields, (_, upper, halvings) = calls[-1]
+        assert len(s) == 1 and [field_state for _, field_state in fields] == [LOS, NLOS]
+        alone = sum(_one_field_exponents(s, fields, chan, upper, halvings,
+                                         beam_gain_pmf(beam, 3)))
+        assert value == pytest.approx(math.exp(-2.0 * math.pi * lam0 * alone[0]), rel=1e-14)
+
+    @pytest.mark.parametrize("kind", sorted(BLOCKAGE_KINDS))
+    def test_no_more_pairs_than_one_field_blocks(self, kind, lam0, beam, monkeypatch):
+        # At 50 r0, the sweep benchmark's truncation, an NLOS-served row's LOS
+        # field dies inside the outer integral (at r = 70.7 m when alpha = 2, 4).
+        chan = ORACLE_CASES[kind][0]
+        quad = QuadratureSpec.for_tier_intensity(lam0)
+        blocks = analytics._exponent_blocks
+        calls = _record_builder_calls(monkeypatch)
+        for halvings in range(analytics._CACHED_HALVINGS + 1):
+            merged = [b for _, _, bl in analytics._coverage_terms(lam0, chan, beam.g_main, quad,
+                                                                  halvings) for b in bl]
+            alone = [b for s, fields, args in calls for field in fields
+                     for b in blocks(s, [field], *args)]
+            calls.clear()
+            assert all(len(b[0]) <= analytics._MAX_BLOCK_ROWS
+                       and b[4].size <= analytics._MAX_TENSOR for b in merged)
+            assert sum(b[4].size for b in merged) <= sum(b[4].size for b in alone), halvings
+            assert len(merged) < len(alone)
 
 
 class TestTailBound:

@@ -116,6 +116,21 @@ class TestSerializationFormats:
         assert doc["config"]["blockage"] == "exponential"
         assert len(doc["rows"]) == 1
 
+    @pytest.mark.parametrize("mc_trials, tau_db_list, k_list", [
+        (0, ExperimentConfig.tau_db_list, ExperimentConfig.k_list),
+        (200, (0.0, 10.0), (1, 6)),
+    ])
+    def test_json_matches_the_asdict_rendering(self, mc_trials, tau_db_list, k_list):
+        cfg = dataclasses.replace(ExperimentConfig(), mc_trials=mc_trials,
+                                  tau_db_list=tau_db_list, k_list=k_list)
+        rows = run_sweep(cfg)
+        assert (rows[0].coverage_mc is None) == (mc_trials == 0)
+        config = dataclasses.asdict(cfg)
+        config.pop("out_dir")
+        doc = {"config": config, "rows": [dataclasses.asdict(r) for r in rows]}
+        want = json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+        assert sweep_to_json(cfg, rows) == want
+
 
 class TestEmitTopology:
     def test_gain_one_gives_thirteen_blocks(self, fast_cfg, tmp_path):
@@ -150,6 +165,15 @@ class TestTopologyChecks:
             ("topology-csr-last-tier-k1", 0.7099190496250128, True),
             ("topology-clustering-k>1", 0.006241049415152304, True),
         ]
+
+    @pytest.mark.parametrize("ratio, message", [
+        ("12.5", "non-integer hop count 11.5 at k = 1"),
+        ("1", "at least one relay tier"),
+    ])
+    def test_split_without_relay_tiers_is_a_config_error(self, ratio, message):
+        cfg = parse_config(BASE.replace("lambda_ratio = 13", f"lambda_ratio = {ratio}"))
+        with pytest.raises(ConfigError, match=message):
+            topology_checks(cfg)
 
 
 VALIDATE_CFG = BASE + "mc_trials = 10000\ntau_db_list = 10\nk_list = 6\n"
