@@ -272,11 +272,11 @@ def _relay_hops_at_gain_one(net: analytics.NetworkParams) -> int:
     try:
         hops = analytics.hop_count(net.lambda_total, net.lambda_tier0, 1)
     except ValueError as exc:
-        raise ConfigError(f"{exc}; validate needs lambda_total to be an integer "
-                          "multiple of lambda0") from exc
+        raise ConfigError(f"{exc}; the topology checks need lambda_total to be an "
+                          "integer multiple of lambda0") from exc
     if hops < 1:
-        raise ConfigError("validate needs lambda_total >= 2 lambda0: the topology "
-                          "checks test at least one relay tier")
+        raise ConfigError("the topology checks need lambda_total >= 2 lambda0: they "
+                          "test at least one relay tier")
     return hops
 
 
