@@ -20,7 +20,6 @@ from .analytics import (
     NetworkParams,
     QuadratureError,
     QuadratureSpec,
-    conditional_coverage,
     coverage_probability,
     hop_count,
     laplace_interference,
@@ -29,7 +28,6 @@ from .analytics import (
     optimal_gain,
     serving_distance_pdf,
     tabulate_serving_distance,
-    throughput,
 )
 from .geometry import (
     Point,

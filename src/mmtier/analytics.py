@@ -506,29 +506,6 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
     return value
 
 
-def conditional_coverage(tau: float, r: float, k: int, state: str, lambda0: float,
-                         channel: ChannelParams, beam: BeamParams,
-                         quad: QuadratureSpec = DEFAULT_QUAD, full_output: bool = False):
-    """P(SINR > tau) given serving state and distance r, under exponential fading.
-
-    Equals exp(-s * sigma^2) * LaplaceInterference(s) with
-    s = r^alpha_state * tau / (g_main^2 * beta).
-    """
-    if not tau > 0.0:
-        raise ValueError("SINR threshold must be positive")
-    if not r > 0.0:
-        raise ValueError("serving distance must be positive")
-    _check_state(state)
-    s = r ** channel.alpha(state) * tau / (beam.g_main**2 * channel.beta)
-    noise_factor = math.exp(-s * channel.noise_power)
-    lap, lap_err = laplace_interference(s, r, state, k, lambda0, channel, beam, quad,
-                                        full_output=True)
-    value = noise_factor * lap
-    if full_output:
-        return value, noise_factor * lap_err
-    return value
-
-
 def _outer_r_min(lambda0: float, quad: QuadratureSpec) -> float:
     """Lower limit of the outer integral over the serving distance."""
     return _R_MIN_FACTOR * min(math.sqrt(1.0 / (math.pi * lambda0)), quad.truncation_radius_m)
@@ -591,10 +568,11 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
                          full_output: bool = False):
     """Coverage P(SINR > tau) of a typical receiver, marginalized over association.
 
-    Integrates conditional_coverage against the two serving-distance branches
-    (Bai & Heath's Laplace-functional form) as one tensor quadrature: outer
-    panels in ln r from 1e-6 r0 to the truncation radius, inner panels in ln t
-    for every outer node at once. The reported error sums the panel-halving
+    Integrates the conditional coverage exp(-s sigma^2) * LaplaceInterference(s),
+    s = r^alpha_state * tau / (g_main^2 beta), against the two serving-distance
+    branches (Bai & Heath's Laplace-functional form) as one tensor quadrature:
+    outer panels in ln r from 1e-6 r0 to the truncation radius, inner panels in
+    ln t for every outer node at once. The reported error sums the panel-halving
     difference, the truncation tail bound weighted by the integrand, and the
     serving-distance mass outside the outer range.
 
@@ -736,29 +714,14 @@ def hop_count(lambda_total: float, lambda0: float, k: int, allow_floor: bool = F
 
 
 def throughput_identity(k: int, tau: float, net: NetworkParams, cov: float) -> float:
-    """The canonical product W * k * lambda0 * C * log2(1 + tau).
+    """Aggregate relay throughput W * k * lambda0 * C * log2(1 + tau).
 
+    Dividing the relay tiers' total rate by the hop count cancels the total
+    density, so the result depends on lambda_tier0 but not lambda_total.
     Kept as the single definition so every caller (and every test of the
     compositional identity) multiplies in the same order bitwise.
     """
     return net.bandwidth * k * net.lambda_tier0 * cov * math.log2(1.0 + tau)
-
-
-def throughput(k: int, tau: float, net: NetworkParams, channel: ChannelParams,
-               beam: BeamParams, quad: QuadratureSpec = DEFAULT_QUAD,
-               full_output: bool = False):
-    """Aggregate relay throughput W * k * lambda0 * C(tau, k) * log2(1 + tau).
-
-    Dividing the relay tiers' total rate by the hop count cancels the total
-    density, so the result depends on lambda_tier0 but not lambda_total.
-    """
-    if not tau > 0.0:
-        raise ValueError("SINR threshold must be positive")
-    cov, cov_err = coverage_probability(tau, k, net.lambda_tier0, channel, beam, quad,
-                                        full_output=True)
-    if full_output:
-        return throughput_identity(k, tau, net, cov), throughput_identity(k, tau, net, cov_err)
-    return throughput_identity(k, tau, net, cov)
 
 
 def feasible_gains(net: NetworkParams) -> list[int]:
@@ -785,7 +748,7 @@ def optimal_gain(tau: float, net: NetworkParams, channel: ChannelParams,
         raise ValueError("no feasible multiplexing gain for this density split")
     best_k, best_t = None, -math.inf
     for k in candidates:
-        t = throughput(k, tau, net, channel, beam, quad)
+        t = evaluate_point(tau, k, net, channel, beam, quad).throughput
         if t > best_t:
             best_k, best_t = k, t
     return best_k, best_t

@@ -1,9 +1,10 @@
 """Experiment orchestration and the ``mmtier`` command line.
 
-Subcommands: ``coverage`` and ``throughput`` (analytic sweep over the
-(tau, k) grid with optional Monte Carlo columns), ``topology`` (point dump of
+Subcommands: ``coverage`` (analytic coverage, latency and throughput over the
+(tau, k) grid, with optional Monte Carlo columns), ``topology`` (point dump of
 one realized tiered network) and ``validate`` (the full analytic-vs-simulation
-cross-check suite).
+cross-check suite). The subcommand alone says what runs; the config file only
+describes the experiment.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 validation failure. Output files contain no timestamps and are byte
@@ -181,7 +182,7 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0,
 
     if cfg.mc_trials < 10_000:
         raise ConfigError("validate mode needs mc_trials >= 10000")
-    _relay_hops_at_gain_one(cfg.network())  # before any Monte Carlo trial runs
+    _topology_split_hops(cfg.network())  # before any Monte Carlo trial runs
     channel = cfg.channel()
     channel_analytic = channel if corrupt_alpha_nlos == 0.0 else dataclasses.replace(
         channel, alpha_nlos=channel.alpha_nlos + corrupt_alpha_nlos)
@@ -263,11 +264,13 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0,
     return checks
 
 
-def _relay_hops_at_gain_one(net: analytics.NetworkParams) -> int:
-    """Hop count at k = 1, or ConfigError when the split has no whole relay tier.
+def _topology_split_hops(net: analytics.NetworkParams) -> int:
+    """Hop count at k = 1, or ConfigError when the split cannot feed the topology checks.
 
     The topology checks build the k = 1 relay tiers, so they need
     lambda_total to be an integer multiple of lambda0, and at least 2 lambda0.
+    Their clustering check builds relay tiers at a gain k > 1, so some k in
+    2..rf_chains must divide the relay tiers evenly.
     """
     try:
         hops = analytics.hop_count(net.lambda_total, net.lambda_tier0, 1)
@@ -277,6 +280,9 @@ def _relay_hops_at_gain_one(net: analytics.NetworkParams) -> int:
     if hops < 1:
         raise ConfigError("the topology checks need lambda_total >= 2 lambda0: they "
                           "test at least one relay tier")
+    if analytics.feasible_gains(net)[-1] == 1:
+        raise ConfigError(f"the topology checks need a gain k in 2..{net.rf_chains} that "
+                          f"divides the number of relay tiers at k = 1 ({hops})")
     return hops
 
 
@@ -293,8 +299,8 @@ def topology_checks(cfg: ExperimentConfig) -> list[CheckResult]:
     larger simulation one. The draws of one check are counted many patterns
     to a KD-tree, up to 8 192 points each (`geometry._reference_k`): a few
     tree queries per check instead of 200, with the counts of one
-    `ripley_k` per draw. A density split without a whole k = 1 relay tier
-    raises ConfigError.
+    `ripley_k` per draw. A density split without a whole k = 1 relay tier, or
+    without a gain k > 1 that divides the relay tiers, raises ConfigError.
     """
     channel = cfg.channel()
     r0 = cfg.r0_m
@@ -304,7 +310,7 @@ def topology_checks(cfg: ExperimentConfig) -> list[CheckResult]:
     checks = []
 
     net1 = dataclasses.replace(cfg.network(), gain_per_hop=1)
-    hops1 = _relay_hops_at_gain_one(net1)
+    hops1 = _topology_split_hops(net1)
     build_window = nominal.with_guard(hops1, sampler.rms)
     rng = montecarlo.trial_stream(cfg.seed, 1, substream=29)
     topo1 = geometry.build_tier_topology(net1, channel, build_window, rng, sampler=sampler)
@@ -315,11 +321,8 @@ def topology_checks(cfg: ExperimentConfig) -> list[CheckResult]:
         checks.append(CheckResult(f"topology-csr-{label}-tier-k1", observed <= bound,
                                   observed, bound, "studentized max K deviation"))
 
-    k_cluster = min(6, cfg.rf_chains)
     feasible = analytics.feasible_gains(cfg.network())
-    if k_cluster not in feasible and feasible:
-        candidates = [g for g in feasible if g > 1]
-        k_cluster = max(candidates) if candidates else feasible[-1]
+    k_cluster = 6 if 6 in feasible else max(feasible)
     net6 = dataclasses.replace(cfg.network(), gain_per_hop=k_cluster)
     hops6 = analytics.hop_count(net6.lambda_total, net6.lambda_tier0, k_cluster)
     build_window = nominal.with_guard(hops6, sampler.rms)
@@ -365,13 +368,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="suppress informational output")
 
 
-def load_config(path: Path | None, mode: str, args) -> ExperimentConfig:
-    if path is None:
-        cfg = ExperimentConfig()
-        cfg = dataclasses.replace(cfg, mode=mode)
-    else:
-        cfg = parse_config(path.read_text(encoding="utf-8"))
-        cfg = dataclasses.replace(cfg, mode=mode)
+def load_config(path: Path | None, args) -> ExperimentConfig:
+    cfg = ExperimentConfig() if path is None else parse_config(path.read_text(encoding="utf-8"))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.trials is not None:
@@ -384,7 +382,7 @@ def load_config(path: Path | None, mode: str, args) -> ExperimentConfig:
 def main(argv=None) -> int:
     parser = _Parser(prog="mmtier", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("coverage", "throughput", "topology", "validate"):
+    for name in ("coverage", "topology", "validate"):
         p = sub.add_parser(name)
         p.error = parser.error  # keep exit-code 1 on subcommand usage errors
         _add_common(p)
@@ -397,9 +395,9 @@ def main(argv=None) -> int:
                         level=logging.ERROR if args.quiet else logging.INFO)
 
     try:
-        cfg = load_config(args.config, args.command, args)
+        cfg = load_config(args.config, args)
         out_dir = Path(cfg.out_dir)
-        if args.command in ("coverage", "throughput"):
+        if args.command == "coverage":
             rows = run_sweep(cfg)
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / "sweep.csv").write_text(sweep_to_csv(rows), encoding="utf-8")

@@ -3,9 +3,8 @@
 One ``key = value`` per line, ``#`` comments, diff-friendly. dB and degree
 fields are converted to linear / radians only when the typed parameter
 objects are built, so everything downstream of this module is linear.
-
-`parse_config(to_text(cfg))` reproduces ``cfg`` exactly: canonical fields are
-stored as parsed (floats round-trip through repr).
+The file describes the experiment only; the ``mmtier`` subcommand says what
+to run on it.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ from .channel import BeamParams, BlockageModel, ChannelParams
 from .montecarlo import SimConfig
 
 log = logging.getLogger("mmtier")
-
-MODES = ("coverage", "throughput", "topology", "validate")
 
 DEFAULT_BLOCKAGE_MU_M = 141.4
 
@@ -71,7 +68,6 @@ class ExperimentConfig:
     k_list: tuple[int, ...] = (1, 3, 6, 9, 12)
     # orchestration
     out_dir: str = "out"
-    mode: str = "coverage"
 
     def __post_init__(self):
         if not self.lambda0 > 0.0:
@@ -84,8 +80,6 @@ class ExperimentConfig:
             raise ConfigError("k_list entries must lie in 1..rf_chains")
         if not 1 <= self.k <= self.rf_chains:
             raise ConfigError("k must lie in 1..rf_chains")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}")
         if self.mc_trials != 0 and self.mc_trials < 100:
             raise ConfigError("mc_trials must be 0 or at least 100")
         # Eagerly build the typed params so every component invariant trips here.
@@ -154,7 +148,7 @@ _BLOCKAGE_PARAM_KEYS = {
 
 _INT_KEYS = {"rf_chains", "k", "mc_trials", "seed"}
 _BOOL_KEYS = {"floor_hops"}
-_STR_KEYS = {"blockage", "out_dir", "mode"}
+_STR_KEYS = {"blockage", "out_dir"}
 _LIST_KEYS = {"tau_db_list", "k_list"}
 # Keys that are resolved into canonical fields rather than stored verbatim.
 _DERIVED_KEYS = {"r0_m", "lambda_ratio", "blockage_mu_m", "blockage_radius_m", "blockage_p"}
@@ -266,43 +260,3 @@ def parse_config(text: str) -> ExperimentConfig:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def to_text(cfg: ExperimentConfig) -> str:
-    """Serialize with every effective key materialized; parse_config inverts this."""
-    lines = ["# mmtier experiment configuration"]
-
-    def emit(key, value):
-        if isinstance(value, tuple):
-            value = ", ".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{key} = {value}")
-
-    emit("mode", cfg.mode)
-    emit("lambda0", cfg.lambda0)
-    emit("lambda_total", cfg.lambda_total)
-    emit("rf_chains", cfg.rf_chains)
-    emit("bandwidth_hz", cfg.bandwidth_hz)
-    emit("k", cfg.k)
-    emit("alpha_los", cfg.alpha_los)
-    emit("alpha_nlos", cfg.alpha_nlos)
-    emit("beta", cfg.beta)
-    emit("noise_power", cfg.noise_power)
-    emit("blockage", cfg.blockage)
-    emit(_BLOCKAGE_PARAM_KEYS[cfg.blockage], cfg.blockage_param)
-    emit("theta_a_deg", cfg.theta_a_deg)
-    emit("g_main_db", cfg.g_main_db)
-    emit("g_side_db", cfg.g_side_db)
-    emit("rel_tol", cfg.rel_tol)
-    emit("abs_tol", cfg.abs_tol)
-    emit("truncation_radius_m", cfg.truncation_radius_m)
-    emit("window_radius_m", cfg.window_radius_m)
-    emit("topology_window_radius_m", cfg.topology_window_radius_m)
-    emit("mc_trials", cfg.mc_trials)
-    emit("seed", cfg.seed)
-    emit("floor_hops", cfg.floor_hops)
-    emit("tau_db_list", cfg.tau_db_list)
-    emit("k_list", cfg.k_list)
-    emit("out_dir", cfg.out_dir)
-    return "\n".join(lines) + "\n"

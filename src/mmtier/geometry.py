@@ -176,36 +176,19 @@ class TierTopology:
 
 def build_tier_topology(net: analytics.NetworkParams, channel: ChannelParams,
                         window: Window, rng: np.random.Generator,
-                        gains: list[int] | None = None,
                         allow_residual: bool = False,
                         sampler: RadialSampler | None = None) -> TierTopology:
     """Realize the whole tiered topology for one seed.
 
     Tier 0 ~ PPP(lambda_tier0); each hop schedules one transmitter per cluster
-    and spawns a cluster of ``gains[i]`` receivers per transmitter, so tier
-    i+1 has intensity gains[i] * lambda_tier0. Construction stops when the
-    cumulative intensity reaches lambda_total; a split that cannot land
+    and spawns a cluster of k = ``net.gain_per_hop`` receivers per transmitter,
+    so every relay tier has intensity k * lambda_tier0. Construction stops when
+    the cumulative intensity reaches lambda_total; a split that cannot land
     exactly is rejected unless ``allow_residual`` floors the hop count.
     """
-    if gains is None:
-        k = net.gain_per_hop
-        hops = analytics.hop_count(net.lambda_total, net.lambda_tier0, k,
-                                   allow_floor=allow_residual)
-        gains = [k] * hops
-    else:
-        gains = [int(g) for g in gains]
-        if any(not 1 <= g <= net.rf_chains for g in gains):
-            raise ValueError("every per-hop gain must lie in 1..rf_chains")
-        target = (net.lambda_total - net.lambda_tier0) / net.lambda_tier0
-        cum = np.cumsum(gains)
-        stop = np.nonzero(np.abs(cum - target) <= 1e-9 * max(1.0, target))[0]
-        if stop.size:
-            gains = gains[: stop[0] + 1]
-        elif not allow_residual:
-            raise ValueError("per-hop gains never sum to the relay density split")
-        else:
-            keep = int(np.searchsorted(cum, target, side="right"))
-            gains = gains[:keep]
+    k = net.gain_per_hop
+    gains = [k] * analytics.hop_count(net.lambda_total, net.lambda_tier0, k,
+                                      allow_floor=allow_residual)
     residual = net.lambda_total - net.lambda_tier0 * (1.0 + sum(gains))
 
     if sampler is None:

@@ -155,7 +155,7 @@ class HopRealization:
     def interferer_distances(self) -> np.ndarray:
         return np.hypot(self.interferer_positions[:, 0], self.interferer_positions[:, 1])
 
-    def exclusion_holds(self, channel: ChannelParams, rtol: float = 1e-12) -> bool:
+    def exclusion_holds(self, channel: ChannelParams) -> bool:
         """No interferer may offer more average power than the serving AP."""
         d0 = self.serving_distance
         a0 = channel.alpha_los if self.serving_is_los else channel.alpha_nlos
@@ -164,7 +164,7 @@ class HopRealization:
         if len(d) == 0:
             return True
         alpha = np.where(self.interferer_is_los, channel.alpha_los, channel.alpha_nlos)
-        return bool(np.all(d**-alpha <= p0 * (1.0 + rtol)))
+        return bool(np.all(d**-alpha <= p0 * (1.0 + 1e-12)))
 
 
 def realize_hop(lambda0: float, channel: ChannelParams, sim: SimConfig,

@@ -19,7 +19,6 @@ from mmtier import (
     ChannelParams,
     GainPmf,
     beam_gain_pmf,
-    conditional_coverage,
     laplace_interference,
     los_probability,
     serving_distance_pdf,
@@ -113,14 +112,12 @@ class TestPathLoss:
             serving_distance_pdf(0.0, LOS, lam, params)
         with pytest.raises(ValueError):
             laplace_interference(1.0, 0.0, LOS, 1, lam, params, beam)
-        with pytest.raises(ValueError):
-            conditional_coverage(1.0, 0.0, 1, LOS, lam, params, beam)
 
     def test_unknown_state_rejected(self, params, beam):
         with pytest.raises(ValueError):
             params.alpha("foggy")
         with pytest.raises(ValueError):
-            conditional_coverage(1.0, 10.0, 1, "foggy", intensity_for(100.0), params, beam)
+            laplace_interference(1.0, 10.0, "foggy", 1, intensity_for(100.0), params, beam)
 
     @given(r1=st.floats(min_value=1e-3, max_value=1e5),
            r2=st.floats(min_value=1e-3, max_value=1e5))

@@ -169,6 +169,7 @@ class TestTopologyChecks:
     @pytest.mark.parametrize("ratio, message", [
         ("12.5", "non-integer hop count 11.5 at k = 1"),
         ("1", "at least one relay tier"),
+        ("2", "need a gain k in 2..12"),
     ])
     def test_split_without_relay_tiers_is_a_config_error(self, ratio, message):
         cfg = parse_config(BASE.replace("lambda_ratio = 13", f"lambda_ratio = {ratio}"))
@@ -211,6 +212,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("ratio, message", [
         ("12.5", "non-integer hop count 11.5 at k = 1"),
         ("1", "at least one relay tier"),
+        ("2", "need a gain k in 2..12"),
     ])
     def test_validate_split_without_relay_tiers_is_one(self, tmp_path, caplog, monkeypatch,
                                                       ratio, message):
@@ -240,6 +242,13 @@ class TestMainExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["coverage", "--no-such-flag"])
         assert exc.value.code == 1
+
+    def test_throughput_command_is_one(self, tmp_path):
+        # `coverage` writes the throughput column; there is no second sweep command
+        with pytest.raises(SystemExit) as exc:
+            main(["throughput", "--out", str(tmp_path)])
+        assert exc.value.code == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_numerical_failure_is_two(self, tmp_path):
         cfg = tmp_path / "divergent.cfg"

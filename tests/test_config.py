@@ -1,10 +1,10 @@
-"""Configuration surface: parsing, defaults, conversions, round-trips."""
+"""Configuration surface: parsing, defaults, conversions."""
 
 import math
 
 import pytest
 
-from mmtier.config import ConfigError, ExperimentConfig, parse_config, to_text
+from mmtier.config import ConfigError, ExperimentConfig, parse_config
 
 
 def test_r0_defines_intensity():
@@ -38,6 +38,8 @@ def test_unknown_key_rejected():
         parse_config("warp_factor = 9\n")
     with pytest.raises(ConfigError, match="unknown key 'batch_size'"):
         parse_config("batch_size = 64\nblockage = exponential\n")
+    with pytest.raises(ConfigError, match="unknown key 'mode'"):
+        parse_config("mode = coverage\nblockage = exponential\n")
 
 
 def test_malformed_line_rejected():
@@ -102,15 +104,16 @@ def test_roundtrip_identity():
         "truncation_radius_m = 3000\nwindow_radius_m = 3200\nmc_trials = 500\n"
         "seed = 42\nfloor_hops = true\n"
         "tau_db_list = -5, 0, 5\nk_list = 1, 2, 6\nout_dir = results\n"
-        "mode = throughput\n"
     )
-    cfg = parse_config(text)
-    assert parse_config(to_text(cfg)) == cfg
-
-
-def test_roundtrip_of_defaults():
-    cfg = ExperimentConfig()
-    assert parse_config(to_text(cfg)) == cfg
+    lam0 = 1.0 / (math.pi * 130.0**2)
+    # dataclass equality compares every field, the defaulted ones too
+    assert parse_config(text) == ExperimentConfig(
+        lambda0=lam0, lambda_total=7.0 * lam0, rf_chains=12, bandwidth_hz=2e8, k=6,
+        alpha_los=2.1, alpha_nlos=3.9, beta=0.8, noise_power=1e-11,
+        blockage="exponential", blockage_param=120.5, theta_a_deg=15.0, g_main_db=18.0,
+        g_side_db=-3.0, rel_tol=1e-5, abs_tol=1e-8, truncation_radius_m=3000.0,
+        window_radius_m=3200.0, mc_trials=500, seed=42, floor_hops=True,
+        tau_db_list=(-5.0, 0.0, 5.0), k_list=(1, 2, 6), out_dir="results")
 
 
 def test_default_truncation_and_window():
@@ -123,7 +126,7 @@ def test_default_truncation_and_window():
 def test_builder_invariants_surface_as_config_errors():
     with pytest.raises(ConfigError):
         parse_config("lambda0 = -1\nblockage = exponential\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown key 'mode'"):
         parse_config("mode = dance\nblockage = exponential\n")
 
 

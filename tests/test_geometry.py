@@ -272,12 +272,10 @@ class TestBuildTopology:
         result = stats.chisquare(counts)
         assert result.pvalue > 0.01
 
-    def test_zero_gain_rejected(self, lam0, channel, serving_sampler):
-        net = NetworkParams(lambda_total=13 * lam0, lambda_tier0=lam0,
-                            rf_chains=12, bandwidth=1.0)
-        with pytest.raises(ValueError):
-            build_tier_topology(net, channel, Window(ORIGIN, 400.0), np.random.default_rng(1),
-                                gains=[0, 12], sampler=serving_sampler)
+    def test_zero_gain_rejected(self, lam0):
+        with pytest.raises(ValueError, match="per-hop gain"):
+            NetworkParams(lambda_total=13 * lam0, lambda_tier0=lam0,
+                          rf_chains=12, bandwidth=1.0, gain_per_hop=0)
 
     def test_infeasible_split_rejected(self, lam0, channel, serving_sampler):
         window = Window(ORIGIN, 400.0)
@@ -298,15 +296,6 @@ class TestBuildTopology:
                                    allow_residual=True, sampler=serving_sampler)
         assert topo.hops == 2
         assert topo.residual_intensity == pytest.approx(2.0 * lam0, rel=1e-9)
-
-    def test_per_hop_gains(self, lam0, channel, serving_sampler):
-        window = Window(ORIGIN, 400.0)
-        net = NetworkParams(lambda_total=13 * lam0, lambda_tier0=lam0,
-                            rf_chains=12, bandwidth=1.0)
-        topo = build_tier_topology(net, channel, window, np.random.default_rng(2),
-                                   gains=[6, 2, 4], sampler=serving_sampler)
-        assert topo.gains == [6, 2, 4]
-        assert topo.residual_intensity == pytest.approx(0.0, abs=1e-15)
 
     def test_no_multiplexing_tier_counts_are_poisson(self, lam0, channel,
                                                      serving_sampler):
