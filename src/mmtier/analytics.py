@@ -228,89 +228,72 @@ def serving_distance_pdf(r, state: str, lam: float, channel: ChannelParams):
 
 @dataclass(frozen=True)
 class ServingDistanceTable:
-    """Tabulated serving-distance law: grids for sampling, CDF checks and KS tests."""
+    """The serving-distance law on a grid; ``pdf_los`` and ``pdf_nlos`` load on first read."""
 
     radii: np.ndarray
-    pdf_los: np.ndarray
-    pdf_nlos: np.ndarray
     cdf: np.ndarray
     los_mass: float
     nlos_mass: float
+    _lam: float
+    _channel: ChannelParams
+
+    pdf_los = functools.cached_property(lambda self: self._at_knots(LOS))
+    pdf_nlos = functools.cached_property(lambda self: self._at_knots(NLOS))
+
+    def _at_knots(self, state: str) -> np.ndarray:
+        return np.concatenate([[0.0], serving_distance_pdf(self.radii[1:], state, self._lam,
+                                                           self._channel)])
 
     @property
     def total_mass(self) -> float:
         return self.los_mass + self.nlos_mass
-
-    @property
-    def pdf_total(self) -> np.ndarray:
-        return self.pdf_los + self.pdf_nlos
 
     def cdf_at(self, r) -> np.ndarray:
         """Normalized CDF of the total serving distance, linear interpolation."""
         return np.interp(r, self.radii, self.cdf, left=0.0, right=1.0)
 
 
-def _trapezoid_cdf(radii: np.ndarray, pdf: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cumulative trapezoid integral of a density table, normalized by its own total.
-
-    Returns the CDF at every radius (0 first, exactly 1 last) and the total.
-    `tabulate_serving_distance` and `geometry.RadialSampler` both use it, so a
-    sampler built from the table inverts the table's own CDF.
-    """
-    seg = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(radii)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    mass = float(cum[-1])
-    if not mass > 0.0:
-        raise ValueError("pdf table carries no mass")
-    return cum / mass, mass
+def _nearest_mass_beyond(lam: float, blockage: BlockageModel, upper: float):
+    """Each state's nearest-AP mass beyond ``upper``: their sum bounds the serving mass there."""
+    return tuple(math.exp(-_TWO_PI * lam * _radial_mass(blockage, state, upper))
+                 * -math.expm1(-_TWO_PI * lam * _radial_mass_beyond(blockage, state, upper))
+                 for state in (LOS, NLOS))
 
 
 def tabulate_serving_distance(lam: float, channel: ChannelParams,
                               quad: QuadratureSpec = DEFAULT_QUAD) -> ServingDistanceTable:
-    """Evaluate both serving-distance branches on a grid covering ~all the mass.
+    """Both serving-distance branches on one uniform grid covering ~all the mass.
 
-    The grid starts at 32 * max(r0, blockage length) with 16384 intervals and
-    doubles in range (and in intervals, up to 32768) until the captured mass
-    stops growing; a final total below 1 - 1e-3 raises, since the law is a
-    proper density. ``quad`` is not used.
+    The grid runs from 0 to 32 * max(r0, blockage length) over 16384
+    intervals, doubled in range (intervals up to 32768) while the closed-form
+    bound on the mass beyond it exceeds 1e-10. The masses sum each branch over
+    every interval by the 2-node Gauss-Legendre rule; ``cdf`` is the cumulative
+    sum of both over its last value, from exactly 0 to exactly 1. A total mass
+    off 1 by more than 1e-3 raises. ``quad`` is not used.
     """
     if not lam > 0.0:
         raise ValueError("intensity must be positive")
     r_scale = math.sqrt(1.0 / (math.pi * lam))
     if channel.blockage.kind in ("exponential", "los_ball"):
         r_scale = max(r_scale, channel.blockage.param)
-
-    def build(upper: float, n: int):
-        grid = np.linspace(0.0, upper, n + 1)
-        pos = grid[1:]
-        pdf_l = np.concatenate([[0.0], serving_distance_pdf(pos, LOS, lam, channel)])
-        pdf_n = np.concatenate([[0.0], serving_distance_pdf(pos, NLOS, lam, channel)])
-        mass_l = float(np.trapezoid(pdf_l, grid))
-        mass_n = float(np.trapezoid(pdf_n, grid))
-        return grid, pdf_l, pdf_n, mass_l, mass_n
-
     upper, n = 32.0 * r_scale, 16384
-    grid, pdf_l, pdf_n, mass_l, mass_n = build(upper, n)
-    while True:
-        upper2 = 2.0 * upper
-        n2 = min(2 * n, 32768)
-        grid2, pdf_l2, pdf_n2, mass_l2, mass_n2 = build(upper2, n2)
-        if (mass_l2 + mass_n2) - (mass_l + mass_n) < 1e-10:
-            break
-        grid, pdf_l, pdf_n, mass_l, mass_n = grid2, pdf_l2, pdf_n2, mass_l2, mass_n2
-        upper, n = upper2, n2
-        if upper > 1e7 * r_scale:
-            raise QuadratureError("serving-distance mass did not converge while extending the grid")
+    while sum(_nearest_mass_beyond(lam, channel.blockage, upper)) > 1e-10:
+        upper, n = 2.0 * upper, min(2 * n, 32768)
 
-    total = mass_l + mass_n
-    if abs(total - 1.0) > 1e-3:
-        raise QuadratureError(
-            f"serving-distance law integrates to {total!r}; grid or tolerances inadequate",
-            value=total,
-        )
-    cdf, _ = _trapezoid_cdf(grid, pdf_l + pdf_n)
-    return ServingDistanceTable(radii=grid, pdf_los=pdf_l, pdf_nlos=pdf_n, cdf=cdf,
-                                los_mass=mass_l, nlos_mass=mass_n)
+    radii = np.linspace(0.0, upper, n + 1)
+    half = 0.5 * upper / n  # Gauss nodes at mid -+ half / sqrt(3), weights half
+    mid = radii[:-1] + half
+    r = np.concatenate([mid - half / math.sqrt(3.0), mid + half / math.sqrt(3.0)])
+    f_l, f_n = (serving_distance_pdf(r, state, lam, channel) for state in (LOS, NLOS))
+    seg_l, seg_n = half * (f_l[:n] + f_l[n:]), half * (f_n[:n] + f_n[n:])
+    # .sum(), not a dot product: a BLAS call can start its thread pool per table.
+    mass_l, mass_n = float(seg_l.sum()), float(seg_n.sum())
+    if abs(mass_l + mass_n - 1.0) > 1e-3:
+        raise QuadratureError(f"serving-distance law integrates to {mass_l + mass_n!r}",
+                              value=mass_l + mass_n)
+    cum = np.cumsum(seg_l + seg_n)
+    return ServingDistanceTable(radii=radii, cdf=np.concatenate([[0.0], cum / cum[-1]]),
+                                los_mass=mass_l, nlos_mass=mass_n, _lam=lam, _channel=channel)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +571,6 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     if not lambda0 > 0.0:
         raise ValueError("tier intensity must be positive")
     pmf = beam_gain_pmf(beam, k)  # validates k against the RF-chain budget
-    blockage = channel.blockage
     upper = quad.truncation_radius_m
     # The far-field tail of each node's Laplace exponent is at most s times
     # this (the bound from the truncation radius covers every exclusion radius).
@@ -609,11 +591,8 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     (value, tail_err), quad_err = _refine(evaluate, quad, "coverage integral")
     # Serving-distance mass outside [r_min, upper]: at most pi lambda0 r_min^2
     # below, and at most each state's nearest-AP mass beyond upper above.
-    outside = math.pi * lambda0 * _outer_r_min(lambda0, quad)**2
-    for state in (LOS, NLOS):
-        beyond = _radial_mass_beyond(blockage, state, upper)
-        outside += (math.exp(-_TWO_PI * lambda0 * _radial_mass(blockage, state, upper))
-                    * -math.expm1(-_TWO_PI * lambda0 * beyond))
+    beyond_los, beyond_nlos = _nearest_mass_beyond(lambda0, channel.blockage, upper)
+    outside = math.pi * lambda0 * _outer_r_min(lambda0, quad)**2 + beyond_los + beyond_nlos
     value = min(max(value, 0.0), 1.0)
     err = quad_err + tail_err + outside
     if full_output:

@@ -78,20 +78,24 @@ def sample_ppp(intensity: float, window: Window, rng: np.random.Generator) -> np
 class RadialSampler:
     """Inverse-CDF sampler for an isotropic displacement's radial distance.
 
-    Built from a dense table of any radial density; `quantile` maps one
-    uniform variate to one radius, so sampling stays reproducible and cheap.
+    Built from a CDF that runs from exactly 0 to exactly 1 over strictly
+    increasing radii; `quantile` maps one uniform variate to one radius,
+    uniform within its interval, and ``rms`` is exact for that law.
     """
 
-    def __init__(self, radii: np.ndarray, pdf: np.ndarray):
+    def __init__(self, radii: np.ndarray, cdf: np.ndarray):
         radii = np.asarray(radii, dtype=float)
-        pdf = np.asarray(pdf, dtype=float)
-        if radii.ndim != 1 or radii.shape != pdf.shape or len(radii) < 2:
-            raise ValueError("need matching 1-d radius/pdf tables of length >= 2")
-        if np.any(np.diff(radii) <= 0.0) or np.any(pdf < 0.0):
-            raise ValueError("radii must increase strictly and the pdf be non-negative")
-        self._cdf, mass = analytics._trapezoid_cdf(radii, pdf)
-        self.rms = float(math.sqrt(np.trapezoid(radii**2 * pdf, radii) / mass))
-        self._radii = radii
+        cdf = np.asarray(cdf, dtype=float)
+        if radii.ndim != 1 or radii.shape != cdf.shape or len(radii) < 2:
+            raise ValueError("need matching 1-d radius/CDF tables of length >= 2")
+        if np.any(np.diff(radii) <= 0.0):
+            raise ValueError("radii must increase strictly")
+        if np.any(np.diff(cdf) < 0.0) or cdf[0] != 0.0 or cdf[-1] != 1.0:
+            raise ValueError("the CDF must not decrease and must run from 0 to 1")
+        a, b = radii[:-1], radii[1:]
+        # .sum(), not a dot product: a BLAS call can start its thread pool per sampler.
+        self.rms = float(math.sqrt((np.diff(cdf) * (a * a + a * b + b * b)).sum() / 3.0))
+        self._radii, self._cdf = radii, cdf
 
     @classmethod
     def from_serving_distance(cls, lam: float, channel: ChannelParams,
@@ -101,7 +105,7 @@ class RadialSampler:
         Inverts the CDF of `analytics.tabulate_serving_distance`; ``quad`` is not used.
         """
         table = analytics.tabulate_serving_distance(lam, channel, quad)
-        return cls(table.radii, table.pdf_total)
+        return cls(table.radii, table.cdf)
 
     def quantile(self, u) -> np.ndarray:
         """Inverse CDF: the radius at each uniform variate (any array shape)."""
@@ -296,7 +300,8 @@ def _ripley_batch(patterns, window: Window, radii: np.ndarray) -> np.ndarray:
                           _ripley_batch(patterns[half:], window, radii)])
     shifted = pts.copy()
     shifted[:, 0] += label * spacing
-    i, j = cKDTree(shifted).query_pairs(reach, output_type="ndarray").T
+    i, j = cKDTree(shifted, balanced_tree=False, compact_nodes=False).query_pairs(
+        reach, output_type="ndarray").T
     d = np.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1])
 
     order = np.argsort(radii)

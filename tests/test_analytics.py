@@ -134,10 +134,16 @@ class TestServingDistancePdf:
                                  0.0, 2500.0, limit=200)
         assert mass == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("r0", [100.0, 200.0])
-    def test_total_probability_with_blockage(self, r0, channel, quad):
+    @pytest.mark.parametrize("r0, mu, tol", [
+        pytest.param(100.0, MU_M, 1e-9, id="100.0"),
+        pytest.param(200.0, MU_M, 1e-9, id="200.0"),
+        # blockage length far above r0, where the trapezoid table missed by 1.4e-4
+        pytest.param(66.0, 965.0, 1e-8, id="66.0-mu965.0"),
+    ])
+    def test_total_probability_with_blockage(self, r0, mu, tol, quad):
+        channel = ChannelParams(2.0, 4.0, 1.0, BlockageModel.exponential(mu))
         table = tabulate_serving_distance(intensity_for(r0), channel, quad)
-        assert table.total_mass == pytest.approx(1.0, abs=1e-3)
+        assert table.total_mass == pytest.approx(1.0, abs=tol)
 
     def test_table_matches_pointwise_pdf(self, serving_table, lam0, channel):
         idx = [200, 1000, 2500]
@@ -147,16 +153,16 @@ class TestServingDistancePdf:
                 serving_distance_pdf(r, LOS, lam0, channel), rel=1e-5, abs=1e-12)
 
     # sha256 of (radii, pdf_los, pdf_nlos, cdf, [los_mass, nlos_mass]), recorded
-    # while the table still built and discarded grids at 8 and 16 r_scale.
+    # when the masses and the CDF became 2-node Gauss-Legendre sums.
     @pytest.mark.parametrize("text, digest", [
         ("blockage = exponential\nblockage_mu_m = 141.4\n",
-         "2834e209b3ef677f085697bb16ae14999924d868c116804122da6483eba63ec8"),
+         "92dd7411966f127800ec83ae6865b845844de93e9488614a0166a4feb71429ba"),
         ("blockage = los_ball\nblockage_radius_m = 100\n",
-         "2903443d934036e3590eeb16fe0af17e6ca3083dc824d273a77b60b95af92d82"),
+         "36fc1ca76a6d1ac08099a3663841a599b8b913daab642a114374465af6b50622"),
         ("r0_m = 66\nblockage = exponential\nblockage_mu_m = 965\n",
-         "2f450a4be57ca4ca37154268417fa430781b0920148343281574ae6f53763840"),
+         "1c6e0b05cf8af733853ee49bbdc095aa37df623644b1c9746012469a478c801f"),
     ])
-    def test_table_builds_only_the_grids_it_compares(self, text, digest, monkeypatch):
+    def test_table_builds_one_grid(self, text, digest, monkeypatch):
         cfg = config.parse_config(text)
         calls = []
         pdf = analytics.serving_distance_pdf
@@ -167,8 +173,9 @@ class TestServingDistancePdf:
 
         monkeypatch.setattr(analytics, "serving_distance_pdf", counted)
         table = tabulate_serving_distance(cfg.lambda0, cfg.channel())
-        # one grid at 32 r_scale and the doubled one it is compared with, two states each
-        assert calls == [LOS, NLOS, LOS, NLOS]
+        # one grid at 32 r_scale: its Gauss nodes in one call per state; the
+        # knots are evaluated only when pdf_los and pdf_nlos are read
+        assert calls == [LOS, NLOS]
         h = hashlib.sha256()
         for a in (table.radii, table.pdf_los, table.pdf_nlos, table.cdf,
                   np.array([table.los_mass, table.nlos_mass])):
@@ -209,8 +216,7 @@ class TestBatchIndependence:
     def test_serving_table_has_unit_mass(self, kind, r0, alpha_los, alpha_gap):
         chan = ChannelParams(alpha_los, alpha_los + alpha_gap, 1.0, BLOCKAGE_KINDS[kind])
         table = tabulate_serving_distance(intensity_for(r0), chan)
-        # the table's trapezoid masses carry its own 1e-3 contract
-        assert table.total_mass == pytest.approx(1.0, abs=1e-3)
+        assert table.total_mass == pytest.approx(1.0, abs=1e-9)
 
 
 QUARTIC_LOS = ChannelParams(4.0, 4.0, 1.0, ALWAYS_LOS)

@@ -77,14 +77,16 @@ class TestSamplePpp:
 class TestRadialSampler:
     def test_matches_rayleigh_nearest_law(self):
         lam = intensity_for(100.0)
-        def pdf(r):
-            return 2.0 * math.pi * r * lam * np.exp(-math.pi * lam * r * r)
-        grid = np.linspace(0.0, 1000.0, 4097)  # 1 - CDF(1000 m) = e^-100
-        sampler = RadialSampler(grid, pdf(grid))
+        def cdf(r):
+            return -np.expm1(-math.pi * lam * r * r)
+        grid = np.linspace(0.0, 1000.0, 4097)  # 1 - CDF(1000 m) = e^-100 rounds to 0
+        sampler = RadialSampler(grid, cdf(grid))
         draws = sampler.quantile(np.random.default_rng(13).random(20_000))
         # closed-form CDF of the nearest-neighbor law
-        result = stats.ks_1samp(draws, lambda r: 1.0 - np.exp(-math.pi * lam * r * r))
+        result = stats.ks_1samp(draws, cdf)
         assert result.pvalue > 0.01
+        # E[r^2] = 1 / (pi lam) = r0^2
+        assert sampler.rms == pytest.approx(100.0, rel=1e-6)
 
     @pytest.mark.parametrize("blockage", [BlockageModel.exponential(141.4),
                                           BlockageModel.los_ball(100.0)])
@@ -97,10 +99,12 @@ class TestRadialSampler:
         np.testing.assert_array_equal(sampler._cdf, table.cdf)
 
     def test_rejects_bad_tables(self):
-        with pytest.raises(ValueError):
-            RadialSampler(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            RadialSampler(np.array([1.0, 0.5]), np.array([0.1, 0.1]))
+        with pytest.raises(ValueError, match="CDF"):  # decreasing
+            RadialSampler(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.6, 0.4]))
+        with pytest.raises(ValueError, match="CDF"):  # does not end at 1
+            RadialSampler(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 0.9]))
+        with pytest.raises(ValueError, match="radii"):  # radii do not increase
+            RadialSampler(np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.5, 1.0]))
 
 
 class TestSelectScheduled:
@@ -171,17 +175,20 @@ def cluster_displacements(lam0, channel, sampler, k, seeds, radius=1500.0):
     return np.concatenate(out)
 
 
-# sha256 of topology_to_csv on a 600 m window, seed 2024, recorded before the
-# per-hop cluster draw replaced one draw per transmitter: the stream is unchanged.
+# sha256 of topology_to_csv on a 600 m window, seed 2024, recorded when the
+# sampler began to invert the table's Gauss-Legendre CDF. The draw stream is
+# unchanged since the per-hop cluster draw replaced one draw per transmitter;
+# displaced coordinates moved by under 1 mm with that CDF.
 GOLDEN_CSV_SHA256 = {
-    1: "ecaf7494f21876089d2d55ca04e2bf960dbcad3d30248ff45f14c403d7a94b35",
-    6: "6020ef27861698b7b260c8548dad5b4775dbaccc90e0508ded61cd8ab973b3c2",
+    1: "408c30b9c61fafad0b22ae505b154b0d3fbd46d5850d9ff1f3014b190475b264",
+    6: "5ae06c0b32f5c14ed22f7bf7660e403e69553d9fcfcffb7ae1c8e4bb824c2c06",
 }
-# sha256 of topology_to_gnuplot on the same topologies, recorded before the
-# dumps built their lines from Python lists instead of one numpy row at a time.
+# sha256 of topology_to_gnuplot on the same topologies and CDF, recorded
+# before the dumps built their lines from Python lists instead of one numpy
+# row at a time.
 GOLDEN_GNUPLOT_SHA256 = {
-    1: "60f1780c7899f90036b8a6bc790f3a15bec326025e99a374138f24f7ff788805",
-    6: "68361be23f9f503ced91bd79fa67bb8bbbb0c6f19b1de86828dbccd944209341",
+    1: "3451a0ae7f5b7ca797914f1f92bd40ae9a32bff4f3f6977bce0386887e3238be",
+    6: "34bdae8c23e0cc5964ab8f8778caaa65e35d91ac082f2ce78e7ec3f157ca520e",
 }
 
 
@@ -508,7 +515,8 @@ class TestSerialization:
     def test_empty_topology_serializes(self, channel, quad):
         lam = 1e-9
         grid = np.linspace(0.0, 1e5, 4097)
-        sampler = RadialSampler(grid, 2 * math.pi * grid * lam * np.exp(-math.pi * lam * grid**2))
+        cdf = -np.expm1(-math.pi * lam * grid**2)
+        sampler = RadialSampler(grid, cdf / cdf[-1])
         net = NetworkParams(lambda_total=3e-9, lambda_tier0=lam, rf_chains=12,
                             bandwidth=1.0, gain_per_hop=1)
         topo = build_tier_topology(net, channel, Window(ORIGIN, 1.0),
