@@ -162,7 +162,7 @@ class TestServingDistancePdf:
         ("r0_m = 66\nblockage = exponential\nblockage_mu_m = 965\n",
          "1c6e0b05cf8af733853ee49bbdc095aa37df623644b1c9746012469a478c801f"),
     ])
-    def test_table_builds_one_grid(self, text, digest, monkeypatch):
+    def test_table_builds_only_the_grids_it_compares(self, text, digest, monkeypatch):
         cfg = config.parse_config(text)
         calls = []
         pdf = analytics.serving_distance_pdf
