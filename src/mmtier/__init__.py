@@ -23,7 +23,6 @@ from .analytics import (
     coverage_probability,
     hop_count,
     laplace_interference,
-    latency_bounds,
     nearest_distance_pdf,
     optimal_gain,
     serving_distance_pdf,

@@ -3,7 +3,7 @@
 Everything here is a deterministic numerical evaluation: the association
 (serving-distance) laws of the max-average-power scheduler over a marked
 PPP, the Laplace functional of the out-of-cluster interference, the SINR
-coverage integral, hop-count latency bounds, and the per-gain throughput.
+coverage integral, hop counts, and the per-gain throughput.
 The distance laws are closed form; the Laplace functional and coverage use
 fixed-node Gauss-Legendre panels in log radius, refined by halving until the
 tolerances of `QuadratureSpec` hold. Semi-infinite integrals are truncated
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .channel import (
     LOS,
@@ -265,17 +264,23 @@ def tabulate_serving_distance(lam: float, channel: ChannelParams,
     """Both serving-distance branches on one uniform grid covering ~all the mass.
 
     The grid runs from 0 to 32 * max(r0, blockage length) over 16384
-    intervals, doubled in range (intervals up to 32768) while the closed-form
-    bound on the mass beyond it exceeds 1e-10. The masses sum each branch over
-    every interval by the 2-node Gauss-Legendre rule; ``cdf`` is the cumulative
-    sum of both over its last value, from exactly 0 to exactly 1. A total mass
-    off 1 by more than 1e-3 raises. ``quad`` is not used.
+    intervals; under a LOS ball of radius b, r0 is first rounded up to b times
+    a power of two, so that b is a knot. The range is doubled (intervals up to
+    32768) while the closed-form bound on the mass beyond it exceeds 1e-10.
+    The masses sum each branch over every interval by the 2-node
+    Gauss-Legendre rule; ``cdf`` is the cumulative sum of both over its last
+    value, from exactly 0 to exactly 1. A total mass off 1 by more than 1e-3
+    raises. ``quad`` is not used.
     """
     if not lam > 0.0:
         raise ValueError("intensity must be positive")
     r_scale = math.sqrt(1.0 / (math.pi * lam))
-    if channel.blockage.kind in ("exponential", "los_ball"):
+    if channel.blockage.kind == "exponential":
         r_scale = max(r_scale, channel.blockage.param)
+    elif channel.blockage.kind == "los_ball":
+        # b times a power of two puts a knot at b, where both branches jump
+        ball = channel.blockage.param
+        r_scale = ball * 2.0 ** max(0, math.ceil(math.log2(r_scale / ball)))
     upper, n = 32.0 * r_scale, 16384
     while sum(_nearest_mass_beyond(lam, channel.blockage, upper)) > 1e-10:
         upper, n = 2.0 * upper, min(2 * n, 32768)
@@ -318,6 +323,7 @@ def _tail_radial_bound(blockage: BlockageModel, state: str, start: float,
             if alpha >= 1.0:
                 return start ** (1.0 - alpha) * mu * math.exp(-start / mu)
             # the upper incomplete gamma function mu^(2-a) Gamma(2-a, start/mu)
+            from scipy import special  # imported here: the coverage path needs no scipy
             a = 2.0 - alpha
             return float(mu**a * special.gamma(a) * special.gammaincc(a, start / mu))
         if kind == "los_ball":
@@ -346,12 +352,15 @@ def _exponent_blocks(s: np.ndarray, fields, channel: ChannelParams, upper: float
     (1 - GainMoment(s_i, t)) P_state(t) t dt. With unit-mean exponential
     fading, 1 - GainMoment = sum_g p_g x g/(1 + x g), x = s * beta * t^-alpha_state.
     The rows of one field share one set of panels in ln t, split at the
-    blockage's LOS-ball radius; a row takes the nodes of the panels above its
-    lower limit plus a partial panel of its own from that limit to the next
-    edge. A block's columns are the nodes of every field that is live in its
-    rows (lower < upper), side by side, each field's from the block's lowest
-    first panel in that field up. A new block starts wherever the set of live
-    fields changes, so no block holds a field for a row beyond its truncation.
+    blockage's LOS-ball radius; a row takes the weighted nodes of the panels
+    above its lower limit plus a partial panel of its own from that limit to
+    the next edge. Nodes of weight exactly 0 (P_state(t) = 0) add nothing and
+    are dropped, and a field is live on a row only while its lower limit is
+    below the top edge of the field's last weighted panel. A block's columns
+    are the nodes of every field that is live in its rows, side by side, each
+    field's from the block's lowest first panel in that field up. A new block
+    starts wherever the set of live fields changes, so no block holds a field
+    for a row on which it has no weight.
     Yields blocks of at most _MAX_BLOCK_ROWS rows and _MAX_TENSOR (row, node)
     pairs, each (rows, v, t_alpha, inv_s_beta, below, v_part, inv_x_part): the
     row indices; the inner weights and t^alpha at the block's nodes; 1/(s beta)
@@ -372,9 +381,18 @@ def _exponent_blocks(s: np.ndarray, fields, channel: ChannelParams, upper: float
         u, w = _gauss_nodes(edges)
         t = np.exp(u)
         v = w * _state_probability(channel.blockage, state, t) * t * t  # dt = t du
+        weighted = np.flatnonzero(v)
+        if not len(weighted):
+            mask[:] = False
+            tables.append(None)
+            continue
+        node_panel = weighted // len(_GL_X)
+        # The weight is 0 from the top of the last weighted panel up (beyond a
+        # LOS ball), and so is the partial panel of a row that starts there.
+        mask &= np.log(lower) < edges[node_panel[-1] + 1]
         with np.errstate(over="ignore"):
-            t_alpha = np.exp(channel.alpha(state) * u)
-        tables.append((edges, v, t_alpha, np.arange(len(u)) // len(_GL_X)))
+            t_alpha = np.exp(channel.alpha(state) * u[weighted])
+        tables.append((edges, v[weighted], t_alpha, node_panel))
     # A field's lower limit rises with the serving distance, so in coverage
     # each field is live on a prefix of the rows: one cut per field at most.
     cuts = np.flatnonzero((live[:, 1:] != live[:, :-1]).any(axis=0)) + 1
@@ -391,7 +409,8 @@ def _exponent_blocks(s: np.ndarray, fields, channel: ChannelParams, upper: float
                 (lower, state), (edges, v, t_alpha, node_panel) = fields[f], tables[f]
                 log_lower = np.log(lower[rows])
                 first = np.searchsorted(edges, log_lower)
-                lo = int(first.min()) * len(_GL_X)  # nodes below every row's limit are dropped
+                # nodes below every row's limit are dropped
+                lo = np.searchsorted(node_panel, first.min())
                 half = 0.5 * (edges[first] - log_lower)
                 u_part = (log_lower + half)[:, None] + half[:, None] * _GL_X
                 t_part = np.exp(u_part)
@@ -500,8 +519,11 @@ def _coverage_terms(lambda0: float, channel: ChannelParams, g_main: float,
 
     Yields, per serving state, the outer weights w * r * f_state(r) of the
     nodes with non-zero weight, s at tau = 1 (s = tau * r^alpha / (g_main^2
-    beta)), and the `_exponent_blocks` at those s, whose blocks hold the
-    same- and the opposite-state interferer fields side by side.
+    beta)), the `_exponent_blocks` at those s, whose blocks hold the
+    same- and the opposite-state interferer fields side by side, and the
+    dropped weight. The leading nodes whose cumulative weight is at most
+    _R_MIN_FACTOR^2, the order of the mass already left out below r_min, are
+    dropped: their inner range spans every panel.
     """
     blockage = channel.blockage
     upper = quad.truncation_radius_m
@@ -522,9 +544,13 @@ def _coverage_terms(lambda0: float, channel: ChannelParams, g_main: float,
         weight = w * r * serving_distance_pdf(r, state, lambda0, channel)  # dr = r du
         keep = weight > 0.0
         rs, weight = r[keep], weight[keep]
+        cum = np.cumsum(weight)
+        start = int(np.searchsorted(cum, _R_MIN_FACTOR**2, side="right"))
+        dropped = float(cum[start - 1]) if start else 0.0
+        rs, weight = rs[start:], weight[start:]
         s_unit = rs ** channel.alpha(state) / (g_main**2 * channel.beta)
         fields = [(rs, state), (rs ** (channel.alpha(state) / channel.alpha(other)), other)]
-        yield weight, s_unit, _exponent_blocks(s_unit, fields, channel, upper, halvings)
+        yield weight, s_unit, _exponent_blocks(s_unit, fields, channel, upper, halvings), dropped
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -541,9 +567,9 @@ def _coverage_plan(lambda0: float, channel: ChannelParams, g_main: float,
     (tau, k) grid of a configuration.
     """
     return tuple((_read_only(weight), _read_only(s_unit),
-                  tuple(tuple(_read_only(a) for a in block) for block in blocks))
-                 for weight, s_unit, blocks in _coverage_terms(lambda0, channel, g_main,
-                                                               quad, halvings))
+                  tuple(tuple(_read_only(a) for a in block) for block in blocks), dropped)
+                 for weight, s_unit, blocks, dropped in _coverage_terms(lambda0, channel,
+                                                                        g_main, quad, halvings))
 
 
 def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelParams,
@@ -557,7 +583,8 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     outer panels in ln r from 1e-6 r0 to the truncation radius, inner panels in
     ln t for every outer node at once. The reported error sums the panel-halving
     difference, the truncation tail bound weighted by the integrand, and the
-    serving-distance mass outside the outer range.
+    serving-distance mass outside the outer range or on the leading outer
+    nodes that `_coverage_terms` drops.
 
     The tau- and k-free tables of the quadrature are planned once per
     configuration and panel count (`_coverage_plan`) for up to
@@ -579,20 +606,24 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
 
     def evaluate(halvings):
         plan = _coverage_plan if halvings <= _CACHED_HALVINGS else _coverage_terms
-        value = tail_err = 0.0
-        for weight, s_unit, blocks in plan(lambda0, channel, beam.g_main, quad, halvings):
+        value = tail_err = dropped = 0.0
+        for weight, s_unit, blocks, dropped_state in plan(lambda0, channel, beam.g_main, quad,
+                                                          halvings):
             s = s_unit * tau
             exponent = _apply_exponent(blocks, len(s), pmf, tau)
             covered = weight * np.exp(-s * channel.noise_power - _TWO_PI * lambda0 * exponent)
             value += float(covered.sum())
             tail_err += float(covered @ np.minimum(s * tail_per_s, 1.0))
-        return value, tail_err
+            dropped += dropped_state
+        return value, tail_err, dropped
 
-    (value, tail_err), quad_err = _refine(evaluate, quad, "coverage integral")
+    (value, tail_err, dropped), quad_err = _refine(evaluate, quad, "coverage integral")
     # Serving-distance mass outside [r_min, upper]: at most pi lambda0 r_min^2
-    # below, and at most each state's nearest-AP mass beyond upper above.
+    # below, and at most each state's nearest-AP mass beyond upper above; plus
+    # the mass of the dropped leading nodes.
     beyond_los, beyond_nlos = _nearest_mass_beyond(lambda0, channel.blockage, upper)
-    outside = math.pi * lambda0 * _outer_r_min(lambda0, quad)**2 + beyond_los + beyond_nlos
+    outside = (math.pi * lambda0 * _outer_r_min(lambda0, quad)**2 + beyond_los + beyond_nlos
+               + dropped)
     value = min(max(value, 0.0), 1.0)
     err = quad_err + tail_err + outside
     if full_output:
@@ -650,9 +681,10 @@ def evaluate_point(tau: float, k: int, net: NetworkParams, channel: ChannelParam
     """Coverage, latency and throughput at one (threshold, gain) grid point.
 
     Latency is the real-valued hop ratio (lambda_total - lambda0)/(k*lambda0);
-    it equals the integer hop count whenever the split divides evenly and
-    always lies within `latency_bounds`. Throughput is computed from the same
-    coverage value, so the compositional identity holds exactly per result.
+    it equals the integer hop count whenever the split divides evenly, and it
+    lies between its values at k = rf_chains and k = 1. Throughput is computed
+    from the same coverage value, so the compositional identity holds exactly
+    per result.
     """
     cov, err = coverage_probability(tau, k, net.lambda_tier0, channel, beam, quad,
                                     full_output=True)
@@ -660,16 +692,6 @@ def evaluate_point(tau: float, k: int, net: NetworkParams, channel: ChannelParam
     thr = throughput_identity(k, tau, net, cov)
     return CoverageResult(tau=tau, k=k, coverage=cov, latency=latency,
                           throughput=thr, quad_error=err)
-
-
-def latency_bounds(lambda_total: float, lambda0: float, rf_chains: int) -> tuple[float, float]:
-    """Hop-count envelope: every relay tier carries between lambda0 and K*lambda0."""
-    if not lambda0 > 0.0 or lambda_total < lambda0:
-        raise ValueError("need lambda_total >= lambda0 > 0")
-    if rf_chains < 1:
-        raise ValueError("need at least one RF chain")
-    relay = lambda_total - lambda0
-    return relay / (rf_chains * lambda0), relay / lambda0
 
 
 def hop_count(lambda_total: float, lambda0: float, k: int, allow_floor: bool = False) -> int:

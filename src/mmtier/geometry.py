@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import analytics
 from .channel import ChannelParams
@@ -300,6 +299,7 @@ def _ripley_batch(patterns, window: Window, radii: np.ndarray) -> np.ndarray:
                           _ripley_batch(patterns[half:], window, radii)])
     shifted = pts.copy()
     shifted[:, 0] += label * spacing
+    from scipy.spatial import cKDTree  # imported here: the coverage path needs no scipy
     i, j = cKDTree(shifted, balanced_tree=False, compact_nodes=False).query_pairs(
         reach, output_type="ndarray").T
     d = np.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1])

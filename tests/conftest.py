@@ -26,6 +26,16 @@ def intensity_for(r0_m: float) -> float:
     return 1.0 / (math.pi * r0_m**2)
 
 
+def latency_bounds(lambda_total: float, lambda0: float, rf_chains: int) -> tuple[float, float]:
+    """Hop-count envelope: every relay tier carries between lambda0 and K*lambda0."""
+    if not lambda0 > 0.0 or lambda_total < lambda0:
+        raise ValueError("need lambda_total >= lambda0 > 0")
+    if rf_chains < 1:
+        raise ValueError("need at least one RF chain")
+    relay = lambda_total - lambda0
+    return relay / (rf_chains * lambda0), relay / lambda0
+
+
 @pytest.fixture(scope="session")
 def blockage():
     return BlockageModel.exponential(MU_M)

@@ -36,7 +36,6 @@ from mmtier import (
     empirical_laplace,
     hop_count,
     laplace_interference,
-    latency_bounds,
     optimal_gain,
     points_in_window,
     ripley_k,
@@ -48,7 +47,7 @@ from mmtier.geometry import Point, RadialSampler, Window
 from mmtier.cli import run_sweep
 from mmtier.config import parse_config
 
-from conftest import intensity_for
+from conftest import intensity_for, latency_bounds
 
 SEED = 20240810
 

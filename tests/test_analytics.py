@@ -25,7 +25,6 @@ from mmtier import (
     coverage_probability,
     hop_count,
     laplace_interference,
-    latency_bounds,
     nearest_distance_pdf,
     optimal_gain,
     serving_distance_pdf,
@@ -35,7 +34,7 @@ from mmtier import analytics, config, los_probability
 from mmtier.analytics import evaluate_point
 
 import adaptive_oracle as oracle
-from conftest import MU_M, intensity_for
+from conftest import MU_M, intensity_for, latency_bounds
 
 ALWAYS_LOS = BlockageModel.constant(1.0)
 HALF_LOS = BlockageModel.constant(0.5)
@@ -144,6 +143,14 @@ class TestServingDistancePdf:
         channel = ChannelParams(2.0, 4.0, 1.0, BlockageModel.exponential(mu))
         table = tabulate_serving_distance(intensity_for(r0), channel, quad)
         assert table.total_mass == pytest.approx(1.0, abs=tol)
+
+    @pytest.mark.parametrize("r0", [287.3, 150.0])
+    def test_los_ball_split_is_exact(self, r0):
+        # Every LOS AP lies within b = 100 m, where it outpowers every NLOS AP
+        # (alphas 2 and 4), so P(LOS) = 1 - exp(-(b/r0)^2). Both branches jump
+        # at b, which must be a knot of the grid.
+        table = tabulate_serving_distance(intensity_for(r0), LOS_BALL_CHANNEL)
+        assert table.los_mass == pytest.approx(-math.expm1(-(100.0 / r0) ** 2), abs=1e-12)
 
     def test_table_matches_pointwise_pdf(self, serving_table, lam0, channel):
         idx = [200, 1000, 2500]
@@ -405,7 +412,7 @@ class TestCoverageProbability:
 
 
 def _plan_arrays(plan):
-    for weight, s_unit, blocks in plan:
+    for weight, s_unit, blocks, _ in plan:
         yield weight
         yield s_unit
         for block in blocks:
@@ -461,6 +468,51 @@ class TestCoveragePlan:
         # the factored plans peak at ~0.7 MB; dense 1/x tables would hold 2.4 MB
         assert peak < 2 * 2**20
 
+    @pytest.mark.parametrize("blockage", [BLOCKAGE_KINDS[kind] for kind in sorted(BLOCKAGE_KINDS)]
+                             + [ALWAYS_LOS, BlockageModel.constant(0.0)],
+                             ids=[*sorted(BLOCKAGE_KINDS), "always_los", "never_los"])
+    def test_no_inner_node_of_weight_zero(self, blockage, lam0, beam, quad):
+        # beyond a LOS ball the LOS field weighs 0, inside it the NLOS field;
+        # a constant law of 0 or 1 makes a whole field weightless
+        chan = ChannelParams(2.0, 4.0, 1.0, blockage)
+        for halvings in range(analytics._CACHED_HALVINGS + 1):
+            v = [block[1] for _, _, bl, _ in analytics._coverage_terms(
+                lam0, chan, beam.g_main, quad, halvings) for block in bl]
+            assert v and all((x > 0.0).all() for x in v), halvings
+
+    @pytest.mark.parametrize("kind", sorted(BLOCKAGE_KINDS))
+    def test_error_covers_the_dropped_leading_rows(self, kind, lam0, beam, quad, monkeypatch):
+        chan, tau, k = ORACLE_CASES[kind]
+        for halvings in range(analytics._CACHED_HALVINGS + 1):
+            for _, _, _, dropped in analytics._coverage_terms(lam0, chan, beam.g_main, quad,
+                                                              halvings):
+                assert 0.0 <= dropped <= analytics._R_MIN_FACTOR**2
+        args = (tau, k, lam0, chan, beam, quad)
+        r_min = analytics._outer_r_min(lam0, quad)
+
+        def at_one_halving(evaluate, quad, what):
+            return evaluate(1), 0.0
+
+        analytics._coverage_plan.cache_clear()
+        value, err = coverage_probability(*args, full_output=True)
+        with monkeypatch.context() as m:
+            m.setattr(analytics, "_refine", at_one_halving)
+            v_drop, e_drop = coverage_probability(*args, full_output=True)
+        with monkeypatch.context() as m:  # the same outer nodes, none dropped
+            m.setattr(analytics, "_outer_r_min", lambda *_: r_min)
+            m.setattr(analytics, "_R_MIN_FACTOR", 0.0)
+            analytics._coverage_plan.cache_clear()
+            keep = coverage_probability(*args)
+            m.setattr(analytics, "_refine", at_one_halving)
+            v_keep, e_keep = coverage_probability(*args, full_output=True)
+        analytics._coverage_plan.cache_clear()
+        assert abs(keep - value) <= err, (keep, value, err)
+        # At one panel count, with no halving difference, the error the rule
+        # adds covers the coverage it removes, up to the rounding of two sums
+        # of a few hundred terms near 1.
+        gap, added = v_keep - v_drop, e_drop - e_keep
+        assert 1e-14 < gap <= added + 1e-14, (gap, added)
+
     def test_uncached_halvings_match_the_oracle(self, lam0, beam, quad, monkeypatch):
         chan, tau, k = ORACLE_CASES["exponential"]
         halvings = []
@@ -485,6 +537,13 @@ def _one_field_exponents(s, fields, chan, upper, halvings, pmf):
     return [analytics._apply_exponent(analytics._exponent_blocks(s, [field], chan, upper,
                                                                  halvings), len(s), pmf)
             for field in fields]
+
+
+def _assert_rows_have_weight(blocks) -> None:
+    """A one-field block holds only rows the field has weight on above their
+    lower limit: in the partial panel or at an unmasked node."""
+    for _, v, _, _, below, v_part, _ in blocks:
+        assert (((~below) & (v > 0.0)).any(axis=1) | (v_part > 0.0).any(axis=1)).all()
 
 
 def _record_builder_calls(monkeypatch) -> list:
@@ -516,6 +575,12 @@ class TestMergedFieldBlocks:
     @example(kind="los_ball", state=NLOS, radii=[60.0, 20.0, 55.0, 3.0], tau=10.0, k=3,
              halvings=0)
     @example(kind="constant", state=NLOS, radii=[70.0], tau=1.0, k=1, halvings=0)
+    # A LOS-served row at the ball radius b: its LOS field has no weighted
+    # node, and its NLOS field starts beyond the truncation radius.
+    @example(kind="los_ball", state=LOS, radii=[100.0], tau=1.0, k=1, halvings=0)
+    # NLOS-served rows whose LOS exclusion (r^2) passes b but not the
+    # truncation radius: the LOS field is dead, and the NLOS field weighs 0 up to b.
+    @example(kind="los_ball", state=NLOS, radii=[12.0, 30.0, 45.0], tau=1.0, k=6, halvings=1)
     def test_rows_equal_the_sum_of_their_fields(self, kind, state, radii, tau, k, halvings,
                                                 beam, quad):
         chan = ORACLE_CASES[kind][0]
@@ -529,6 +594,9 @@ class TestMergedFieldBlocks:
             analytics._exponent_blocks(s, fields, chan, upper, halvings), len(r), pmf)
         alone = sum(_one_field_exponents(s, fields, chan, upper, halvings, pmf))
         np.testing.assert_allclose(merged, alone, rtol=1e-14, atol=0.0)
+        for field in fields:
+            _assert_rows_have_weight(analytics._exponent_blocks(s, [field], chan, upper,
+                                                                halvings))
 
     @pytest.mark.parametrize("kind", sorted(BLOCKAGE_KINDS))
     @pytest.mark.parametrize("state, r", [(LOS, 90.0), (NLOS, 20.0), (NLOS, 300.0)])
@@ -552,8 +620,8 @@ class TestMergedFieldBlocks:
         blocks = analytics._exponent_blocks
         calls = _record_builder_calls(monkeypatch)
         for halvings in range(analytics._CACHED_HALVINGS + 1):
-            merged = [b for _, _, bl in analytics._coverage_terms(lam0, chan, beam.g_main, quad,
-                                                                  halvings) for b in bl]
+            merged = [b for _, _, bl, _ in analytics._coverage_terms(lam0, chan, beam.g_main,
+                                                                     quad, halvings) for b in bl]
             alone = [b for s, fields, args in calls for field in fields
                      for b in blocks(s, [field], *args)]
             calls.clear()
