@@ -87,11 +87,7 @@ DEFAULT_QUAD = QuadratureSpec()
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _PANEL_WIDTH = 2.0   # width in ln(radius) of the coarsest panels
 _MAX_HALVINGS = 4
-_MAX_TENSOR = 1 << 18  # (row, node) pairs per block of the interference tensor: 2 MB
-# A block's inner nodes start at the lowest first panel of its rows, so
-# smaller blocks skip more of the pairs below the rows' lower limits but pay
-# a fixed numpy cost each; on the default sweep 128 rows was the fastest.
-_MAX_BLOCK_ROWS = 128
+_MAX_TENSOR = 1 << 18  # entries per block of the interference tensor: 3 MB of 1/x and index
 # Every grid point is accepted after one halving in the default settings;
 # coverage keeps the plans of up to this many halvings (see `_coverage_plan`).
 _CACHED_HALVINGS = 1
@@ -345,106 +341,119 @@ def _tail_radial_bound(blockage: BlockageModel, state: str, start: float,
 
 def _exponent_blocks(s: np.ndarray, fields, channel: ChannelParams, upper: float,
                      halvings: int):
-    """Row blocks of the tensor quadrature of the interference exponent.
+    """The tensor quadrature of the interference exponent as a ragged table.
 
     ``fields`` holds the interferer fields of the rows as (lower, state) pairs.
     Per row i the exponent sums, over the fields, int_{lower_i}^upper
     (1 - GainMoment(s_i, t)) P_state(t) t dt. With unit-mean exponential
     fading, 1 - GainMoment = sum_g p_g x g/(1 + x g), x = s * beta * t^-alpha_state.
     The rows of one field share one set of panels in ln t, split at the
-    blockage's LOS-ball radius; a row takes the weighted nodes of the panels
-    above its lower limit plus a partial panel of its own from that limit to
-    the next edge. Nodes of weight exactly 0 (P_state(t) = 0) add nothing and
-    are dropped, and a field is live on a row only while its lower limit is
-    below the top edge of the field's last weighted panel. A block's columns
-    are the nodes of every field that is live in its rows, side by side, each
-    field's from the block's lowest first panel in that field up. A new block
-    starts wherever the set of live fields changes, so no block holds a field
-    for a row on which it has no weight.
-    Yields blocks of at most _MAX_BLOCK_ROWS rows and _MAX_TENSOR (row, node)
-    pairs, each (rows, v, t_alpha, inv_s_beta, below, v_part, inv_x_part): the
-    row indices; the inner weights and t^alpha at the block's nodes; 1/(s beta)
-    per row, so that 1/x is the outer product of the two factors; the
-    (row, node) pairs below the row's lower limit; and the weights and 1/x of
-    each row's partial panel in every live field, in the same field order.
-    Nothing here depends on the gain law, and only ``below`` has one entry
-    per (row, node) pair.
+    blockage's LOS-ball radius; a row takes a partial panel of its own from
+    its lower limit to the next edge, plus the nodes of every panel above.
+    Nodes of weight exactly 0 (P_state(t) = 0) add nothing and are left out,
+    and a field is live on a row only while its lower limit is below the top
+    edge of the field's last weighted panel. A row's entries are, field after
+    field, those of its partial panel and then those of its full panels.
+
+    Returns (v, blocks): the inner weights, one per full-panel node of each
+    field and one per partial-panel entry, and a lazy iterator of blocks of
+    whole rows with at most _MAX_TENSOR entries in all (a longer row is a
+    block on its own). Each block is (rows, starts, inv_x, index): the row
+    indices; each row's first entry in the block; and per entry 1/x and the
+    index of its weight in ``v``. Rows without an entry are in no block, and
+    nothing here depends on the gain law.
     """
     ball = [channel.blockage.param] if channel.blockage.kind == "los_ball" else []
-    live = np.array([lower < upper for lower, _ in fields])
-    tables = []
-    for (lower, state), mask in zip(fields, live):
-        if not mask.any():
-            tables.append(None)
+    # Per row and field, two runs of the tables v and t_alpha: the partial
+    # panel's, then the full panels'.
+    v, t_alpha, starts, lengths, size = [], [], [], [], 0
+    for lower, state in fields:
+        start, length = np.zeros((2, 2, len(s)), dtype=np.int32)
+        starts.append(start)
+        lengths.append(length)
+        live = np.flatnonzero(lower < upper)
+        if not len(live):
             continue
-        edges = _panel_edges(_log_breaks(float(lower[mask].min()), upper, ball), halvings)
+        edges = _panel_edges(_log_breaks(float(lower[live].min()), upper, ball), halvings)
         u, w = _gauss_nodes(edges)
         t = np.exp(u)
-        v = w * _state_probability(channel.blockage, state, t) * t * t  # dt = t du
-        weighted = np.flatnonzero(v)
+        v_full = w * _state_probability(channel.blockage, state, t) * t * t  # dt = t du
+        weighted = np.flatnonzero(v_full)
         if not len(weighted):
-            mask[:] = False
-            tables.append(None)
             continue
         node_panel = weighted // len(_GL_X)
         # The weight is 0 from the top of the last weighted panel up (beyond a
         # LOS ball), and so is the partial panel of a row that starts there.
-        mask &= np.log(lower) < edges[node_panel[-1] + 1]
+        log_lower = np.log(lower[live])
+        keep = log_lower < edges[node_panel[-1] + 1]
+        live, log_lower = live[keep], log_lower[keep]
+        first = np.searchsorted(edges, log_lower)
+        half = 0.5 * (edges[first] - log_lower)
+        u_part = (log_lower + half)[:, None] + half[:, None] * _GL_X
+        t_part = np.exp(u_part)
+        v_part = (half[:, None] * _GL_W * t_part**2
+                  * _state_probability(channel.blockage, state, t_part))
+        weighted_part = v_part > 0.0
+        n_part = weighted_part.sum(axis=1)
+        start[0, live] = size + len(weighted) + np.cumsum(n_part) - n_part
+        length[0, live] = n_part
+        lo = np.searchsorted(node_panel, first)  # the first node at or above a row's limit
+        start[1, live] = size + lo
+        length[1, live] = len(weighted) - lo
+        v += [v_full[weighted], v_part[weighted_part]]
         with np.errstate(over="ignore"):
-            t_alpha = np.exp(channel.alpha(state) * u[weighted])
-        tables.append((edges, v[weighted], t_alpha, node_panel))
-    # A field's lower limit rises with the serving distance, so in coverage
-    # each field is live on a prefix of the rows: one cut per field at most.
-    cuts = np.flatnonzero((live[:, 1:] != live[:, :-1]).any(axis=0)) + 1
-    for run in np.split(np.arange(live.shape[1]), cuts):
-        on = np.flatnonzero(live[:, run[:1]].any(axis=1))
-        if not len(on):
-            continue
-        n_cols = sum(len(tables[f][1]) for f in on)
-        step = min(_MAX_BLOCK_ROWS, max(1, _MAX_TENSOR // n_cols))
-        for rows in np.array_split(run, -(-len(run) // step)):
-            log_s = np.log(s[rows] * channel.beta)
-            cols = []
-            for f in on:
-                (lower, state), (edges, v, t_alpha, node_panel) = fields[f], tables[f]
-                log_lower = np.log(lower[rows])
-                first = np.searchsorted(edges, log_lower)
-                # nodes below every row's limit are dropped
-                lo = np.searchsorted(node_panel, first.min())
-                half = 0.5 * (edges[first] - log_lower)
-                u_part = (log_lower + half)[:, None] + half[:, None] * _GL_X
-                t_part = np.exp(u_part)
-                v_part = (half[:, None] * _GL_W * t_part**2
-                          * _state_probability(channel.blockage, state, t_part))
-                with np.errstate(over="ignore"):
-                    inv_x_part = np.exp(channel.alpha(state) * u_part - log_s[:, None])
-                cols.append((v[lo:], t_alpha[lo:], node_panel[lo:] < first[:, None],
-                             v_part, inv_x_part))
-            v, t_alpha, below, v_part, inv_x_part = (np.concatenate(a, axis=-1)
-                                                     for a in zip(*cols))
-            yield rows, v, t_alpha, np.exp(-log_s), below, v_part, inv_x_part
+            t_alpha += [np.exp(channel.alpha(state) * np.concatenate(
+                [u[weighted], u_part[weighted_part]]))]
+        size += len(weighted) + int(n_part.sum())
+    v = np.concatenate(v) if v else np.zeros(0)
+    t_alpha = np.concatenate(t_alpha) if t_alpha else np.zeros(0)
+    start, length = (np.vstack(a).T for a in (starts, lengths))
+    return v, _ragged_blocks(t_alpha, 1.0 / (s * channel.beta), start, length)
 
 
-def _apply_exponent(blocks, n: int, pmf, scale: float = 1.0) -> np.ndarray:
+def _ragged_blocks(t_alpha, inv_s_beta, start, length):
+    """Blocks of whole rows: run j of row i takes length[i, j] entries of
+    t_alpha from start[i, j] on; 1/x = t^alpha / (s beta)."""
+    row_length = length.sum(axis=1)
+    rows_left = np.flatnonzero(row_length)
+    while len(rows_left):
+        ends = np.cumsum(row_length[rows_left])
+        rows = rows_left[:max(1, int(np.searchsorted(ends, _MAX_TENSOR, side="right")))]
+        rows_left = rows_left[len(rows):]
+        run_length = length[rows].ravel()
+        run_end = np.cumsum(run_length, dtype=np.int32)
+        index = np.repeat(start[rows].ravel() - (run_end - run_length), run_length)
+        index += np.arange(run_end[-1], dtype=np.int32)
+        inv_x = t_alpha[index]
+        with np.errstate(over="ignore"):
+            inv_x *= np.repeat(inv_s_beta[rows], row_length[rows])
+        yield rows, np.cumsum(row_length[rows]) - row_length[rows], inv_x, index
+
+
+def _apply_exponent(v, blocks, n: int, pmf, scale: float = 1.0) -> np.ndarray:
     """Per row, the exponent of `_exponent_blocks` with every s multiplied by ``scale``.
 
-    Each block's 1/x table, over the nodes of all its fields at once, is
-    formed once per call: the outer product of 1/(s beta scale) and t^alpha,
-    set to inf below each row's lower limit. Each gain atom then adds
-    p_g * g/(g + 1/x), which equals p_g x g/(1 + x g) and stays exact as
-    x -> 0 and x -> inf; one atom loop per block covers every field.
+    Each gain atom adds p_g * g/(g + 1/x), which equals p_g x g/(1 + x g) and
+    stays exact as x -> 0 and x -> inf. With c = g * scale, a row's sum over
+    its entries is p_g * c * sum w/(c + 1/x at scale 1): one flat pass over
+    a block's entries per atom, and one weighted sum per row.
     """
     out = np.zeros(n)
-    for rows, v, t_alpha, inv_s_beta, below, v_part, inv_x_part in blocks:
-        with np.errstate(over="ignore"):
-            inv_x = np.einsum("i,j->ij", inv_s_beta / scale, t_alpha)
-        np.copyto(inv_x, np.inf, where=below)
-        inv_x_part = inv_x_part / scale
-        term = np.empty_like(inv_x)
-        for g, p in zip(pmf.gains, pmf.probs):
-            if p > 0.0:
-                np.divide(g, np.add(inv_x, g, out=term), out=term)
-                out[rows] += p * (term @ v + np.einsum("ij,ij->i", g / (g + inv_x_part), v_part))
+    for rows, starts, inv_x, index in blocks:
+        # v[index] with the int32 index itself takes 2-3 times as long
+        out[rows] = _block_exponent(v[index.astype(np.intp)], starts, inv_x, pmf, scale)
+    return out
+
+
+def _block_exponent(weight, starts, inv_x, pmf, scale):
+    """`_apply_exponent` on one block; its work arrays are freed before the
+    next block is built."""
+    out, term = 0.0, np.empty_like(inv_x)
+    for g, p in zip(pmf.gains, pmf.probs):
+        if p > 0.0:
+            c = g * scale
+            np.divide(weight, np.add(inv_x, c, out=term), out=term)
+            out = out + p * c * np.add.reduceat(term, starts)
     return out
 
 
@@ -497,8 +506,8 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
     upper = quad.truncation_radius_m
 
     def evaluate(halvings):
-        blocks = _exponent_blocks(s_arr, fields, channel, upper, halvings)
-        exponent = _apply_exponent(blocks, 1, pmf)[0]
+        exponent = _apply_exponent(*_exponent_blocks(s_arr, fields, channel, upper, halvings),
+                                   1, pmf)[0]
         return (math.exp(-_TWO_PI * lambda0 * exponent),)
 
     (value,), quad_err = _refine(evaluate, quad, "interference Laplace functional")
@@ -519,9 +528,9 @@ def _coverage_terms(lambda0: float, channel: ChannelParams, g_main: float,
 
     Yields, per serving state, the outer weights w * r * f_state(r) of the
     nodes with non-zero weight, s at tau = 1 (s = tau * r^alpha / (g_main^2
-    beta)), the `_exponent_blocks` at those s, whose blocks hold the
-    same- and the opposite-state interferer fields side by side, and the
-    dropped weight. The leading nodes whose cumulative weight is at most
+    beta)), the inner weights and blocks of `_exponent_blocks` at those s,
+    whose rows hold the same- and the opposite-state interferer fields side
+    by side, and the dropped weight. The leading nodes whose cumulative weight is at most
     _R_MIN_FACTOR^2, the order of the mass already left out below r_min, are
     dropped: their inner range spans every panel.
     """
@@ -550,7 +559,8 @@ def _coverage_terms(lambda0: float, channel: ChannelParams, g_main: float,
         rs, weight = rs[start:], weight[start:]
         s_unit = rs ** channel.alpha(state) / (g_main**2 * channel.beta)
         fields = [(rs, state), (rs ** (channel.alpha(state) / channel.alpha(other)), other)]
-        yield weight, s_unit, _exponent_blocks(s_unit, fields, channel, upper, halvings), dropped
+        yield (weight, s_unit, *_exponent_blocks(s_unit, fields, channel, upper, halvings),
+               dropped)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -566,10 +576,11 @@ def _coverage_plan(lambda0: float, channel: ChannelParams, g_main: float,
     Only tau- and k-free tables are kept, so one plan serves the whole
     (tau, k) grid of a configuration.
     """
-    return tuple((_read_only(weight), _read_only(s_unit),
+    return tuple((_read_only(weight), _read_only(s_unit), _read_only(v),
                   tuple(tuple(_read_only(a) for a in block) for block in blocks), dropped)
-                 for weight, s_unit, blocks, dropped in _coverage_terms(lambda0, channel,
-                                                                        g_main, quad, halvings))
+                 for weight, s_unit, v, blocks, dropped in _coverage_terms(lambda0, channel,
+                                                                           g_main, quad,
+                                                                           halvings))
 
 
 def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelParams,
@@ -588,10 +599,10 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
 
     The tau- and k-free tables of the quadrature are planned once per
     configuration and panel count (`_coverage_plan`) for up to
-    _CACHED_HALVINGS halvings; finer panels are planned per call and dropped.
-    Each row block of a plan holds both interferer fields of its outer
-    nodes, so a grid point forms one 1/x table and runs one atom loop per
-    block.
+    _CACHED_HALVINGS halvings; finer panels are planned per call, one block
+    at a time, and dropped. Each row of a plan holds both interferer fields
+    of its outer node, so a grid point runs one flat pass per gain atom over
+    each block.
     """
     if not tau > 0.0:
         raise ValueError("SINR threshold must be positive")
@@ -607,10 +618,10 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     def evaluate(halvings):
         plan = _coverage_plan if halvings <= _CACHED_HALVINGS else _coverage_terms
         value = tail_err = dropped = 0.0
-        for weight, s_unit, blocks, dropped_state in plan(lambda0, channel, beam.g_main, quad,
-                                                          halvings):
+        for weight, s_unit, v, blocks, dropped_state in plan(lambda0, channel, beam.g_main,
+                                                             quad, halvings):
             s = s_unit * tau
-            exponent = _apply_exponent(blocks, len(s), pmf, tau)
+            exponent = _apply_exponent(v, blocks, len(s), pmf, tau)
             covered = weight * np.exp(-s * channel.noise_power - _TWO_PI * lambda0 * exponent)
             value += float(covered.sum())
             tail_err += float(covered @ np.minimum(s * tail_per_s, 1.0))

@@ -412,9 +412,10 @@ class TestCoverageProbability:
 
 
 def _plan_arrays(plan):
-    for weight, s_unit, blocks, _ in plan:
+    for weight, s_unit, v, blocks, _ in plan:
         yield weight
         yield s_unit
+        yield v
         for block in blocks:
             yield from block
 
@@ -465,7 +466,8 @@ class TestCoveragePlan:
         finally:
             tracemalloc.stop()
             analytics._coverage_plan.cache_clear()
-        # the factored plans peak at ~0.7 MB; dense 1/x tables would hold 2.4 MB
+        # the ragged plans, 1/x and an int32 weight index per entry, peak at
+        # ~1.5 MiB; a float64 weight per entry instead of the index, at 1.86 MiB
         assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("blockage", [BLOCKAGE_KINDS[kind] for kind in sorted(BLOCKAGE_KINDS)]
@@ -473,19 +475,20 @@ class TestCoveragePlan:
                              ids=[*sorted(BLOCKAGE_KINDS), "always_los", "never_los"])
     def test_no_inner_node_of_weight_zero(self, blockage, lam0, beam, quad):
         # beyond a LOS ball the LOS field weighs 0, inside it the NLOS field;
-        # a constant law of 0 or 1 makes a whole field weightless
+        # a constant law of 0 or 1 makes a whole field weightless. No entry of
+        # the table, in a full panel or a partial one, may weigh 0.
         chan = ChannelParams(2.0, 4.0, 1.0, blockage)
         for halvings in range(analytics._CACHED_HALVINGS + 1):
-            v = [block[1] for _, _, bl, _ in analytics._coverage_terms(
-                lam0, chan, beam.g_main, quad, halvings) for block in bl]
-            assert v and all((x > 0.0).all() for x in v), halvings
+            weights = [v[index] for _, _, v, bl, _ in analytics._coverage_terms(
+                lam0, chan, beam.g_main, quad, halvings) for _, _, _, index in bl]
+            assert weights and all((w > 0.0).all() for w in weights), halvings
 
     @pytest.mark.parametrize("kind", sorted(BLOCKAGE_KINDS))
     def test_error_covers_the_dropped_leading_rows(self, kind, lam0, beam, quad, monkeypatch):
         chan, tau, k = ORACLE_CASES[kind]
         for halvings in range(analytics._CACHED_HALVINGS + 1):
-            for _, _, _, dropped in analytics._coverage_terms(lam0, chan, beam.g_main, quad,
-                                                              halvings):
+            for *_, dropped in analytics._coverage_terms(lam0, chan, beam.g_main, quad,
+                                                         halvings):
                 assert 0.0 <= dropped <= analytics._R_MIN_FACTOR**2
         args = (tau, k, lam0, chan, beam, quad)
         r_min = analytics._outer_r_min(lam0, quad)
@@ -531,19 +534,89 @@ class TestCoveragePlan:
                                                      full_output=True)
         assert abs(got - want) <= err + want_err, (got, err, want, want_err)
 
+    def test_memory_at_uncached_halvings(self, monkeypatch):
+        # Tolerances no panel count meets: one call runs all four halvings,
+        # three of them uncached, and must build their blocks one at a time.
+        cfg = config.parse_config("blockage = exponential\nblockage_mu_m = 141.4\n")
+        quad = dataclasses.replace(cfg.quad(), rel_tol=1e-300, abs_tol=1e-300)
+        sizes = []
+        build = analytics._exponent_blocks
+
+        def sized(blocks):
+            for block in blocks:
+                sizes.append(block[2].size)
+                yield block
+
+        def record(*args):
+            v, blocks = build(*args)
+            return v, sized(blocks)
+
+        monkeypatch.setattr(analytics, "_exponent_blocks", record)
+        analytics._coverage_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureError, match=f"after {analytics._MAX_HALVINGS} "):
+                coverage_probability(10.0, 6, cfg.network().lambda_tier0, cfg.channel(),
+                                     cfg.beam(), quad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            analytics._coverage_plan.cache_clear()
+        # ~5M entries of 12 bytes in all, 3.7M of them at the finest panels
+        assert peak < 16 * 2**20, peak
+        assert sum(sizes) > 16 * analytics._MAX_TENSOR
+        assert max(sizes) <= analytics._MAX_TENSOR
+
+    def test_values_independent_of_the_block_size(self, lam0, beam, quad, monkeypatch):
+        # With a bound of 64 entries nearly every row is a block on its own.
+        def values():
+            analytics._coverage_plan.cache_clear()
+            out = []
+            for kind in sorted(BLOCKAGE_KINDS):
+                chan, tau, k = ORACLE_CASES[kind]
+                out += [coverage_probability(tau, k, lam0, chan, beam, quad, full_output=True),
+                        laplace_interference(tau, 60.0, LOS, k, lam0, chan, beam, quad,
+                                             full_output=True),
+                        laplace_interference(tau, 20.0, NLOS, k, lam0, chan, beam, quad,
+                                             full_output=True)]
+            return out
+
+        default = values()
+        monkeypatch.setattr(analytics, "_MAX_TENSOR", 64)
+        small = values()
+        chan = ORACLE_CASES["exponential"][0]
+        blocks = [b for *_, bl, _ in analytics._coverage_plan(lam0, chan, beam.g_main, quad, 0)
+                  for b in bl]
+        analytics._coverage_plan.cache_clear()
+        assert small == default
+        assert all(len(rows) == 1 or inv_x.size <= 64 for rows, _, inv_x, _ in blocks)
+        assert max(inv_x.size for _, _, inv_x, _ in blocks) > 64
+
 
 def _one_field_exponents(s, fields, chan, upper, halvings, pmf):
     """Each field's exponent per row, from the one-field case of the block builder."""
-    return [analytics._apply_exponent(analytics._exponent_blocks(s, [field], chan, upper,
-                                                                 halvings), len(s), pmf)
+    return [analytics._apply_exponent(*analytics._exponent_blocks(s, [field], chan, upper,
+                                                                  halvings), len(s), pmf)
             for field in fields]
 
 
-def _assert_rows_have_weight(blocks) -> None:
-    """A one-field block holds only rows the field has weight on above their
-    lower limit: in the partial panel or at an unmasked node."""
-    for _, v, _, _, below, v_part, _ in blocks:
-        assert (((~below) & (v > 0.0)).any(axis=1) | (v_part > 0.0).any(axis=1)).all()
+def _assert_rows_have_weight(table) -> None:
+    """A one-field table holds only rows the field has weight on above their
+    lower limit, each with at least one entry, and no entry of weight 0."""
+    v, blocks = table
+    for rows, starts, inv_x, index in blocks:
+        assert len(rows) == len(starts) and starts[0] == 0 and inv_x.size == index.size
+        assert (np.diff(starts) > 0).all() and starts[-1] < inv_x.size
+        assert (v[index] > 0.0).all()
+
+
+def _entry_radii(s, field, chan, table):
+    """Per block: the lower limit of each entry's row, and t recovered from
+    the entry's 1/x = t^alpha / (s beta)."""
+    (lower, state), (_, blocks) = field, table
+    for rows, starts, inv_x, _ in blocks:
+        row = np.repeat(rows, np.diff(starts, append=inv_x.size))
+        yield lower[row], (inv_x * s[row] * chan.beta) ** (1.0 / chan.alpha(state))
 
 
 def _record_builder_calls(monkeypatch) -> list:
@@ -591,7 +664,7 @@ class TestMergedFieldBlocks:
         pmf = beam_gain_pmf(beam, k)
         upper = quad.truncation_radius_m
         merged = analytics._apply_exponent(
-            analytics._exponent_blocks(s, fields, chan, upper, halvings), len(r), pmf)
+            *analytics._exponent_blocks(s, fields, chan, upper, halvings), len(r), pmf)
         alone = sum(_one_field_exponents(s, fields, chan, upper, halvings, pmf))
         np.testing.assert_allclose(merged, alone, rtol=1e-14, atol=0.0)
         for field in fields:
@@ -620,15 +693,31 @@ class TestMergedFieldBlocks:
         blocks = analytics._exponent_blocks
         calls = _record_builder_calls(monkeypatch)
         for halvings in range(analytics._CACHED_HALVINGS + 1):
-            merged = [b for _, _, bl, _ in analytics._coverage_terms(lam0, chan, beam.g_main,
-                                                                     quad, halvings) for b in bl]
+            merged = [b for *_, bl, _ in analytics._coverage_terms(lam0, chan, beam.g_main,
+                                                                   quad, halvings) for b in bl]
             alone = [b for s, fields, args in calls for field in fields
-                     for b in blocks(s, [field], *args)]
+                     for b in blocks(s, [field], *args)[1]]
             calls.clear()
-            assert all(len(b[0]) <= analytics._MAX_BLOCK_ROWS
-                       and b[4].size <= analytics._MAX_TENSOR for b in merged)
-            assert sum(b[4].size for b in merged) <= sum(b[4].size for b in alone), halvings
+            assert all(len(b[0]) == 1 or b[2].size <= analytics._MAX_TENSOR for b in merged)
+            assert sum(b[2].size for b in merged) == sum(b[2].size for b in alone), halvings
             assert len(merged) < len(alone)
+
+    @pytest.mark.parametrize("kind", sorted(BLOCKAGE_KINDS))
+    def test_no_entry_below_its_rows_lower_limit(self, kind, lam0, beam, quad, monkeypatch):
+        chan = ORACLE_CASES[kind][0]
+        blocks = analytics._exponent_blocks
+        calls = _record_builder_calls(monkeypatch)
+        for halvings in range(analytics._CACHED_HALVINGS + 1):
+            list(analytics._coverage_terms(lam0, chan, beam.g_main, quad, halvings))
+        for r, state in [(90.0, LOS), (20.0, NLOS)]:
+            laplace_interference(30.0, r, state, 3, lam0, chan, beam, quad)
+        checked = 0
+        for s, fields, args in calls:
+            for field in fields:
+                for lower, t in _entry_radii(s, field, chan, blocks(s, [field], *args)):
+                    assert (t >= lower * (1.0 - 1e-12)).all()
+                    checked += t.size
+        assert checked
 
 
 class TestTailBound:
