@@ -44,13 +44,10 @@ from .geometry import (
     topology_to_gnuplot,
 )
 from .montecarlo import (
-    HopRealization,
     SimConfig,
     SimulationError,
-    compute_sinr,
     empirical_coverage,
     empirical_laplace,
-    realize_hop,
     serving_distance_samples,
     sinr_samples,
     trial_stream,

@@ -73,13 +73,13 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
 
     Per-row quadrature failures are recorded (NaN coverage, infinite error)
     and the sweep continues. Monte Carlo columns are filled when
-    ``mc_trials > 0``; the SINR draws are reused across thresholds for each k.
+    ``mc_trials > 0``.
     """
     net = cfg.network()
     channel = cfg.channel()
     beam = cfg.beam()
     quad = cfg.quad()
-    sim = cfg.sim() if cfg.mc_trials > 0 else None
+    mc = _mc_coverage(cfg) if cfg.mc_trials > 0 else {}
 
     rows = []
     for tau_db in cfg.tau_db_list:
@@ -93,14 +93,20 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
                 log.error("grid point tau=%.3g dB k=%d failed: %s", tau_db, k, exc)
                 cov, thr, err = math.nan, math.nan, math.inf
                 latency = (net.lambda_total - net.lambda_tier0) / (k * net.lambda_tier0)
-            cov_mc = ci = None
-            if sim is not None:
-                cov_mc, ci = montecarlo.empirical_coverage(
-                    tau, k, net.lambda_tier0, channel, beam, sim)
+            cov_mc, ci = mc.get((tau_db, k), (None, None))
             rows.append(SweepRow(tau_db=tau_db, k=k, coverage_analytic=cov,
                                  coverage_mc=cov_mc, mc_ci=ci, latency=latency,
                                  throughput=thr, quad_error=err))
     return rows
+
+
+def _mc_coverage(cfg: ExperimentConfig) -> dict[tuple[float, int], tuple[float, float]]:
+    """Monte Carlo (coverage, CI) of every (tau_db, k) grid point, gain by gain:
+    the bounded SINR draw cache then draws each gain once, however many there are."""
+    channel, beam, sim = cfg.channel(), cfg.beam(), cfg.sim()
+    return {(tau_db, k): montecarlo.empirical_coverage(_db_to_linear(tau_db), k, cfg.lambda0,
+                                                       channel, beam, sim)
+            for k in cfg.k_list for tau_db in cfg.tau_db_list}
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
@@ -231,6 +237,7 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0,
     checks.append(CheckResult("laplace-agreement", worst <= 1.0, worst, 1.0, detail))
 
     # 5. Coverage agreement on the configured grid, plus analytic monotonicity.
+    mc = _mc_coverage(cfg)
     cov_grid: dict[tuple[float, int], float] = {}
     worst_gap = 0.0
     worst_detail = ""
@@ -240,7 +247,7 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0,
         for k in cfg.k_list:
             cov = analytics.coverage_probability(tau, k, lam0, channel_analytic, beam, quad)
             cov_grid[(tau_db, k)] = cov
-            est, ci = montecarlo.empirical_coverage(tau, k, lam0, channel, beam, sim)
+            est, ci = mc[(tau_db, k)]
             tol = max(0.02, 2.0 * ci)
             gap = abs(cov - est)
             if gap / tol > worst_gap:

@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ConfigError("k must lie in 1..rf_chains")
         if self.mc_trials != 0 and self.mc_trials < 100:
             raise ConfigError("mc_trials must be 0 or at least 100")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must lie in 0 .. 2^64 - 1")
         # Eagerly build the typed params so every component invariant trips here.
         self.network()
         self.channel()

@@ -110,11 +110,10 @@ def _marked_ppp(rng: np.random.Generator, mean_count: float, window_m: float,
                 blockage: BlockageModel):
     """One non-empty draw of the LOS-marked PPP on the disc of radius window_m.
 
-    Returns (radii, angle uniforms, LOS marks, empty draws resampled); the
-    angle of point i is 2*pi times its uniform. The stream is a Poisson count
-    n, then 3n uniforms: radii, angles, LOS marks. An empty draw is resampled;
-    persistent emptiness aborts, since it means the window is far too small
-    for the intensity.
+    Returns (radii, LOS marks, empty draws resampled). The stream is a Poisson
+    count n, then 3n uniforms: radii, angles, LOS marks. An empty draw is
+    resampled; persistent emptiness aborts, since it means the window is far
+    too small for the intensity.
     """
     if not mean_count > 0.0:
         raise ValueError("intensity must be positive")
@@ -126,97 +125,16 @@ def _marked_ppp(rng: np.random.Generator, mean_count: float, window_m: float,
             raise SimulationError(
                 "PPP sample repeatedly empty; window too small for the intensity")
         n = rng.poisson(mean_count)
+    # The angles are unread, but drawing them keeps every later variate where it was.
     u = rng.random(3 * n)
     radii = window_m * np.sqrt(u[:n])
     is_los = u[2 * n:] < _p_los_raw(radii, blockage)
-    return radii, u[n:2 * n], is_los, resamples
+    return radii, is_los, resamples
 
 
 def _mean_power(radii: np.ndarray, is_los: np.ndarray, channel: ChannelParams) -> np.ndarray:
     """Average received power per unit intercept, d^-alpha(state)."""
     return radii ** -np.where(is_los, channel.alpha_los, channel.alpha_nlos)
-
-
-@dataclass
-class HopRealization:
-    """One sampled hop: serving AP, interferers, receiver pinned at the origin."""
-
-    serving_position: np.ndarray
-    serving_is_los: bool
-    interferer_positions: np.ndarray
-    interferer_is_los: np.ndarray
-    resamples: int = 0
-
-    @property
-    def serving_distance(self) -> float:
-        return float(np.hypot(*self.serving_position))
-
-    @property
-    def interferer_distances(self) -> np.ndarray:
-        return np.hypot(self.interferer_positions[:, 0], self.interferer_positions[:, 1])
-
-    def exclusion_holds(self, channel: ChannelParams) -> bool:
-        """No interferer may offer more average power than the serving AP."""
-        d0 = self.serving_distance
-        a0 = channel.alpha_los if self.serving_is_los else channel.alpha_nlos
-        p0 = d0**-a0
-        d = self.interferer_distances
-        if len(d) == 0:
-            return True
-        alpha = np.where(self.interferer_is_los, channel.alpha_los, channel.alpha_nlos)
-        return bool(np.all(d**-alpha <= p0 * (1.0 + 1e-12)))
-
-
-def realize_hop(lambda0: float, channel: ChannelParams, sim: SimConfig,
-                rng: np.random.Generator) -> HopRealization:
-    """Sample transmitters around the origin-receiver and pick the serving AP.
-
-    Transmitters form a PPP(lambda0) on the window, each independently LOS
-    with probability P_L(distance). The serving AP maximizes the average
-    received power beta * d^-alpha(state); everyone else interferes. Empty
-    draws are resampled and counted. This is the per-realization reference
-    that `sinr_samples` reproduces from the same stream without positions.
-    """
-    radii, turns, is_los, resamples = _marked_ppp(
-        rng, lambda0 * math.pi * sim.window_radius_m**2, sim.window_radius_m,
-        channel.blockage)
-    angles = 2.0 * math.pi * turns
-    positions = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    serving = int(np.argmax(_mean_power(radii, is_los, channel)))
-    keep = np.arange(len(radii)) != serving
-    return HopRealization(
-        serving_position=positions[serving],
-        serving_is_los=bool(is_los[serving]),
-        interferer_positions=positions[keep],
-        interferer_is_los=is_los[keep],
-        resamples=resamples,
-    )
-
-
-def compute_sinr(real: HopRealization, k: int, channel: ChannelParams, beam: BeamParams,
-                 rng: np.random.Generator) -> float:
-    """SINR of the origin receiver for one realization, with fresh fading.
-
-    Numerator: h0 * g_main^2 * pathloss(serving). Each interferer contributes
-    independent fading times a beam gain drawn from the k-stream gain
-    distribution. Zero noise with no interferers yields +inf (covered at any
-    threshold).
-    """
-    pmf = beam_gain_pmf(beam, k)
-    d0 = real.serving_distance
-    a0 = channel.alpha_los if real.serving_is_los else channel.alpha_nlos
-    h0 = rng.exponential()
-    signal = h0 * beam.g_main**2 * channel.beta * d0**-a0
-
-    d = real.interferer_distances
-    h = rng.exponential(size=len(d))
-    gains = pmf.sample(rng, len(d))
-    alpha = np.where(real.interferer_is_los, channel.alpha_los, channel.alpha_nlos)
-    interference = float(np.sum(h * gains * channel.beta * d**-alpha))
-    denom = channel.noise_power + interference
-    if denom == 0.0:
-        return math.inf
-    return signal / denom
 
 
 def _check_resample_rate(resamples: int, trials: int) -> None:
@@ -230,16 +148,16 @@ def sinr_samples(k: int, lambda0: float, channel: ChannelParams, beam: BeamParam
                  sim: SimConfig) -> np.ndarray:
     """Per-trial SINR draws of the typical-receiver experiment (linear scale).
 
-    Trial i equals compute_sinr(realize_hop(...)) on trial i's stream; the
-    fading of the serving AP and of the interferers comes from one draw.
+    Trial i equals the positional reference of `tests/mc_oracle.py` on trial i's
+    stream; the fading of the serving AP and of the interferers is one draw.
     """
     pmf = beam_gain_pmf(beam, k)
     mean_count = lambda0 * math.pi * sim.window_radius_m**2
     out = np.empty(sim.trials)
     resamples = 0
     for i, rng in enumerate(_trial_streams(sim, _SUB_COVERAGE)):
-        radii, _, is_los, extra = _marked_ppp(rng, mean_count, sim.window_radius_m,
-                                              channel.blockage)
+        radii, is_los, extra = _marked_ppp(rng, mean_count, sim.window_radius_m,
+                                           channel.blockage)
         resamples += extra
         power = _mean_power(radii, is_los, channel)
         j = int(power.argmax())
@@ -296,8 +214,8 @@ def serving_distance_samples(lambda0: float, channel: ChannelParams,
     is_los = np.empty(sim.trials, dtype=bool)
     resamples = 0
     for i, rng in enumerate(_trial_streams(sim, _SUB_ASSOCIATION)):
-        radii, _, los, extra = _marked_ppp(rng, mean_count, sim.window_radius_m,
-                                           channel.blockage)
+        radii, los, extra = _marked_ppp(rng, mean_count, sim.window_radius_m,
+                                        channel.blockage)
         resamples += extra
         j = int(_mean_power(radii, los, channel).argmax())
         dist[i], is_los[i] = radii[j], los[j]

@@ -1,8 +1,11 @@
 """Link-level model tests: blockage, path loss, beam gains, fading.
 
 Path loss and fading have no public function of their own: the tests read
-them off the code that uses them, `montecarlo._mean_power` (r^-alpha per unit
-intercept, scaled by beta in the samplers) and `montecarlo.compute_sinr`.
+them off the code that uses them: `montecarlo._mean_power` (r^-alpha per unit
+intercept, scaled by beta in the samplers), and the fading of the positional
+reference `mc_oracle.compute_sinr`, which
+`test_montecarlo.TestMarkedPppSampler.test_sinr_matches_per_realization_reference`
+ties to `montecarlo.sinr_samples`.
 """
 
 import math
@@ -24,9 +27,10 @@ from mmtier import (
     serving_distance_pdf,
 )
 from mmtier.analytics import _state_probability
-from mmtier.montecarlo import HopRealization, _mean_power, compute_sinr
+from mmtier.montecarlo import _mean_power
 
 from conftest import intensity_for
+from mc_oracle import HopRealization, compute_sinr
 
 
 class TestBlockage:

@@ -86,6 +86,25 @@ class TestRunSweep:
         assert row.mc_ci is not None and row.mc_ci > 0.0
         assert abs(row.coverage_mc - row.coverage_analytic) < 0.1
 
+    def test_sinr_draws_made_once_per_gain(self, fast_cfg, monkeypatch):
+        # 17 gains overflow the 16-entry SINR draw cache if every threshold
+        # walks all gains in turn; gain by gain, each is drawn once.
+        calls = []
+        original = montecarlo.sinr_samples
+
+        def counted(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(montecarlo, "sinr_samples", counted)
+        montecarlo._sinr_samples_cached.cache_clear()
+        cfg = dataclasses.replace(fast_cfg, theta_a_deg=20.0, rf_chains=18, mc_trials=100,
+                                  tau_db_list=(0.0, 5.0, 10.0), k_list=tuple(range(1, 18)))
+        rows = run_sweep(cfg)
+        assert sorted(calls) == list(range(1, 18))
+        assert [(r.tau_db, r.k) for r in rows] == [
+            (t, k) for t in cfg.tau_db_list for k in cfg.k_list]
+
     def test_quadrature_failure_recorded_not_fatal(self):
         # Flat blockage with a LOS exponent of 2 has a divergent interference
         # far field: the row must record the failure and the sweep continue.
@@ -298,6 +317,17 @@ class TestMainExitCodes:
                      "--quiet"]) == 1
         assert "floor_hops" in caplog.text and "allow_floor" not in caplog.text
         assert not (tmp_path / "topology.csv").exists()
+
+    def test_out_of_range_seed_is_one_without_traceback(self, tmp_path):
+        src = str(Path(mmtier.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-m", "mmtier", "topology", "--seed", "-1",
+                              "--out", str(tmp_path)], env=env, capture_output=True,
+                             text=True)
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        assert "seed must lie in" in out.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_too_few_trials_is_one(self, tmp_path, caplog):
         cfg = tmp_path / "few.cfg"

@@ -1,4 +1,8 @@
-"""Simulator tests: realization invariants, estimator contracts, determinism."""
+"""Simulator tests: realization invariants, estimator contracts, determinism.
+
+`TestRealizeHop` and `TestComputeSinr` check the positional reference in
+`mc_oracle`; `TestMarkedPppSampler` pins `sinr_samples` to it.
+"""
 
 import math
 
@@ -11,13 +15,10 @@ from mmtier import (
     NLOS,
     BlockageModel,
     ChannelParams,
-    HopRealization,
     SimConfig,
     SimulationError,
-    compute_sinr,
     empirical_coverage,
     empirical_laplace,
-    realize_hop,
     serving_distance_samples,
     sinr_samples,
     trial_stream,
@@ -26,6 +27,7 @@ from mmtier import (
 from mmtier.montecarlo import _SUB_COVERAGE, _StreamFactory, _laplace_samples
 
 from conftest import intensity_for
+from mc_oracle import HopRealization, compute_sinr, realize_hop
 
 ALWAYS_LOS = BlockageModel.constant(1.0)
 
@@ -241,7 +243,8 @@ class TestMarkedPppSampler:
         (BlockageModel.exponential(141.4), 0.0, 6),
         (BlockageModel.los_ball(100.0), 0.0, 3),
         (BlockageModel.exponential(141.4), 1e-7, 12),
-    ], ids=["exponential", "los_ball", "noise"])
+        (BlockageModel.constant(0.5), 0.0, 6),
+    ], ids=["exponential", "los_ball", "noise", "mixed_states"])
     def test_sinr_matches_per_realization_reference(self, lam0, beam, blockage, noise, k):
         chan = ChannelParams(2.0, 4.0, 1.0, blockage, noise_power=noise)
         sim = SimConfig(window_radius_m=1000.0, trials=40, master_seed=31)
