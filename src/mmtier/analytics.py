@@ -87,7 +87,7 @@ DEFAULT_QUAD = QuadratureSpec()
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _PANEL_WIDTH = 2.0   # width in ln(radius) of the coarsest panels
 _MAX_HALVINGS = 4
-_MAX_TENSOR = 1 << 18  # entries per block of the interference tensor: 3 MB of 1/x and index
+_MAX_TENSOR = 1 << 18  # entries per block of the interference tensor: 4 MB of 1/x and weight
 # Every grid point is accepted after one halving in the default settings;
 # coverage keeps the plans of up to this many halvings (see `_coverage_plan`).
 _CACHED_HALVINGS = 1
@@ -355,13 +355,11 @@ def _exponent_blocks(s: np.ndarray, fields, channel: ChannelParams, upper: float
     edge of the field's last weighted panel. A row's entries are, field after
     field, those of its partial panel and then those of its full panels.
 
-    Returns (v, blocks): the inner weights, one per full-panel node of each
-    field and one per partial-panel entry, and a lazy iterator of blocks of
-    whole rows with at most _MAX_TENSOR entries in all (a longer row is a
-    block on its own). Each block is (rows, starts, inv_x, index): the row
-    indices; each row's first entry in the block; and per entry 1/x and the
-    index of its weight in ``v``. Rows without an entry are in no block, and
-    nothing here depends on the gain law.
+    Returns a lazy iterator of blocks of whole rows with at most _MAX_TENSOR
+    entries in all (a longer row is a block on its own). Each block is
+    (rows, starts, inv_x, weight): the row indices; each row's first entry in
+    the block; and per entry 1/x and its inner weight. Rows without an entry
+    are in no block, and nothing here depends on the gain law.
     """
     ball = [channel.blockage.param] if channel.blockage.kind == "los_ball" else []
     # Per row and field, two runs of the tables v and t_alpha: the partial
@@ -408,12 +406,12 @@ def _exponent_blocks(s: np.ndarray, fields, channel: ChannelParams, upper: float
     v = np.concatenate(v) if v else np.zeros(0)
     t_alpha = np.concatenate(t_alpha) if t_alpha else np.zeros(0)
     start, length = (np.vstack(a).T for a in (starts, lengths))
-    return v, _ragged_blocks(t_alpha, 1.0 / (s * channel.beta), start, length)
+    return _ragged_blocks(v, t_alpha, 1.0 / (s * channel.beta), start, length)
 
 
-def _ragged_blocks(t_alpha, inv_s_beta, start, length):
-    """Blocks of whole rows: run j of row i takes length[i, j] entries of
-    t_alpha from start[i, j] on; 1/x = t^alpha / (s beta)."""
+def _ragged_blocks(v, t_alpha, inv_s_beta, start, length):
+    """Blocks of whole rows: run j of row i takes length[i, j] entries of v
+    and t_alpha from start[i, j] on; 1/x = t^alpha / (s beta)."""
     row_length = length.sum(axis=1)
     rows_left = np.flatnonzero(row_length)
     while len(rows_left):
@@ -427,10 +425,10 @@ def _ragged_blocks(t_alpha, inv_s_beta, start, length):
         inv_x = t_alpha[index]
         with np.errstate(over="ignore"):
             inv_x *= np.repeat(inv_s_beta[rows], row_length[rows])
-        yield rows, np.cumsum(row_length[rows]) - row_length[rows], inv_x, index
+        yield rows, np.cumsum(row_length[rows]) - row_length[rows], inv_x, v[index]
 
 
-def _apply_exponent(v, blocks, n: int, pmf, scale: float = 1.0) -> np.ndarray:
+def _apply_exponent(blocks, n: int, pmf, scale: float = 1.0) -> np.ndarray:
     """Per row, the exponent of `_exponent_blocks` with every s multiplied by ``scale``.
 
     Each gain atom adds p_g * g/(g + 1/x), which equals p_g x g/(1 + x g) and
@@ -439,9 +437,8 @@ def _apply_exponent(v, blocks, n: int, pmf, scale: float = 1.0) -> np.ndarray:
     a block's entries per atom, and one weighted sum per row.
     """
     out = np.zeros(n)
-    for rows, starts, inv_x, index in blocks:
-        # v[index] with the int32 index itself takes 2-3 times as long
-        out[rows] = _block_exponent(v[index.astype(np.intp)], starts, inv_x, pmf, scale)
+    for rows, starts, inv_x, weight in blocks:
+        out[rows] = _block_exponent(weight, starts, inv_x, pmf, scale)
     return out
 
 
@@ -506,7 +503,7 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
     upper = quad.truncation_radius_m
 
     def evaluate(halvings):
-        exponent = _apply_exponent(*_exponent_blocks(s_arr, fields, channel, upper, halvings),
+        exponent = _apply_exponent(_exponent_blocks(s_arr, fields, channel, upper, halvings),
                                    1, pmf)[0]
         return (math.exp(-_TWO_PI * lambda0 * exponent),)
 
@@ -528,7 +525,7 @@ def _coverage_terms(lambda0: float, channel: ChannelParams, g_main: float,
 
     Yields, per serving state, the outer weights w * r * f_state(r) of the
     nodes with non-zero weight, s at tau = 1 (s = tau * r^alpha / (g_main^2
-    beta)), the inner weights and blocks of `_exponent_blocks` at those s,
+    beta)), the blocks of `_exponent_blocks` at those s,
     whose rows hold the same- and the opposite-state interferer fields side
     by side, and the dropped weight. The leading nodes whose cumulative weight is at most
     _R_MIN_FACTOR^2, the order of the mass already left out below r_min, are
@@ -559,8 +556,7 @@ def _coverage_terms(lambda0: float, channel: ChannelParams, g_main: float,
         rs, weight = rs[start:], weight[start:]
         s_unit = rs ** channel.alpha(state) / (g_main**2 * channel.beta)
         fields = [(rs, state), (rs ** (channel.alpha(state) / channel.alpha(other)), other)]
-        yield (weight, s_unit, *_exponent_blocks(s_unit, fields, channel, upper, halvings),
-               dropped)
+        yield weight, s_unit, _exponent_blocks(s_unit, fields, channel, upper, halvings), dropped
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -576,11 +572,10 @@ def _coverage_plan(lambda0: float, channel: ChannelParams, g_main: float,
     Only tau- and k-free tables are kept, so one plan serves the whole
     (tau, k) grid of a configuration.
     """
-    return tuple((_read_only(weight), _read_only(s_unit), _read_only(v),
+    return tuple((_read_only(weight), _read_only(s_unit),
                   tuple(tuple(_read_only(a) for a in block) for block in blocks), dropped)
-                 for weight, s_unit, v, blocks, dropped in _coverage_terms(lambda0, channel,
-                                                                           g_main, quad,
-                                                                           halvings))
+                 for weight, s_unit, blocks, dropped in _coverage_terms(lambda0, channel, g_main,
+                                                                        quad, halvings))
 
 
 def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelParams,
@@ -618,10 +613,10 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     def evaluate(halvings):
         plan = _coverage_plan if halvings <= _CACHED_HALVINGS else _coverage_terms
         value = tail_err = dropped = 0.0
-        for weight, s_unit, v, blocks, dropped_state in plan(lambda0, channel, beam.g_main,
-                                                             quad, halvings):
+        for weight, s_unit, blocks, dropped_state in plan(lambda0, channel, beam.g_main, quad,
+                                                          halvings):
             s = s_unit * tau
-            exponent = _apply_exponent(v, blocks, len(s), pmf, tau)
+            exponent = _apply_exponent(blocks, len(s), pmf, tau)
             covered = weight * np.exp(-s * channel.noise_power - _TWO_PI * lambda0 * exponent)
             value += float(covered.sum())
             tail_err += float(covered @ np.minimum(s * tail_per_s, 1.0))

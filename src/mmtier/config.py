@@ -84,6 +84,9 @@ class ExperimentConfig:
             raise ConfigError("mc_trials must be 0 or at least 100")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must lie in 0 .. 2^64 - 1")
+        for key in ("truncation_radius_m", "window_radius_m", "topology_window_radius_m"):
+            if not getattr(self, key) >= 0.0:
+                raise ConfigError(f"{key} must be 0 (the default) or positive")
         # Eagerly build the typed params so every component invariant trips here.
         self.network()
         self.channel()
@@ -129,12 +132,16 @@ class ExperimentConfig:
     def sim(self) -> SimConfig:
         trunc = self.quad().truncation_radius_m
         window = self.window_radius_m if self.window_radius_m > 0.0 else trunc
-        return SimConfig(
-            window_radius_m=window,
-            trials=max(self.mc_trials, 1),
-            master_seed=self.seed,
-            truncation_radius_m=trunc,
-        )
+        try:
+            return SimConfig(
+                window_radius_m=window,
+                trials=max(self.mc_trials, 1),
+                master_seed=self.seed,
+                truncation_radius_m=trunc,
+            )
+        except ValueError as exc:  # built only when a command runs Monte Carlo trials
+            raise ConfigError(f"{exc} (window_radius_m = {window:g} m, truncation "
+                              f"radius {trunc:g} m)") from exc
 
     @property
     def topology_window_m(self) -> float:

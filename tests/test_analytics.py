@@ -412,10 +412,9 @@ class TestCoverageProbability:
 
 
 def _plan_arrays(plan):
-    for weight, s_unit, v, blocks, _ in plan:
+    for weight, s_unit, blocks, _ in plan:
         yield weight
         yield s_unit
-        yield v
         for block in blocks:
             yield from block
 
@@ -466,8 +465,8 @@ class TestCoveragePlan:
         finally:
             tracemalloc.stop()
             analytics._coverage_plan.cache_clear()
-        # the ragged plans, 1/x and an int32 weight index per entry, peak at
-        # ~1.5 MiB; a float64 weight per entry instead of the index, at 1.86 MiB
+        # the ragged plans, 1/x and the weight per entry, both float64, hold
+        # 1.6 MiB and peak at 1.75 MiB
         assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("blockage", [BLOCKAGE_KINDS[kind] for kind in sorted(BLOCKAGE_KINDS)]
@@ -479,8 +478,8 @@ class TestCoveragePlan:
         # the table, in a full panel or a partial one, may weigh 0.
         chan = ChannelParams(2.0, 4.0, 1.0, blockage)
         for halvings in range(analytics._CACHED_HALVINGS + 1):
-            weights = [v[index] for _, _, v, bl, _ in analytics._coverage_terms(
-                lam0, chan, beam.g_main, quad, halvings) for _, _, _, index in bl]
+            weights = [weight for _, _, bl, _ in analytics._coverage_terms(
+                lam0, chan, beam.g_main, quad, halvings) for _, _, _, weight in bl]
             assert weights and all((w > 0.0).all() for w in weights), halvings
 
     @pytest.mark.parametrize("kind", sorted(BLOCKAGE_KINDS))
@@ -548,8 +547,7 @@ class TestCoveragePlan:
                 yield block
 
         def record(*args):
-            v, blocks = build(*args)
-            return v, sized(blocks)
+            return sized(build(*args))
 
         monkeypatch.setattr(analytics, "_exponent_blocks", record)
         analytics._coverage_plan.cache_clear()
@@ -562,7 +560,7 @@ class TestCoveragePlan:
         finally:
             tracemalloc.stop()
             analytics._coverage_plan.cache_clear()
-        # ~5M entries of 12 bytes in all, 3.7M of them at the finest panels
+        # ~5M entries of 16 bytes in all, 3.7M of them at the finest panels
         assert peak < 16 * 2**20, peak
         assert sum(sizes) > 16 * analytics._MAX_TENSOR
         assert max(sizes) <= analytics._MAX_TENSOR
@@ -595,26 +593,25 @@ class TestCoveragePlan:
 
 def _one_field_exponents(s, fields, chan, upper, halvings, pmf):
     """Each field's exponent per row, from the one-field case of the block builder."""
-    return [analytics._apply_exponent(*analytics._exponent_blocks(s, [field], chan, upper,
-                                                                  halvings), len(s), pmf)
+    return [analytics._apply_exponent(analytics._exponent_blocks(s, [field], chan, upper,
+                                                                 halvings), len(s), pmf)
             for field in fields]
 
 
 def _assert_rows_have_weight(table) -> None:
     """A one-field table holds only rows the field has weight on above their
     lower limit, each with at least one entry, and no entry of weight 0."""
-    v, blocks = table
-    for rows, starts, inv_x, index in blocks:
-        assert len(rows) == len(starts) and starts[0] == 0 and inv_x.size == index.size
+    for rows, starts, inv_x, weight in table:
+        assert len(rows) == len(starts) and starts[0] == 0 and inv_x.size == weight.size
         assert (np.diff(starts) > 0).all() and starts[-1] < inv_x.size
-        assert (v[index] > 0.0).all()
+        assert (weight > 0.0).all()
 
 
 def _entry_radii(s, field, chan, table):
     """Per block: the lower limit of each entry's row, and t recovered from
     the entry's 1/x = t^alpha / (s beta)."""
-    (lower, state), (_, blocks) = field, table
-    for rows, starts, inv_x, _ in blocks:
+    lower, state = field
+    for rows, starts, inv_x, _ in table:
         row = np.repeat(rows, np.diff(starts, append=inv_x.size))
         yield lower[row], (inv_x * s[row] * chan.beta) ** (1.0 / chan.alpha(state))
 
@@ -664,7 +661,7 @@ class TestMergedFieldBlocks:
         pmf = beam_gain_pmf(beam, k)
         upper = quad.truncation_radius_m
         merged = analytics._apply_exponent(
-            *analytics._exponent_blocks(s, fields, chan, upper, halvings), len(r), pmf)
+            analytics._exponent_blocks(s, fields, chan, upper, halvings), len(r), pmf)
         alone = sum(_one_field_exponents(s, fields, chan, upper, halvings, pmf))
         np.testing.assert_allclose(merged, alone, rtol=1e-14, atol=0.0)
         for field in fields:
@@ -696,7 +693,7 @@ class TestMergedFieldBlocks:
             merged = [b for *_, bl, _ in analytics._coverage_terms(lam0, chan, beam.g_main,
                                                                    quad, halvings) for b in bl]
             alone = [b for s, fields, args in calls for field in fields
-                     for b in blocks(s, [field], *args)[1]]
+                     for b in blocks(s, [field], *args)]
             calls.clear()
             assert all(len(b[0]) == 1 or b[2].size <= analytics._MAX_TENSOR for b in merged)
             assert sum(b[2].size for b in merged) == sum(b[2].size for b in alone), halvings
@@ -742,6 +739,38 @@ ORACLE_CASES = {
     "noise": (ChannelParams(2.0, 4.0, 1.0, BlockageModel.exponential(MU_M), noise_power=0.5),
               1.0, 1),
 }
+
+
+class TestPinnedValues:
+    """(value, error) of the kernel as recorded before entries stored their
+    weights beside their 1/x: a change of table layout or block order must
+    not move them. The error is a difference of close numbers plus bounds,
+    so it is pinned absolutely."""
+
+    @pytest.mark.parametrize("kind, tau, k, value, err", [
+        ("exponential", 0.1, 1, 0.9994594352189702, 1.8328957654378607e-07),
+        ("exponential", 10.0, 6, 0.6622786785221343, 3.3938274719867825e-05),
+        ("los_ball", 1.0, 12, 0.632194930198132, 0.00041633215995185384),
+        ("los_ball", 100.0, 3, 0.6239821542173337, 0.0012464326975315744),
+        ("constant", 1.0, 6, 0.6047220120708297, 0.08890433581047107),
+        ("constant", 31.6, 9, 0.0346200109028211, 0.008849532965710847),
+    ])
+    def test_coverage(self, kind, tau, k, value, err, lam0, beam, quad):
+        got, got_err = coverage_probability(tau, k, lam0, ORACLE_CASES[kind][0], beam, quad,
+                                            full_output=True)
+        assert got == pytest.approx(value, rel=1e-13, abs=0.0)
+        assert got_err == pytest.approx(err, rel=0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("kind, s, r, state, k, value, err", [
+        ("exponential", 30.0, 60.0, LOS, 3, 0.7406926893138013, 2.3960168386787823e-07),
+        ("los_ball", 0.5, 150.0, NLOS, 6, 0.9999943532140144, 2.0401884794272323e-08),
+        ("constant", 2.0, 20.0, NLOS, 12, 0.7562317031618513, 0.06049877824709466),
+    ])
+    def test_laplace_interference(self, kind, s, r, state, k, value, err, lam0, beam, quad):
+        got, got_err = laplace_interference(s, r, state, k, lam0, ORACLE_CASES[kind][0], beam,
+                                            quad, full_output=True)
+        assert got == pytest.approx(value, rel=1e-13, abs=0.0)
+        assert got_err == pytest.approx(err, rel=0.0, abs=1e-14)
 
 
 class TestAdaptiveOracle:

@@ -329,6 +329,24 @@ class TestMainExitCodes:
         assert "seed must lie in" in out.stderr
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, code", [(["coverage", "--trials", "100"], 1),
+                                               (["validate", "--trials", "10000"], 1),
+                                               (["coverage"], 0)])
+    def test_window_inside_the_truncation_radius(self, tmp_path, command, code):
+        # the window must cover the truncation radius only when trials run
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(FAST.replace("window_radius_m = 800", "window_radius_m = 100"))
+        src = str(Path(mmtier.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-m", "mmtier", *command, "--config", str(cfg),
+                              "--out", str(tmp_path / "out"), "--quiet"], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == code, out.stderr
+        assert "Traceback" not in out.stderr
+        if code:
+            assert "window must cover the analytical truncation radius" in out.stderr
+            assert not (tmp_path / "out").exists()
+
     def test_too_few_trials_is_one(self, tmp_path, caplog):
         cfg = tmp_path / "few.cfg"
         cfg.write_text(FAST)

@@ -144,3 +144,12 @@ def test_seed_outside_64_bits_rejected(seed):
     with pytest.raises(ConfigError, match="seed must lie in"):
         parse_config(f"blockage = exponential\nseed = {seed}\n")
     assert parse_config(f"blockage = exponential\nseed = {2**64 - 1}\n").seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("key", ["window_radius_m", "truncation_radius_m",
+                                 "topology_window_radius_m"])
+def test_negative_radius_rejected(key):
+    # 0 means the default radius; a negative one is an error, not the default
+    with pytest.raises(ConfigError, match=f"{key} must be 0"):
+        parse_config(f"blockage = exponential\n{key} = -3\n")
+    assert getattr(parse_config(f"blockage = exponential\n{key} = 0\n"), key) == 0.0
