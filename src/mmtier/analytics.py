@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -429,28 +430,27 @@ def _ragged_blocks(v, t_alpha, inv_s_beta, start, length):
 
 
 def _apply_exponent(blocks, n: int, pmf, scale: float = 1.0) -> np.ndarray:
-    """Per row, the exponent of `_exponent_blocks` with every s multiplied by ``scale``.
+    """Per row, the exponent of `_exponent_blocks` with every s multiplied by ``scale``."""
+    atoms = [(p, g * scale) for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
+    return _combine_atoms(atoms, _atom_sums(blocks, n, [c for _, c in atoms]))
 
-    Each gain atom adds p_g * g/(g + 1/x), which equals p_g x g/(1 + x g) and
-    stays exact as x -> 0 and x -> inf. With c = g * scale, a row's sum over
-    its entries is p_g * c * sum w/(c + 1/x at scale 1): one flat pass over
-    a block's entries per atom, and one weighted sum per row.
-    """
-    out = np.zeros(n)
+
+def _combine_atoms(atoms, sums):
+    """out = 0.0, then out + p * c * row for each (p, c) of ``atoms`` and row of ``sums``."""
+    return sum((p * c * row for (p, c), row in zip(atoms, sums)), 0.0)
+
+
+def _atom_sums(blocks, n: int, cs) -> np.ndarray:
+    """Per c of ``cs`` and per row of `_exponent_blocks`, the sum of w/(c + 1/x): a gain
+    atom adds p_g g/(g + 1/x) = p_g x g/(1 + x g) to the exponent (exact as x -> 0 and
+    x -> inf), which at c = g * scale is p_g c w/(c + 1/x at scale 1)."""
+    out = np.zeros((len(cs), n))
     for rows, starts, inv_x, weight in blocks:
-        out[rows] = _block_exponent(weight, starts, inv_x, pmf, scale)
-    return out
-
-
-def _block_exponent(weight, starts, inv_x, pmf, scale):
-    """`_apply_exponent` on one block; its work arrays are freed before the
-    next block is built."""
-    out, term = 0.0, np.empty_like(inv_x)
-    for g, p in zip(pmf.gains, pmf.probs):
-        if p > 0.0:
-            c = g * scale
+        term = np.empty_like(inv_x)
+        for i, c in enumerate(cs):
             np.divide(weight, np.add(inv_x, c, out=term), out=term)
-            out = out + p * c * np.add.reduceat(term, starts)
+            out[i, rows] = np.add.reduceat(term, starts)
+        del term  # freed before the next block is built
     return out
 
 
@@ -578,6 +578,26 @@ def _coverage_plan(lambda0: float, channel: ChannelParams, g_main: float,
                                                                         quad, halvings))
 
 
+# `_atom_sums` rows of the cached plans per (plan, gain atom g, tau) and serving state, the
+# least recently used out first; 54 hold 9 thresholds x 3 atoms x 2 panel counts, and k is
+# not in the key. A plan is known by its first array: the key holds the array's id, and a
+# weak reference to it, which dies with the plan and keeps no plan alive, confirms a hit.
+_ATOM_ROWS_SIZE = 54
+_atom_rows: dict = {}
+
+
+def _plan_atom_rows(plan, g: float, tau: float):
+    first = plan[0][0]
+    held = _atom_rows.pop((id(first), g, tau), None)
+    if held is None or held[0]() is not first:
+        held = weakref.ref(first), tuple(_read_only(_atom_sums(blocks, len(s_unit), [g * tau])[0])
+                                         for _, s_unit, blocks, _ in plan)
+    _atom_rows[id(first), g, tau] = held  # the dict's last key is the one used last
+    if len(_atom_rows) > _ATOM_ROWS_SIZE:
+        del _atom_rows[next(iter(_atom_rows))]
+    return held[1]
+
+
 def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelParams,
                          beam: BeamParams, quad: QuadratureSpec = DEFAULT_QUAD,
                          full_output: bool = False):
@@ -595,9 +615,9 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     The tau- and k-free tables of the quadrature are planned once per
     configuration and panel count (`_coverage_plan`) for up to
     _CACHED_HALVINGS halvings; finer panels are planned per call, one block
-    at a time, and dropped. Each row of a plan holds both interferer fields
-    of its outer node, so a grid point runs one flat pass per gain atom over
-    each block.
+    at a time, and dropped. A plan's row sums per gain atom at tau do not
+    depend on k; they are kept (`_plan_atom_rows`), so all k at one tau share
+    one flat pass per atom over each block.
     """
     if not tau > 0.0:
         raise ValueError("SINR threshold must be positive")
@@ -610,13 +630,19 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     tail_per_s = _TWO_PI * lambda0 * _interference_tail(
         channel.beta * pmf.expected_gain, upper, upper, channel, quad)
 
+    atoms = [(p, g) for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
+
     def evaluate(halvings):
-        plan = _coverage_plan if halvings <= _CACHED_HALVINGS else _coverage_terms
+        cached = halvings <= _CACHED_HALVINGS
+        plan = (_coverage_plan if cached else _coverage_terms)(lambda0, channel, beam.g_main,
+                                                               quad, halvings)
+        if cached:  # per serving state, the rows of the live atoms
+            rows = list(zip(*(_plan_atom_rows(plan, g, tau) for _, g in atoms)))
         value = tail_err = dropped = 0.0
-        for weight, s_unit, blocks, dropped_state in plan(lambda0, channel, beam.g_main, quad,
-                                                          halvings):
+        for i, (weight, s_unit, blocks, dropped_state) in enumerate(plan):
             s = s_unit * tau
-            exponent = _apply_exponent(blocks, len(s), pmf, tau)
+            exponent = (_combine_atoms([(p, g * tau) for p, g in atoms], rows[i]) if cached
+                        else _apply_exponent(blocks, len(s), pmf, tau))
             covered = weight * np.exp(-s * channel.noise_power - _TWO_PI * lambda0 * exponent)
             value += float(covered.sum())
             tail_err += float(covered @ np.minimum(s * tail_per_s, 1.0))
@@ -632,9 +658,7 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
                + dropped)
     value = min(max(value, 0.0), 1.0)
     err = quad_err + tail_err + outside
-    if full_output:
-        return value, err
-    return value
+    return (value, err) if full_output else value
 
 
 # ---------------------------------------------------------------------------

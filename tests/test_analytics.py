@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from mmtier import (
     serving_distance_pdf,
     tabulate_serving_distance,
 )
-from mmtier import analytics, config, los_probability
+from mmtier import analytics, cli, config, los_probability
 from mmtier.analytics import evaluate_point
 
 import adaptive_oracle as oracle
@@ -589,6 +590,159 @@ class TestCoveragePlan:
         assert small == default
         assert all(len(rows) == 1 or inv_x.size <= 64 for rows, _, inv_x, _ in blocks)
         assert max(inv_x.size for _, _, inv_x, _ in blocks) > 64
+
+
+def _fresh_coverage_caches() -> None:
+    """Empty the coverage plans and the atom rows summed from them."""
+    analytics._coverage_plan.cache_clear()
+    analytics._atom_rows.clear()
+
+
+def _count_atom_rows(monkeypatch) -> dict:
+    """Count `analytics._plan_atom_rows` lookups, those that run an `_atom_sums`
+    pass (the misses), and the largest size the row cache reaches."""
+    counts = {"lookups": 0, "misses": 0, "size": 0}
+    passes = []
+    lookup, sums = analytics._plan_atom_rows, analytics._atom_sums
+
+    def counted_lookup(*args):
+        counts["lookups"] += 1
+        passes.clear()
+        rows = lookup(*args)
+        counts["misses"] += bool(passes)
+        counts["size"] = max(counts["size"], len(analytics._atom_rows))
+        return rows
+
+    def counted_sums(*args):
+        passes.append(1)
+        return sums(*args)
+
+    monkeypatch.setattr(analytics, "_plan_atom_rows", counted_lookup)
+    monkeypatch.setattr(analytics, "_atom_sums", counted_sums)
+    return counts
+
+
+def _default_sweep_config(tau_db_list=None):
+    """The default configuration over all 12 gains, at the default thresholds
+    unless ``tau_db_list`` is given."""
+    cfg = dataclasses.replace(config.parse_config("blockage = exponential\n"),
+                              k_list=tuple(range(1, 13)))
+    return dataclasses.replace(cfg, tau_db_list=tau_db_list) if tau_db_list else cfg
+
+
+class TestAtomRows:
+    """The per-row atom sums that `coverage_probability` keeps per (plan, gain
+    atom, threshold) in `analytics._atom_rows`: k is not in the key."""
+
+    TAU = 10.0
+
+    @pytest.fixture(scope="class")
+    def cold(self, lam0, channel, beam, quad):
+        """(value, error) of every k at TAU, each from empty caches."""
+        out = {}
+        for k in range(1, 13):
+            _fresh_coverage_caches()
+            out[k] = coverage_probability(self.TAU, k, lam0, channel, beam, quad,
+                                          full_output=True)
+        return out
+
+    @pytest.mark.parametrize("order", ["twelve_first", "ascending", "descending", "shuffled"])
+    def test_every_k_order_matches_cold(self, order, cold, lam0, channel, beam, quad):
+        ks = {"twelve_first": [12, *range(1, 12)], "ascending": list(range(1, 13)),
+              "descending": list(range(12, 0, -1)),
+              "shuffled": [int(k) for k in np.random.default_rng(15).permutation(range(1, 13))]}
+        _fresh_coverage_caches()
+        for k in ks[order]:
+            got = coverage_probability(self.TAU, k, lam0, channel, beam, quad, full_output=True)
+            assert got == cold[k], (order, k)
+        # the three atoms at both cached panel counts; k = 12 has one live atom
+        assert len(analytics._atom_rows) == 3 * (analytics._CACHED_HALVINGS + 1)
+
+    def test_beams_sharing_the_main_lobe_keep_their_side_lobes(self, lam0, channel, beam, quad):
+        # one plan (it depends on g_main alone), atoms g_main^2 shared, the others not
+        beams = [beam, dataclasses.replace(beam, g_side=2.0)]
+        cases = [(b, k) for b in beams for k in (1, 6)]
+        cold = {}
+        for b, k in cases:
+            _fresh_coverage_caches()
+            cold[b, k] = coverage_probability(3.0, k, lam0, channel, b, quad, full_output=True)
+        _fresh_coverage_caches()
+        for _ in range(2):
+            for b, k in cases[::2] + cases[1::2]:
+                assert coverage_probability(3.0, k, lam0, channel, b, quad,
+                                            full_output=True) == cold[b, k], (b, k)
+        assert len(analytics._atom_rows) == 5 * (analytics._CACHED_HALVINGS + 1)
+
+    def test_a_flat_beam_has_one_entry_per_panel_count(self, lam0, channel, quad):
+        # the beam of `test_degenerate_beam_closed_form`: three equal atoms
+        flat = BeamParams(theta_a=0.3, g_main=2.0, g_side=2.0, rf_chains=4)
+        _fresh_coverage_caches()
+        cold = coverage_probability(2.0, 2, lam0, channel, flat, quad, full_output=True)
+        assert coverage_probability(2.0, 2, lam0, channel, flat, quad, full_output=True) == cold
+        assert len(analytics._atom_rows) == analytics._CACHED_HALVINGS + 1
+
+    @pytest.mark.parametrize("patch", ["rebuilt_plan", "block_size", "dropped_rows"])
+    def test_a_rebuilt_plan_misses(self, patch, lam0, beam, quad, monkeypatch):
+        # The tests that patch the plan builder clear `_coverage_plan` alone;
+        # rows summed from the plan before must not serve the plan after.
+        chan, tau, k = ORACLE_CASES["exponential"]
+        args = (tau, k, lam0, chan, beam, quad)
+        r_min = analytics._outer_r_min(lam0, quad)
+        _fresh_coverage_caches()
+        coverage_probability(*args)
+        with monkeypatch.context() as m:
+            counts = _count_atom_rows(m)
+            if patch == "block_size":
+                m.setattr(analytics, "_MAX_TENSOR", 64)
+            elif patch == "dropped_rows":  # two more outer rows per plan
+                m.setattr(analytics, "_outer_r_min", lambda *_: r_min)
+                m.setattr(analytics, "_R_MIN_FACTOR", 0.0)
+            analytics._coverage_plan.cache_clear()
+            got = coverage_probability(*args, full_output=True)
+            assert counts["misses"] == counts["lookups"] == 3 * (analytics._CACHED_HALVINGS + 1)
+            _fresh_coverage_caches()
+            assert got == coverage_probability(*args, full_output=True)
+        _fresh_coverage_caches()
+
+    def test_an_entry_of_a_freed_plan_is_not_served(self, lam0, channel, beam, quad):
+        # Ids are reused: a plan built after another was freed can find that
+        # plan's entries under its own key. The weak reference tells them apart.
+        _fresh_coverage_caches()
+        value = coverage_probability(2.0, 6, lam0, channel, beam, quad, full_output=True)
+        firsts = {id(analytics._coverage_plan(lam0, channel, beam.g_main, quad, h)[0][0])
+                  for h in range(analytics._CACHED_HALVINGS + 1)}
+        freed = np.zeros(0)
+        for key in [key for key in analytics._atom_rows if key[0] in firsts]:
+            analytics._atom_rows[key] = weakref.ref(freed), ((), ())
+        del freed
+        assert coverage_probability(2.0, 6, lam0, channel, beam, quad, full_output=True) == value
+
+    def test_a_sweep_sums_each_atom_once_per_threshold(self, monkeypatch):
+        # 9 thresholds x 12 gains, tau-major: 9 x 3 atoms x 2 panel counts
+        counts = _count_atom_rows(monkeypatch)
+        _fresh_coverage_caches()
+        cli.run_sweep(_default_sweep_config())
+        assert counts["misses"] == analytics._ATOM_ROWS_SIZE == 54
+        # 11 gains with 3 live atoms and k = 12 with one, at both panel counts
+        assert counts["lookups"] == 9 * (11 * 3 + 1) * 2
+        assert counts["size"] == analytics._ATOM_ROWS_SIZE
+        # new thresholds evict the least recently used rows; the bound holds
+        cli.run_sweep(_default_sweep_config((-7.0, 2.0, 12.0, 22.0)))
+        assert counts["misses"] == 54 + 4 * 3 * 2
+        assert counts["size"] == analytics._ATOM_ROWS_SIZE
+
+    def test_memory_of_the_filled_cache(self):
+        cfg = _default_sweep_config()
+        cli.run_sweep(cfg)  # the plans
+        analytics._atom_rows.clear()
+        tracemalloc.start()
+        try:
+            cli.run_sweep(cfg)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(analytics._atom_rows) == analytics._ATOM_ROWS_SIZE
+        assert held < 2**18, held  # 0.25 MiB
 
 
 def _one_field_exponents(s, fields, chan, upper, halvings, pmf):

@@ -347,6 +347,20 @@ class TestMainExitCodes:
             assert "window must cover the analytical truncation radius" in out.stderr
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "-inf", "inf"])
+    def test_non_finite_threshold_is_one_without_traceback(self, tmp_path, value):
+        cfg = tmp_path / "tau.cfg"
+        cfg.write_text(FAST.replace("tau_db_list = 0, 10", f"tau_db_list = 0, {value}"))
+        src = str(Path(mmtier.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-m", "mmtier", "coverage", "--config", str(cfg),
+                              "--out", str(tmp_path / "out"), "--quiet"], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 1, out.stderr
+        assert "Traceback" not in out.stderr
+        assert "tau_db_list entries must be finite" in out.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_too_few_trials_is_one(self, tmp_path, caplog):
         cfg = tmp_path / "few.cfg"
         cfg.write_text(FAST)

@@ -153,3 +153,9 @@ def test_negative_radius_rejected(key):
     with pytest.raises(ConfigError, match=f"{key} must be 0"):
         parse_config(f"blockage = exponential\n{key} = -3\n")
     assert getattr(parse_config(f"blockage = exponential\n{key} = 0\n"), key) == 0.0
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "inf"])
+def test_non_finite_threshold_rejected(value):
+    with pytest.raises(ConfigError, match="tau_db_list entries must be finite"):
+        parse_config(f"blockage = exponential\ntau_db_list = 0, {value}\n")
