@@ -17,6 +17,7 @@ modules share only `mmtier.channel`, so they can cross-validate each other.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -429,9 +430,9 @@ def _ragged_blocks(v, t_alpha, inv_s_beta, start, length):
         yield rows, np.cumsum(row_length[rows]) - row_length[rows], inv_x, v[index]
 
 
-def _apply_exponent(blocks, n: int, pmf, scale: float = 1.0) -> np.ndarray:
-    """Per row, the exponent of `_exponent_blocks` with every s multiplied by ``scale``."""
-    atoms = [(p, g * scale) for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
+def _apply_exponent(blocks, n: int, pmf) -> np.ndarray:
+    """Per row, the exponent of `_exponent_blocks` under the gain law ``pmf``."""
+    atoms = [(p, g) for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
     return _combine_atoms(atoms, _atom_sums(blocks, n, [c for _, c in atoms]))
 
 
@@ -483,8 +484,8 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
     panel-halving difference plus the analytic truncation tail bound.
     """
     _check_state(serving_state)
-    if s < 0.0:
-        raise ValueError("transform variable must be non-negative")
+    if not 0.0 <= s < math.inf:
+        raise ValueError("transform variable must be non-negative and finite")
     if not serving_distance > 0.0:
         raise ValueError("serving distance must be positive")
     if lambda0 < 0.0:
@@ -564,35 +565,69 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _shift_rows(blocks, offset: int):
+    """``blocks`` with every row index moved on by ``offset``."""
+    for rows, starts, inv_x, weight in blocks:
+        yield rows + offset, starts, inv_x, weight
+
+
+def _joined_terms(lambda0: float, channel: ChannelParams, g_main: float,
+                  quad: QuadratureSpec, halvings: int):
+    """Both serving states of `_coverage_terms` side by side, one state built at a time.
+
+    Returns the outer weights and s at tau = 1 of the LOS rows and then the
+    NLOS rows; the blocks of both states as one lazy iterator, the NLOS rows
+    numbered on from the LOS rows; and the serving-distance mass that the
+    quadrature leaves out: at most pi lambda0 r_min^2 below r_min, at most
+    each state's nearest-AP mass beyond the truncation radius, and the mass
+    of the dropped leading nodes.
+    """
+    weights, s_units, blocks, dropped = [], [], [], 0.0
+    for weight, s_unit, state_blocks, state_dropped in _coverage_terms(lambda0, channel, g_main,
+                                                                       quad, halvings):
+        blocks.append(_shift_rows(state_blocks, sum(map(len, s_units))))
+        weights.append(weight)
+        s_units.append(s_unit)
+        dropped += state_dropped
+    beyond_los, beyond_nlos = _nearest_mass_beyond(lambda0, channel.blockage,
+                                                   quad.truncation_radius_m)
+    outside = (math.pi * lambda0 * _outer_r_min(lambda0, quad)**2 + beyond_los + beyond_nlos
+               + dropped)
+    return (np.concatenate(weights), np.concatenate(s_units),
+            itertools.chain.from_iterable(blocks), outside)
+
+
 @functools.lru_cache(maxsize=8)
 def _coverage_plan(lambda0: float, channel: ChannelParams, g_main: float,
                    quad: QuadratureSpec, halvings: int):
-    """`_coverage_terms` held in read-only arrays, for the halvings every grid point runs.
+    """`_joined_terms` held in read-only arrays, for the halvings every grid point runs.
 
     Only tau- and k-free tables are kept, so one plan serves the whole
     (tau, k) grid of a configuration.
     """
-    return tuple((_read_only(weight), _read_only(s_unit),
-                  tuple(tuple(_read_only(a) for a in block) for block in blocks), dropped)
-                 for weight, s_unit, blocks, dropped in _coverage_terms(lambda0, channel, g_main,
-                                                                        quad, halvings))
+    weight, s_unit, blocks, outside = _joined_terms(lambda0, channel, g_main, quad, halvings)
+    return (_read_only(weight), _read_only(s_unit),
+            tuple(tuple(_read_only(a) for a in block) for block in blocks), outside)
 
 
-# `_atom_sums` rows of the cached plans per (plan, gain atom g, tau) and serving state, the
-# least recently used out first; 54 hold 9 thresholds x 3 atoms x 2 panel counts, and k is
-# not in the key. A plan is known by its first array: the key holds the array's id, and a
-# weak reference to it, which dies with the plan and keeps no plan alive, confirms a hit.
+# `_atom_sums` rows of the cached plans per (plan, c = g tau), the least recently used out
+# first. A row does not depend on k, nor on how c splits into a gain atom g and a threshold:
+# the 9 default thresholds at 5 dB steps and the atoms at 40, 20 and 0 dB make 18 products,
+# so a default sweep fills 36 entries of the 54. A plan is known by its first array: the key
+# holds the array's id, and a weak reference to it, which dies with the plan and keeps no
+# plan alive, confirms a hit.
 _ATOM_ROWS_SIZE = 54
 _atom_rows: dict = {}
 
 
-def _plan_atom_rows(plan, g: float, tau: float):
-    first = plan[0][0]
-    held = _atom_rows.pop((id(first), g, tau), None)
+def _plan_atom_rows(plan, c: float) -> np.ndarray:
+    """The `_atom_sums` row of ``plan`` at ``c``, both serving states side by side."""
+    first = plan[0]
+    held = _atom_rows.pop((id(first), c), None)
     if held is None or held[0]() is not first:
-        held = weakref.ref(first), tuple(_read_only(_atom_sums(blocks, len(s_unit), [g * tau])[0])
-                                         for _, s_unit, blocks, _ in plan)
-    _atom_rows[id(first), g, tau] = held  # the dict's last key is the one used last
+        _, s_unit, blocks, _ = plan
+        held = weakref.ref(first), _read_only(_atom_sums(blocks, len(s_unit), [c])[0])
+    _atom_rows[id(first), c] = held  # the dict's last key is the one used last
     if len(_atom_rows) > _ATOM_ROWS_SIZE:
         del _atom_rows[next(iter(_atom_rows))]
     return held[1]
@@ -612,15 +647,17 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     serving-distance mass outside the outer range or on the leading outer
     nodes that `_coverage_terms` drops.
 
-    The tau- and k-free tables of the quadrature are planned once per
-    configuration and panel count (`_coverage_plan`) for up to
-    _CACHED_HALVINGS halvings; finer panels are planned per call, one block
-    at a time, and dropped. A plan's row sums per gain atom at tau do not
-    depend on k; they are kept (`_plan_atom_rows`), so all k at one tau share
-    one flat pass per atom over each block.
+    Both serving states are evaluated as one joined row set (`_joined_terms`).
+    Its tau- and k-free tables are planned once per configuration and panel
+    count (`_coverage_plan`) for up to _CACHED_HALVINGS halvings, and a plan's
+    row sums per product c = g tau of a gain atom and tau are kept
+    (`_plan_atom_rows`), so all k at one tau, and the atoms of other
+    thresholds with the same product, share one flat pass over each block.
+    Finer panels are planned per call and every live atom summed in one pass
+    over each block as it is built; nothing of them is kept.
     """
-    if not tau > 0.0:
-        raise ValueError("SINR threshold must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ValueError("SINR threshold must be positive and finite")
     if not lambda0 > 0.0:
         raise ValueError("tier intensity must be positive")
     pmf = beam_gain_pmf(beam, k)  # validates k against the RF-chain budget
@@ -629,33 +666,24 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     # this (the bound from the truncation radius covers every exclusion radius).
     tail_per_s = _TWO_PI * lambda0 * _interference_tail(
         channel.beta * pmf.expected_gain, upper, upper, channel, quad)
-
-    atoms = [(p, g) for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
+    atoms = [(p, g * tau) for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
+    cs = [c for _, c in atoms]
 
     def evaluate(halvings):
-        cached = halvings <= _CACHED_HALVINGS
-        plan = (_coverage_plan if cached else _coverage_terms)(lambda0, channel, beam.g_main,
-                                                               quad, halvings)
-        if cached:  # per serving state, the rows of the live atoms
-            rows = list(zip(*(_plan_atom_rows(plan, g, tau) for _, g in atoms)))
-        value = tail_err = dropped = 0.0
-        for i, (weight, s_unit, blocks, dropped_state) in enumerate(plan):
-            s = s_unit * tau
-            exponent = (_combine_atoms([(p, g * tau) for p, g in atoms], rows[i]) if cached
-                        else _apply_exponent(blocks, len(s), pmf, tau))
-            covered = weight * np.exp(-s * channel.noise_power - _TWO_PI * lambda0 * exponent)
-            value += float(covered.sum())
-            tail_err += float(covered @ np.minimum(s * tail_per_s, 1.0))
-            dropped += dropped_state
-        return value, tail_err, dropped
+        if halvings <= _CACHED_HALVINGS:
+            plan = _coverage_plan(lambda0, channel, beam.g_main, quad, halvings)
+            weight, s_unit, _, outside = plan
+            sums = [_plan_atom_rows(plan, c) for c in cs]
+        else:
+            weight, s_unit, blocks, outside = _joined_terms(lambda0, channel, beam.g_main, quad,
+                                                            halvings)
+            sums = _atom_sums(blocks, len(s_unit), cs)
+        s = s_unit * tau
+        exponent = _combine_atoms(atoms, sums)
+        covered = weight * np.exp(-s * channel.noise_power - _TWO_PI * lambda0 * exponent)
+        return float(covered.sum()), float(covered @ np.minimum(s * tail_per_s, 1.0)), outside
 
-    (value, tail_err, dropped), quad_err = _refine(evaluate, quad, "coverage integral")
-    # Serving-distance mass outside [r_min, upper]: at most pi lambda0 r_min^2
-    # below, and at most each state's nearest-AP mass beyond upper above; plus
-    # the mass of the dropped leading nodes.
-    beyond_los, beyond_nlos = _nearest_mass_beyond(lambda0, channel.blockage, upper)
-    outside = (math.pi * lambda0 * _outer_r_min(lambda0, quad)**2 + beyond_los + beyond_nlos
-               + dropped)
+    (value, tail_err, outside), quad_err = _refine(evaluate, quad, "coverage integral")
     value = min(max(value, 0.0), 1.0)
     err = quad_err + tail_err + outside
     return (value, err) if full_output else value

@@ -10,6 +10,7 @@ belongs to the configuration boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -167,6 +168,7 @@ class GainPmf:
         e0, e1, _ = np.cumsum(self.probs).tolist()
         object.__setattr__(self, "_edges", (e0, e1))
         object.__setattr__(self, "_gain_arr", np.asarray(self.gains, dtype=float))
+        self._gain_arr.setflags(write=False)  # one cached `GainPmf` serves every caller
 
     @property
     def expected_gain(self) -> float:
@@ -184,12 +186,14 @@ class GainPmf:
         return self._gain_arr.take(np.add(u >= e0, u >= e1, dtype=np.intp))
 
 
+@functools.lru_cache(maxsize=64)
 def beam_gain_pmf(beam: BeamParams, k: int) -> GainPmf:
     """Gain distribution seen from an interfering AP running k streams.
 
     Each end of an interfering link points its k beams independently of the
     victim, so the main lobe covers the victim with probability
     p = theta_a * k / (2*pi); both ends align with probability p^2, etc.
+    Cached: every caller of one (beam, k) shares one immutable `GainPmf`.
     """
     if not 1 <= k <= beam.rf_chains:
         raise ValueError(f"multiplexing gain k={k} outside 1..{beam.rf_chains}")

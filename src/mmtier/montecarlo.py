@@ -234,8 +234,8 @@ def empirical_laplace(s: float, serving_distance: float, serving_state: str, k: 
     radius). Per-trial means are combined by compensated summation.
     """
     _check_state(serving_state)
-    if s < 0.0:
-        raise ValueError("transform variable must be non-negative")
+    if not 0.0 <= s < math.inf:
+        raise ValueError("transform variable must be non-negative and finite")
     if not serving_distance > 0.0:
         raise ValueError("serving distance must be positive")
     if sim.trials < 10_000:

@@ -6,6 +6,8 @@ RF chains. Session-scoped where construction is expensive.
 """
 
 import math
+import os
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,11 @@ from mmtier import (
     QuadratureSpec,
     tabulate_serving_distance,
 )
+
+# `pythonpath` in pyproject.toml puts src/ on this process's import path;
+# subprocesses that run `python -m mmtier` get it through PYTHONPATH.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))))
 
 MU_M = 141.4
 R0_M = 100.0

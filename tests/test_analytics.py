@@ -314,6 +314,11 @@ class TestLaplaceInterference:
             laplace_interference(1.0, 50.0, LOS, 1, LAM, chan,
                                  beam, QuadratureSpec(truncation_radius_m=2500.0))
 
+    @pytest.mark.parametrize("s", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_s_rejected(self, s, lam0, channel, beam, quad):
+        with pytest.raises(ValueError, match="finite"):
+            laplace_interference(s, 50.0, LOS, 6, lam0, channel, beam, quad)
+
     def test_nlos_serving_exclusion_larger_than_window(self, lam0, channel, beam, quad):
         # Serving NLOS at 80 m excludes LOS interferers out to 80^2 m, beyond
         # the truncation: only the NLOS field contributes.
@@ -411,13 +416,20 @@ class TestCoverageProbability:
         with pytest.raises(ValueError):
             coverage_probability(1.0, 13, lam0, channel, beam, quad)
 
+    @pytest.mark.parametrize("tau", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_threshold_rejected(self, tau, lam0, channel, beam, quad):
+        _fresh_coverage_caches()
+        with pytest.raises(ValueError, match="finite"):
+            coverage_probability(tau, 6, lam0, channel, beam, quad)
+        assert not analytics._atom_rows
+
 
 def _plan_arrays(plan):
-    for weight, s_unit, blocks, _ in plan:
-        yield weight
-        yield s_unit
-        for block in blocks:
-            yield from block
+    weight, s_unit, blocks, _ = plan
+    yield weight
+    yield s_unit
+    for block in blocks:
+        yield from block
 
 
 class TestCoveragePlan:
@@ -467,7 +479,7 @@ class TestCoveragePlan:
             tracemalloc.stop()
             analytics._coverage_plan.cache_clear()
         # the ragged plans, 1/x and the weight per entry, both float64, hold
-        # 1.6 MiB and peak at 1.75 MiB
+        # 1.6 MiB and peak at 1.74 MiB
         assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("blockage", [BLOCKAGE_KINDS[kind] for kind in sorted(BLOCKAGE_KINDS)]
@@ -584,8 +596,7 @@ class TestCoveragePlan:
         monkeypatch.setattr(analytics, "_MAX_TENSOR", 64)
         small = values()
         chan = ORACLE_CASES["exponential"][0]
-        blocks = [b for *_, bl, _ in analytics._coverage_plan(lam0, chan, beam.g_main, quad, 0)
-                  for b in bl]
+        blocks = analytics._coverage_plan(lam0, chan, beam.g_main, quad, 0)[2]
         analytics._coverage_plan.cache_clear()
         assert small == default
         assert all(len(rows) == 1 or inv_x.size <= 64 for rows, _, inv_x, _ in blocks)
@@ -631,8 +642,9 @@ def _default_sweep_config(tau_db_list=None):
 
 
 class TestAtomRows:
-    """The per-row atom sums that `coverage_probability` keeps per (plan, gain
-    atom, threshold) in `analytics._atom_rows`: k is not in the key."""
+    """The per-row atom sums that `coverage_probability` keeps per (plan, product
+    c = g tau of a gain atom and the threshold) in `analytics._atom_rows`: k is
+    not in the key."""
 
     TAU = 10.0
 
@@ -709,30 +721,45 @@ class TestAtomRows:
         # plan's entries under its own key. The weak reference tells them apart.
         _fresh_coverage_caches()
         value = coverage_probability(2.0, 6, lam0, channel, beam, quad, full_output=True)
-        firsts = {id(analytics._coverage_plan(lam0, channel, beam.g_main, quad, h)[0][0])
+        firsts = {id(analytics._coverage_plan(lam0, channel, beam.g_main, quad, h)[0])
                   for h in range(analytics._CACHED_HALVINGS + 1)}
         freed = np.zeros(0)
         for key in [key for key in analytics._atom_rows if key[0] in firsts]:
-            analytics._atom_rows[key] = weakref.ref(freed), ((), ())
+            analytics._atom_rows[key] = weakref.ref(freed), np.zeros(0)
         del freed
         assert coverage_probability(2.0, 6, lam0, channel, beam, quad, full_output=True) == value
 
     def test_a_sweep_sums_each_atom_once_per_threshold(self, monkeypatch):
-        # 9 thresholds x 12 gains, tau-major: 9 x 3 atoms x 2 panel counts
+        # 9 thresholds at 5 dB steps x atoms at 40, 20 and 0 dB make 18 products
+        # c = g tau, at 2 panel counts
         counts = _count_atom_rows(monkeypatch)
         _fresh_coverage_caches()
         cli.run_sweep(_default_sweep_config())
-        assert counts["misses"] == analytics._ATOM_ROWS_SIZE == 54
+        assert counts["misses"] == counts["size"] == 18 * 2 == 36
         # 11 gains with 3 live atoms and k = 12 with one, at both panel counts
         assert counts["lookups"] == 9 * (11 * 3 + 1) * 2
-        assert counts["size"] == analytics._ATOM_ROWS_SIZE
-        # new thresholds evict the least recently used rows; the bound holds
+        # 4 new thresholds share no product with the 9 nor with each other; their
+        # 24 rows evict the least recently used 6, and the bound holds
         cli.run_sweep(_default_sweep_config((-7.0, 2.0, 12.0, 22.0)))
-        assert counts["misses"] == 54 + 4 * 3 * 2
-        assert counts["size"] == analytics._ATOM_ROWS_SIZE
+        assert counts["misses"] == 36 + 4 * 3 * 2
+        assert counts["size"] == analytics._ATOM_ROWS_SIZE == 54
+
+    def test_thresholds_share_rows_by_the_product(self, lam0, channel, beam, quad, monkeypatch):
+        # atoms 10^4, 100 and 1: tau = 0.1 sums c = 1000, 10 and 0.1, and tau = 10
+        # then needs only c = 10^5 (1000 and 10 come back as 100 x 10 and 1 x 10)
+        _fresh_coverage_caches()
+        cold = coverage_probability(10.0, 1, lam0, channel, beam, quad, full_output=True)
+        _fresh_coverage_caches()
+        coverage_probability(0.1, 1, lam0, channel, beam, quad)
+        counts = _count_atom_rows(monkeypatch)
+        assert coverage_probability(10.0, 1, lam0, channel, beam, quad, full_output=True) == cold
+        assert counts["lookups"] == 3 * (analytics._CACHED_HALVINGS + 1)
+        assert counts["misses"] == analytics._CACHED_HALVINGS + 1
+        assert len(analytics._atom_rows) == 4 * (analytics._CACHED_HALVINGS + 1)
 
     def test_memory_of_the_filled_cache(self):
-        cfg = _default_sweep_config()
+        # 9 thresholds within 16 dB: no two of their 27 products are equal
+        cfg = _default_sweep_config((-9.0, -7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0))
         cli.run_sweep(cfg)  # the plans
         analytics._atom_rows.clear()
         tracemalloc.start()

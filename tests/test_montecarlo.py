@@ -198,6 +198,11 @@ class TestEmpiricalLaplace:
         with pytest.raises(ValueError):
             empirical_laplace(1.0, 80.0, LOS, 6, lam0, channel, beam, small)
 
+    @pytest.mark.parametrize("s", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_s_rejected(self, s, lam0, channel, beam, sim):
+        with pytest.raises(ValueError, match="finite"):
+            empirical_laplace(s, 80.0, LOS, 6, lam0, channel, beam, sim)
+
     def test_agrees_with_transform(self, lam0, channel, beam, quad, sim):
         from mmtier import laplace_interference
         for s, r, state, k in [(100.0, 90.0, LOS, 6), (3.0, 40.0, NLOS, 2)]:
