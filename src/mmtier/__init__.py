@@ -48,6 +48,7 @@ from .montecarlo import (
     SimulationError,
     empirical_coverage,
     empirical_laplace,
+    empirical_laplace_batch,
     serving_distance_samples,
     sinr_samples,
     trial_stream,

@@ -96,6 +96,9 @@ _CACHED_HALVINGS = 1
 # Coverage integrates the serving distance from 1e-6 * r0 up: the mass below
 # is at most pi * lambda0 * (1e-6 * r0)^2 = 1e-12.
 _R_MIN_FACTOR = 1e-6
+# Coverage falls with tau: a larger tau is evaluated here, with the value added to the
+# error, which keeps s = r^alpha tau / (g^2 beta) and every product c = g tau finite.
+_TAU_CLAMP = 1e200
 
 
 def _panel_edges(breaks, halvings: int) -> np.ndarray:
@@ -660,6 +663,8 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
         raise ValueError("SINR threshold must be positive and finite")
     if not lambda0 > 0.0:
         raise ValueError("tier intensity must be positive")
+    clamped = tau > _TAU_CLAMP
+    tau = min(tau, _TAU_CLAMP)
     pmf = beam_gain_pmf(beam, k)  # validates k against the RF-chain budget
     upper = quad.truncation_radius_m
     # The far-field tail of each node's Laplace exponent is at most s times
@@ -685,7 +690,7 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
 
     (value, tail_err, outside), quad_err = _refine(evaluate, quad, "coverage integral")
     value = min(max(value, 0.0), 1.0)
-    err = quad_err + tail_err + outside
+    err = quad_err + tail_err + outside + (value if clamped else 0.0)
     return (value, err) if full_output else value
 
 

@@ -4,6 +4,8 @@ Realizes the per-hop typical-receiver experiment by actual point sampling:
 drop the receiver at the origin, scatter the scheduled transmitters as a
 marked PPP, associate with the maximum-average-power AP, and measure SINR,
 association distances and the interference Laplace functional empirically.
+The Laplace sampler integrates fading and gains out per trial (conditional
+Monte Carlo), on one draw of positions for every tuple of a call.
 
 Every trial owns a counter-based random stream derived from the master seed
 (Philox keyed by seed, counter set from the trial index), so a trial's draws,
@@ -20,7 +22,6 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import (
-    LOS,
     BeamParams,
     BlockageModel,
     ChannelParams,
@@ -37,6 +38,7 @@ _SUB_ASSOCIATION = 2
 _SUB_LAPLACE = 3
 
 _EMPTY_RESAMPLE_LIMIT = 10_000
+_CHUNK_POINTS = 1 << 13  # mean points per chunk of Laplace trials
 
 
 class SimulationError(RuntimeError):
@@ -197,8 +199,8 @@ def empirical_coverage(tau: float, k: int, lambda0: float, channel: ChannelParam
     sweeping tau over a fixed configuration reuses one realization set and is
     exactly monotone in tau.
     """
-    if not tau > 0.0:
-        raise ValueError("SINR threshold must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ValueError("SINR threshold must be positive and finite")
     if sim.trials < 100:
         raise ValueError("coverage estimation needs at least 100 trials")
     samples = _sinr_samples_cached(k, lambda0, channel, beam, sim)
@@ -226,50 +228,73 @@ def serving_distance_samples(lambda0: float, channel: ChannelParams,
 def empirical_laplace(s: float, serving_distance: float, serving_state: str, k: int,
                       lambda0: float, channel: ChannelParams, beam: BeamParams,
                       sim: SimConfig) -> tuple[float, float]:
-    """Sample mean of exp(-s * I) conditioned on the serving AP, plus its std error.
+    """The one-tuple case of `empirical_laplace_batch`."""
+    return empirical_laplace_batch([(s, serving_distance, serving_state, k)], lambda0,
+                                   channel, beam, sim)[0]
+
+
+def empirical_laplace_batch(tuples, lambda0: float, channel: ChannelParams,
+                            beam: BeamParams, sim: SimConfig) -> list[tuple[float, float]]:
+    """Mean of E[exp(-s * I) | positions] and its std error per (s, serving distance,
+    serving state, k) tuple, all tuples on one draw of positions per trial.
 
     The serving AP is pinned at the given distance/state; interferers are the
-    marked PPP thinned by the exclusion rule (same-state points beyond the
-    serving distance, opposite-state points beyond its power-equivalent
-    radius). Per-trial means are combined by compensated summation.
+    marked PPP points that offer less average power. Fading and gains are
+    integrated out (`_laplace_samples`); per-trial values are combined by
+    compensated summation.
     """
-    _check_state(serving_state)
-    if not 0.0 <= s < math.inf:
-        raise ValueError("transform variable must be non-negative and finite")
-    if not serving_distance > 0.0:
-        raise ValueError("serving distance must be positive")
+    for s, serving_distance, serving_state, _ in tuples:
+        _check_state(serving_state)
+        if not 0.0 <= s < math.inf:
+            raise ValueError("transform variable must be non-negative and finite")
+        if not serving_distance > 0.0:
+            raise ValueError("serving distance must be positive")
     if sim.trials < 10_000:
         raise ValueError("Laplace estimation needs at least 10^4 trials")
-    vals = _laplace_samples(s, serving_distance, serving_state, k, lambda0, channel, beam, sim)
-    mean = math.fsum(vals) / sim.trials
-    var = math.fsum((vals - mean) ** 2) / (sim.trials - 1)
-    return mean, math.sqrt(var / sim.trials)
+    out = []
+    for vals in _laplace_samples(tuples, lambda0, channel, beam, sim):
+        mean = math.fsum(vals) / sim.trials
+        var = math.fsum((vals - mean) ** 2) / (sim.trials - 1)
+        out.append((mean, math.sqrt(var / sim.trials)))
+    return out
 
 
-def _laplace_samples(s: float, serving_distance: float, serving_state: str, k: int,
-                     lambda0: float, channel: ChannelParams, beam: BeamParams,
+def _laplace_samples(tuples, lambda0: float, channel: ChannelParams, beam: BeamParams,
                      sim: SimConfig) -> np.ndarray:
-    """Per-trial exp(-s * I) behind `empirical_laplace`, trial i on trial i's stream.
+    """E[exp(-s * I) | positions] per tuple (row) and trial i on trial i's stream (column).
 
-    The stream has no angle uniforms and no resampling: an empty window is a
-    valid conditioned draw.
+    A trial draws a Poisson count n, then n radii and n LOS marks (no resampling:
+    an empty window is a valid draw). With unit-mean Rayleigh fading and gain
+    atoms (g, p_g), a point at d^alpha = w adds the factor sum_g p_g/(1 + c_g/w)
+    = 1 - sum_g p_g c_g/(w + c_g), c_g = s beta g: exactly 1 at s = 0, clamped at
+    0. A point with w at most the serving AP's r^alpha takes w = inf (factor 1).
+    Steps are elementwise or a per-trial sequential product, so a value does not
+    depend on the chunking, the trial count or the other tuples.
     """
-    if serving_state == LOS:
-        excl_los = serving_distance
-        excl_nlos = serving_distance ** (channel.alpha_los / channel.alpha_nlos)
-    else:
-        excl_nlos = serving_distance
-        excl_los = serving_distance ** (channel.alpha_nlos / channel.alpha_los)
-    pmf = beam_gain_pmf(beam, k)
+    laws = []
+    for s, serving_distance, serving_state, k in tuples:
+        pmf = beam_gain_pmf(beam, k)
+        atoms = [(p * s * channel.beta * g, s * channel.beta * g)
+                 for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
+        laws.append((serving_distance ** channel.alpha(serving_state), atoms))
     mean_count = lambda0 * math.pi * sim.window_radius_m**2
-    vals = np.empty(sim.trials)
-    for i, rng in enumerate(_trial_streams(sim, _SUB_LAPLACE)):
-        n = rng.poisson(mean_count)
-        u = rng.random(2 * n)
-        radii = sim.window_radius_m * np.sqrt(u[:n])
-        is_los = u[n:] < _p_los_raw(radii, channel.blockage)
-        keep = radii > np.where(is_los, excl_los, excl_nlos)
-        power = _mean_power(radii[keep], is_los[keep], channel)
-        weights = rng.exponential(size=len(power)) * pmf.sample(rng, len(power))
-        vals[i] = math.exp(-s * channel.beta * float(weights @ power))
+    chunk = max(1, int(_CHUNK_POINTS / (mean_count + 1.0)))
+    factory = _StreamFactory(sim.master_seed, _SUB_LAPLACE)
+    vals = np.ones((len(tuples), sim.trials))  # an empty window's value
+    for first in range(0, sim.trials, chunk):
+        draws = []
+        for i in range(first, min(first + chunk, sim.trials)):
+            rng = factory.at(i)
+            draws.append(rng.random(2 * rng.poisson(mean_count)).reshape(2, -1))
+        counts = np.array([u.shape[1] for u in draws])
+        u = np.concatenate(draws, axis=1)  # row 0: radii, row 1: LOS marks
+        radii = sim.window_radius_m * np.sqrt(u[0])
+        is_los = u[1] < _p_los_raw(radii, channel.blockage)
+        inv_power = radii ** np.where(is_los, channel.alpha_los, channel.alpha_nlos)
+        live = np.flatnonzero(counts)
+        starts = (np.cumsum(counts) - counts)[live]
+        for row, (serving, atoms) in zip(vals, laws):
+            w = np.where(inv_power > serving, inv_power, np.inf)
+            factor = np.maximum(1.0 - sum(pc / (w + c) for pc, c in atoms), 0.0)
+            row[first + live] = np.multiply.reduceat(factor, starts)
     return vals

@@ -1,5 +1,4 @@
-"""The positional per-hop Monte Carlo experiment, kept as a test oracle for
-`mmtier.montecarlo`.
+"""Reference Monte Carlo experiments, kept as test oracles for `mmtier.montecarlo`.
 
 `realize_hop` places every transmitter of one trial in the plane and picks
 the serving AP; `compute_sinr` then draws the fading and beam gains and
@@ -11,6 +10,13 @@ stream the two must agree to rounding.
 `mmtier.montecarlo._marked_ppp`, so the reference stays independent of the
 sampler it pins: a Poisson count, redrawn while it is zero, then 3n uniforms
 split into radii, angles and LOS marks.
+
+`raw_laplace_samples` is the raw exp(-s I) estimator of the interference
+Laplace transform: on each trial's Laplace stream it draws the positions
+(`laplace_positions`), then a fading and a gain per interferer.
+`mmtier.montecarlo` integrates those two draws out; by the tower property
+its per-trial value is the mean of this one's over fading and gains at the
+trial's positions.
 """
 
 import math
@@ -18,8 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mmtier.channel import BeamParams, ChannelParams, beam_gain_pmf, los_probability
-from mmtier.montecarlo import _EMPTY_RESAMPLE_LIMIT, SimConfig, SimulationError
+from mmtier.channel import (LOS, NLOS, BeamParams, ChannelParams, beam_gain_pmf,
+                            los_probability)
+from mmtier.montecarlo import (_EMPTY_RESAMPLE_LIMIT, _SUB_LAPLACE, SimConfig,
+                               SimulationError, trial_stream)
 
 
 @dataclass
@@ -112,3 +120,40 @@ def compute_sinr(real: HopRealization, k: int, channel: ChannelParams, beam: Bea
     if denom == 0.0:
         return math.inf
     return signal / denom
+
+
+def laplace_positions(lambda0: float, channel: ChannelParams, sim: SimConfig,
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Radii and LOS marks of one trial of the Laplace stream: a Poisson count n,
+    then n radius and n LOS-mark uniforms (no angles, no resampling)."""
+    n = rng.poisson(lambda0 * math.pi * sim.window_radius_m**2)
+    u = rng.random(2 * n)
+    radii = sim.window_radius_m * np.sqrt(u[:n])
+    return radii, u[n:] < los_probability(radii, channel.blockage)
+
+
+def interferer_power(radii: np.ndarray, is_los: np.ndarray, serving_distance: float,
+                     serving_state: str, channel: ChannelParams) -> np.ndarray:
+    """d^-alpha(state) of the points outside the exclusion discs of a serving AP at
+    (serving_distance, serving_state)."""
+    other = NLOS if serving_state == LOS else LOS
+    excl = {serving_state: serving_distance,
+            other: serving_distance ** (channel.alpha(serving_state) / channel.alpha(other))}
+    keep = radii > np.where(is_los, excl[LOS], excl[NLOS])
+    return radii[keep] ** -np.where(is_los[keep], channel.alpha_los, channel.alpha_nlos)
+
+
+def raw_laplace_samples(s: float, serving_distance: float, serving_state: str, k: int,
+                        lambda0: float, channel: ChannelParams, beam: BeamParams,
+                        sim: SimConfig) -> np.ndarray:
+    """Per-trial exp(-s I), with the fading and the gains drawn after the positions
+    on trial i's Laplace stream."""
+    pmf = beam_gain_pmf(beam, k)
+    vals = np.empty(sim.trials)
+    for i in range(sim.trials):
+        rng = trial_stream(sim.master_seed, i, _SUB_LAPLACE)
+        radii, is_los = laplace_positions(lambda0, channel, sim, rng)
+        power = interferer_power(radii, is_los, serving_distance, serving_state, channel)
+        weights = rng.exponential(size=len(power)) * pmf.sample(rng, len(power))
+        vals[i] = math.exp(-s * channel.beta * float(weights @ power))
+    return vals

@@ -33,7 +33,7 @@ from mmtier import (
     csr_envelope,
     csr_global_test,
     empirical_coverage,
-    empirical_laplace,
+    empirical_laplace_batch,
     hop_count,
     laplace_interference,
     optimal_gain,
@@ -118,8 +118,7 @@ def test_criterion_4_interference_transform_oracle(lam0, channel, beam, quad,
     rng = np.random.default_rng(SEED)
     sim = SimConfig(window_radius_m=2500.0, trials=100_000, master_seed=SEED)
     los_frac = serving_table.los_mass / serving_table.total_mass
-    worst_z = 0.0
-    worst_detail = ""
+    tuples = []
     for i in range(20):
         tau = 10.0 ** (rng.uniform(-10.0, 25.0) / 10.0)
         r = float(np.interp(rng.uniform(0.05, 0.95), serving_table.cdf,
@@ -127,10 +126,13 @@ def test_criterion_4_interference_transform_oracle(lam0, channel, beam, quad,
         state = LOS if rng.random() < los_frac else NLOS
         k = int(rng.integers(1, 13))
         alpha = channel.alpha(state)
-        s = r**alpha * tau / (beam.g_main**2 * channel.beta)
+        tuples.append((r**alpha * tau / (beam.g_main**2 * channel.beta), r, state, k))
+    worst_z = 0.0
+    worst_detail = ""
+    estimates = empirical_laplace_batch(tuples, lam0, channel, beam, sim)
+    for i, ((s, r, state, k), (emp, se)) in enumerate(zip(tuples, estimates)):
         analytic, a_err = laplace_interference(s, r, state, k, lam0, channel,
                                                beam, quad, full_output=True)
-        emp, se = empirical_laplace(s, r, state, k, lam0, channel, beam, sim)
         z = abs(analytic - emp) / (3.0 * se + a_err + 1e-9)
         if z > worst_z:
             worst_z = z

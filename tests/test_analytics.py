@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -422,6 +423,16 @@ class TestCoverageProbability:
         with pytest.raises(ValueError, match="finite"):
             coverage_probability(tau, 6, lam0, channel, beam, quad)
         assert not analytics._atom_rows
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-9], ids=["no_noise", "noise"])
+    def test_huge_finite_threshold(self, noise, lam0, blockage, beam, quad):
+        # 625 mean points in the window: the true value is about exp(-625).
+        chan = ChannelParams(2.0, 4.0, 1.0, blockage, noise_power=noise)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, err = coverage_probability(1e300, 6, lam0, chan, beam, quad,
+                                              full_output=True)
+        assert 0.0 <= value <= err < 1e-6
 
 
 def _plan_arrays(plan):

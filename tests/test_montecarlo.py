@@ -1,7 +1,8 @@
 """Simulator tests: realization invariants, estimator contracts, determinism.
 
 `TestRealizeHop` and `TestComputeSinr` check the positional reference in
-`mc_oracle`; `TestMarkedPppSampler` pins `sinr_samples` to it.
+`mc_oracle`; `TestMarkedPppSampler` pins `sinr_samples` to it, and the
+conditional Laplace sampler to the raw exp(-s I) estimator there.
 """
 
 import math
@@ -17,17 +18,21 @@ from mmtier import (
     ChannelParams,
     SimConfig,
     SimulationError,
+    beam_gain_pmf,
     empirical_coverage,
     empirical_laplace,
+    empirical_laplace_batch,
     serving_distance_samples,
     sinr_samples,
     trial_stream,
     wilson_halfwidth,
 )
-from mmtier.montecarlo import _SUB_COVERAGE, _StreamFactory, _laplace_samples
+from mmtier import montecarlo
+from mmtier.montecarlo import _SUB_COVERAGE, _SUB_LAPLACE, _StreamFactory, _laplace_samples
 
 from conftest import intensity_for
-from mc_oracle import HopRealization, compute_sinr, realize_hop
+from mc_oracle import (HopRealization, compute_sinr, interferer_power, laplace_positions,
+                       raw_laplace_samples, realize_hop)
 
 ALWAYS_LOS = BlockageModel.constant(1.0)
 
@@ -162,6 +167,15 @@ class TestEmpiricalCoverage:
         _, ci4 = empirical_coverage(3.0, 6, lam0, channel, beam, sim4)
         assert 1.5 <= ci1 / ci4 <= 2.5
 
+    @pytest.mark.parametrize("tau", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_both_twins_reject_non_finite_threshold(self, tau, lam0, channel, beam, quad,
+                                                    small_sim):
+        from mmtier import coverage_probability
+        with pytest.raises(ValueError, match="positive and finite"):
+            empirical_coverage(tau, 6, lam0, channel, beam, small_sim)
+        with pytest.raises(ValueError, match="positive and finite"):
+            coverage_probability(tau, 6, lam0, channel, beam, quad)
+
     def test_wilson_halfwidth_reference_value(self):
         # 80/100 successes: Wilson 95% interval is (0.7112, 0.8666)
         assert wilson_halfwidth(80, 100) == pytest.approx(0.0777, abs=1e-4)
@@ -186,8 +200,11 @@ class TestAssociation:
 
 class TestEmpiricalLaplace:
     def test_exact_one_at_zero_s(self, lam0, channel, beam, sim):
-        mean, se = empirical_laplace(0.0, 80.0, LOS, 6, lam0, channel, beam, sim)
-        assert mean == 1.0 and se == 0.0
+        # Every gain law (the atoms of k = 1 sum to 1 only to rounding) and an empty window.
+        tuples = [(0.0, 80.0, LOS, k) for k in range(1, 13)]
+        for lam in (lam0, 0.0):
+            for mean, se in empirical_laplace_batch(tuples, lam, channel, beam, sim):
+                assert mean == 1.0 and se == 0.0
 
     def test_exact_one_without_interferers(self, channel, beam, sim):
         mean, _ = empirical_laplace(5.0, 80.0, LOS, 6, 0.0, channel, beam, sim)
@@ -210,6 +227,53 @@ class TestEmpiricalLaplace:
             mean, se = empirical_laplace(s, r, state, k, lam0, channel, beam, sim)
             assert abs(analytic - mean) < 3.0 * se + 1e-6
 
+    def test_raw_estimator_agrees_with_transform(self, lam0, channel, beam, quad):
+        # Keeps the drawn fading and gains of the oracle cross-checked.
+        from mmtier import laplace_interference
+        sim = SimConfig(window_radius_m=1000.0, trials=10_000, master_seed=4)
+        s, r, state, k = 30.0, 80.0, LOS, 6
+        analytic, err = laplace_interference(s, r, state, k, lam0, channel, beam, quad,
+                                             full_output=True)
+        vals = raw_laplace_samples(s, r, state, k, lam0, channel, beam, sim)
+        se = vals.std(ddof=1) / math.sqrt(sim.trials)
+        assert abs(analytic - vals.mean()) < 3.0 * se + err
+
+    def test_batch_is_bitwise_the_one_tuple_calls(self, lam0, channel, beam):
+        sim = SimConfig(window_radius_m=2500.0, trials=10_000, master_seed=21)
+        tuples = [(30.0, 80.0, LOS, 6), (3.0, 40.0, NLOS, 2), (1e3, 150.0, LOS, 12),
+                  (0.0, 60.0, NLOS, 1), (5.0, 80.0, LOS, 6)]
+        batch = empirical_laplace_batch(tuples, lam0, channel, beam, sim)
+        assert batch == [empirical_laplace(*t, lam0, channel, beam, sim) for t in tuples]
+
+    def test_values_do_not_depend_on_the_chunk_size(self, lam0, channel, beam, monkeypatch):
+        sim = SimConfig(window_radius_m=1000.0, trials=300, master_seed=8)
+        tuples = [(30.0, 80.0, LOS, 6), (3.0, 40.0, NLOS, 2)]
+        want = _laplace_samples(tuples, lam0, channel, beam, sim)
+        for points in (1, 40, 1000):
+            monkeypatch.setattr(montecarlo, "_CHUNK_POINTS", points)
+            np.testing.assert_array_equal(_laplace_samples(tuples, lam0, channel, beam, sim),
+                                          want)
+
+    def test_conditional_value_is_the_mean_of_the_raw_one(self, lam0, channel, beam):
+        # Tower property: at trial i's positions, the raw exp(-s I) averaged over fresh
+        # fading and gains is the conditional value of trial i.
+        sim = SimConfig(window_radius_m=400.0, trials=6, master_seed=99)
+        tuples = [(300.0, 80.0, LOS, 1), (10.0, 60.0, LOS, 6), (1e4, 40.0, NLOS, 6),
+                  (3.0, 60.0, LOS, 12)]
+        cond = _laplace_samples(tuples, lam0, channel, beam, sim)
+        redraw, draws = np.random.default_rng(5), 40_000
+        for i in range(sim.trials):
+            radii, is_los = laplace_positions(
+                lam0, channel, sim, trial_stream(sim.master_seed, i, _SUB_LAPLACE))
+            for t, (s, r, state, k) in enumerate(tuples):
+                power = interferer_power(radii, is_los, r, state, channel)
+                pmf = beam_gain_pmf(beam, k)
+                weights = (redraw.exponential(size=(draws, len(power)))
+                           * pmf.sample(redraw, draws * len(power)).reshape(draws, -1))
+                raw = np.exp(-s * channel.beta * (weights @ power))
+                se = raw.std(ddof=1) / math.sqrt(draws)
+                assert abs(raw.mean() - cond[t, i]) <= 4.0 * se + 1e-12, (i, t)
+
 
 GOLDEN_SIM = SimConfig(window_radius_m=1000.0, trials=16, master_seed=2718)
 # serving_distance_samples(lam0, ., GOLDEN_SIM) as recorded before the samplers
@@ -228,12 +292,20 @@ GOLDEN_ASSOCIATION = {
          38.404526222379296, 60.611908020509276, 42.05239202120228, 21.44131896692548],
         [0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1]),
 }
-# (s, r, state, k, blockage) -> empirical_laplace (mean, se) on a 1000 m window,
-# 10^4 trials, seed 2718, recorded the same way.
+# (s, r, state, k, blockage) -> (mean, se) of the raw exp(-s I) estimator
+# (`mc_oracle.raw_laplace_samples`) on a 1000 m window, 10^4 trials, seed 2718,
+# recorded the same way; they pin the positions stream of the Laplace sampler.
 GOLDEN_LAPLACE = [
     ((30.0, 80.0, LOS, 6, "exponential"), (0.44334029886271875, 0.004180501580017067)),
     ((3.0, 40.0, NLOS, 2, "exponential"), (0.9999790702317645, 2.728014766120247e-06)),
     ((1e4, 90.0, LOS, 12, "los_ball"), (0.3848841693431454, 0.0027156097499235416)),
+]
+GOLDEN_LAPLACE_SIM = SimConfig(window_radius_m=1000.0, trials=10_000, master_seed=2718)
+# The same tuples through `empirical_laplace`, fading and gains integrated out.
+GOLDEN_CONDITIONAL_LAPLACE = [
+    ((30.0, 80.0, LOS, 6, "exponential"), (0.4482001642975698, 0.002122835525774297)),
+    ((3.0, 40.0, NLOS, 2, "exponential"), (0.999978061547767, 4.492017145480382e-07)),
+    ((1e4, 90.0, LOS, 12, "los_ball"), (0.3830102478633717, 0.00238770095629291)),
 ]
 
 
@@ -268,10 +340,11 @@ class TestMarkedPppSampler:
             sim = SimConfig(window_radius_m=500.0, trials=trials, master_seed=seed)
             return (sinr_samples(6, lam0, channel, beam, sim),
                     *serving_distance_samples(lam0, channel, sim),
-                    _laplace_samples(30.0, 80.0, LOS, 6, lam0, channel, beam, sim))
+                    _laplace_samples([(30.0, 80.0, LOS, 6), (3.0, 40.0, NLOS, 2)], lam0,
+                                     channel, beam, sim))
 
         for short, long in zip(run(m), run(m + extra)):
-            np.testing.assert_array_equal(short, long[:m])
+            np.testing.assert_array_equal(short, long[..., :m])
 
     @pytest.mark.parametrize("kind", sorted(GOLDEN_ASSOCIATION))
     def test_association_golden_values(self, lam0, kind):
@@ -283,8 +356,15 @@ class TestMarkedPppSampler:
     @pytest.mark.parametrize("args, want", GOLDEN_LAPLACE)
     def test_laplace_golden_values(self, lam0, beam, args, want):
         *tup, kind = args
-        sim = SimConfig(window_radius_m=1000.0, trials=10_000, master_seed=2718)
-        got = empirical_laplace(*tup, lam0, _golden_channel(kind), beam, sim)
+        vals = raw_laplace_samples(*tup, lam0, _golden_channel(kind), beam, GOLDEN_LAPLACE_SIM)
+        mean = math.fsum(vals) / len(vals)
+        se = math.sqrt(math.fsum((vals - mean) ** 2) / (len(vals) - 1) / len(vals))
+        assert (mean, se) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("args, want", GOLDEN_CONDITIONAL_LAPLACE)
+    def test_conditional_laplace_golden_values(self, lam0, beam, args, want):
+        *tup, kind = args
+        got = empirical_laplace(*tup, lam0, _golden_channel(kind), beam, GOLDEN_LAPLACE_SIM)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("window_m", [0.1, 60.0], ids=["always-empty", "often-empty"])
