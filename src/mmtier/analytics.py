@@ -17,9 +17,7 @@ modules share only `mmtier.channel`, so they can cross-validate each other.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -433,12 +431,6 @@ def _ragged_blocks(v, t_alpha, inv_s_beta, start, length):
         yield rows, np.cumsum(row_length[rows]) - row_length[rows], inv_x, v[index]
 
 
-def _apply_exponent(blocks, n: int, pmf) -> np.ndarray:
-    """Per row, the exponent of `_exponent_blocks` under the gain law ``pmf``."""
-    atoms = [(p, g) for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
-    return _combine_atoms(atoms, _atom_sums(blocks, n, [c for _, c in atoms]))
-
-
 def _combine_atoms(atoms, sums):
     """out = 0.0, then out + p * c * row for each (p, c) of ``atoms`` and row of ``sums``."""
     return sum((p * c * row for (p, c), row in zip(atoms, sums)), 0.0)
@@ -491,8 +483,8 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
         raise ValueError("transform variable must be non-negative and finite")
     if not serving_distance > 0.0:
         raise ValueError("serving distance must be positive")
-    if lambda0 < 0.0:
-        raise ValueError("intensity must be non-negative")
+    if not 0.0 <= lambda0 < math.inf:
+        raise ValueError("intensity must be non-negative and finite")
     if s == 0.0 or lambda0 == 0.0:
         return (1.0, 0.0) if full_output else 1.0
 
@@ -505,10 +497,11 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
     s_arr = np.array([s])
     fields = [(np.array([lower[st]]), st) for st in (LOS, NLOS)]
     upper = quad.truncation_radius_m
+    atoms = [(p, g) for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
 
     def evaluate(halvings):
-        exponent = _apply_exponent(_exponent_blocks(s_arr, fields, channel, upper, halvings),
-                                   1, pmf)[0]
+        blocks = _exponent_blocks(s_arr, fields, channel, upper, halvings)
+        exponent = _combine_atoms(atoms, _atom_sums(blocks, 1, [g for _, g in atoms]))[0]
         return (math.exp(-_TWO_PI * lambda0 * exponent),)
 
     (value,), quad_err = _refine(evaluate, quad, "interference Laplace functional")
@@ -523,17 +516,21 @@ def _outer_r_min(lambda0: float, quad: QuadratureSpec) -> float:
     return _R_MIN_FACTOR * min(math.sqrt(1.0 / (math.pi * lambda0)), quad.truncation_radius_m)
 
 
-def _coverage_terms(lambda0: float, channel: ChannelParams, g_main: float,
+def _coverage_table(lambda0: float, channel: ChannelParams, g_main: float,
                     quad: QuadratureSpec, halvings: int):
-    """The threshold- and gain-free part of the coverage quadrature, lazily.
+    """The threshold- and gain-free part of the coverage quadrature, both serving states.
 
-    Yields, per serving state, the outer weights w * r * f_state(r) of the
-    nodes with non-zero weight, s at tau = 1 (s = tau * r^alpha / (g_main^2
-    beta)), the blocks of `_exponent_blocks` at those s,
-    whose rows hold the same- and the opposite-state interferer fields side
-    by side, and the dropped weight. The leading nodes whose cumulative weight is at most
+    Returns the outer weights w * r * f_state(r) of the nodes with non-zero
+    weight, the LOS-served rows first; s at tau = 1 (s = tau * r^alpha /
+    (g_main^2 beta)); the blocks of `_exponent_blocks` at those s, lazily; and
+    the serving-distance mass that the quadrature leaves out. The blocks come
+    from one call with four fields, each state's same- and opposite-state
+    interferers, whose lower limit is inf (a dead field) on the other state's
+    rows. Per state, the leading nodes whose cumulative weight is at most
     _R_MIN_FACTOR^2, the order of the mass already left out below r_min, are
-    dropped: their inner range spans every panel.
+    dropped: their inner range spans every panel. The mass left out is at most
+    pi lambda0 r_min^2 below r_min, each state's nearest-AP mass beyond the
+    truncation radius, and the mass of the dropped nodes.
     """
     blockage = channel.blockage
     upper = quad.truncation_radius_m
@@ -549,18 +546,30 @@ def _coverage_terms(lambda0: float, channel: ChannelParams, g_main: float,
     u, w = _gauss_nodes(_panel_edges(_log_breaks(_outer_r_min(lambda0, quad), upper, breaks),
                                      halvings))
     r = np.exp(u)
+    served, dropped = [], 0.0
     for state in (LOS, NLOS):
-        other = NLOS if state == LOS else LOS
         weight = w * r * serving_distance_pdf(r, state, lambda0, channel)  # dr = r du
         keep = weight > 0.0
         rs, weight = r[keep], weight[keep]
         cum = np.cumsum(weight)
         start = int(np.searchsorted(cum, _R_MIN_FACTOR**2, side="right"))
-        dropped = float(cum[start - 1]) if start else 0.0
-        rs, weight = rs[start:], weight[start:]
-        s_unit = rs ** channel.alpha(state) / (g_main**2 * channel.beta)
-        fields = [(rs, state), (rs ** (channel.alpha(state) / channel.alpha(other)), other)]
-        yield weight, s_unit, _exponent_blocks(s_unit, fields, channel, upper, halvings), dropped
+        dropped += float(cum[start - 1]) if start else 0.0
+        served.append((state, rs[start:], weight[start:]))
+    fields = []
+    for i, (state, rs, _) in enumerate(served):
+        other = NLOS if state == LOS else LOS
+        for lower, field_state in ((rs, state),
+                                   (rs ** (channel.alpha(state) / channel.alpha(other)), other)):
+            padded = [np.full(len(rows), np.inf) for _, rows, _ in served]
+            padded[i] = lower
+            fields.append((np.concatenate(padded), field_state))
+    s_unit = np.concatenate([rs ** channel.alpha(state) / (g_main**2 * channel.beta)
+                             for state, rs, _ in served])
+    beyond_los, beyond_nlos = _nearest_mass_beyond(lambda0, blockage, upper)
+    outside = (math.pi * lambda0 * _outer_r_min(lambda0, quad)**2 + beyond_los + beyond_nlos
+               + dropped)
+    return (np.concatenate([weight for *_, weight in served]), s_unit,
+            _exponent_blocks(s_unit, fields, channel, upper, halvings), outside)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -568,72 +577,30 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _shift_rows(blocks, offset: int):
-    """``blocks`` with every row index moved on by ``offset``."""
-    for rows, starts, inv_x, weight in blocks:
-        yield rows + offset, starts, inv_x, weight
-
-
-def _joined_terms(lambda0: float, channel: ChannelParams, g_main: float,
-                  quad: QuadratureSpec, halvings: int):
-    """Both serving states of `_coverage_terms` side by side, one state built at a time.
-
-    Returns the outer weights and s at tau = 1 of the LOS rows and then the
-    NLOS rows; the blocks of both states as one lazy iterator, the NLOS rows
-    numbered on from the LOS rows; and the serving-distance mass that the
-    quadrature leaves out: at most pi lambda0 r_min^2 below r_min, at most
-    each state's nearest-AP mass beyond the truncation radius, and the mass
-    of the dropped leading nodes.
-    """
-    weights, s_units, blocks, dropped = [], [], [], 0.0
-    for weight, s_unit, state_blocks, state_dropped in _coverage_terms(lambda0, channel, g_main,
-                                                                       quad, halvings):
-        blocks.append(_shift_rows(state_blocks, sum(map(len, s_units))))
-        weights.append(weight)
-        s_units.append(s_unit)
-        dropped += state_dropped
-    beyond_los, beyond_nlos = _nearest_mass_beyond(lambda0, channel.blockage,
-                                                   quad.truncation_radius_m)
-    outside = (math.pi * lambda0 * _outer_r_min(lambda0, quad)**2 + beyond_los + beyond_nlos
-               + dropped)
-    return (np.concatenate(weights), np.concatenate(s_units),
-            itertools.chain.from_iterable(blocks), outside)
-
-
 @functools.lru_cache(maxsize=8)
 def _coverage_plan(lambda0: float, channel: ChannelParams, g_main: float,
                    quad: QuadratureSpec, halvings: int):
-    """`_joined_terms` held in read-only arrays, for the halvings every grid point runs.
+    """`_coverage_table` held in read-only arrays, for the halvings every grid point runs.
 
     Only tau- and k-free tables are kept, so one plan serves the whole
     (tau, k) grid of a configuration.
     """
-    weight, s_unit, blocks, outside = _joined_terms(lambda0, channel, g_main, quad, halvings)
+    weight, s_unit, blocks, outside = _coverage_table(lambda0, channel, g_main, quad, halvings)
     return (_read_only(weight), _read_only(s_unit),
             tuple(tuple(_read_only(a) for a in block) for block in blocks), outside)
 
 
-# `_atom_sums` rows of the cached plans per (plan, c = g tau), the least recently used out
-# first. A row does not depend on k, nor on how c splits into a gain atom g and a threshold:
-# the 9 default thresholds at 5 dB steps and the atoms at 40, 20 and 0 dB make 18 products,
-# so a default sweep fills 36 entries of the 54. A plan is known by its first array: the key
-# holds the array's id, and a weak reference to it, which dies with the plan and keeps no
-# plan alive, confirms a hit.
-_ATOM_ROWS_SIZE = 54
-_atom_rows: dict = {}
+@functools.lru_cache(maxsize=54)
+def _plan_atom_rows(lambda0: float, channel: ChannelParams, g_main: float,
+                    quad: QuadratureSpec, halvings: int, c: float) -> np.ndarray:
+    """The `_atom_sums` row at ``c`` of the plan of the other arguments, read-only.
 
-
-def _plan_atom_rows(plan, c: float) -> np.ndarray:
-    """The `_atom_sums` row of ``plan`` at ``c``, both serving states side by side."""
-    first = plan[0]
-    held = _atom_rows.pop((id(first), c), None)
-    if held is None or held[0]() is not first:
-        _, s_unit, blocks, _ = plan
-        held = weakref.ref(first), _read_only(_atom_sums(blocks, len(s_unit), [c])[0])
-    _atom_rows[id(first), c] = held  # the dict's last key is the one used last
-    if len(_atom_rows) > _ATOM_ROWS_SIZE:
-        del _atom_rows[next(iter(_atom_rows))]
-    return held[1]
+    A row depends neither on k nor on how c = g tau splits into a gain atom g
+    and a threshold: the 9 default thresholds at 5 dB steps and the atoms at
+    40, 20 and 0 dB make 18 products, so a default sweep fills 36 entries.
+    """
+    _, s_unit, blocks, _ = _coverage_plan(lambda0, channel, g_main, quad, halvings)
+    return _read_only(_atom_sums(blocks, len(s_unit), [c])[0])
 
 
 def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelParams,
@@ -648,21 +615,21 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     ln t for every outer node at once. The reported error sums the panel-halving
     difference, the truncation tail bound weighted by the integrand, and the
     serving-distance mass outside the outer range or on the leading outer
-    nodes that `_coverage_terms` drops.
+    nodes that `_coverage_table` drops.
 
-    Both serving states are evaluated as one joined row set (`_joined_terms`).
-    Its tau- and k-free tables are planned once per configuration and panel
-    count (`_coverage_plan`) for up to _CACHED_HALVINGS halvings, and a plan's
-    row sums per product c = g tau of a gain atom and tau are kept
-    (`_plan_atom_rows`), so all k at one tau, and the atoms of other
-    thresholds with the same product, share one flat pass over each block.
-    Finer panels are planned per call and every live atom summed in one pass
-    over each block as it is built; nothing of them is kept.
+    Both serving states are evaluated as one row set (`_coverage_table`). Its
+    tau- and k-free tables are planned once per configuration and panel count
+    (`_coverage_plan`) for up to _CACHED_HALVINGS halvings, and their row sums
+    per product c = g tau of a gain atom and tau are kept (`_plan_atom_rows`),
+    so all k at one tau, and the atoms of other thresholds with the same
+    product, share one flat pass over each block. Finer panels are planned per
+    call and every live atom summed in one pass over each block as it is
+    built; nothing of them is kept.
     """
     if not 0.0 < tau < math.inf:
         raise ValueError("SINR threshold must be positive and finite")
-    if not lambda0 > 0.0:
-        raise ValueError("tier intensity must be positive")
+    if not 0.0 < lambda0 < math.inf:
+        raise ValueError("tier intensity must be positive and finite")
     clamped = tau > _TAU_CLAMP
     tau = min(tau, _TAU_CLAMP)
     pmf = beam_gain_pmf(beam, k)  # validates k against the RF-chain budget
@@ -675,13 +642,12 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     cs = [c for _, c in atoms]
 
     def evaluate(halvings):
+        key = (lambda0, channel, beam.g_main, quad, halvings)
         if halvings <= _CACHED_HALVINGS:
-            plan = _coverage_plan(lambda0, channel, beam.g_main, quad, halvings)
-            weight, s_unit, _, outside = plan
-            sums = [_plan_atom_rows(plan, c) for c in cs]
+            weight, s_unit, _, outside = _coverage_plan(*key)
+            sums = [_plan_atom_rows(*key, c) for c in cs]
         else:
-            weight, s_unit, blocks, outside = _joined_terms(lambda0, channel, beam.g_main, quad,
-                                                            halvings)
+            weight, s_unit, blocks, outside = _coverage_table(*key)
             sums = _atom_sums(blocks, len(s_unit), cs)
         s = s_unit * tau
         exponent = _combine_atoms(atoms, sums)

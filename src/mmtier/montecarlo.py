@@ -243,6 +243,8 @@ def empirical_laplace_batch(tuples, lambda0: float, channel: ChannelParams,
     integrated out (`_laplace_samples`); per-trial values are combined by
     compensated summation.
     """
+    if not 0.0 <= lambda0 < math.inf:
+        raise ValueError("intensity must be non-negative and finite")
     for s, serving_distance, serving_state, _ in tuples:
         _check_state(serving_state)
         if not 0.0 <= s < math.inf:

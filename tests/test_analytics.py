@@ -6,7 +6,6 @@ import hashlib
 import math
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -247,7 +246,7 @@ def _quartic_laplace(s: float, d: float, pmf, lam: float, upper: float) -> float
 
 class TestGainMoment:
     """The gain moment E[exp(-s beta h G t^-alpha)] over fading h and gain G is
-    the atom sum inside `analytics._apply_exponent`; read off `laplace_interference`."""
+    the atom sum of `analytics._atom_sums`; read off `laplace_interference`."""
 
     def test_unit_at_zero(self, lam0, channel, beam, quad):
         # s = 1e-300 takes the quadrature path, where 1/x overflows to inf
@@ -422,7 +421,7 @@ class TestCoverageProbability:
         _fresh_coverage_caches()
         with pytest.raises(ValueError, match="finite"):
             coverage_probability(tau, 6, lam0, channel, beam, quad)
-        assert not analytics._atom_rows
+        assert analytics._plan_atom_rows.cache_info().currsize == 0
 
     @pytest.mark.parametrize("noise", [0.0, 1e-9], ids=["no_noise", "noise"])
     def test_huge_finite_threshold(self, noise, lam0, blockage, beam, quad):
@@ -454,10 +453,10 @@ class TestCoveragePlan:
                  for tau, k in ((0.1, 1), (10.0, 6))]
         cold = {}
         for case in cases:
-            analytics._coverage_plan.cache_clear()
+            _fresh_coverage_caches()
             chan, spec, tau, k = case
             cold[case] = coverage_probability(tau, k, lam0, chan, beam, spec, full_output=True)
-        analytics._coverage_plan.cache_clear()
+        _fresh_coverage_caches()
         for _ in range(2):
             for case in cases:
                 chan, spec, tau, k = case
@@ -502,24 +501,25 @@ class TestCoveragePlan:
         # the table, in a full panel or a partial one, may weigh 0.
         chan = ChannelParams(2.0, 4.0, 1.0, blockage)
         for halvings in range(analytics._CACHED_HALVINGS + 1):
-            weights = [weight for _, _, bl, _ in analytics._coverage_terms(
-                lam0, chan, beam.g_main, quad, halvings) for _, _, _, weight in bl]
+            blocks = analytics._coverage_table(lam0, chan, beam.g_main, quad, halvings)[2]
+            weights = [weight for _, _, _, weight in blocks]
             assert weights and all((w > 0.0).all() for w in weights), halvings
 
     @pytest.mark.parametrize("kind", sorted(BLOCKAGE_KINDS))
     def test_error_covers_the_dropped_leading_rows(self, kind, lam0, beam, quad, monkeypatch):
         chan, tau, k = ORACLE_CASES[kind]
-        for halvings in range(analytics._CACHED_HALVINGS + 1):
-            for *_, dropped in analytics._coverage_terms(lam0, chan, beam.g_main, quad,
-                                                         halvings):
-                assert 0.0 <= dropped <= analytics._R_MIN_FACTOR**2
         args = (tau, k, lam0, chan, beam, quad)
         r_min = analytics._outer_r_min(lam0, quad)
+
+        def outside(halvings):
+            return analytics._coverage_table(lam0, chan, beam.g_main, quad, halvings)[3]
 
         def at_one_halving(evaluate, quad, what):
             return evaluate(1), 0.0
 
-        analytics._coverage_plan.cache_clear()
+        halvings = range(analytics._CACHED_HALVINGS + 1)
+        with_drop = [outside(h) for h in halvings]
+        _fresh_coverage_caches()
         value, err = coverage_probability(*args, full_output=True)
         with monkeypatch.context() as m:
             m.setattr(analytics, "_refine", at_one_halving)
@@ -527,11 +527,15 @@ class TestCoveragePlan:
         with monkeypatch.context() as m:  # the same outer nodes, none dropped
             m.setattr(analytics, "_outer_r_min", lambda *_: r_min)
             m.setattr(analytics, "_R_MIN_FACTOR", 0.0)
-            analytics._coverage_plan.cache_clear()
+            without_drop = [outside(h) for h in halvings]
+            _fresh_coverage_caches()
             keep = coverage_probability(*args)
             m.setattr(analytics, "_refine", at_one_halving)
             v_keep, e_keep = coverage_probability(*args, full_output=True)
-        analytics._coverage_plan.cache_clear()
+        _fresh_coverage_caches()
+        # each serving state drops at most _R_MIN_FACTOR^2 of leading mass
+        for mass, kept in zip(with_drop, without_drop):
+            assert 0.0 <= mass - kept <= 2.0 * analytics._R_MIN_FACTOR**2, (mass, kept)
         assert abs(keep - value) <= err, (keep, value, err)
         # At one panel count, with no halving difference, the error the rule
         # adds covers the coverage it removes, up to the rounding of two sums
@@ -542,14 +546,14 @@ class TestCoveragePlan:
     def test_uncached_halvings_match_the_oracle(self, lam0, beam, quad, monkeypatch):
         chan, tau, k = ORACLE_CASES["exponential"]
         halvings = []
-        terms = analytics._coverage_terms
+        table = analytics._coverage_table
 
         def record(*args):
             halvings.append(args[-1])
-            return terms(*args)
+            return table(*args)
 
-        monkeypatch.setattr(analytics, "_coverage_terms", record)
-        analytics._coverage_plan.cache_clear()
+        monkeypatch.setattr(analytics, "_coverage_table", record)
+        _fresh_coverage_caches()
         tight = dataclasses.replace(quad, rel_tol=1e-10, abs_tol=1e-14)
         got, err = coverage_probability(tau, k, lam0, chan, beam, tight, full_output=True)
         assert max(halvings) > analytics._CACHED_HALVINGS
@@ -574,7 +578,7 @@ class TestCoveragePlan:
             return sized(build(*args))
 
         monkeypatch.setattr(analytics, "_exponent_blocks", record)
-        analytics._coverage_plan.cache_clear()
+        _fresh_coverage_caches()
         tracemalloc.start()
         try:
             with pytest.raises(QuadratureError, match=f"after {analytics._MAX_HALVINGS} "):
@@ -583,7 +587,7 @@ class TestCoveragePlan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-            analytics._coverage_plan.cache_clear()
+            _fresh_coverage_caches()
         # ~5M entries of 16 bytes in all, 3.7M of them at the finest panels
         assert peak < 16 * 2**20, peak
         assert sum(sizes) > 16 * analytics._MAX_TENSOR
@@ -592,7 +596,7 @@ class TestCoveragePlan:
     def test_values_independent_of_the_block_size(self, lam0, beam, quad, monkeypatch):
         # With a bound of 64 entries nearly every row is a block on its own.
         def values():
-            analytics._coverage_plan.cache_clear()
+            _fresh_coverage_caches()
             out = []
             for kind in sorted(BLOCKAGE_KINDS):
                 chan, tau, k = ORACLE_CASES[kind]
@@ -608,7 +612,7 @@ class TestCoveragePlan:
         small = values()
         chan = ORACLE_CASES["exponential"][0]
         blocks = analytics._coverage_plan(lam0, chan, beam.g_main, quad, 0)[2]
-        analytics._coverage_plan.cache_clear()
+        _fresh_coverage_caches()
         assert small == default
         assert all(len(rows) == 1 or inv_x.size <= 64 for rows, _, inv_x, _ in blocks)
         assert max(inv_x.size for _, _, inv_x, _ in blocks) > 64
@@ -617,31 +621,18 @@ class TestCoveragePlan:
 def _fresh_coverage_caches() -> None:
     """Empty the coverage plans and the atom rows summed from them."""
     analytics._coverage_plan.cache_clear()
-    analytics._atom_rows.clear()
+    analytics._plan_atom_rows.cache_clear()
 
 
-def _count_atom_rows(monkeypatch) -> dict:
-    """Count `analytics._plan_atom_rows` lookups, those that run an `_atom_sums`
-    pass (the misses), and the largest size the row cache reaches."""
-    counts = {"lookups": 0, "misses": 0, "size": 0}
-    passes = []
-    lookup, sums = analytics._plan_atom_rows, analytics._atom_sums
+def _row_lookups() -> tuple[int, int]:
+    """`analytics._plan_atom_rows` lookups and misses since its last clear; a
+    miss runs one `_atom_sums` pass."""
+    info = analytics._plan_atom_rows.cache_info()
+    return info.hits + info.misses, info.misses
 
-    def counted_lookup(*args):
-        counts["lookups"] += 1
-        passes.clear()
-        rows = lookup(*args)
-        counts["misses"] += bool(passes)
-        counts["size"] = max(counts["size"], len(analytics._atom_rows))
-        return rows
 
-    def counted_sums(*args):
-        passes.append(1)
-        return sums(*args)
-
-    monkeypatch.setattr(analytics, "_plan_atom_rows", counted_lookup)
-    monkeypatch.setattr(analytics, "_atom_sums", counted_sums)
-    return counts
+def _rows_held() -> int:
+    return analytics._plan_atom_rows.cache_info().currsize
 
 
 def _default_sweep_config(tau_db_list=None):
@@ -653,9 +644,9 @@ def _default_sweep_config(tau_db_list=None):
 
 
 class TestAtomRows:
-    """The per-row atom sums that `coverage_probability` keeps per (plan, product
-    c = g tau of a gain atom and the threshold) in `analytics._atom_rows`: k is
-    not in the key."""
+    """The per-row atom sums that `coverage_probability` keeps per (plan
+    arguments, product c = g tau of a gain atom and the threshold) in
+    `analytics._plan_atom_rows`: k is not in the key."""
 
     TAU = 10.0
 
@@ -679,7 +670,7 @@ class TestAtomRows:
             got = coverage_probability(self.TAU, k, lam0, channel, beam, quad, full_output=True)
             assert got == cold[k], (order, k)
         # the three atoms at both cached panel counts; k = 12 has one live atom
-        assert len(analytics._atom_rows) == 3 * (analytics._CACHED_HALVINGS + 1)
+        assert _rows_held() == 3 * (analytics._CACHED_HALVINGS + 1)
 
     def test_beams_sharing_the_main_lobe_keep_their_side_lobes(self, lam0, channel, beam, quad):
         # one plan (it depends on g_main alone), atoms g_main^2 shared, the others not
@@ -694,7 +685,7 @@ class TestAtomRows:
             for b, k in cases[::2] + cases[1::2]:
                 assert coverage_probability(3.0, k, lam0, channel, b, quad,
                                             full_output=True) == cold[b, k], (b, k)
-        assert len(analytics._atom_rows) == 5 * (analytics._CACHED_HALVINGS + 1)
+        assert _rows_held() == 5 * (analytics._CACHED_HALVINGS + 1)
 
     def test_a_flat_beam_has_one_entry_per_panel_count(self, lam0, channel, quad):
         # the beam of `test_degenerate_beam_closed_form`: three equal atoms
@@ -702,91 +693,94 @@ class TestAtomRows:
         _fresh_coverage_caches()
         cold = coverage_probability(2.0, 2, lam0, channel, flat, quad, full_output=True)
         assert coverage_probability(2.0, 2, lam0, channel, flat, quad, full_output=True) == cold
-        assert len(analytics._atom_rows) == analytics._CACHED_HALVINGS + 1
+        assert _rows_held() == analytics._CACHED_HALVINGS + 1
 
     @pytest.mark.parametrize("patch", ["rebuilt_plan", "block_size", "dropped_rows"])
     def test_a_rebuilt_plan_misses(self, patch, lam0, beam, quad, monkeypatch):
-        # The tests that patch the plan builder clear `_coverage_plan` alone;
-        # rows summed from the plan before must not serve the plan after.
+        # A value from plans built under a patched builder is reproduced from
+        # empty caches under the same patch.
         chan, tau, k = ORACLE_CASES["exponential"]
         args = (tau, k, lam0, chan, beam, quad)
         r_min = analytics._outer_r_min(lam0, quad)
         _fresh_coverage_caches()
         coverage_probability(*args)
         with monkeypatch.context() as m:
-            counts = _count_atom_rows(m)
             if patch == "block_size":
                 m.setattr(analytics, "_MAX_TENSOR", 64)
             elif patch == "dropped_rows":  # two more outer rows per plan
                 m.setattr(analytics, "_outer_r_min", lambda *_: r_min)
                 m.setattr(analytics, "_R_MIN_FACTOR", 0.0)
-            analytics._coverage_plan.cache_clear()
+            _fresh_coverage_caches()
             got = coverage_probability(*args, full_output=True)
-            assert counts["misses"] == counts["lookups"] == 3 * (analytics._CACHED_HALVINGS + 1)
             _fresh_coverage_caches()
             assert got == coverage_probability(*args, full_output=True)
         _fresh_coverage_caches()
 
-    def test_an_entry_of_a_freed_plan_is_not_served(self, lam0, channel, beam, quad):
-        # Ids are reused: a plan built after another was freed can find that
-        # plan's entries under its own key. The weak reference tells them apart.
+    def test_a_rebuilt_plan_hits_its_rows(self, lam0, channel, beam, quad, monkeypatch):
+        # The rows are keyed by the plan's own arguments, not by the plan object.
         _fresh_coverage_caches()
         value = coverage_probability(2.0, 6, lam0, channel, beam, quad, full_output=True)
-        firsts = {id(analytics._coverage_plan(lam0, channel, beam.g_main, quad, h)[0])
-                  for h in range(analytics._CACHED_HALVINGS + 1)}
-        freed = np.zeros(0)
-        for key in [key for key in analytics._atom_rows if key[0] in firsts]:
-            analytics._atom_rows[key] = weakref.ref(freed), np.zeros(0)
-        del freed
+        analytics._coverage_plan.cache_clear()
+        passes = []
+        sums = analytics._atom_sums
+        monkeypatch.setattr(analytics, "_atom_sums", lambda *a: passes.append(1) or sums(*a))
         assert coverage_probability(2.0, 6, lam0, channel, beam, quad, full_output=True) == value
+        assert not passes
 
-    def test_a_sweep_sums_each_atom_once_per_threshold(self, monkeypatch):
+    def test_a_sweep_sums_each_atom_once_per_threshold(self):
         # 9 thresholds at 5 dB steps x atoms at 40, 20 and 0 dB make 18 products
         # c = g tau, at 2 panel counts
-        counts = _count_atom_rows(monkeypatch)
         _fresh_coverage_caches()
         cli.run_sweep(_default_sweep_config())
-        assert counts["misses"] == counts["size"] == 18 * 2 == 36
+        lookups, misses = _row_lookups()
+        assert misses == _rows_held() == 18 * 2 == 36
         # 11 gains with 3 live atoms and k = 12 with one, at both panel counts
-        assert counts["lookups"] == 9 * (11 * 3 + 1) * 2
+        assert lookups == 9 * (11 * 3 + 1) * 2
         # 4 new thresholds share no product with the 9 nor with each other; their
         # 24 rows evict the least recently used 6, and the bound holds
         cli.run_sweep(_default_sweep_config((-7.0, 2.0, 12.0, 22.0)))
-        assert counts["misses"] == 36 + 4 * 3 * 2
-        assert counts["size"] == analytics._ATOM_ROWS_SIZE == 54
+        assert _row_lookups()[1] == 36 + 4 * 3 * 2
+        assert _rows_held() == analytics._plan_atom_rows.cache_info().maxsize == 54
 
-    def test_thresholds_share_rows_by_the_product(self, lam0, channel, beam, quad, monkeypatch):
+    def test_thresholds_share_rows_by_the_product(self, lam0, channel, beam, quad):
         # atoms 10^4, 100 and 1: tau = 0.1 sums c = 1000, 10 and 0.1, and tau = 10
         # then needs only c = 10^5 (1000 and 10 come back as 100 x 10 and 1 x 10)
         _fresh_coverage_caches()
         cold = coverage_probability(10.0, 1, lam0, channel, beam, quad, full_output=True)
         _fresh_coverage_caches()
         coverage_probability(0.1, 1, lam0, channel, beam, quad)
-        counts = _count_atom_rows(monkeypatch)
+        before = _row_lookups()
         assert coverage_probability(10.0, 1, lam0, channel, beam, quad, full_output=True) == cold
-        assert counts["lookups"] == 3 * (analytics._CACHED_HALVINGS + 1)
-        assert counts["misses"] == analytics._CACHED_HALVINGS + 1
-        assert len(analytics._atom_rows) == 4 * (analytics._CACHED_HALVINGS + 1)
+        lookups, misses = (after - b for after, b in zip(_row_lookups(), before))
+        assert lookups == 3 * (analytics._CACHED_HALVINGS + 1)
+        assert misses == analytics._CACHED_HALVINGS + 1
+        assert _rows_held() == 4 * (analytics._CACHED_HALVINGS + 1)
 
     def test_memory_of_the_filled_cache(self):
         # 9 thresholds within 16 dB: no two of their 27 products are equal
         cfg = _default_sweep_config((-9.0, -7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0))
         cli.run_sweep(cfg)  # the plans
-        analytics._atom_rows.clear()
+        analytics._plan_atom_rows.cache_clear()
         tracemalloc.start()
         try:
             cli.run_sweep(cfg)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(analytics._atom_rows) == analytics._ATOM_ROWS_SIZE
+        assert _rows_held() == analytics._plan_atom_rows.cache_info().maxsize
         assert held < 2**18, held  # 0.25 MiB
+
+
+def _exponent(blocks, n, pmf):
+    """Per row, the exponent of `analytics._exponent_blocks` under the gain law ``pmf``."""
+    atoms = [(p, g) for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
+    return analytics._combine_atoms(atoms, analytics._atom_sums(blocks, n,
+                                                                [g for _, g in atoms]))
 
 
 def _one_field_exponents(s, fields, chan, upper, halvings, pmf):
     """Each field's exponent per row, from the one-field case of the block builder."""
-    return [analytics._apply_exponent(analytics._exponent_blocks(s, [field], chan, upper,
-                                                                 halvings), len(s), pmf)
+    return [_exponent(analytics._exponent_blocks(s, [field], chan, upper, halvings), len(s), pmf)
             for field in fields]
 
 
@@ -852,8 +846,8 @@ class TestMergedFieldBlocks:
         fields = [(r, state), (r ** (chan.alpha(state) / chan.alpha(other)), other)]
         pmf = beam_gain_pmf(beam, k)
         upper = quad.truncation_radius_m
-        merged = analytics._apply_exponent(
-            analytics._exponent_blocks(s, fields, chan, upper, halvings), len(r), pmf)
+        merged = _exponent(analytics._exponent_blocks(s, fields, chan, upper, halvings), len(r),
+                           pmf)
         alone = sum(_one_field_exponents(s, fields, chan, upper, halvings, pmf))
         np.testing.assert_allclose(merged, alone, rtol=1e-14, atol=0.0)
         for field in fields:
@@ -882,8 +876,7 @@ class TestMergedFieldBlocks:
         blocks = analytics._exponent_blocks
         calls = _record_builder_calls(monkeypatch)
         for halvings in range(analytics._CACHED_HALVINGS + 1):
-            merged = [b for *_, bl, _ in analytics._coverage_terms(lam0, chan, beam.g_main,
-                                                                   quad, halvings) for b in bl]
+            merged = list(analytics._coverage_table(lam0, chan, beam.g_main, quad, halvings)[2])
             alone = [b for s, fields, args in calls for field in fields
                      for b in blocks(s, [field], *args)]
             calls.clear()
@@ -897,7 +890,7 @@ class TestMergedFieldBlocks:
         blocks = analytics._exponent_blocks
         calls = _record_builder_calls(monkeypatch)
         for halvings in range(analytics._CACHED_HALVINGS + 1):
-            list(analytics._coverage_terms(lam0, chan, beam.g_main, quad, halvings))
+            analytics._coverage_table(lam0, chan, beam.g_main, quad, halvings)
         for r, state in [(90.0, LOS), (20.0, NLOS)]:
             laplace_interference(30.0, r, state, 3, lam0, chan, beam, quad)
         checked = 0
@@ -907,6 +900,34 @@ class TestMergedFieldBlocks:
                     assert (t >= lower * (1.0 - 1e-12)).all()
                     checked += t.size
         assert checked
+
+    @pytest.mark.parametrize("halvings", [0, 1])
+    @pytest.mark.parametrize("kind", sorted(BLOCKAGE_KINDS))
+    def test_table_rows_equal_each_state_built_alone(self, kind, halvings, lam0, beam, quad,
+                                                     monkeypatch):
+        # The coverage table's four fields are each state's two, dead (lower
+        # limit inf) on the other state's rows: every row sum must be bitwise
+        # that of its state's two-field table.
+        chan = ORACLE_CASES[kind][0]
+        calls = _record_builder_calls(monkeypatch)
+        _, s_unit, blocks, _ = analytics._coverage_table(lam0, chan, beam.g_main, quad, halvings)
+        (s, fields, args), = calls
+        cs = [1e4 * 0.1, 100.0 * 3.0, 1.0, 1e-3]
+        table = analytics._atom_sums(blocks, len(s), cs)
+        los_rows = np.isfinite(fields[0][0])
+        assert los_rows[0] and not los_rows[-1] and (np.diff(los_rows.astype(int)) <= 0).all()
+        for (state, other), mine in [((LOS, NLOS), los_rows), ((NLOS, LOS), ~los_rows)]:
+            same, opposite = fields[:2] if state == LOS else fields[2:]
+            assert (same[1], opposite[1]) == (state, other)
+            r = same[0][mine]
+            np.testing.assert_array_equal(opposite[0][mine],
+                                          r ** (chan.alpha(state) / chan.alpha(other)))
+            assert np.isinf(same[0][~mine]).all() and np.isinf(opposite[0][~mine]).all()
+            np.testing.assert_array_equal(
+                s_unit[mine], r ** chan.alpha(state) / (beam.g_main**2 * chan.beta))
+            alone = analytics._exponent_blocks(
+                s[mine], [(r, state), (opposite[0][mine], other)], *args)
+            assert (table[:, mine] == analytics._atom_sums(alone, len(r), cs)).all(), state
 
 
 class TestTailBound:

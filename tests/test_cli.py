@@ -208,13 +208,15 @@ class TestRunValidate:
 
     def test_clean_run_passes(self):
         cfg = parse_config(VALIDATE_CFG)
-        checks = run_validate(cfg, laplace_tuples=4)
+        checks = run_validate(cfg)
         failed = [c.name for c in checks if not c.passed]
         assert failed == [], f"failed checks: {failed}"
+        for c in checks:
+            assert type(c.passed) is bool and type(c.measured) is float, c.name
 
     def test_corrupted_exponent_breaks_coverage_agreement(self):
         cfg = parse_config(VALIDATE_CFG)
-        checks = run_validate(cfg, corrupt_alpha_nlos=-1.0, laplace_tuples=4)
+        checks = run_validate(cfg, corrupt_alpha_nlos=-1.0)
         by_name = {c.name: c for c in checks}
         assert not by_name["coverage-agreement"].passed
         assert not all(c.passed for c in checks)

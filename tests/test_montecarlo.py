@@ -176,6 +176,20 @@ class TestEmpiricalCoverage:
         with pytest.raises(ValueError, match="positive and finite"):
             coverage_probability(tau, 6, lam0, channel, beam, quad)
 
+    @pytest.mark.parametrize("lam", [-1e-5, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("estimator", ["coverage_probability", "laplace_interference",
+                                           "empirical_laplace"])
+    def test_intensity_must_be_finite_and_not_negative(self, estimator, lam, channel, beam,
+                                                       quad, small_sim):
+        # lambda0 = 0 is valid for both Laplace twins (no interferer), not for coverage
+        import mmtier
+        args = {"coverage_probability": (3.0, 6, lam, channel, beam, quad),
+                "laplace_interference": (3.0, 80.0, LOS, 6, lam, channel, beam, quad),
+                "empirical_laplace": (3.0, 80.0, LOS, 6, lam, channel, beam, small_sim)}
+        message = "positive" if estimator == "coverage_probability" else "non-negative"
+        with pytest.raises(ValueError, match=f"intensity must be {message} and finite"):
+            getattr(mmtier, estimator)(*args[estimator])
+
     def test_wilson_halfwidth_reference_value(self):
         # 80/100 successes: Wilson 95% interval is (0.7112, 0.8666)
         assert wilson_halfwidth(80, 100) == pytest.approx(0.0777, abs=1e-4)
