@@ -318,13 +318,12 @@ def _tail_radial_bound(blockage: BlockageModel, state: str, start: float,
     kind = blockage.kind
     if state == LOS:
         if kind == "exponential":
+            # r^(1-alpha) lies below its tangent line at start (exactly
+            # start^(1-alpha) for alpha >= 1); e^(-r/mu) integrates that line
+            # in closed form, at most a factor 1 + mu/start above the tail.
             mu = blockage.param
-            if alpha >= 1.0:
-                return start ** (1.0 - alpha) * mu * math.exp(-start / mu)
-            # the upper incomplete gamma function mu^(2-a) Gamma(2-a, start/mu)
-            from scipy import special  # imported here: the coverage path needs no scipy
-            a = 2.0 - alpha
-            return float(mu**a * special.gamma(a) * special.gammaincc(a, start / mu))
+            return (start ** (1.0 - alpha) * mu * math.exp(-start / mu)
+                    * (1.0 + max(0.0, 1.0 - alpha) * mu / start))
         if kind == "los_ball":
             ball = blockage.param
             if start >= ball:

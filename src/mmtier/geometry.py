@@ -111,44 +111,33 @@ class RadialSampler:
         return np.interp(u, self._cdf, self._radii)
 
 
-def select_scheduled(tier: np.ndarray, cluster_map, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def select_scheduled(tier: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Pick the transmitters of the next hop: one point per cluster, uniformly.
 
-    ``cluster_map`` is an (m, k, 2) array of the clusters whose union is
-    ``tier`` (pass None for tier 0, which transmits whole). Returns the
+    ``tier`` is the ordered union of clusters of ``k`` points each (tier 0,
+    which transmits whole, is k = 1 and draws no variate). Returns the
     selected (m, 2) points together with their indices into ``tier``.
     """
     tier = np.asarray(tier, dtype=float).reshape(-1, 2)
-    if cluster_map is None:
-        return tier.copy(), np.arange(len(tier))
-    clusters = np.asarray(cluster_map, dtype=float)
-    if clusters.ndim != 3 or clusters.shape[2] != 2:
-        raise ValueError("cluster map must have shape (m, k, 2)")
-    m, k, _ = clusters.shape
-    if k == 0 or m == 0 and len(tier) > 0:
-        raise ValueError("cluster map contains an empty cluster")
-    if m * k != len(tier) or not np.array_equal(clusters.reshape(-1, 2), tier):
-        raise ValueError("tier is not the (ordered) union of the cluster map")
-    choice = rng.integers(0, k, size=m)
-    idx = np.arange(m) * k + choice
-    return tier[idx].copy(), idx
+    if k < 1 or len(tier) % k:
+        raise ValueError("tier is not a union of clusters of k >= 1 points")
+    m = len(tier) // k
+    idx = np.arange(m) * k + rng.integers(0, k, size=m)
+    return tier[idx], idx
 
 
 @dataclass
 class TierTopology:
     """Realized point sets of every tier plus the scheduled subsets.
 
-    tiers[i] is the full tier-i point set; scheduled[i] the transmitters of
-    hop i+1 (one per cluster of tier i); cluster_map[i][j] the receiver
-    cluster spawned by scheduled[i][j]. gains[i] is the per-hop multiplexing
-    gain, residual_intensity the density left unserved when hop flooring was
-    requested.
+    tiers[i] is the full tier-i point set and scheduled_indices[i] the indices
+    into it of the transmitters of hop i+1, one per cluster of tier i. Tier
+    i+1 is their clusters of gains[i] receivers, in order. residual_intensity
+    is the density left unserved when hop flooring was requested.
     """
 
     tiers: list[np.ndarray]
-    scheduled: list[np.ndarray]
     scheduled_indices: list[np.ndarray]
-    cluster_map: list[np.ndarray]
     gains: list[int]
     window: Window
     residual_intensity: float = 0.0
@@ -157,24 +146,32 @@ class TierTopology:
     def hops(self) -> int:
         return len(self.tiers) - 1
 
+    @property
+    def scheduled(self) -> list[np.ndarray]:
+        """The transmitters of each hop, (m, 2) points of the tier below."""
+        return [tier[idx] for tier, idx in zip(self.tiers, self.scheduled_indices)]
+
+    @property
+    def cluster_map(self) -> list[np.ndarray]:
+        """Per hop, the receiver clusters as an (m, k, 2) view: [j] is scheduled[j]'s."""
+        return [tier.reshape(-1, k, 2) for tier, k in zip(self.tiers[1:], self.gains)]
+
     def all_points(self) -> np.ndarray:
         if not self.tiers:
             return np.empty((0, 2))
         return np.concatenate([t for t in self.tiers], axis=0)
 
     def check_invariants(self) -> None:
-        """Structural containment / union / cluster-size checks; raises on violation."""
-        if len(self.scheduled) != self.hops or len(self.cluster_map) != self.hops:
-            raise AssertionError("scheduled/cluster bookkeeping out of step with tiers")
-        for i in range(self.hops):
-            sched, idx = self.scheduled[i], self.scheduled_indices[i]
-            if not np.array_equal(sched, self.tiers[i][idx]):
-                raise AssertionError(f"scheduled set of hop {i + 1} is not a subset of tier {i}")
-            clusters = self.cluster_map[i]
-            if clusters.shape[0] != len(sched) or clusters.shape[1] != self.gains[i]:
-                raise AssertionError(f"hop {i + 1} cluster sizes disagree with gain {self.gains[i]}")
-            if not np.array_equal(clusters.reshape(-1, 2), self.tiers[i + 1]):
-                raise AssertionError(f"tier {i + 1} is not the union of its clusters")
+        """Index structure: one parent per cluster, gain-sized clusters; raises on violation."""
+        if len(self.scheduled_indices) != self.hops or len(self.gains) != self.hops:
+            raise AssertionError("scheduled/gain bookkeeping out of step with tiers")
+        for i, idx in enumerate(self.scheduled_indices):
+            size = self.gains[i - 1] if i else 1
+            if len(self.tiers[i]) != size * len(idx) \
+                    or not np.array_equal(idx // size, np.arange(len(idx))):
+                raise AssertionError(f"hop {i + 1} does not schedule one point per cluster")
+            if len(self.tiers[i + 1]) != self.gains[i] * len(idx):
+                raise AssertionError(f"tier {i + 1} is not {self.gains[i]} receivers per parent")
 
 
 def build_tier_topology(net: analytics.NetworkParams, channel: ChannelParams,
@@ -199,26 +196,20 @@ def build_tier_topology(net: analytics.NetworkParams, channel: ChannelParams,
 
     tier0 = sample_ppp(net.lambda_tier0, window, rng)
     tiers = [tier0]
-    scheduled: list[np.ndarray] = []
     scheduled_idx: list[np.ndarray] = []
-    cluster_map: list[np.ndarray] = []
     for i, k_i in enumerate(gains):
-        prev_clusters = cluster_map[i - 1] if i > 0 else None
-        sched, idx = select_scheduled(tiers[i], prev_clusters, rng)
+        sched, idx = select_scheduled(tiers[i], gains[i - 1] if i else 1, rng)
         # Cluster j takes k_i radius uniforms, then k_i angle uniforms.
         u = rng.random((len(sched), 2, k_i))
         radii = sampler.quantile(u[:, 0])
         angles = 2.0 * math.pi * u[:, 1]
         clusters = np.stack([sched[:, 0, None] + radii * np.cos(angles),
                              sched[:, 1, None] + radii * np.sin(angles)], axis=-1)
-        scheduled.append(sched)
         scheduled_idx.append(idx)
-        cluster_map.append(clusters)
         tiers.append(clusters.reshape(-1, 2))
 
-    topo = TierTopology(tiers=tiers, scheduled=scheduled, scheduled_indices=scheduled_idx,
-                        cluster_map=cluster_map, gains=gains, window=window,
-                        residual_intensity=residual)
+    topo = TierTopology(tiers=tiers, scheduled_indices=scheduled_idx, gains=gains,
+                        window=window, residual_intensity=residual)
     topo.check_invariants()
     return topo
 

@@ -4,8 +4,14 @@ Realizes the per-hop typical-receiver experiment by actual point sampling:
 drop the receiver at the origin, scatter the scheduled transmitters as a
 marked PPP, associate with the maximum-average-power AP, and measure SINR,
 association distances and the interference Laplace functional empirically.
-The Laplace sampler integrates fading and gains out per trial (conditional
-Monte Carlo), on one draw of positions for every tuple of a call.
+The coverage and association samplers consume one served-trial loop
+(`_served_trials`). The Laplace sampler integrates fading and gains out per
+trial (conditional Monte Carlo), on one draw of positions for every tuple of
+a call, and keeps its own chunked draw: its serving AP is pinned, an empty
+window is a valid draw, and its stream has no angle row. Dropping the unread
+angles from the served-trial stream would let the two share a draw, but it
+moves every coverage and association value, so it waits on the bench's
+fixed-seed checks being recorded on the new streams.
 
 Every trial owns a counter-based random stream derived from the master seed
 (Philox keyed by seed, counter set from the trial index), so a trial's draws,
@@ -23,7 +29,6 @@ import numpy as np
 
 from .channel import (
     BeamParams,
-    BlockageModel,
     ChannelParams,
     beam_gain_pmf,
     _check_state,
@@ -37,7 +42,6 @@ _SUB_COVERAGE = 1
 _SUB_ASSOCIATION = 2
 _SUB_LAPLACE = 3
 
-_EMPTY_RESAMPLE_LIMIT = 10_000
 _CHUNK_POINTS = 1 << 13  # mean points per chunk of Laplace trials
 
 
@@ -102,48 +106,39 @@ class _StreamFactory:
         return self._gen
 
 
-def _trial_streams(sim: SimConfig, substream: int):
-    """The generators of trials 0 .. sim.trials - 1, in order (one object, rewound)."""
-    factory = _StreamFactory(sim.master_seed, substream)
-    return (factory.at(i) for i in range(sim.trials))
+def _served_trials(lambda0: float, channel: ChannelParams, sim: SimConfig, substream: int):
+    """Each trial's non-empty draw of the LOS-marked PPP and its serving AP, in order.
 
-
-def _marked_ppp(rng: np.random.Generator, mean_count: float, window_m: float,
-                blockage: BlockageModel):
-    """One non-empty draw of the LOS-marked PPP on the disc of radius window_m.
-
-    Returns (radii, LOS marks, empty draws resampled). The stream is a Poisson
-    count n, then 3n uniforms: radii, angles, LOS marks. An empty draw is
-    resampled; persistent emptiness aborts, since it means the window is far
-    too small for the intensity.
+    Yields (stream, radii, LOS marks, mean powers, serving index) per trial:
+    the mean power is d^-alpha(state) per unit intercept, the serving AP the
+    strongest, and the stream (one generator, rewound) is left just past the
+    PPP. Trial i's stream starts with a Poisson count n, redrawn while it is
+    zero, then 3n uniforms: radii, angles, LOS marks. More empty draws than
+    1 in 10^4 trials (at least one) abort: the window is too small for the
+    intensity.
     """
-    if not mean_count > 0.0:
-        raise ValueError("intensity must be positive")
+    if not 0.0 < lambda0 < math.inf:
+        raise ValueError("tier intensity must be positive and finite")
+    mean_count = lambda0 * math.pi * sim.window_radius_m**2
+    resample_limit = max(1.0, 1e-4 * sim.trials)
+    factory = _StreamFactory(sim.master_seed, substream)
     resamples = 0
-    n = rng.poisson(mean_count)
-    while n == 0:
-        resamples += 1
-        if resamples > _EMPTY_RESAMPLE_LIMIT:
-            raise SimulationError(
-                "PPP sample repeatedly empty; window too small for the intensity")
+    for i in range(sim.trials):
+        rng = factory.at(i)
         n = rng.poisson(mean_count)
-    # The angles are unread, but drawing them keeps every later variate where it was.
-    u = rng.random(3 * n)
-    radii = window_m * np.sqrt(u[:n])
-    is_los = u[2 * n:] < _p_los_raw(radii, blockage)
-    return radii, is_los, resamples
-
-
-def _mean_power(radii: np.ndarray, is_los: np.ndarray, channel: ChannelParams) -> np.ndarray:
-    """Average received power per unit intercept, d^-alpha(state)."""
-    return radii ** -np.where(is_los, channel.alpha_los, channel.alpha_nlos)
-
-
-def _check_resample_rate(resamples: int, trials: int) -> None:
-    if resamples > max(1.0, 1e-4 * trials):
-        raise SimulationError(
-            f"{resamples} empty-window resamples in {trials} trials; "
-            "window too small for the intensity")
+        while n == 0:
+            resamples += 1
+            if resamples > resample_limit:
+                raise SimulationError(
+                    f"over {resample_limit:g} empty-window resamples in {sim.trials} "
+                    "trials; window too small for the intensity")
+            n = rng.poisson(mean_count)
+        # The angles are unread, but drawing them keeps every later variate where it was.
+        u = rng.random(3 * n)
+        radii = sim.window_radius_m * np.sqrt(u[:n])
+        is_los = u[2 * n:] < _p_los_raw(radii, channel.blockage)
+        power = radii ** -np.where(is_los, channel.alpha_los, channel.alpha_nlos)
+        yield rng, radii, is_los, power, int(power.argmax())
 
 
 def sinr_samples(k: int, lambda0: float, channel: ChannelParams, beam: BeamParams,
@@ -154,15 +149,9 @@ def sinr_samples(k: int, lambda0: float, channel: ChannelParams, beam: BeamParam
     stream; the fading of the serving AP and of the interferers is one draw.
     """
     pmf = beam_gain_pmf(beam, k)
-    mean_count = lambda0 * math.pi * sim.window_radius_m**2
     out = np.empty(sim.trials)
-    resamples = 0
-    for i, rng in enumerate(_trial_streams(sim, _SUB_COVERAGE)):
-        radii, is_los, extra = _marked_ppp(rng, mean_count, sim.window_radius_m,
-                                           channel.blockage)
-        resamples += extra
-        power = _mean_power(radii, is_los, channel)
-        j = int(power.argmax())
+    trials = _served_trials(lambda0, channel, sim, _SUB_COVERAGE)
+    for i, (rng, radii, _, power, j) in enumerate(trials):
         fading = rng.exponential(size=len(radii))
         weights = fading[1:] * pmf.sample(rng, len(radii) - 1)
         # Interferers are every point but j, in draw order: skip j without a copy.
@@ -171,7 +160,6 @@ def sinr_samples(k: int, lambda0: float, channel: ChannelParams, beam: BeamParam
         denom = channel.noise_power + interference
         out[i] = (math.inf if denom == 0.0
                   else fading[0] * beam.g_main**2 * channel.beta * power[j] / denom)
-    _check_resample_rate(resamples, sim.trials)
     return out
 
 
@@ -211,17 +199,11 @@ def empirical_coverage(tau: float, k: int, lambda0: float, channel: ChannelParam
 def serving_distance_samples(lambda0: float, channel: ChannelParams,
                              sim: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Association distances and LOS flags over sim.trials realizations."""
-    mean_count = lambda0 * math.pi * sim.window_radius_m**2
     dist = np.empty(sim.trials)
     is_los = np.empty(sim.trials, dtype=bool)
-    resamples = 0
-    for i, rng in enumerate(_trial_streams(sim, _SUB_ASSOCIATION)):
-        radii, los, extra = _marked_ppp(rng, mean_count, sim.window_radius_m,
-                                        channel.blockage)
-        resamples += extra
-        j = int(_mean_power(radii, los, channel).argmax())
+    trials = _served_trials(lambda0, channel, sim, _SUB_ASSOCIATION)
+    for i, (_, radii, los, _, j) in enumerate(trials):
         dist[i], is_los[i] = radii[j], los[j]
-    _check_resample_rate(resamples, sim.trials)
     return dist, is_los
 
 

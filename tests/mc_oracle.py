@@ -7,7 +7,7 @@ with a position-free pass over the same stream, so on trial i's coverage
 stream the two must agree to rounding.
 
 `realize_hop` rebuilds the trial's marked PPP by hand rather than through
-`mmtier.montecarlo._marked_ppp`, so the reference stays independent of the
+`mmtier.montecarlo._served_trials`, so the reference stays independent of the
 sampler it pins: a Poisson count, redrawn while it is zero, then 3n uniforms
 split into radii, angles and LOS marks.
 
@@ -26,8 +26,9 @@ import numpy as np
 
 from mmtier.channel import (LOS, NLOS, BeamParams, ChannelParams, beam_gain_pmf,
                             los_probability)
-from mmtier.montecarlo import (_EMPTY_RESAMPLE_LIMIT, _SUB_LAPLACE, SimConfig,
-                               SimulationError, trial_stream)
+from mmtier.montecarlo import _SUB_LAPLACE, SimConfig, SimulationError, trial_stream
+
+_EMPTY_RESAMPLE_LIMIT = 10_000  # empty draws of one trial before `realize_hop` gives up
 
 
 @dataclass

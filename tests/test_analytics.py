@@ -4,6 +4,8 @@ analytical module."""
 import dataclasses
 import hashlib
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -931,15 +933,27 @@ class TestMergedFieldBlocks:
 
 
 class TestTailBound:
-    @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.99])
-    def test_exponential_blockage_below_unit_exponent(self, alpha):
-        # closed-form incomplete gamma against adaptive quadrature
-        tight = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
-        for start in (10.0, 2500.0):
-            want, _ = oracle._quad(lambda r: math.exp(-r / MU_M) * r ** (1.0 - alpha),
-                                   start, start + 80.0 * MU_M, tight)
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 2.0])
+    def test_exponential_blockage_bound_is_tight(self, alpha):
+        # the tangent-line bound against adaptive quadrature of the tail, in
+        # r = start + mu t; at alpha = 1 it is the tail itself
+        for start in (10.0, 141.4, 2500.0):
+            scaled, _ = integrate.quad(lambda t: math.exp(-t) * (start + MU_M * t) ** (1.0 - alpha),
+                                       0.0, math.inf, epsabs=0.0, epsrel=1e-12)
+            want = MU_M * math.exp(-start / MU_M) * scaled
             got = analytics._tail_radial_bound(BlockageModel.exponential(MU_M), LOS, start, alpha)
-            assert got == pytest.approx(want, rel=1e-9), start
+            assert want * (1.0 - 1e-10) <= got <= want * (1.0 + MU_M / start), start
+
+    def test_coverage_below_unit_exponent_loads_no_scipy(self):
+        code = ("import math, sys; from mmtier import *; "
+                "ch = ChannelParams(0.8, 4.0, 1.0, BlockageModel.exponential(141.4)); "
+                "beam = BeamParams(math.pi / 6.0, 100.0, 1.0, 12); "
+                "coverage_probability(1.0, 6, 1e-4 / math.pi, ch, beam, "
+                "QuadratureSpec(truncation_radius_m=2500.0)); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "[]"
 
 
 # (channel, tau, k): the engine's reference setting, the other two blockage

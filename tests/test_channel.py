@@ -1,9 +1,9 @@
 """Link-level model tests: blockage, path loss, beam gains, fading.
 
 Path loss and fading have no public function of their own: the tests read
-them off the code that uses them: `montecarlo._mean_power` (r^-alpha per unit
-intercept, scaled by beta in the samplers), and the fading of the positional
-reference `mc_oracle.compute_sinr`, which
+path loss off `ChannelParams.alpha` in the form the samplers use (r^-alpha per
+unit intercept, scaled by beta), and the fading off the positional reference
+`mc_oracle.compute_sinr`, which
 `test_montecarlo.TestMarkedPppSampler.test_sinr_matches_per_realization_reference`
 ties to `montecarlo.sinr_samples`.
 """
@@ -27,7 +27,6 @@ from mmtier import (
     serving_distance_pdf,
 )
 from mmtier.analytics import _state_probability
-from mmtier.montecarlo import _mean_power
 
 from conftest import intensity_for
 from mc_oracle import HopRealization, compute_sinr
@@ -87,7 +86,7 @@ class TestBlockage:
 
 def path_loss(r: float, state: str, params: ChannelParams) -> float:
     """beta * r^-alpha(state), as the Monte Carlo samplers form it."""
-    return params.beta * float(_mean_power(np.array([r]), np.array([state == LOS]), params)[0])
+    return params.beta * r ** -params.alpha(state)
 
 
 class TestPathLoss:

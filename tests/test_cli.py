@@ -373,8 +373,8 @@ class TestMainExitCodes:
 
 
 def test_import_loads_neither_scipy_stats_nor_integrate():
-    # scipy.stats is imported by `validate` alone, scipy.special by one tail
-    # bound and scipy.spatial by Ripley's K; importing the CLI loads no scipy
+    # scipy.stats is imported by `validate` alone and scipy.spatial by
+    # Ripley's K; importing the CLI loads no scipy
     src = str(Path(mmtier.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, mmtier.cli; "

@@ -1,5 +1,6 @@
 """Point-process construction and spatial-statistics tests."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -110,36 +111,34 @@ class TestRadialSampler:
 class TestSelectScheduled:
     def test_tier_zero_returned_whole(self):
         tier = np.array([[0.0, 1.0], [2.0, 3.0]])
-        out, idx = select_scheduled(tier, None, np.random.default_rng(1))
+        rng, untouched = np.random.default_rng(1), np.random.default_rng(1)
+        out, idx = select_scheduled(tier, 1, rng)
         np.testing.assert_array_equal(out, tier)
         np.testing.assert_array_equal(idx, [0, 1])
+        assert rng.random() == untouched.random()  # k = 1 draws no variate
 
     def test_singleton_clusters_identity(self):
         tier = np.arange(10, dtype=float).reshape(5, 2)
-        clusters = tier.reshape(5, 1, 2)
-        out, idx = select_scheduled(tier, clusters, np.random.default_rng(2))
+        out, idx = select_scheduled(tier, 1, np.random.default_rng(2))
         np.testing.assert_array_equal(out, tier)
 
     def test_one_per_cluster(self):
         rng = np.random.default_rng(3)
-        clusters = rng.normal(size=(40, 6, 2))
-        tier = clusters.reshape(-1, 2)
-        out, idx = select_scheduled(tier, clusters, rng)
+        tier = rng.normal(size=(40 * 6, 2))
+        out, idx = select_scheduled(tier, 6, rng)
         assert out.shape == (40, 2)
         assert np.all(idx // 6 == np.arange(40))  # one index per cluster block
+        np.testing.assert_array_equal(out, tier[idx])
 
     def test_empty_cluster_rejected(self):
-        tier = np.empty((0, 2))
-        clusters = np.empty((3, 0, 2))
         with pytest.raises(ValueError):
-            select_scheduled(tier, clusters, np.random.default_rng(1))
+            select_scheduled(np.empty((0, 2)), 0, np.random.default_rng(1))
 
     def test_union_mismatch_rejected(self):
+        # 7 points are no union of clusters of 2
         rng = np.random.default_rng(5)
-        clusters = rng.normal(size=(4, 2, 2))
-        tier = rng.normal(size=(8, 2))
         with pytest.raises(ValueError):
-            select_scheduled(tier, clusters, rng)
+            select_scheduled(rng.normal(size=(7, 2)), 2, rng)
 
     def test_selection_from_clusters_restores_csr(self, lam0, channel, quad,
                                                   serving_sampler):
@@ -154,8 +153,7 @@ class TestSelectScheduled:
         angles = 2.0 * math.pi * u[:, 1]
         clusters = parents[:, None, :] + np.stack(
             [radii * np.cos(angles), radii * np.sin(angles)], axis=-1)
-        tier = clusters.reshape(-1, 2)
-        selected, _ = select_scheduled(tier, clusters, rng)
+        selected, _ = select_scheduled(clusters.reshape(-1, 2), 6, rng)
         radii = r0 * np.array([0.25, 0.5, 1.0, 1.5])
         k_hat = ripley_k(selected, window, radii)
         lo, hi = csr_envelope(len(selected) / window.area, window, radii, 200,
@@ -221,6 +219,25 @@ class TestBuildTopology:
         # realized counts: tier i+1 has exactly gain * |scheduled| points
         for i, g in enumerate(topo.gains):
             assert len(topo.tiers[i + 1]) == g * len(topo.scheduled[i])
+
+    def test_invariants_catch_broken_bookkeeping(self, lam0, channel, serving_sampler):
+        net = NetworkParams(lambda_total=7 * lam0, lambda_tier0=lam0,
+                            rf_chains=12, bandwidth=1.0, gain_per_hop=2)
+        topo = build_tier_topology(net, channel, Window(ORIGIN, 400.0),
+                                   np.random.default_rng(9), sampler=serving_sampler)
+        assert topo.gains == [2, 2, 2]
+        moved = [idx.copy() for idx in topo.scheduled_indices]
+        moved[1][0] += 2  # hop 2's first parent, into the neighbouring cluster
+        broken = {
+            "moved parent": dataclasses.replace(topo, scheduled_indices=moved),
+            "dropped receiver": dataclasses.replace(
+                topo, tiers=topo.tiers[:-1] + [topo.tiers[-1][:-1]]),
+            "short gain list": dataclasses.replace(topo, gains=topo.gains[:-1]),
+        }
+        for name, bad in broken.items():
+            with pytest.raises(AssertionError):
+                bad.check_invariants()
+                pytest.fail(name)
 
     def test_deterministic(self, lam0, channel, serving_sampler):
         window = Window(ORIGIN, 400.0)

@@ -1,8 +1,9 @@
 """Simulator tests: realization invariants, estimator contracts, determinism.
 
 `TestRealizeHop` and `TestComputeSinr` check the positional reference in
-`mc_oracle`; `TestMarkedPppSampler` pins `sinr_samples` to it, and the
-conditional Laplace sampler to the raw exp(-s I) estimator there.
+`mc_oracle`; `TestMarkedPppSampler` pins `sinr_samples` to it, the conditional
+Laplace sampler to the raw exp(-s I) estimator there, and the SINR and
+association samplers to exact values on fixed seeds.
 """
 
 import math
@@ -176,17 +177,26 @@ class TestEmpiricalCoverage:
         with pytest.raises(ValueError, match="positive and finite"):
             coverage_probability(tau, 6, lam0, channel, beam, quad)
 
-    @pytest.mark.parametrize("lam", [-1e-5, math.nan, math.inf], ids=["negative", "nan", "inf"])
-    @pytest.mark.parametrize("estimator", ["coverage_probability", "laplace_interference",
-                                           "empirical_laplace"])
+    @pytest.mark.parametrize("estimator, lam", [
+        pytest.param(estimator, lam, id=f"{estimator}-{name}")
+        for estimator in ("coverage_probability", "laplace_interference", "empirical_laplace",
+                          "sinr_samples", "empirical_coverage", "serving_distance_samples")
+        for name, lam in (("negative", -1e-5), ("zero", 0.0), ("nan", math.nan),
+                          ("inf", math.inf))
+        if not (lam == 0.0 and "laplace" in estimator)])
     def test_intensity_must_be_finite_and_not_negative(self, estimator, lam, channel, beam,
-                                                       quad, small_sim):
-        # lambda0 = 0 is valid for both Laplace twins (no interferer), not for coverage
+                                                       quad, small_sim, monkeypatch):
+        # lambda0 = 0 is valid for both Laplace twins (no interferer), not for
+        # coverage or association; the samplers reject it before any draw
         import mmtier
         args = {"coverage_probability": (3.0, 6, lam, channel, beam, quad),
                 "laplace_interference": (3.0, 80.0, LOS, 6, lam, channel, beam, quad),
-                "empirical_laplace": (3.0, 80.0, LOS, 6, lam, channel, beam, small_sim)}
-        message = "positive" if estimator == "coverage_probability" else "non-negative"
+                "empirical_laplace": (3.0, 80.0, LOS, 6, lam, channel, beam, small_sim),
+                "sinr_samples": (6, lam, channel, beam, small_sim),
+                "empirical_coverage": (3.0, 6, lam, channel, beam, small_sim),
+                "serving_distance_samples": (lam, channel, small_sim)}
+        monkeypatch.setattr(montecarlo._StreamFactory, "at", None)  # a draw would raise
+        message = "non-negative" if "laplace" in estimator else "positive"
         with pytest.raises(ValueError, match=f"intensity must be {message} and finite"):
             getattr(mmtier, estimator)(*args[estimator])
 
@@ -306,6 +316,20 @@ GOLDEN_ASSOCIATION = {
          38.404526222379296, 60.611908020509276, 42.05239202120228, 21.44131896692548],
         [0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1]),
 }
+# sinr_samples(k, lam0, ., beam, GOLDEN_SIM) per kind -> (k, values), recorded
+# before the coverage and association samplers shared one served-trial loop.
+GOLDEN_SINR = {
+    "exponential": (6, [
+        388.2504121771563, 0.04098604946173608, 5783.559278367256, 64.36220358621807,
+        37.05205835277999, 14.11029252531095, 45.60048209565863, 4.578290564654204,
+        21788.046115101428, 156.68013427946815, 61.315871751922785, 2823.8126949686234,
+        0.8641010709181781, 1.0667349535030068, 0.7192169251080507, 4.245524761806798]),
+    "los_ball": (3, [
+        10456.847489457505, 0.05111657308497781, 8.278205255362435, 33.220033395411605,
+        3510.506796562095, 1826440.5532767703, 161.80770931894162, 6.5307609342859845,
+        147662.25900923676, 38.08416798056878, 97.32732926056525, 1.569205114562503,
+        15.458515634221952, 30.79430752754074, 71.93134509326384, 27.027531506657756]),
+}
 # (s, r, state, k, blockage) -> (mean, se) of the raw exp(-s I) estimator
 # (`mc_oracle.raw_laplace_samples`) on a 1000 m window, 10^4 trials, seed 2718,
 # recorded the same way; they pin the positions stream of the Laplace sampler.
@@ -366,6 +390,11 @@ class TestMarkedPppSampler:
         want_dist, want_los = GOLDEN_ASSOCIATION[kind]
         assert dist.tolist() == want_dist
         assert is_los.tolist() == [bool(v) for v in want_los]
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_SINR))
+    def test_sinr_golden_values(self, lam0, beam, kind):
+        k, want = GOLDEN_SINR[kind]
+        assert sinr_samples(k, lam0, _golden_channel(kind), beam, GOLDEN_SIM).tolist() == want
 
     @pytest.mark.parametrize("args, want", GOLDEN_LAPLACE)
     def test_laplace_golden_values(self, lam0, beam, args, want):
