@@ -175,13 +175,16 @@ class GainPmf:
         return math.fsum(g * p for g, p in zip(self.gains, self.probs))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` i.i.d. gains (one uniform variate per draw).
+        """Draw ``size`` i.i.d. gains (one uniform variate per draw)."""
+        return self._gains_at(rng.random(size))
+
+    def _gains_at(self, u: np.ndarray) -> np.ndarray:
+        """The gain drawn by each uniform u.
 
         Atom i is drawn when u lies in [e_{i-1}, e_i) of the cumulative edges;
         the last atom takes every u >= e_1, so rounding of the final edge
         cannot index past it.
         """
-        u = rng.random(size)
         e0, e1 = self._edges
         return self._gain_arr.take(np.add(u >= e0, u >= e1, dtype=np.intp))
 

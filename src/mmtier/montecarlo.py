@@ -4,14 +4,11 @@ Realizes the per-hop typical-receiver experiment by actual point sampling:
 drop the receiver at the origin, scatter the scheduled transmitters as a
 marked PPP, associate with the maximum-average-power AP, and measure SINR,
 association distances and the interference Laplace functional empirically.
-The coverage and association samplers consume one served-trial loop
-(`_served_trials`). The Laplace sampler integrates fading and gains out per
-trial (conditional Monte Carlo), on one draw of positions for every tuple of
-a call, and keeps its own chunked draw: its serving AP is pinned, an empty
-window is a valid draw, and its stream has no angle row. Dropping the unread
-angles from the served-trial stream would let the two share a draw, but it
-moves every coverage and association value, so it waits on the bench's
-fixed-seed checks being recorded on the new streams.
+Every sampler draws the LOS-marked PPP through one chunked generator
+(`_marked_ppp`): trial i's stream holds a Poisson count n, then n radii and
+n LOS marks, then for the SINR sampler n fadings and n gain uniforms. The
+Laplace sampler pins the serving AP and integrates fading and gains out per
+trial (conditional Monte Carlo), on one draw of positions for every tuple.
 
 Every trial owns a counter-based random stream derived from the master seed
 (Philox keyed by seed, counter set from the trial index), so a trial's draws,
@@ -27,13 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import (
-    BeamParams,
-    ChannelParams,
-    beam_gain_pmf,
-    _check_state,
-    _p_los_raw,
-)
+from .channel import BeamParams, ChannelParams, beam_gain_pmf, _check_state, _p_los_raw
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -42,7 +33,7 @@ _SUB_COVERAGE = 1
 _SUB_ASSOCIATION = 2
 _SUB_LAPLACE = 3
 
-_CHUNK_POINTS = 1 << 13  # mean points per chunk of Laplace trials
+_CHUNK_POINTS = 1 << 13  # mean points per chunk of trials
 
 
 class SimulationError(RuntimeError):
@@ -106,39 +97,59 @@ class _StreamFactory:
         return self._gen
 
 
-def _served_trials(lambda0: float, channel: ChannelParams, sim: SimConfig, substream: int):
-    """Each trial's non-empty draw of the LOS-marked PPP and its serving AP, in order.
+def _marked_ppp(lambda0: float, channel: ChannelParams, sim: SimConfig, substream: int,
+                served: bool, fading: bool = False):
+    """Every trial's draw of the LOS-marked PPP, in chunks of about `_CHUNK_POINTS` points.
 
-    Yields (stream, radii, LOS marks, mean powers, serving index) per trial:
-    the mean power is d^-alpha(state) per unit intercept, the serving AP the
-    strongest, and the stream (one generator, rewound) is left just past the
-    PPP. Trial i's stream starts with a Poisson count n, redrawn while it is
-    zero, then 3n uniforms: radii, angles, LOS marks. More empty draws than
-    1 in 10^4 trials (at least one) abort: the window is too small for the
-    intensity.
+    Trial i's stream (one generator, rewound) holds a Poisson count n, then 2n
+    uniforms: radii, then LOS marks; with `fading`, then n unit exponentials
+    and n gain uniforms, point i taking entry i of each. A `served` trial needs
+    an AP: its count is redrawn while it is zero, and more empty draws than 1
+    in 10^4 trials (at least one) abort, the window being too small for the
+    intensity. Yields per chunk its first trial, each trial's count and first
+    index, and the chunk's radii, LOS marks, d^alpha(state) (the inverse mean
+    power per unit intercept) and the rows of fading and gain uniforms (none
+    without `fading`; views that the next chunk overwrites).
     """
-    if not 0.0 < lambda0 < math.inf:
+    if served and not 0.0 < lambda0 < math.inf:
         raise ValueError("tier intensity must be positive and finite")
     mean_count = lambda0 * math.pi * sim.window_radius_m**2
+    chunk = max(1, int(_CHUNK_POINTS / (mean_count + 1.0)))
     resample_limit = max(1.0, 1e-4 * sim.trials)
     factory = _StreamFactory(sim.master_seed, substream)
+    buf = np.empty((4 if fading else 2, 0))  # the chunk's rows, drawn in place
     resamples = 0
-    for i in range(sim.trials):
-        rng = factory.at(i)
-        n = rng.poisson(mean_count)
-        while n == 0:
-            resamples += 1
-            if resamples > resample_limit:
-                raise SimulationError(
-                    f"over {resample_limit:g} empty-window resamples in {sim.trials} "
-                    "trials; window too small for the intensity")
+    for first in range(0, sim.trials, chunk):
+        counts, end = [], 0
+        for i in range(first, min(first + chunk, sim.trials)):
+            rng = factory.at(i)
             n = rng.poisson(mean_count)
-        # The angles are unread, but drawing them keeps every later variate where it was.
-        u = rng.random(3 * n)
-        radii = sim.window_radius_m * np.sqrt(u[:n])
-        is_los = u[2 * n:] < _p_los_raw(radii, channel.blockage)
-        power = radii ** -np.where(is_los, channel.alpha_los, channel.alpha_nlos)
-        yield rng, radii, is_los, power, int(power.argmax())
+            while served and n == 0:
+                resamples += 1
+                if resamples > resample_limit:
+                    raise SimulationError(
+                        f"over {resample_limit:g} empty-window resamples in {sim.trials} "
+                        "trials; window too small for the intensity")
+                n = rng.poisson(mean_count)
+            if end + n > buf.shape[1]:
+                buf = np.concatenate((buf[:, :end], np.empty((len(buf), end + 2 * n))), axis=1)
+            rng.random(out=buf[0, end:end + n])
+            rng.random(out=buf[1, end:end + n])
+            if fading:
+                rng.standard_exponential(out=buf[2, end:end + n])
+                rng.random(out=buf[3, end:end + n])
+            counts.append(n)
+            end += n
+        u, counts = buf[:, :end], np.array(counts)
+        radii = sim.window_radius_m * np.sqrt(u[0])
+        is_los = u[1] < _p_los_raw(radii, channel.blockage)
+        inv_power = radii ** np.where(is_los, channel.alpha_los, channel.alpha_nlos)
+        yield first, counts, np.cumsum(counts) - counts, radii, is_los, inv_power, u[2:]
+
+
+def _strongest(inv_power: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each trial's serving AP: the first point of least d^alpha (strongest mean power)."""
+    return starts + [inv_power[s:s + n].argmin() for s, n in zip(starts, counts)]
 
 
 def sinr_samples(k: int, lambda0: float, channel: ChannelParams, beam: BeamParams,
@@ -146,20 +157,18 @@ def sinr_samples(k: int, lambda0: float, channel: ChannelParams, beam: BeamParam
     """Per-trial SINR draws of the typical-receiver experiment (linear scale).
 
     Trial i equals the positional reference of `tests/mc_oracle.py` on trial i's
-    stream; the fading of the serving AP and of the interferers is one draw.
+    stream, to rounding. Zero noise with no interference is SINR = inf.
     """
     pmf = beam_gain_pmf(beam, k)
-    out = np.empty(sim.trials)
-    trials = _served_trials(lambda0, channel, sim, _SUB_COVERAGE)
-    for i, (rng, radii, _, power, j) in enumerate(trials):
-        fading = rng.exponential(size=len(radii))
-        weights = fading[1:] * pmf.sample(rng, len(radii) - 1)
-        # Interferers are every point but j, in draw order: skip j without a copy.
-        interference = channel.beta * float(weights[:j] @ power[:j]
-                                             + weights[j:] @ power[j + 1:])
-        denom = channel.noise_power + interference
-        out[i] = (math.inf if denom == 0.0
-                  else fading[0] * beam.g_main**2 * channel.beta * power[j] / denom)
+    out = np.full(sim.trials, np.inf)
+    for first, counts, starts, _, _, inv_power, (fading, gain_u) in _marked_ppp(
+            lambda0, channel, sim, _SUB_COVERAGE, served=True, fading=True):
+        j = _strongest(inv_power, counts, starts)
+        weights = fading * pmf._gains_at(gain_u) / inv_power
+        weights[j] = 0.0  # the serving AP does not interfere
+        denom = channel.noise_power + channel.beta * np.add.reduceat(weights, starts)
+        signal = fading[j] * beam.g_main**2 * channel.beta / inv_power[j]
+        np.divide(signal, denom, out=out[first:first + len(j)], where=denom > 0.0)
     return out
 
 
@@ -201,9 +210,10 @@ def serving_distance_samples(lambda0: float, channel: ChannelParams,
     """Association distances and LOS flags over sim.trials realizations."""
     dist = np.empty(sim.trials)
     is_los = np.empty(sim.trials, dtype=bool)
-    trials = _served_trials(lambda0, channel, sim, _SUB_ASSOCIATION)
-    for i, (_, radii, los, _, j) in enumerate(trials):
-        dist[i], is_los[i] = radii[j], los[j]
+    for first, counts, starts, radii, los, inv_power, _ in _marked_ppp(
+            lambda0, channel, sim, _SUB_ASSOCIATION, served=True):
+        j = _strongest(inv_power, counts, starts)
+        dist[first:first + len(j)], is_los[first:first + len(j)] = radii[j], los[j]
     return dist, is_los
 
 
@@ -247,8 +257,7 @@ def _laplace_samples(tuples, lambda0: float, channel: ChannelParams, beam: BeamP
                      sim: SimConfig) -> np.ndarray:
     """E[exp(-s * I) | positions] per tuple (row) and trial i on trial i's stream (column).
 
-    A trial draws a Poisson count n, then n radii and n LOS marks (no resampling:
-    an empty window is a valid draw). With unit-mean Rayleigh fading and gain
+    An empty window is a valid draw. With unit-mean Rayleigh fading and gain
     atoms (g, p_g), a point at d^alpha = w adds the factor sum_g p_g/(1 + c_g/w)
     = 1 - sum_g p_g c_g/(w + c_g), c_g = s beta g: exactly 1 at s = 0, clamped at
     0. A point with w at most the serving AP's r^alpha takes w = inf (factor 1).
@@ -261,24 +270,12 @@ def _laplace_samples(tuples, lambda0: float, channel: ChannelParams, beam: BeamP
         atoms = [(p * s * channel.beta * g, s * channel.beta * g)
                  for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
         laws.append((serving_distance ** channel.alpha(serving_state), atoms))
-    mean_count = lambda0 * math.pi * sim.window_radius_m**2
-    chunk = max(1, int(_CHUNK_POINTS / (mean_count + 1.0)))
-    factory = _StreamFactory(sim.master_seed, _SUB_LAPLACE)
     vals = np.ones((len(tuples), sim.trials))  # an empty window's value
-    for first in range(0, sim.trials, chunk):
-        draws = []
-        for i in range(first, min(first + chunk, sim.trials)):
-            rng = factory.at(i)
-            draws.append(rng.random(2 * rng.poisson(mean_count)).reshape(2, -1))
-        counts = np.array([u.shape[1] for u in draws])
-        u = np.concatenate(draws, axis=1)  # row 0: radii, row 1: LOS marks
-        radii = sim.window_radius_m * np.sqrt(u[0])
-        is_los = u[1] < _p_los_raw(radii, channel.blockage)
-        inv_power = radii ** np.where(is_los, channel.alpha_los, channel.alpha_nlos)
+    for first, counts, starts, _, _, inv_power, _ in _marked_ppp(
+            lambda0, channel, sim, _SUB_LAPLACE, served=False):
         live = np.flatnonzero(counts)
-        starts = (np.cumsum(counts) - counts)[live]
         for row, (serving, atoms) in zip(vals, laws):
             w = np.where(inv_power > serving, inv_power, np.inf)
             factor = np.maximum(1.0 - sum(pc / (w + c) for pc, c in atoms), 0.0)
-            row[first + live] = np.multiply.reduceat(factor, starts)
+            row[first + live] = np.multiply.reduceat(factor, starts[live])
     return vals

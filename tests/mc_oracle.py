@@ -7,9 +7,12 @@ with a position-free pass over the same stream, so on trial i's coverage
 stream the two must agree to rounding.
 
 `realize_hop` rebuilds the trial's marked PPP by hand rather than through
-`mmtier.montecarlo._served_trials`, so the reference stays independent of the
-sampler it pins: a Poisson count, redrawn while it is zero, then 3n uniforms
-split into radii, angles and LOS marks.
+`mmtier.montecarlo._marked_ppp`, so the reference stays independent of the
+sampler it pins: a Poisson count n, redrawn while it is zero, then 2n
+uniforms split into radii and LOS marks; `compute_sinr` then draws n unit
+exponentials and n gain uniforms, point i taking entry i of each. The stream
+holds no angles (no estimate depends on them), so `realize_hop` spreads the
+points by the golden angle.
 
 `raw_laplace_samples` is the raw exp(-s I) estimator of the interference
 Laplace transform: on each trial's Laplace stream it draws the positions
@@ -29,6 +32,7 @@ from mmtier.channel import (LOS, NLOS, BeamParams, ChannelParams, beam_gain_pmf,
 from mmtier.montecarlo import _SUB_LAPLACE, SimConfig, SimulationError, trial_stream
 
 _EMPTY_RESAMPLE_LIMIT = 10_000  # empty draws of one trial before `realize_hop` gives up
+_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
 @dataclass
@@ -40,6 +44,7 @@ class HopRealization:
     interferer_positions: np.ndarray
     interferer_is_los: np.ndarray
     resamples: int = 0
+    serving_index: int = 0  # the serving AP's place in draw order among all points
 
     @property
     def serving_distance(self) -> float:
@@ -80,10 +85,10 @@ def realize_hop(lambda0: float, channel: ChannelParams, sim: SimConfig,
         if resamples > _EMPTY_RESAMPLE_LIMIT:
             raise SimulationError("PPP sample repeatedly empty")
         n = rng.poisson(mean_count)
-    u = rng.random(3 * n)
+    u = rng.random(2 * n)
     radii = window * np.sqrt(u[:n])
-    angles = 2.0 * math.pi * u[n:2 * n]
-    is_los = u[2 * n:] < los_probability(radii, channel.blockage)
+    angles = _GOLDEN_ANGLE * np.arange(n)
+    is_los = u[n:] < los_probability(radii, channel.blockage)
     positions = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
     power = radii ** -np.where(is_los, channel.alpha_los, channel.alpha_nlos)
     serving = int(np.argmax(power))
@@ -94,6 +99,7 @@ def realize_hop(lambda0: float, channel: ChannelParams, sim: SimConfig,
         interferer_positions=positions[keep],
         interferer_is_los=is_los[keep],
         resamples=resamples,
+        serving_index=serving,
     )
 
 
@@ -103,18 +109,20 @@ def compute_sinr(real: HopRealization, k: int, channel: ChannelParams, beam: Bea
 
     Numerator: h0 * g_main^2 * pathloss(serving). Each interferer contributes
     independent fading times a beam gain drawn from the k-stream gain
-    distribution. Zero noise with no interferers yields +inf (covered at any
+    distribution. Every point, the serving AP included, takes the fading and
+    the gain uniform at its place in draw order; the serving AP's gain is
+    unused. Zero noise with no interferers yields +inf (covered at any
     threshold).
     """
     pmf = beam_gain_pmf(beam, k)
     d0 = real.serving_distance
     a0 = channel.alpha_los if real.serving_is_los else channel.alpha_nlos
-    h0 = rng.exponential()
-    signal = h0 * beam.g_main**2 * channel.beta * d0**-a0
+    d, j = real.interferer_distances, real.serving_index
+    h = rng.exponential(size=len(d) + 1)
+    gains = pmf.sample(rng, len(d) + 1)
+    signal = h[j] * beam.g_main**2 * channel.beta * d0**-a0
 
-    d = real.interferer_distances
-    h = rng.exponential(size=len(d))
-    gains = pmf.sample(rng, len(d))
+    h, gains = np.delete(h, j), np.delete(gains, j)
     alpha = np.where(real.interferer_is_los, channel.alpha_los, channel.alpha_nlos)
     interference = float(np.sum(h * gains * channel.beta * d**-alpha))
     denom = channel.noise_power + interference

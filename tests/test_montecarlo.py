@@ -269,15 +269,6 @@ class TestEmpiricalLaplace:
         batch = empirical_laplace_batch(tuples, lam0, channel, beam, sim)
         assert batch == [empirical_laplace(*t, lam0, channel, beam, sim) for t in tuples]
 
-    def test_values_do_not_depend_on_the_chunk_size(self, lam0, channel, beam, monkeypatch):
-        sim = SimConfig(window_radius_m=1000.0, trials=300, master_seed=8)
-        tuples = [(30.0, 80.0, LOS, 6), (3.0, 40.0, NLOS, 2)]
-        want = _laplace_samples(tuples, lam0, channel, beam, sim)
-        for points in (1, 40, 1000):
-            monkeypatch.setattr(montecarlo, "_CHUNK_POINTS", points)
-            np.testing.assert_array_equal(_laplace_samples(tuples, lam0, channel, beam, sim),
-                                          want)
-
     def test_conditional_value_is_the_mean_of_the_raw_one(self, lam0, channel, beam):
         # Tower property: at trial i's positions, the raw exp(-s I) averaged over fresh
         # fading and gains is the conditional value of trial i.
@@ -300,15 +291,16 @@ class TestEmpiricalLaplace:
 
 
 GOLDEN_SIM = SimConfig(window_radius_m=1000.0, trials=16, master_seed=2718)
-# serving_distance_samples(lam0, ., GOLDEN_SIM) as recorded before the samplers
-# shared one marked-PPP draw; the streams must not have moved.
+# serving_distance_samples(lam0, ., GOLDEN_SIM), recorded on the served-trial
+# stream of a count, n radii and n LOS marks (no angles); under los_ball a
+# point's state follows from its radius, so those values predate that stream.
 GOLDEN_ASSOCIATION = {
     "exponential": (
-        [251.58625339692887, 95.71559489585901, 31.633174135721088, 43.669083113745145,
-         217.71239379543283, 57.684751726756026, 83.57449892904422, 96.17352600283323,
-         650.0158886277012, 62.651377726529596, 157.90207819982243, 74.38780490224694,
-         38.404526222379296, 60.611908020509276, 42.05239202120228, 21.44131896692548],
-        [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1]),
+        [187.00578531191871, 81.2663802168108, 31.633174135721088, 43.669083113745145,
+         90.22060302773876, 57.684751726756026, 83.57449892904422, 58.92666025342481,
+         140.75868985836743, 92.56913689354839, 286.3785165479349, 74.38780490224694,
+         38.404526222379296, 651.1418602446696, 190.6026411508678, 21.44131896692548],
+        [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]),
     "los_ball": (
         [187.00578531191871, 81.2663802168108, 31.633174135721088, 43.669083113745145,
          90.22060302773876, 57.684751726756026, 83.57449892904422, 58.92666025342481,
@@ -317,18 +309,18 @@ GOLDEN_ASSOCIATION = {
         [0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1]),
 }
 # sinr_samples(k, lam0, ., beam, GOLDEN_SIM) per kind -> (k, values), recorded
-# before the coverage and association samplers shared one served-trial loop.
+# on the same stream, followed by n fadings and n gain uniforms.
 GOLDEN_SINR = {
     "exponential": (6, [
-        388.2504121771563, 0.04098604946173608, 5783.559278367256, 64.36220358621807,
-        37.05205835277999, 14.11029252531095, 45.60048209565863, 4.578290564654204,
-        21788.046115101428, 156.68013427946815, 61.315871751922785, 2823.8126949686234,
-        0.8641010709181781, 1.0667349535030068, 0.7192169251080507, 4.245524761806798]),
+        26.771541450754466, 17.627076892720755, 7.57892272903039, 8.381137619563846,
+        0.48113135586943323, 124.22030787869302, 0.17891448300254462, 16.041999087756874,
+        1050.7547386907681, 3.6498862207096123, 32.8349256620423, 233.12749581442247,
+        2.3228934490055235, 0.9017608038699386, 1651.3675016727475, 0.8211742988214518]),
     "los_ball": (3, [
-        10456.847489457505, 0.05111657308497781, 8.278205255362435, 33.220033395411605,
-        3510.506796562095, 1826440.5532767703, 161.80770931894162, 6.5307609342859845,
-        147662.25900923676, 38.08416798056878, 97.32732926056525, 1.569205114562503,
-        15.458515634221952, 30.79430752754074, 71.93134509326384, 27.027531506657756]),
+        1058.4371341632477, 6.190002699877889, 74.74136004512157, 1071.864837294186,
+        143531.25554874993, 13779192.601609213, 55.04041510217326, 30947.791256106295,
+        23657831.539804734, 31.178921375750612, 23.285189442190358, 23.774418733128307,
+        1.5014619776854408, 36.89460767542608, 162.0328538588028, 31.96987887292998]),
 }
 # (s, r, state, k, blockage) -> (mean, se) of the raw exp(-s I) estimator
 # (`mc_oracle.raw_laplace_samples`) on a 1000 m window, 10^4 trials, seed 2718,
@@ -354,21 +346,41 @@ def _golden_channel(kind: str) -> ChannelParams:
 
 
 class TestMarkedPppSampler:
-    @pytest.mark.parametrize("blockage, noise, k", [
-        (BlockageModel.exponential(141.4), 0.0, 6),
-        (BlockageModel.los_ball(100.0), 0.0, 3),
-        (BlockageModel.exponential(141.4), 1e-7, 12),
-        (BlockageModel.constant(0.5), 0.0, 6),
-    ], ids=["exponential", "los_ball", "noise", "mixed_states"])
-    def test_sinr_matches_per_realization_reference(self, lam0, beam, blockage, noise, k):
+    @pytest.mark.parametrize("blockage, noise, k, window_m", [
+        (BlockageModel.exponential(141.4), 0.0, 6, 1000.0),
+        (BlockageModel.los_ball(100.0), 0.0, 3, 1000.0),
+        (BlockageModel.exponential(141.4), 1e-7, 12, 1000.0),
+        (BlockageModel.constant(0.5), 0.0, 6, 1000.0),
+        # About 4.4 APs per window: 3 of the 40 trials hold one AP, so at zero noise
+        # nothing interferes (SINR = inf), and one empty draw stays within the limit.
+        (BlockageModel.exponential(141.4), 0.0, 6, 210.0),
+    ], ids=["exponential", "los_ball", "noise", "mixed_states", "single_ap"])
+    def test_sinr_matches_per_realization_reference(self, lam0, beam, blockage, noise, k,
+                                                    window_m):
         chan = ChannelParams(2.0, 4.0, 1.0, blockage, noise_power=noise)
-        sim = SimConfig(window_radius_m=1000.0, trials=40, master_seed=31)
+        sim = SimConfig(window_radius_m=window_m, trials=40, master_seed=31)
         got = sinr_samples(k, lam0, chan, beam, sim)
         ref = []
         for i in range(sim.trials):
             rng = trial_stream(sim.master_seed, i, _SUB_COVERAGE)
             ref.append(compute_sinr(realize_hop(lam0, chan, sim, rng), k, chan, beam, rng))
         np.testing.assert_allclose(got, ref, rtol=1e-12)
+        assert np.isinf(ref).any() == (window_m < 1000.0)
+
+    def test_values_do_not_depend_on_the_chunk_size(self, lam0, channel, beam, monkeypatch):
+        sim = SimConfig(window_radius_m=1000.0, trials=300, master_seed=8)
+
+        def run():
+            return (sinr_samples(6, lam0, channel, beam, sim),
+                    *serving_distance_samples(lam0, channel, sim),
+                    _laplace_samples([(30.0, 80.0, LOS, 6), (3.0, 40.0, NLOS, 2)], lam0,
+                                     channel, beam, sim))
+
+        want = run()
+        for points in (1, 40, 1000):
+            monkeypatch.setattr(montecarlo, "_CHUNK_POINTS", points)
+            for got, ref in zip(run(), want):
+                np.testing.assert_array_equal(got, ref)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), m=st.integers(1, 12), extra=st.integers(0, 12))
