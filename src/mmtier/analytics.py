@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -515,91 +516,88 @@ def _outer_r_min(lambda0: float, quad: QuadratureSpec) -> float:
     return _R_MIN_FACTOR * min(math.sqrt(1.0 / (math.pi * lambda0)), quad.truncation_radius_m)
 
 
-def _coverage_table(lambda0: float, channel: ChannelParams, g_main: float,
-                    quad: QuadratureSpec, halvings: int):
+class _CoveragePlan:
     """The threshold- and gain-free part of the coverage quadrature, both serving states.
 
-    Returns the outer weights w * r * f_state(r) of the nodes with non-zero
-    weight, the LOS-served rows first; s at tau = 1 (s = tau * r^alpha /
-    (g_main^2 beta)); the blocks of `_exponent_blocks` at those s, lazily; and
-    the serving-distance mass that the quadrature leaves out. The blocks come
-    from one call with four fields, each state's same- and opposite-state
-    interferers, whose lower limit is inf (a dead field) on the other state's
-    rows. Per state, the leading nodes whose cumulative weight is at most
-    _R_MIN_FACTOR^2, the order of the mass already left out below r_min, are
-    dropped: their inner range spans every panel. The mass left out is at most
-    pi lambda0 r_min^2 below r_min, each state's nearest-AP mass beyond the
-    truncation radius, and the mass of the dropped nodes.
+    ``weight``: the outer weights w * r * f_state(r) of the nodes with non-zero
+    weight, LOS-served rows first. ``s_unit``: their s at tau = 1, r^alpha /
+    (g_main^2 beta). ``blocks``: the blocks of `_exponent_blocks` at those s,
+    lazily, from one call with four fields (each state's same- and
+    opposite-state interferers, dead at lower limit inf on the other state's
+    rows). ``outside``: the serving-distance mass left out, at most pi lambda0
+    r_min^2 below r_min, each state's nearest-AP mass beyond the truncation
+    radius, and per state the leading nodes of cumulative weight at most
+    _R_MIN_FACTOR^2 (the order of the mass below r_min), which are dropped
+    because their inner range spans every panel.
     """
-    blockage = channel.blockage
-    upper = quad.truncation_radius_m
-    r0 = math.sqrt(1.0 / (math.pi * lambda0))
-    # Outer edges: where an NLOS-served receiver's LOS exclusion disc reaches
-    # the truncation radius; r0, 2 r0 and 4 r0, beyond which the law falls like
-    # exp(-pi lambda0 r^2); for a LOS ball of radius b, b itself and where
-    # either exclusion disc reaches b.
-    ratio = channel.alpha_los / channel.alpha_nlos
-    breaks = [upper ** ratio, r0, 2.0 * r0, 4.0 * r0]
-    if blockage.kind == "los_ball":
-        breaks += [blockage.param, blockage.param ** ratio, blockage.param ** (1.0 / ratio)]
-    u, w = _gauss_nodes(_panel_edges(_log_breaks(_outer_r_min(lambda0, quad), upper, breaks),
-                                     halvings))
-    r = np.exp(u)
-    served, dropped = [], 0.0
-    for state in (LOS, NLOS):
-        weight = w * r * serving_distance_pdf(r, state, lambda0, channel)  # dr = r du
-        keep = weight > 0.0
-        rs, weight = r[keep], weight[keep]
-        cum = np.cumsum(weight)
-        start = int(np.searchsorted(cum, _R_MIN_FACTOR**2, side="right"))
-        dropped += float(cum[start - 1]) if start else 0.0
-        served.append((state, rs[start:], weight[start:]))
-    fields = []
-    for i, (state, rs, _) in enumerate(served):
-        other = NLOS if state == LOS else LOS
-        for lower, field_state in ((rs, state),
-                                   (rs ** (channel.alpha(state) / channel.alpha(other)), other)):
-            padded = [np.full(len(rows), np.inf) for _, rows, _ in served]
-            padded[i] = lower
-            fields.append((np.concatenate(padded), field_state))
-    s_unit = np.concatenate([rs ** channel.alpha(state) / (g_main**2 * channel.beta)
-                             for state, rs, _ in served])
-    beyond_los, beyond_nlos = _nearest_mass_beyond(lambda0, blockage, upper)
-    outside = (math.pi * lambda0 * _outer_r_min(lambda0, quad)**2 + beyond_los + beyond_nlos
-               + dropped)
-    return (np.concatenate([weight for *_, weight in served]), s_unit,
-            _exponent_blocks(s_unit, fields, channel, upper, halvings), outside)
 
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+    def __init__(self, lambda0: float, channel: ChannelParams, g_main: float,
+                 quad: QuadratureSpec, halvings: int):
+        blockage = channel.blockage
+        upper = quad.truncation_radius_m
+        r0 = math.sqrt(1.0 / (math.pi * lambda0))
+        # Outer edges: where an NLOS-served receiver's LOS exclusion disc reaches
+        # the truncation radius; r0, 2 r0 and 4 r0, beyond which the law falls like
+        # exp(-pi lambda0 r^2); for a LOS ball of radius b, b itself and where
+        # either exclusion disc reaches b.
+        ratio = channel.alpha_los / channel.alpha_nlos
+        breaks = [upper ** ratio, r0, 2.0 * r0, 4.0 * r0]
+        if blockage.kind == "los_ball":
+            breaks += [blockage.param, blockage.param ** ratio, blockage.param ** (1.0 / ratio)]
+        u, w = _gauss_nodes(_panel_edges(_log_breaks(_outer_r_min(lambda0, quad), upper,
+                                                     breaks), halvings))
+        r = np.exp(u)
+        served, dropped = [], 0.0
+        for state in (LOS, NLOS):
+            weight = w * r * serving_distance_pdf(r, state, lambda0, channel)  # dr = r du
+            keep = weight > 0.0
+            rs, weight = r[keep], weight[keep]
+            cum = np.cumsum(weight)
+            start = int(np.searchsorted(cum, _R_MIN_FACTOR**2, side="right"))
+            dropped += float(cum[start - 1]) if start else 0.0
+            served.append((state, rs[start:], weight[start:]))
+        fields = []
+        for i, (state, rs, _) in enumerate(served):
+            other = NLOS if state == LOS else LOS
+            exclusion = rs ** (channel.alpha(state) / channel.alpha(other))
+            for lower, field_state in ((rs, state), (exclusion, other)):
+                padded = [np.full(len(rows), np.inf) for _, rows, _ in served]
+                padded[i] = lower
+                fields.append((np.concatenate(padded), field_state))
+        beyond_los, beyond_nlos = _nearest_mass_beyond(lambda0, blockage, upper)
+        self.weight = np.concatenate([weight for *_, weight in served])
+        self.s_unit = np.concatenate([rs ** channel.alpha(state) / (g_main**2 * channel.beta)
+                                      for state, rs, _ in served])
+        self.blocks = _exponent_blocks(self.s_unit, fields, channel, upper, halvings)
+        self.outside = (math.pi * lambda0 * _outer_r_min(lambda0, quad)**2 + beyond_los
+                        + beyond_nlos + dropped)
 
 
 @functools.lru_cache(maxsize=8)
 def _coverage_plan(lambda0: float, channel: ChannelParams, g_main: float,
-                   quad: QuadratureSpec, halvings: int):
-    """`_coverage_table` held in read-only arrays, for the halvings every grid point runs.
-
-    Only tau- and k-free tables are kept, so one plan serves the whole
-    (tau, k) grid of a configuration.
-    """
-    weight, s_unit, blocks, outside = _coverage_table(lambda0, channel, g_main, quad, halvings)
-    return (_read_only(weight), _read_only(s_unit),
-            tuple(tuple(_read_only(a) for a in block) for block in blocks), outside)
+                   quad: QuadratureSpec, halvings: int) -> _CoveragePlan:
+    """A `_CoveragePlan` in read-only arrays, for the halvings every grid point runs: its
+    tables are tau- and k-free, so one plan serves a configuration's (tau, k) grid."""
+    plan = _CoveragePlan(lambda0, channel, g_main, quad, halvings)
+    plan.blocks = tuple(tuple(block) for block in plan.blocks)
+    for a in (plan.weight, plan.s_unit, *(a for block in plan.blocks for a in block)):
+        a.setflags(write=False)
+    return plan
 
 
 @functools.lru_cache(maxsize=54)
-def _plan_atom_rows(lambda0: float, channel: ChannelParams, g_main: float,
-                    quad: QuadratureSpec, halvings: int, c: float) -> np.ndarray:
-    """The `_atom_sums` row at ``c`` of the plan of the other arguments, read-only.
+def _plan_atom_rows(plan_ref: weakref.ref, c: float) -> np.ndarray:
+    """The `_atom_sums` row at ``c`` of a cached plan, read-only.
 
     A row depends neither on k nor on how c = g tau splits into a gain atom g
     and a threshold: the 9 default thresholds at 5 dB steps and the atoms at
-    40, 20 and 0 dB make 18 products, so a default sweep fills 36 entries.
+    40, 20 and 0 dB make 18 products, so a default sweep fills 36 entries. The
+    weak key pins no evicted plan and, unlike an id(), matches no rebuilt one.
     """
-    _, s_unit, blocks, _ = _coverage_plan(lambda0, channel, g_main, quad, halvings)
-    return _read_only(_atom_sums(blocks, len(s_unit), [c])[0])
+    plan = plan_ref()
+    row = _atom_sums(plan.blocks, len(plan.s_unit), [c])[0]
+    row.setflags(write=False)
+    return row
 
 
 def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelParams,
@@ -614,16 +612,15 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     ln t for every outer node at once. The reported error sums the panel-halving
     difference, the truncation tail bound weighted by the integrand, and the
     serving-distance mass outside the outer range or on the leading outer
-    nodes that `_coverage_table` drops.
+    nodes that `_CoveragePlan` drops.
 
-    Both serving states are evaluated as one row set (`_coverage_table`). Its
-    tau- and k-free tables are planned once per configuration and panel count
-    (`_coverage_plan`) for up to _CACHED_HALVINGS halvings, and their row sums
-    per product c = g tau of a gain atom and tau are kept (`_plan_atom_rows`),
-    so all k at one tau, and the atoms of other thresholds with the same
+    Both serving states are one row set, a `_CoveragePlan` of tau- and k-free
+    tables. Up to _CACHED_HALVINGS halvings, `_coverage_plan` keeps one per
+    configuration and panel count, looked up once per halving, and
+    `_plan_atom_rows` its row sums per product c = g tau of a gain atom and
+    tau, so all k at one tau, and the atoms of other thresholds with the same
     product, share one flat pass over each block. Finer panels are planned per
-    call and every live atom summed in one pass over each block as it is
-    built; nothing of them is kept.
+    call, every live atom summed in one pass over the blocks as they are built.
     """
     if not 0.0 < tau < math.inf:
         raise ValueError("SINR threshold must be positive and finite")
@@ -643,15 +640,15 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     def evaluate(halvings):
         key = (lambda0, channel, beam.g_main, quad, halvings)
         if halvings <= _CACHED_HALVINGS:
-            weight, s_unit, _, outside = _coverage_plan(*key)
-            sums = [_plan_atom_rows(*key, c) for c in cs]
+            plan = _coverage_plan(*key)
+            exponent = _combine_atoms(atoms, [_plan_atom_rows(weakref.ref(plan), c) for c in cs])
         else:
-            weight, s_unit, blocks, outside = _coverage_table(*key)
-            sums = _atom_sums(blocks, len(s_unit), cs)
-        s = s_unit * tau
-        exponent = _combine_atoms(atoms, sums)
-        covered = weight * np.exp(-s * channel.noise_power - _TWO_PI * lambda0 * exponent)
-        return float(covered.sum()), float(covered @ np.minimum(s * tail_per_s, 1.0)), outside
+            plan = _CoveragePlan(*key)
+            exponent = _combine_atoms(atoms, _atom_sums(plan.blocks, len(plan.s_unit), cs))
+        s = plan.s_unit * tau
+        covered = plan.weight * np.exp(-s * channel.noise_power - _TWO_PI * lambda0 * exponent)
+        return (float(covered.sum()), float(covered @ np.minimum(s * tail_per_s, 1.0)),
+                plan.outside)
 
     (value, tail_err, outside), quad_err = _refine(evaluate, quad, "coverage integral")
     value = min(max(value, 0.0), 1.0)
@@ -677,8 +674,8 @@ class NetworkParams:
     def __post_init__(self):
         if not self.lambda_tier0 > 0.0:
             raise ValueError("tier-0 intensity must be positive")
-        if self.lambda_total < self.lambda_tier0:
-            raise ValueError("total density must be at least the tier-0 density")
+        if not self.lambda_tier0 <= self.lambda_total < math.inf:
+            raise ValueError("total density must be finite and at least the tier-0 density")
         if self.rf_chains < 1:
             raise ValueError("need at least one RF chain")
         if not self.bandwidth > 0.0:

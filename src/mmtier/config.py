@@ -76,8 +76,10 @@ class ExperimentConfig:
             raise ConfigError("lambda_total must be at least lambda0")
         if not self.tau_db_list or not self.k_list:
             raise ConfigError("sweep grids must be non-empty")
-        if not all(math.isfinite(tau_db) for tau_db in self.tau_db_list):
-            raise ConfigError("tau_db_list entries must be finite")
+        finite = [(f.name, [getattr(self, f.name)]) for f in fields(self) if f.type == "float"]
+        for key, values in [*finite, ("tau_db_list entries", self.tau_db_list)]:
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"{key} must be finite")
         if any(not 1 <= kk <= self.rf_chains for kk in self.k_list):
             raise ConfigError("k_list entries must lie in 1..rf_chains")
         if not 1 <= self.k <= self.rf_chains:

@@ -2,12 +2,14 @@
 analytical module."""
 
 import dataclasses
+import gc
 import hashlib
 import math
 import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -379,7 +381,17 @@ class TestConditionalCoverage:
             _check_weight_forms(lam0, chan, quad)
 
 
-class TestCoverageProbability:
+class _FreshCoverageCaches:
+    """Each test starts and ends with empty coverage plans and atom rows."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_caches(self):
+        _fresh_coverage_caches()
+        yield
+        _fresh_coverage_caches()
+
+
+class TestCoverageProbability(_FreshCoverageCaches):
     def test_approaches_one_at_small_tau(self, lam0, channel, beam, quad):
         assert coverage_probability(1e-9, 1, lam0, channel, beam, quad) > 1.0 - 1e-4
 
@@ -420,7 +432,6 @@ class TestCoverageProbability:
 
     @pytest.mark.parametrize("tau", [math.inf, math.nan], ids=["inf", "nan"])
     def test_non_finite_threshold_rejected(self, tau, lam0, channel, beam, quad):
-        _fresh_coverage_caches()
         with pytest.raises(ValueError, match="finite"):
             coverage_probability(tau, 6, lam0, channel, beam, quad)
         assert analytics._plan_atom_rows.cache_info().currsize == 0
@@ -437,14 +448,13 @@ class TestCoverageProbability:
 
 
 def _plan_arrays(plan):
-    weight, s_unit, blocks, _ = plan
-    yield weight
-    yield s_unit
-    for block in blocks:
+    yield plan.weight
+    yield plan.s_unit
+    for block in plan.blocks:
         yield from block
 
 
-class TestCoveragePlan:
+class TestCoveragePlan(_FreshCoverageCaches):
     """The tau- and k-free tables that `coverage_probability` plans once per
     configuration (`analytics._coverage_plan`)."""
 
@@ -479,7 +489,6 @@ class TestCoveragePlan:
         # the default configuration under the two blockage laws of the sweep benchmark
         configs = [config.parse_config("blockage = exponential\nblockage_mu_m = 141.4\n"),
                    config.parse_config("blockage = los_ball\nblockage_radius_m = 100\n")]
-        analytics._coverage_plan.cache_clear()
         tracemalloc.start()
         try:
             for cfg in configs:
@@ -489,7 +498,6 @@ class TestCoveragePlan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-            analytics._coverage_plan.cache_clear()
         # the ragged plans, 1/x and the weight per entry, both float64, hold
         # 1.6 MiB and peak at 1.74 MiB
         assert peak < 2 * 2**20
@@ -503,7 +511,7 @@ class TestCoveragePlan:
         # the table, in a full panel or a partial one, may weigh 0.
         chan = ChannelParams(2.0, 4.0, 1.0, blockage)
         for halvings in range(analytics._CACHED_HALVINGS + 1):
-            blocks = analytics._coverage_table(lam0, chan, beam.g_main, quad, halvings)[2]
+            blocks = analytics._CoveragePlan(lam0, chan, beam.g_main, quad, halvings).blocks
             weights = [weight for _, _, _, weight in blocks]
             assert weights and all((w > 0.0).all() for w in weights), halvings
 
@@ -514,14 +522,13 @@ class TestCoveragePlan:
         r_min = analytics._outer_r_min(lam0, quad)
 
         def outside(halvings):
-            return analytics._coverage_table(lam0, chan, beam.g_main, quad, halvings)[3]
+            return analytics._CoveragePlan(lam0, chan, beam.g_main, quad, halvings).outside
 
         def at_one_halving(evaluate, quad, what):
             return evaluate(1), 0.0
 
         halvings = range(analytics._CACHED_HALVINGS + 1)
         with_drop = [outside(h) for h in halvings]
-        _fresh_coverage_caches()
         value, err = coverage_probability(*args, full_output=True)
         with monkeypatch.context() as m:
             m.setattr(analytics, "_refine", at_one_halving)
@@ -534,7 +541,6 @@ class TestCoveragePlan:
             keep = coverage_probability(*args)
             m.setattr(analytics, "_refine", at_one_halving)
             v_keep, e_keep = coverage_probability(*args, full_output=True)
-        _fresh_coverage_caches()
         # each serving state drops at most _R_MIN_FACTOR^2 of leading mass
         for mass, kept in zip(with_drop, without_drop):
             assert 0.0 <= mass - kept <= 2.0 * analytics._R_MIN_FACTOR**2, (mass, kept)
@@ -548,14 +554,13 @@ class TestCoveragePlan:
     def test_uncached_halvings_match_the_oracle(self, lam0, beam, quad, monkeypatch):
         chan, tau, k = ORACLE_CASES["exponential"]
         halvings = []
-        table = analytics._coverage_table
+        plan = analytics._CoveragePlan
 
         def record(*args):
             halvings.append(args[-1])
-            return table(*args)
+            return plan(*args)
 
-        monkeypatch.setattr(analytics, "_coverage_table", record)
-        _fresh_coverage_caches()
+        monkeypatch.setattr(analytics, "_CoveragePlan", record)
         tight = dataclasses.replace(quad, rel_tol=1e-10, abs_tol=1e-14)
         got, err = coverage_probability(tau, k, lam0, chan, beam, tight, full_output=True)
         assert max(halvings) > analytics._CACHED_HALVINGS
@@ -580,7 +585,6 @@ class TestCoveragePlan:
             return sized(build(*args))
 
         monkeypatch.setattr(analytics, "_exponent_blocks", record)
-        _fresh_coverage_caches()
         tracemalloc.start()
         try:
             with pytest.raises(QuadratureError, match=f"after {analytics._MAX_HALVINGS} "):
@@ -589,7 +593,6 @@ class TestCoveragePlan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-            _fresh_coverage_caches()
         # ~5M entries of 16 bytes in all, 3.7M of them at the finest panels
         assert peak < 16 * 2**20, peak
         assert sum(sizes) > 16 * analytics._MAX_TENSOR
@@ -613,8 +616,7 @@ class TestCoveragePlan:
         monkeypatch.setattr(analytics, "_MAX_TENSOR", 64)
         small = values()
         chan = ORACLE_CASES["exponential"][0]
-        blocks = analytics._coverage_plan(lam0, chan, beam.g_main, quad, 0)[2]
-        _fresh_coverage_caches()
+        blocks = analytics._coverage_plan(lam0, chan, beam.g_main, quad, 0).blocks
         assert small == default
         assert all(len(rows) == 1 or inv_x.size <= 64 for rows, _, inv_x, _ in blocks)
         assert max(inv_x.size for _, _, inv_x, _ in blocks) > 64
@@ -645,10 +647,10 @@ def _default_sweep_config(tau_db_list=None):
     return dataclasses.replace(cfg, tau_db_list=tau_db_list) if tau_db_list else cfg
 
 
-class TestAtomRows:
-    """The per-row atom sums that `coverage_probability` keeps per (plan
-    arguments, product c = g tau of a gain atom and the threshold) in
-    `analytics._plan_atom_rows`: k is not in the key."""
+class TestAtomRows(_FreshCoverageCaches):
+    """The per-row atom sums that `coverage_probability` keeps per (weak
+    reference to the plan, product c = g tau of a gain atom and the threshold)
+    in `analytics._plan_atom_rows`: k is not in the key."""
 
     TAU = 10.0
 
@@ -667,7 +669,6 @@ class TestAtomRows:
         ks = {"twelve_first": [12, *range(1, 12)], "ascending": list(range(1, 13)),
               "descending": list(range(12, 0, -1)),
               "shuffled": [int(k) for k in np.random.default_rng(15).permutation(range(1, 13))]}
-        _fresh_coverage_caches()
         for k in ks[order]:
             got = coverage_probability(self.TAU, k, lam0, channel, beam, quad, full_output=True)
             assert got == cold[k], (order, k)
@@ -692,7 +693,6 @@ class TestAtomRows:
     def test_a_flat_beam_has_one_entry_per_panel_count(self, lam0, channel, quad):
         # the beam of `test_degenerate_beam_closed_form`: three equal atoms
         flat = BeamParams(theta_a=0.3, g_main=2.0, g_side=2.0, rf_chains=4)
-        _fresh_coverage_caches()
         cold = coverage_probability(2.0, 2, lam0, channel, flat, quad, full_output=True)
         assert coverage_probability(2.0, 2, lam0, channel, flat, quad, full_output=True) == cold
         assert _rows_held() == analytics._CACHED_HALVINGS + 1
@@ -704,7 +704,6 @@ class TestAtomRows:
         chan, tau, k = ORACLE_CASES["exponential"]
         args = (tau, k, lam0, chan, beam, quad)
         r_min = analytics._outer_r_min(lam0, quad)
-        _fresh_coverage_caches()
         coverage_probability(*args)
         with monkeypatch.context() as m:
             if patch == "block_size":
@@ -716,23 +715,35 @@ class TestAtomRows:
             got = coverage_probability(*args, full_output=True)
             _fresh_coverage_caches()
             assert got == coverage_probability(*args, full_output=True)
-        _fresh_coverage_caches()
 
-    def test_a_rebuilt_plan_hits_its_rows(self, lam0, channel, beam, quad, monkeypatch):
-        # The rows are keyed by the plan's own arguments, not by the plan object.
-        _fresh_coverage_caches()
+    def test_a_rebuilt_plan_sums_its_rows_again(self, lam0, channel, beam, quad, monkeypatch):
+        # The rows are keyed by a weak reference to the plan: an evicted plan is
+        # freed while its rows wait in the row cache, and no rebuilt plan reads them.
         value = coverage_probability(2.0, 6, lam0, channel, beam, quad, full_output=True)
+        evicted = weakref.ref(analytics._coverage_plan(lam0, channel, beam.g_main, quad, 0))
+        held = _rows_held()
         analytics._coverage_plan.cache_clear()
+        gc.collect()
+        assert evicted() is None and _rows_held() == held == 3 * (analytics._CACHED_HALVINGS + 1)
         passes = []
         sums = analytics._atom_sums
         monkeypatch.setattr(analytics, "_atom_sums", lambda *a: passes.append(1) or sums(*a))
         assert coverage_probability(2.0, 6, lam0, channel, beam, quad, full_output=True) == value
-        assert not passes
+        assert len(passes) == held and _rows_held() == 2 * held
+
+    def test_a_warm_call_hashes_the_channel_once_per_halving(self, lam0, channel, beam, quad,
+                                                             monkeypatch):
+        coverage_probability(10.0, 6, lam0, channel, beam, quad)
+        hashes = []
+        channel_hash = ChannelParams.__hash__
+        monkeypatch.setattr(ChannelParams, "__hash__",
+                            lambda self: hashes.append(1) or channel_hash(self))
+        coverage_probability(10.0, 6, lam0, channel, beam, quad)
+        assert len(hashes) == analytics._CACHED_HALVINGS + 1 == 2
 
     def test_a_sweep_sums_each_atom_once_per_threshold(self):
         # 9 thresholds at 5 dB steps x atoms at 40, 20 and 0 dB make 18 products
         # c = g tau, at 2 panel counts
-        _fresh_coverage_caches()
         cli.run_sweep(_default_sweep_config())
         lookups, misses = _row_lookups()
         assert misses == _rows_held() == 18 * 2 == 36
@@ -747,7 +758,6 @@ class TestAtomRows:
     def test_thresholds_share_rows_by_the_product(self, lam0, channel, beam, quad):
         # atoms 10^4, 100 and 1: tau = 0.1 sums c = 1000, 10 and 0.1, and tau = 10
         # then needs only c = 10^5 (1000 and 10 come back as 100 x 10 and 1 x 10)
-        _fresh_coverage_caches()
         cold = coverage_probability(10.0, 1, lam0, channel, beam, quad, full_output=True)
         _fresh_coverage_caches()
         coverage_probability(0.1, 1, lam0, channel, beam, quad)
@@ -878,7 +888,7 @@ class TestMergedFieldBlocks:
         blocks = analytics._exponent_blocks
         calls = _record_builder_calls(monkeypatch)
         for halvings in range(analytics._CACHED_HALVINGS + 1):
-            merged = list(analytics._coverage_table(lam0, chan, beam.g_main, quad, halvings)[2])
+            merged = list(analytics._CoveragePlan(lam0, chan, beam.g_main, quad, halvings).blocks)
             alone = [b for s, fields, args in calls for field in fields
                      for b in blocks(s, [field], *args)]
             calls.clear()
@@ -892,7 +902,7 @@ class TestMergedFieldBlocks:
         blocks = analytics._exponent_blocks
         calls = _record_builder_calls(monkeypatch)
         for halvings in range(analytics._CACHED_HALVINGS + 1):
-            analytics._coverage_table(lam0, chan, beam.g_main, quad, halvings)
+            analytics._CoveragePlan(lam0, chan, beam.g_main, quad, halvings)
         for r, state in [(90.0, LOS), (20.0, NLOS)]:
             laplace_interference(30.0, r, state, 3, lam0, chan, beam, quad)
         checked = 0
@@ -912,7 +922,8 @@ class TestMergedFieldBlocks:
         # that of its state's two-field table.
         chan = ORACLE_CASES[kind][0]
         calls = _record_builder_calls(monkeypatch)
-        _, s_unit, blocks, _ = analytics._coverage_table(lam0, chan, beam.g_main, quad, halvings)
+        plan = analytics._CoveragePlan(lam0, chan, beam.g_main, quad, halvings)
+        s_unit, blocks = plan.s_unit, plan.blocks
         (s, fields, args), = calls
         cs = [1e4 * 0.1, 100.0 * 3.0, 1.0, 1e-3]
         table = analytics._atom_sums(blocks, len(s), cs)
@@ -1079,6 +1090,12 @@ class TestLatency:
         with pytest.raises(ValueError):
             hop_count(13.0, 1.0, 5)
         assert hop_count(13.0, 1.0, 5, allow_floor=True) == 2
+
+    @pytest.mark.parametrize("total", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_total_density_rejected(self, total):
+        # inf made `feasible_gains` raise OverflowError, and nan made it return []
+        with pytest.raises(ValueError, match="finite"):
+            NetworkParams(lambda_total=total, lambda_tier0=1.0, rf_chains=12, bandwidth=1.0)
 
     def test_hop_count_within_bounds(self):
         for k, m in [(1, 3), (2, 5), (3, 4), (7, 2)]:

@@ -349,10 +349,14 @@ class TestMainExitCodes:
             assert "window must cover the analytical truncation radius" in out.stderr
             assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", ["nan", "-inf", "inf"])
-    def test_non_finite_threshold_is_one_without_traceback(self, tmp_path, value):
-        cfg = tmp_path / "tau.cfg"
-        cfg.write_text(FAST.replace("tau_db_list = 0, 10", f"tau_db_list = 0, {value}"))
+    @pytest.mark.parametrize("line, value, message", [
+        *(("tau_db_list = 0, 10", f"0, {v}", "tau_db_list entries")
+          for v in ("nan", "-inf", "inf")),
+        ("truncation_radius_m = 800", "inf", "truncation_radius_m")],
+        ids=["nan", "-inf", "inf", "truncation_radius_inf"])
+    def test_non_finite_value_is_one_without_traceback(self, tmp_path, line, value, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST.replace(line, f"{line.split(' = ')[0]} = {value}"))
         src = str(Path(mmtier.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-m", "mmtier", "coverage", "--config", str(cfg),
@@ -360,7 +364,7 @@ class TestMainExitCodes:
                              capture_output=True, text=True)
         assert out.returncode == 1, out.stderr
         assert "Traceback" not in out.stderr
-        assert "tau_db_list entries must be finite" in out.stderr
+        assert f"{message} must be finite" in out.stderr
         assert not (tmp_path / "out").exists()
 
     def test_too_few_trials_is_one(self, tmp_path, caplog):

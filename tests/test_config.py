@@ -155,7 +155,14 @@ def test_negative_radius_rejected(key):
     assert getattr(parse_config(f"blockage = exponential\n{key} = 0\n"), key) == 0.0
 
 
-@pytest.mark.parametrize("value", ["nan", "-inf", "inf"])
-def test_non_finite_threshold_rejected(value):
-    with pytest.raises(ConfigError, match="tau_db_list entries must be finite"):
-        parse_config(f"blockage = exponential\ntau_db_list = 0, {value}\n")
+@pytest.mark.parametrize("key, value", [
+    *(("tau_db_list", f"0, {v}") for v in ("nan", "-inf", "inf")),
+    ("lambda_total", "nan"), ("lambda_total", "inf"), ("truncation_radius_m", "inf"),
+    ("window_radius_m", "inf"), ("topology_window_radius_m", "inf"), ("noise_power", "nan"),
+    ("alpha_nlos", "nan"), ("beta", "inf"), ("bandwidth_hz", "inf"), ("rel_tol", "inf")])
+def test_non_finite_value_rejected(key, value):
+    # a non-finite float would reach the CLI as a nan result, a traceback or a
+    # quadrature that never converges
+    message = "tau_db_list entries" if key == "tau_db_list" else key
+    with pytest.raises(ConfigError, match=f"{message} must be finite"):
+        parse_config(f"blockage = exponential\n{key} = {value}\n")
