@@ -10,15 +10,20 @@ n LOS marks, then for the SINR sampler n fadings and n gain uniforms. The
 Laplace sampler pins the serving AP and integrates fading and gains out per
 trial (conditional Monte Carlo), on one draw of positions for every tuple.
 
-Every trial owns a counter-based random stream derived from the master seed
-(Philox keyed by seed, counter set from the trial index), so a trial's draws,
-and hence every estimate, are bitwise reproducible and do not depend on how
-many other trials run.
+Every trial owns a random stream derived from the master seed: trial i of a
+substream is numpy's jump construction, PCG64DXSM seeded by
+SeedSequence([master_seed, substream]) and jumped i times (`trial_stream`).
+The samplers run trials in order and move one reused generator from trial i
+to trial i + 1 by the jump's affine map of the LCG state (`_trial_streams`),
+so a trial's draws, and hence every estimate, are bitwise reproducible and do
+not depend on how many other trials run or how they are chunked.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,6 +39,8 @@ _SUB_ASSOCIATION = 2
 _SUB_LAPLACE = 3
 
 _CHUNK_POINTS = 1 << 13  # mean points per chunk of trials
+
+_MASK_128 = (1 << 128) - 1  # PCG64DXSM's LCG state is taken mod 2^128
 
 
 class SimulationError(RuntimeError):
@@ -55,53 +62,56 @@ class SimConfig:
     truncation_radius_m: float | None = None
 
     def __post_init__(self):
-        if not self.window_radius_m > 0.0:
-            raise ValueError("window radius must be positive")
+        for name in ("trials", "master_seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
+        if not 0.0 < self.window_radius_m < math.inf:
+            raise ValueError("window radius must be positive and finite")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master seed must fit in 64 bits")
         if self.truncation_radius_m is not None \
-                and self.window_radius_m < self.truncation_radius_m:
+                and not self.truncation_radius_m <= self.window_radius_m:
             raise ValueError("window must cover the analytical truncation radius")
 
 
 def trial_stream(master_seed: int, trial: int, substream: int = 0) -> np.random.Generator:
-    """Independent per-trial generator: Philox keyed by seed, counter = trial index."""
-    bits = np.random.Philox(key=np.uint64(master_seed),
-                            counter=[0, 0, np.uint64(substream), np.uint64(trial)])
-    return np.random.Generator(bits)
+    """Trial `trial`'s generator on `substream`: numpy's PCG64DXSM jump construction."""
+    bits = np.random.PCG64DXSM(np.random.SeedSequence([master_seed, substream]))
+    return np.random.Generator(bits.jumped(trial))
 
 
-class _StreamFactory:
-    """One reusable Philox generator, rewound to a trial's counter on demand.
+def _trial_streams(master_seed: int, substream: int):
+    """`trial_stream(master_seed, i, substream)` for i = 0, 1, 2, ... as one reused generator.
 
-    Produces bit-identical streams to `trial_stream` while skipping the
-    per-trial object construction.
+    `jumped` would build a generator per trial. A jump advances the LCG a fixed
+    number of steps, an affine map x -> (A x + C) mod 2^128 of its 128-bit state,
+    so A and C are read off two jumps (from x = 0 and x = 1) and each next trial
+    is one multiply-add and one `state` set.
     """
-
-    def __init__(self, master_seed: int, substream: int):
-        self._bits = np.random.Philox(key=np.uint64(master_seed))
-        self._gen = np.random.Generator(self._bits)
-        state = self._bits.state
-        state["state"]["counter"][2] = substream
-        self._state = state
-
-    def at(self, trial: int) -> np.random.Generator:
-        state = self._state
-        state["state"]["counter"][3] = trial
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bits.state = state
-        return self._gen
+    bits = np.random.PCG64DXSM(np.random.SeedSequence([master_seed, substream]))
+    gen, state = np.random.Generator(bits), bits.state
+    x, jumps = state["state"]["state"], []
+    for probe in (0, 1):
+        state["state"]["state"] = probe
+        bits.state = state
+        jumps.append(bits.jumped().state["state"]["state"])
+    plus, mult = jumps[0], (jumps[1] - jumps[0]) & _MASK_128
+    while True:
+        state["state"]["state"] = x
+        bits.state = state
+        yield gen
+        x = (mult * x + plus) & _MASK_128
 
 
 def _marked_ppp(lambda0: float, channel: ChannelParams, sim: SimConfig, substream: int,
                 served: bool, fading: bool = False):
     """Every trial's draw of the LOS-marked PPP, in chunks of about `_CHUNK_POINTS` points.
 
-    Trial i's stream (one generator, rewound) holds a Poisson count n, then 2n
+    Trial i's stream (`_trial_streams`) holds a Poisson count n, then 2n
     uniforms: radii, then LOS marks; with `fading`, then n unit exponentials
     and n gain uniforms, point i taking entry i of each. A `served` trial needs
     an AP: its count is redrawn while it is zero, and more empty draws than 1
@@ -116,13 +126,12 @@ def _marked_ppp(lambda0: float, channel: ChannelParams, sim: SimConfig, substrea
     mean_count = lambda0 * math.pi * sim.window_radius_m**2
     chunk = max(1, int(_CHUNK_POINTS / (mean_count + 1.0)))
     resample_limit = max(1.0, 1e-4 * sim.trials)
-    factory = _StreamFactory(sim.master_seed, substream)
+    streams = _trial_streams(sim.master_seed, substream)
     buf = np.empty((4 if fading else 2, 0))  # the chunk's rows, drawn in place
     resamples = 0
     for first in range(0, sim.trials, chunk):
         counts, end = [], 0
-        for i in range(first, min(first + chunk, sim.trials)):
-            rng = factory.at(i)
+        for rng in itertools.islice(streams, min(chunk, sim.trials - first)):
             n = rng.poisson(mean_count)
             while served and n == 0:
                 resamples += 1

@@ -14,6 +14,10 @@ exponentials and n gain uniforms, point i taking entry i of each. The stream
 holds no angles (no estimate depends on them), so `realize_hop` spreads the
 points by the golden angle.
 
+`reference_stream` is trial i's stream by numpy's documented jump
+construction alone, which `mmtier.montecarlo` reaches by stepping one
+generator from trial to trial; the references here draw from it.
+
 `raw_laplace_samples` is the raw exp(-s I) estimator of the interference
 Laplace transform: on each trial's Laplace stream it draws the positions
 (`laplace_positions`), then a fading and a gain per interferer.
@@ -29,10 +33,17 @@ import numpy as np
 
 from mmtier.channel import (LOS, NLOS, BeamParams, ChannelParams, beam_gain_pmf,
                             los_probability)
-from mmtier.montecarlo import _SUB_LAPLACE, SimConfig, SimulationError, trial_stream
+from mmtier.montecarlo import _SUB_LAPLACE, SimConfig, SimulationError
 
 _EMPTY_RESAMPLE_LIMIT = 10_000  # empty draws of one trial before `realize_hop` gives up
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+
+
+def reference_stream(seed: int, trial: int, substream: int) -> np.random.Generator:
+    """Trial `trial`'s generator on `substream`: PCG64DXSM from SeedSequence([seed,
+    substream]), jumped `trial` times."""
+    bits = np.random.PCG64DXSM(np.random.SeedSequence([seed, substream]))
+    return np.random.Generator(bits.jumped(trial))
 
 
 @dataclass
@@ -160,7 +171,7 @@ def raw_laplace_samples(s: float, serving_distance: float, serving_state: str, k
     pmf = beam_gain_pmf(beam, k)
     vals = np.empty(sim.trials)
     for i in range(sim.trials):
-        rng = trial_stream(sim.master_seed, i, _SUB_LAPLACE)
+        rng = reference_stream(sim.master_seed, i, _SUB_LAPLACE)
         radii, is_los = laplace_positions(lambda0, channel, sim, rng)
         power = interferer_power(radii, is_los, serving_distance, serving_state, channel)
         weights = rng.exponential(size=len(power)) * pmf.sample(rng, len(power))

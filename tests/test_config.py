@@ -140,7 +140,7 @@ def test_mc_trials_below_one_hundred_rejected(trials):
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_64_bits_rejected(seed):
-    # the Monte Carlo streams key Philox with the seed as one uint64
+    # the topology and validation-tuple draws key Philox with the seed as one uint64
     with pytest.raises(ConfigError, match="seed must lie in"):
         parse_config(f"blockage = exponential\nseed = {seed}\n")
     assert parse_config(f"blockage = exponential\nseed = {2**64 - 1}\n").seed == 2**64 - 1

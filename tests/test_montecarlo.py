@@ -1,11 +1,15 @@
 """Simulator tests: realization invariants, estimator contracts, determinism.
 
-`TestRealizeHop` and `TestComputeSinr` check the positional reference in
-`mc_oracle`; `TestMarkedPppSampler` pins `sinr_samples` to it, the conditional
-Laplace sampler to the raw exp(-s I) estimator there, and the SINR and
-association samplers to exact values on fixed seeds.
+`TestStreams` pins the samplers' sequential trial streams to the jump
+construction `mc_oracle.reference_stream` and checks that neighbouring trials
+and substreams do not correlate. `TestRealizeHop` and `TestComputeSinr` check
+the positional reference in `mc_oracle`; `TestMarkedPppSampler` pins
+`sinr_samples` to it, the conditional Laplace sampler to the raw exp(-s I)
+estimator there, and the SINR and association samplers to exact values on
+fixed seeds.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -29,11 +33,12 @@ from mmtier import (
     wilson_halfwidth,
 )
 from mmtier import montecarlo
-from mmtier.montecarlo import _SUB_COVERAGE, _SUB_LAPLACE, _StreamFactory, _laplace_samples
+from mmtier.montecarlo import (_SUB_ASSOCIATION, _SUB_COVERAGE, _SUB_LAPLACE, _laplace_samples,
+                               _trial_streams)
 
 from conftest import intensity_for
 from mc_oracle import (HopRealization, compute_sinr, interferer_power, laplace_positions,
-                       raw_laplace_samples, realize_hop)
+                       raw_laplace_samples, realize_hop, reference_stream)
 
 ALWAYS_LOS = BlockageModel.constant(1.0)
 
@@ -60,6 +65,16 @@ class TestSimConfig:
             SimConfig(window_radius_m=100.0, trials=10, truncation_radius_m=200.0)
         SimConfig(window_radius_m=200.0, trials=10, truncation_radius_m=200.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("master_seed", 3.5), ("trials", 1.5), ("window_radius_m", math.inf),
+        ("truncation_radius_m", math.nan)])
+    def test_bad_run_parameters_rejected(self, field, value):
+        # a float seed would key seed 3's streams; the others fail only later, or never
+        args = {"window_radius_m": 1000.0, "trials": 10, "master_seed": 3,
+                "truncation_radius_m": 500.0, field: value}
+        with pytest.raises(ValueError):
+            SimConfig(**args)
+
 
 class TestStreams:
     def test_trial_streams_reproducible_and_distinct(self):
@@ -69,12 +84,37 @@ class TestStreams:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_factory_equivalent_to_fresh_streams(self):
-        factory = _StreamFactory(77, 3)
-        for trial in (0, 9, 12345):
-            got = factory.at(trial).standard_normal(6)
-            ref = trial_stream(77, trial, 3).standard_normal(6)
-            np.testing.assert_array_equal(got, ref)
+    @pytest.mark.parametrize("substream", [_SUB_COVERAGE, _SUB_ASSOCIATION, _SUB_LAPLACE])
+    @pytest.mark.parametrize("seed", [0, 2718, 2**64 - 1])
+    def test_sequential_streams_are_the_jump_construction(self, seed, substream):
+        for trial, rng in zip(range(41), _trial_streams(seed, substream)):
+            np.testing.assert_array_equal(
+                rng.random(6), reference_stream(seed, trial, substream).random(6))
+            rng.standard_normal(trial)  # the next trial does not depend on the draws
+            np.testing.assert_array_equal(
+                trial_stream(seed, trial, substream).random(6),
+                reference_stream(seed, trial, substream).random(6))
+
+    @pytest.mark.parametrize("seed, substream", [
+        (0, _SUB_COVERAGE), (2718, _SUB_ASSOCIATION), (2**64 - 1, _SUB_LAPLACE)])
+    def test_a_long_run_stays_on_the_jump_construction(self, seed, substream):
+        rng = next(itertools.islice(_trial_streams(seed, substream), 12_345, None))
+        np.testing.assert_array_equal(rng.standard_normal(6),
+                                      reference_stream(seed, 12_345, substream).standard_normal(6))
+
+    def test_trial_streams_are_independent(self):
+        # Jumped streams share one LCG at a fixed stride; the first uniforms of
+        # neighbouring trials and of two substreams at one trial must not correlate.
+        from scipy import stats
+        n = 10_000
+        first = {sub: np.array([rng.random() for rng in
+                                itertools.islice(_trial_streams(2718, sub), n)])
+                 for sub in (_SUB_COVERAGE, _SUB_LAPLACE)}
+        u = first[_SUB_COVERAGE]
+        assert stats.kstest(u, "uniform").pvalue > 1e-4
+        bound = 4.5 / math.sqrt(n)
+        assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) < bound
+        assert abs(np.corrcoef(u, first[_SUB_LAPLACE])[0, 1]) < bound
 
 
 class TestRealizeHop:
@@ -195,7 +235,7 @@ class TestEmpiricalCoverage:
                 "sinr_samples": (6, lam, channel, beam, small_sim),
                 "empirical_coverage": (3.0, 6, lam, channel, beam, small_sim),
                 "serving_distance_samples": (lam, channel, small_sim)}
-        monkeypatch.setattr(montecarlo._StreamFactory, "at", None)  # a draw would raise
+        monkeypatch.setattr(montecarlo, "_trial_streams", None)  # a draw would raise
         message = "non-negative" if "laplace" in estimator else "positive"
         with pytest.raises(ValueError, match=f"intensity must be {message} and finite"):
             getattr(mmtier, estimator)(*args[estimator])
@@ -279,7 +319,7 @@ class TestEmpiricalLaplace:
         redraw, draws = np.random.default_rng(5), 40_000
         for i in range(sim.trials):
             radii, is_los = laplace_positions(
-                lam0, channel, sim, trial_stream(sim.master_seed, i, _SUB_LAPLACE))
+                lam0, channel, sim, reference_stream(sim.master_seed, i, _SUB_LAPLACE))
             for t, (s, r, state, k) in enumerate(tuples):
                 power = interferer_power(radii, is_los, r, state, channel)
                 pmf = beam_gain_pmf(beam, k)
@@ -291,53 +331,51 @@ class TestEmpiricalLaplace:
 
 
 GOLDEN_SIM = SimConfig(window_radius_m=1000.0, trials=16, master_seed=2718)
-# serving_distance_samples(lam0, ., GOLDEN_SIM), recorded on the served-trial
-# stream of a count, n radii and n LOS marks (no angles); under los_ball a
-# point's state follows from its radius, so those values predate that stream.
+# serving_distance_samples(lam0, ., GOLDEN_SIM), recorded on the PCG64DXSM trial
+# streams (`mc_oracle.reference_stream`) of a count, n radii and n LOS marks.
 GOLDEN_ASSOCIATION = {
     "exponential": (
-        [187.00578531191871, 81.2663802168108, 31.633174135721088, 43.669083113745145,
-         90.22060302773876, 57.684751726756026, 83.57449892904422, 58.92666025342481,
-         140.75868985836743, 92.56913689354839, 286.3785165479349, 74.38780490224694,
-         38.404526222379296, 651.1418602446696, 190.6026411508678, 21.44131896692548],
+        [160.9522469691027, 244.27081380234281, 68.58049886138676, 29.201467749399068,
+         27.95773046251245, 90.01828118989017, 327.3501770336862, 443.8024190691023,
+         265.1683122911244, 277.8741570295807, 55.49172556051808, 22.506387210127688,
+         18.453973068002153, 100.99205730599006, 568.8030172426143, 326.8409389542711],
         [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]),
     "los_ball": (
-        [187.00578531191871, 81.2663802168108, 31.633174135721088, 43.669083113745145,
-         90.22060302773876, 57.684751726756026, 83.57449892904422, 58.92666025342481,
-         140.75868985836743, 62.651377726529596, 108.25886115187242, 74.38780490224694,
-         38.404526222379296, 60.611908020509276, 42.05239202120228, 21.44131896692548],
-        [0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1]),
+        [119.54413907952335, 35.32733550548737, 68.58049886138676, 29.201467749399068,
+         27.95773046251245, 90.01828118989017, 209.51710723922707, 171.89293204769191,
+         149.87561718129862, 123.46511102183479, 27.79517334591349, 22.506387210127688,
+         18.453973068002153, 100.99205730599006, 161.3336322379981, 169.30505820582263],
+        [0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0]),
 }
 # sinr_samples(k, lam0, ., beam, GOLDEN_SIM) per kind -> (k, values), recorded
-# on the same stream, followed by n fadings and n gain uniforms.
+# on the same streams, followed by n fadings and n gain uniforms.
 GOLDEN_SINR = {
     "exponential": (6, [
-        26.771541450754466, 17.627076892720755, 7.57892272903039, 8.381137619563846,
-        0.48113135586943323, 124.22030787869302, 0.17891448300254462, 16.041999087756874,
-        1050.7547386907681, 3.6498862207096123, 32.8349256620423, 233.12749581442247,
-        2.3228934490055235, 0.9017608038699386, 1651.3675016727475, 0.8211742988214518]),
+        266.96907636100207, 2.9690775548272788, 2007.572745304888, 5612.317517310981,
+        4.8871717503831285, 12.24327742887436, 196.79535143711607, 737.6649533219891,
+        4676.376341333382, 2506.328191240585, 189.52085436880975, 8681.019204144408,
+        0.37153235570700816, 6.456449246780447, 16.968172552662526, 16452.567076650197]),
     "los_ball": (3, [
-        1058.4371341632477, 6.190002699877889, 74.74136004512157, 1071.864837294186,
-        143531.25554874993, 13779192.601609213, 55.04041510217326, 30947.791256106295,
-        23657831.539804734, 31.178921375750612, 23.285189442190358, 23.774418733128307,
-        1.5014619776854408, 36.89460767542608, 162.0328538588028, 31.96987887292998]),
+        441.16110092446195, 115.73072652736631, 13.03769714786243, 0.04429380104989731,
+        114.11491844100141, 5822247.68724115, 22711.956337277246, 9482.088489146792,
+        5377063.795716106, 1.8888289176432758, 345533.4507976393, 2027692.8382765802,
+        1.6981221667853406, 9.44230284665506, 14.070575791985583, 5109070.995468963]),
 }
 # (s, r, state, k, blockage) -> (mean, se) of the raw exp(-s I) estimator
 # (`mc_oracle.raw_laplace_samples`) on a 1000 m window, 10^4 trials, seed 2718,
 # recorded the same way; they pin the positions stream of the Laplace sampler.
 GOLDEN_LAPLACE = [
-    ((30.0, 80.0, LOS, 6, "exponential"), (0.44334029886271875, 0.004180501580017067)),
-    ((3.0, 40.0, NLOS, 2, "exponential"), (0.9999790702317645, 2.728014766120247e-06)),
-    ((1e4, 90.0, LOS, 12, "los_ball"), (0.3848841693431454, 0.0027156097499235416)),
+    ((30.0, 80.0, LOS, 6, "exponential"), (0.451735267043561, 0.0041812986982948976)),
+    ((3.0, 40.0, NLOS, 2, "exponential"), (0.9999827861238513, 2.0433856619085993e-06)),
+    ((1e4, 90.0, LOS, 12, "los_ball"), (0.3811437905972733, 0.0027146305005184518)),
 ]
 GOLDEN_LAPLACE_SIM = SimConfig(window_radius_m=1000.0, trials=10_000, master_seed=2718)
 # The same tuples through `empirical_laplace`, fading and gains integrated out.
 GOLDEN_CONDITIONAL_LAPLACE = [
-    ((30.0, 80.0, LOS, 6, "exponential"), (0.4482001642975698, 0.002122835525774297)),
-    ((3.0, 40.0, NLOS, 2, "exponential"), (0.999978061547767, 4.492017145480382e-07)),
-    ((1e4, 90.0, LOS, 12, "los_ball"), (0.3830102478633717, 0.00238770095629291)),
+    ((30.0, 80.0, LOS, 6, "exponential"), (0.44903708933536446, 0.0021249266405807183)),
+    ((3.0, 40.0, NLOS, 2, "exponential"), (0.9999784365253801, 4.3737462035543115e-07)),
+    ((1e4, 90.0, LOS, 12, "los_ball"), (0.3791199405631578, 0.0024029116224420373)),
 ]
-
 
 def _golden_channel(kind: str) -> ChannelParams:
     if kind == "exponential":
@@ -362,7 +400,7 @@ class TestMarkedPppSampler:
         got = sinr_samples(k, lam0, chan, beam, sim)
         ref = []
         for i in range(sim.trials):
-            rng = trial_stream(sim.master_seed, i, _SUB_COVERAGE)
+            rng = reference_stream(sim.master_seed, i, _SUB_COVERAGE)
             ref.append(compute_sinr(realize_hop(lam0, chan, sim, rng), k, chan, beam, rng))
         np.testing.assert_allclose(got, ref, rtol=1e-12)
         assert np.isinf(ref).any() == (window_m < 1000.0)
