@@ -50,9 +50,6 @@ from .montecarlo import (
     empirical_laplace,
     empirical_laplace_batch,
     serving_distance_samples,
-    sinr_samples,
-    trial_stream,
-    wilson_halfwidth,
 )
 
 __version__ = "0.1.0"

@@ -153,7 +153,7 @@ class GainPmf:
 
     Atoms are (g_main^2, g_main*g_side, g_side^2) with probabilities
     (p^2, 2p(1-p), (1-p)^2) where p is the per-end main-lobe alignment
-    probability; they sum to 1 exactly.
+    probability; they sum to 1 up to rounding.
     """
 
     gains: tuple[float, float, float]
@@ -175,17 +175,14 @@ class GainPmf:
         return math.fsum(g * p for g, p in zip(self.gains, self.probs))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` i.i.d. gains (one uniform variate per draw)."""
-        return self._gains_at(rng.random(size))
-
-    def _gains_at(self, u: np.ndarray) -> np.ndarray:
-        """The gain drawn by each uniform u.
+        """Draw ``size`` i.i.d. gains, one uniform u each.
 
         Atom i is drawn when u lies in [e_{i-1}, e_i) of the cumulative edges;
         the last atom takes every u >= e_1, so rounding of the final edge
         cannot index past it.
         """
         e0, e1 = self._edges
+        u = rng.random(size)
         return self._gain_arr.take(np.add(u >= e0, u >= e1, dtype=np.intp))
 
 

@@ -2,21 +2,15 @@
 
 Realizes the per-hop typical-receiver experiment by actual point sampling:
 drop the receiver at the origin, scatter the scheduled transmitters as a
-marked PPP, associate with the maximum-average-power AP, and measure SINR,
-association distances and the interference Laplace functional empirically.
-Every sampler draws the LOS-marked PPP through one chunked generator
-(`_marked_ppp`): trial i's stream holds a Poisson count n, then n radii and
-n LOS marks, then for the SINR sampler n fadings and n gain uniforms. The
-Laplace sampler pins the serving AP and integrates fading and gains out per
-trial (conditional Monte Carlo), on one draw of positions for every tuple.
+LOS-marked PPP and associate with the maximum-average-power AP. Every sampler
+draws that PPP through one chunked generator (`_marked_ppp`): trial i's stream
+holds a Poisson count n, then n radii and n LOS marks. Coverage and the
+Laplace functional integrate fading and gains out per trial (conditional
+Monte Carlo), so one draw of positions serves every threshold, gain and tuple.
 
-Every trial owns a random stream derived from the master seed: trial i of a
-substream is numpy's jump construction, PCG64DXSM seeded by
-SeedSequence([master_seed, substream]) and jumped i times (`trial_stream`).
-The samplers run trials in order and move one reused generator from trial i
-to trial i + 1 by the jump's affine map of the LCG state (`_trial_streams`),
-so a trial's draws, and hence every estimate, are bitwise reproducible and do
-not depend on how many other trials run or how they are chunked.
+Every trial owns a random stream (`_trial_streams`), so a trial's draws, and
+hence every estimate, are bitwise reproducible and do not depend on how many
+other trials run or how they are chunked.
 """
 
 from __future__ import annotations
@@ -31,8 +25,6 @@ import numpy as np
 
 from .channel import BeamParams, ChannelParams, beam_gain_pmf, _check_state, _p_los_raw
 
-_WILSON_Z = 1.959963984540054  # two-sided 95%
-
 # Substream tags keep unrelated experiments off the same variates.
 _SUB_COVERAGE = 1
 _SUB_ASSOCIATION = 2
@@ -41,6 +33,9 @@ _SUB_LAPLACE = 3
 _CHUNK_POINTS = 1 << 13  # mean points per chunk of trials
 
 _MASK_128 = (1 << 128) - 1  # PCG64DXSM's LCG state is taken mod 2^128
+_Z95 = 1.959963984540054  # the two-sided 95% normal quantile
+
+_NEAR_CUT = 1e-5  # interferers with w_0/w_j above it enter coverage exactly
 
 
 class SimulationError(RuntimeError):
@@ -78,14 +73,9 @@ class SimConfig:
             raise ValueError("window must cover the analytical truncation radius")
 
 
-def trial_stream(master_seed: int, trial: int, substream: int = 0) -> np.random.Generator:
-    """Trial `trial`'s generator on `substream`: numpy's PCG64DXSM jump construction."""
-    bits = np.random.PCG64DXSM(np.random.SeedSequence([master_seed, substream]))
-    return np.random.Generator(bits.jumped(trial))
-
-
 def _trial_streams(master_seed: int, substream: int):
-    """`trial_stream(master_seed, i, substream)` for i = 0, 1, 2, ... as one reused generator.
+    """Trials 0, 1, 2, ... of `substream` as one reused generator: trial i is
+    PCG64DXSM seeded by SeedSequence([master_seed, substream]) and jumped i times.
 
     `jumped` would build a generator per trial. A jump advances the LCG a fixed
     number of steps, an affine map x -> (A x + C) mod 2^128 of its 128-bit state,
@@ -108,18 +98,16 @@ def _trial_streams(master_seed: int, substream: int):
 
 
 def _marked_ppp(lambda0: float, channel: ChannelParams, sim: SimConfig, substream: int,
-                served: bool, fading: bool = False):
+                served: bool):
     """Every trial's draw of the LOS-marked PPP, in chunks of about `_CHUNK_POINTS` points.
 
     Trial i's stream (`_trial_streams`) holds a Poisson count n, then 2n
-    uniforms: radii, then LOS marks; with `fading`, then n unit exponentials
-    and n gain uniforms, point i taking entry i of each. A `served` trial needs
-    an AP: its count is redrawn while it is zero, and more empty draws than 1
-    in 10^4 trials (at least one) abort, the window being too small for the
-    intensity. Yields per chunk its first trial, each trial's count and first
-    index, and the chunk's radii, LOS marks, d^alpha(state) (the inverse mean
-    power per unit intercept) and the rows of fading and gain uniforms (none
-    without `fading`; views that the next chunk overwrites).
+    uniforms: radii, then LOS marks, point i taking entry i of each. A `served`
+    trial needs an AP: its count is redrawn while it is zero, and more empty
+    draws than 1 in 10^4 trials (at least one) abort, the window being too
+    small for the intensity. Yields per chunk its first trial, each trial's
+    count and first index, and the chunk's radii, LOS marks and d^alpha(state)
+    (the inverse mean power per unit intercept).
     """
     if served and not 0.0 < lambda0 < math.inf:
         raise ValueError("tier intensity must be positive and finite")
@@ -127,7 +115,7 @@ def _marked_ppp(lambda0: float, channel: ChannelParams, sim: SimConfig, substrea
     chunk = max(1, int(_CHUNK_POINTS / (mean_count + 1.0)))
     resample_limit = max(1.0, 1e-4 * sim.trials)
     streams = _trial_streams(sim.master_seed, substream)
-    buf = np.empty((4 if fading else 2, 0))  # the chunk's rows, drawn in place
+    buf = np.empty((2, 0))  # the chunk's uniforms, drawn in place
     resamples = 0
     for first in range(0, sim.trials, chunk):
         counts, end = [], 0
@@ -141,19 +129,16 @@ def _marked_ppp(lambda0: float, channel: ChannelParams, sim: SimConfig, substrea
                         "trials; window too small for the intensity")
                 n = rng.poisson(mean_count)
             if end + n > buf.shape[1]:
-                buf = np.concatenate((buf[:, :end], np.empty((len(buf), end + 2 * n))), axis=1)
+                buf = np.concatenate((buf[:, :end], np.empty((2, end + 2 * n))), axis=1)
             rng.random(out=buf[0, end:end + n])
             rng.random(out=buf[1, end:end + n])
-            if fading:
-                rng.standard_exponential(out=buf[2, end:end + n])
-                rng.random(out=buf[3, end:end + n])
             counts.append(n)
             end += n
-        u, counts = buf[:, :end], np.array(counts)
-        radii = sim.window_radius_m * np.sqrt(u[0])
-        is_los = u[1] < _p_los_raw(radii, channel.blockage)
+        counts = np.array(counts)
+        radii = sim.window_radius_m * np.sqrt(buf[0, :end])
+        is_los = buf[1, :end] < _p_los_raw(radii, channel.blockage)
         inv_power = radii ** np.where(is_los, channel.alpha_los, channel.alpha_nlos)
-        yield first, counts, np.cumsum(counts) - counts, radii, is_los, inv_power, u[2:]
+        yield first, counts, np.cumsum(counts) - counts, radii, is_los, inv_power
 
 
 def _strongest(inv_power: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -161,57 +146,83 @@ def _strongest(inv_power: np.ndarray, counts: np.ndarray, starts: np.ndarray) ->
     return starts + [inv_power[s:s + n].argmin() for s, n in zip(starts, counts)]
 
 
-def sinr_samples(k: int, lambda0: float, channel: ChannelParams, beam: BeamParams,
-                 sim: SimConfig) -> np.ndarray:
-    """Per-trial SINR draws of the typical-receiver experiment (linear scale).
+@lru_cache(maxsize=2)
+def _coverage_summary(lambda0: float, channel: ChannelParams, sim: SimConfig):
+    """Every trial's positions on `_SUB_COVERAGE` as coverage reads them, free of tau, k and beam.
 
-    Trial i equals the positional reference of `tests/mc_oracle.py` on trial i's
-    stream, to rounding. Zero noise with no interference is SINR = inf.
+    Trial i's serving AP has d^alpha = w0[i], and interferer j has y_j = w0[i]/w_j
+    in (0, 1]. Returns w0; `near`, per trial a 0 for the serving AP and the y_j
+    above `_NEAR_CUT`; each trial's first index in `near`; and `far`, per trial
+    the sums of the other y_j, of their squares and of their cubes.
     """
-    pmf = beam_gain_pmf(beam, k)
-    out = np.full(sim.trials, np.inf)
-    for first, counts, starts, _, _, inv_power, (fading, gain_u) in _marked_ppp(
-            lambda0, channel, sim, _SUB_COVERAGE, served=True, fading=True):
+    w0, far = np.empty(sim.trials), np.empty((3, sim.trials))
+    near_counts, near = np.empty(sim.trials, dtype=np.intp), []
+    for first, counts, starts, _, _, inv_power in _marked_ppp(
+            lambda0, channel, sim, _SUB_COVERAGE, served=True):
         j = _strongest(inv_power, counts, starts)
-        weights = fading * pmf._gains_at(gain_u) / inv_power
-        weights[j] = 0.0  # the serving AP does not interfere
-        denom = channel.noise_power + channel.beta * np.add.reduceat(weights, starts)
-        signal = fading[j] * beam.g_main**2 * channel.beta / inv_power[j]
-        np.divide(signal, denom, out=out[first:first + len(j)], where=denom > 0.0)
-    return out
+        done = slice(first, first + len(j))
+        w0[done] = inv_power[j]
+        y = np.repeat(w0[done], counts) / inv_power
+        is_near = y > _NEAR_CUT  # the serving AP's y = 1 included
+        y[j] = 0.0  # it does not interfere
+        near_counts[done] = np.add.reduceat(is_near, starts, dtype=np.intp)
+        near.append(y[is_near])
+        y[is_near] = 0.0
+        y2 = y * y
+        far[:, done] = [np.add.reduceat(v, starts) for v in (y, y2, y2 * y)]
+    return w0, np.concatenate(near), np.cumsum(near_counts) - near_counts, far
 
 
-@lru_cache(maxsize=16)
-def _sinr_samples_cached(k: int, lambda0: float, channel: ChannelParams, beam: BeamParams,
-                         sim: SimConfig) -> np.ndarray:
-    return sinr_samples(k, lambda0, channel, beam, sim)
+def _success_probabilities(tau: float, k: int, channel: ChannelParams, beam: BeamParams,
+                           summary) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's P(SINR > tau | positions) from its `_coverage_summary`, and an error bound.
 
-
-def wilson_halfwidth(successes: int, trials: int) -> float:
-    """Half-width of the 95% Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    z = _WILSON_Z
-    p = successes / trials
-    denom = 1.0 + z**2 / trials
-    return z * math.sqrt(p * (1.0 - p) / trials + z**2 / (4.0 * trials**2)) / denom
+    With unit-mean Rayleigh fading and gain atoms (g, p_g) it is N prod_j f(y_j),
+    N = exp(-tau sigma^2 w0/(g_m^2 beta)), f(y) = sum_g p_g/(1 + c_g y), c_g = tau g/g_m^2.
+    Near factors are exact, their product clamped at 1 (the p_g sum to 1 only to
+    rounding). For the far product F, let m_n = sum_g p_g c_g^n, c and b the largest
+    and least c_g with p_g > 0. While c * `_NEAR_CUT` <= 1/2, F ~ exp(T) with
+    T = -m1 S1 + (m2 - m1^2/2) S2. Proof: as 1/(1+x) = 1 - x + x^2 - x^3/(1+x), a far
+    f(y) = 1 - u, u = m1 y - m2 y^2 + r, 0 <= r <= min(m3 y^3, m2 y^2); so
+    0 <= m1 y - u <= m2 y^2 and u <= c y <= 1/2. Then log f = -u - u^2/2 - rho with
+    0 <= rho <= u^3/(3(1 - u)) <= (2/3) m1^3 y^3, and |u^2 - m1^2 y^2| <= 2 m1 m2 y^3,
+    so |log F - T| <= K S3, K = m3 + m1 m2 + (2/3) m1^3. As T <= 0 (m2 y <= c m1 y <= m1/2)
+    and N and the near product lie in [0, 1], the value is within
+    estimate * (exp(K S3) - 1) of the estimate. Beyond, by Jensen,
+    exp(-m1 y) <= 1/(1 + m1 y) <= f(y) <= 1/(1 + b y), and prod (1 + b y_j) >= 1 + b S1,
+    so F lies in [exp(-m1 S1), 1/(1 + b S1)]: the estimate takes the lower end, the
+    bound the width. Every factor falls as tau rises and the estimate drops at the
+    switch, so each value lies in [0, 1] and does not rise with tau.
+    """
+    w0, near, near_starts, (s1, s2, s3) = summary
+    pmf = beam_gain_pmf(beam, k)
+    atoms = [(p, tau * (g / beam.g_main**2)) for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
+    p_s = np.exp(-tau * (channel.noise_power / (beam.g_main**2 * channel.beta)) * w0)
+    factors = sum(p / (1.0 + c * near) for p, c in atoms)
+    p_s *= np.minimum(np.multiply.reduceat(factors, near_starts), 1.0)
+    m1 = math.fsum(p * c for p, c in atoms)
+    if max(c for _, c in atoms) * _NEAR_CUT <= 0.5:
+        m2, m3 = (math.fsum(p * c**n for p, c in atoms) for n in (2, 3))
+        p_s *= np.exp(np.minimum(-m1 * s1 + (m2 - 0.5 * m1**2) * s2, 0.0))
+        return p_s, p_s * np.expm1((m3 + m1 * m2 + 2.0 / 3.0 * m1**3) * s3)
+    low, high = np.exp(-m1 * s1), 1.0 / (1.0 + min(c for _, c in atoms) * s1)
+    return p_s * low, p_s * np.maximum(high - low, 0.0)
 
 
 def empirical_coverage(tau: float, k: int, lambda0: float, channel: ChannelParams,
                        beam: BeamParams, sim: SimConfig) -> tuple[float, float]:
-    """Fraction of trials with SINR above tau, plus a 95% Wilson half-width.
-
-    The SINR draws depend only on (k, lambda0, channel, beam, sim), so
-    sweeping tau over a fixed configuration reuses one realization set and is
-    exactly monotone in tau.
-    """
+    """Mean of P(SINR > tau | positions) over the trials, and a 95% half-width: 1.96
+    standard errors plus the mean error bound (`_success_probabilities`). Every
+    (tau, k) of a configuration reads one cached draw of positions."""
     if not 0.0 < tau < math.inf:
         raise ValueError("SINR threshold must be positive and finite")
     if sim.trials < 100:
         raise ValueError("coverage estimation needs at least 100 trials")
-    samples = _sinr_samples_cached(k, lambda0, channel, beam, sim)
-    covered = int(np.count_nonzero(samples > tau))
-    return covered / sim.trials, wilson_halfwidth(covered, sim.trials)
+    p_s, bound = _success_probabilities(tau, k, channel, beam,
+                                        _coverage_summary(lambda0, channel, sim))
+    mean = math.fsum(p_s) / sim.trials
+    var = math.fsum((p_s - mean) ** 2) / (sim.trials - 1)
+    return mean, _Z95 * math.sqrt(var / sim.trials) + math.fsum(bound) / sim.trials
 
 
 def serving_distance_samples(lambda0: float, channel: ChannelParams,
@@ -219,7 +230,7 @@ def serving_distance_samples(lambda0: float, channel: ChannelParams,
     """Association distances and LOS flags over sim.trials realizations."""
     dist = np.empty(sim.trials)
     is_los = np.empty(sim.trials, dtype=bool)
-    for first, counts, starts, radii, los, inv_power, _ in _marked_ppp(
+    for first, counts, starts, radii, los, inv_power in _marked_ppp(
             lambda0, channel, sim, _SUB_ASSOCIATION, served=True):
         j = _strongest(inv_power, counts, starts)
         dist[first:first + len(j)], is_los[first:first + len(j)] = radii[j], los[j]
@@ -280,7 +291,7 @@ def _laplace_samples(tuples, lambda0: float, channel: ChannelParams, beam: BeamP
                  for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
         laws.append((serving_distance ** channel.alpha(serving_state), atoms))
     vals = np.ones((len(tuples), sim.trials))  # an empty window's value
-    for first, counts, starts, _, _, inv_power, _ in _marked_ppp(
+    for first, counts, starts, _, _, inv_power in _marked_ppp(
             lambda0, channel, sim, _SUB_LAPLACE, served=False):
         live = np.flatnonzero(counts)
         for row, (serving, atoms) in zip(vals, laws):

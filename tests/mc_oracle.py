@@ -1,10 +1,12 @@
 """Reference Monte Carlo experiments, kept as test oracles for `mmtier.montecarlo`.
 
 `realize_hop` places every transmitter of one trial in the plane and picks
-the serving AP; `compute_sinr` then draws the fading and beam gains and
-returns that trial's SINR. `mmtier.montecarlo.sinr_samples` replaced the pair
-with a position-free pass over the same stream, so on trial i's coverage
-stream the two must agree to rounding.
+the serving AP. `compute_sinr` then draws the fading and beam gains and
+returns that trial's SINR, and `sinr_samples` runs the pair over a run's
+trials: the indicator 1{SINR > tau} is the raw coverage estimator.
+`mmtier.montecarlo` integrates the fading and gains out instead, at the same
+positions; `success_probability` is that conditional value computed as the
+plain product over every interferer.
 
 `realize_hop` rebuilds the trial's marked PPP by hand rather than through
 `mmtier.montecarlo._marked_ppp`, so the reference stays independent of the
@@ -33,7 +35,7 @@ import numpy as np
 
 from mmtier.channel import (LOS, NLOS, BeamParams, ChannelParams, beam_gain_pmf,
                             los_probability)
-from mmtier.montecarlo import _SUB_LAPLACE, SimConfig, SimulationError
+from mmtier.montecarlo import _SUB_COVERAGE, _SUB_LAPLACE, SimConfig, SimulationError
 
 _EMPTY_RESAMPLE_LIMIT = 10_000  # empty draws of one trial before `realize_hop` gives up
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -140,6 +142,31 @@ def compute_sinr(real: HopRealization, k: int, channel: ChannelParams, beam: Bea
     if denom == 0.0:
         return math.inf
     return signal / denom
+
+
+def sinr_samples(k: int, lambda0: float, channel: ChannelParams, beam: BeamParams,
+                 sim: SimConfig) -> np.ndarray:
+    """Per-trial SINR: `realize_hop`, then `compute_sinr`, on trial i's coverage stream."""
+    out = np.empty(sim.trials)
+    for i in range(sim.trials):
+        rng = reference_stream(sim.master_seed, i, _SUB_COVERAGE)
+        out[i] = compute_sinr(realize_hop(lambda0, channel, sim, rng), k, channel, beam, rng)
+    return out
+
+
+def success_probability(real: HopRealization, tau: float, k: int, channel: ChannelParams,
+                        beam: BeamParams) -> float:
+    """P(SINR > tau | positions) of one realization: with unit-mean Rayleigh fading,
+    exp(-tau sigma^2 w0/(g_m^2 beta)) times, per interferer at d^alpha = w,
+    sum_g p_g/(1 + tau g w0/(g_m^2 w))."""
+    pmf = beam_gain_pmf(beam, k)
+    a0 = channel.alpha_los if real.serving_is_los else channel.alpha_nlos
+    w0 = real.serving_distance ** a0
+    alpha = np.where(real.interferer_is_los, channel.alpha_los, channel.alpha_nlos)
+    y = w0 / real.interferer_distances ** alpha
+    scale = tau / beam.g_main**2
+    factors = sum(p / (1.0 + scale * g * y) for g, p in zip(pmf.gains, pmf.probs))
+    return math.exp(-scale * channel.noise_power * w0 / channel.beta) * math.prod(factors.tolist())
 
 
 def laplace_positions(lambda0: float, channel: ChannelParams, sim: SimConfig,

@@ -3,9 +3,10 @@
 Path loss and fading have no public function of their own: the tests read
 path loss off `ChannelParams.alpha` in the form the samplers use (r^-alpha per
 unit intercept, scaled by beta), and the fading off the positional reference
-`mc_oracle.compute_sinr`, which
-`test_montecarlo.TestMarkedPppSampler.test_sinr_matches_per_realization_reference`
-ties to `montecarlo.sinr_samples`.
+`mc_oracle.compute_sinr`, whose coverage indicator
+`test_montecarlo.TestEmpiricalCoverage` checks against the analytic coverage
+and, on the same positions, against `montecarlo.empirical_coverage`'s
+conditional values.
 """
 
 import math

@@ -27,7 +27,7 @@ from mmtier.cli import (
     topology_checks,
 )
 from mmtier.config import ConfigError, ExperimentConfig, parse_config
-from mmtier import analytics, montecarlo
+from mmtier import analytics, cli, montecarlo
 
 from conftest import latency_bounds
 
@@ -86,24 +86,25 @@ class TestRunSweep:
         assert row.mc_ci is not None and row.mc_ci > 0.0
         assert abs(row.coverage_mc - row.coverage_analytic) < 0.1
 
-    def test_sinr_draws_made_once_per_gain(self, fast_cfg, monkeypatch):
-        # 17 gains overflow the 16-entry SINR draw cache if every threshold
-        # walks all gains in turn; gain by gain, each is drawn once.
-        calls = []
-        original = montecarlo.sinr_samples
+    def test_positions_drawn_once_for_every_gain_and_threshold(self, fast_cfg, monkeypatch):
+        # Coverage reads one k-free, threshold-free summary of the positions, so
+        # 17 gains x 3 thresholds draw the marked PPP once.
+        draws = []
+        original = montecarlo._marked_ppp
 
-        def counted(*args):
-            calls.append(args[0])
-            return original(*args)
+        def counted(*args, **kwargs):
+            draws.append(args[3])
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "sinr_samples", counted)
-        montecarlo._sinr_samples_cached.cache_clear()
+        monkeypatch.setattr(montecarlo, "_marked_ppp", counted)
+        montecarlo._coverage_summary.cache_clear()
         cfg = dataclasses.replace(fast_cfg, theta_a_deg=20.0, rf_chains=18, mc_trials=100,
                                   tau_db_list=(0.0, 5.0, 10.0), k_list=tuple(range(1, 18)))
         rows = run_sweep(cfg)
-        assert sorted(calls) == list(range(1, 18))
+        assert draws == [montecarlo._SUB_COVERAGE]
         assert [(r.tau_db, r.k) for r in rows] == [
             (t, k) for t in cfg.tau_db_list for k in cfg.k_list]
+        assert all(0.0 <= r.coverage_mc <= 1.0 for r in rows)
 
     def test_quadrature_failure_recorded_not_fatal(self):
         # Flat blockage with a LOS exponent of 2 has a divergent interference
@@ -213,6 +214,21 @@ class TestRunValidate:
         assert failed == [], f"failed checks: {failed}"
         for c in checks:
             assert type(c.passed) is bool and type(c.measured) is float, c.name
+
+    def test_coverage_tolerance_is_not_wider_than_the_old_floor(self):
+        # On the default 45-point grid at 10^4 trials, the Sidak rule (3.69 SE at
+        # a 1% family-wise level, plus the quadrature error) stays within the
+        # old rule's floor of max(0.02, 2 x half-width): P_s in [0, 1] caps the
+        # standard error at 0.5/sqrt(n - 1).
+        cfg = dataclasses.replace(ExperimentConfig(), mc_trials=10_000)
+        assert len(cfg.tau_db_list) * len(cfg.k_list) == 45
+        assert cli._coverage_tolerance(1.959963984540054, 0.0, 45) == pytest.approx(3.69, abs=5e-3)
+        channel, beam, quad = cfg.channel(), cfg.beam(), cfg.quad()
+        mc = cli._mc_coverage(cfg)
+        for (tau_db, k), (_, ci) in mc.items():
+            _, err = analytics.coverage_probability(10.0 ** (tau_db / 10.0), k, cfg.lambda0,
+                                                    channel, beam, quad, full_output=True)
+            assert cli._coverage_tolerance(ci, err, len(mc)) <= 0.02, (tau_db, k)
 
     def test_corrupted_exponent_breaks_coverage_agreement(self):
         cfg = parse_config(VALIDATE_CFG)

@@ -3,10 +3,12 @@
 `TestStreams` pins the samplers' sequential trial streams to the jump
 construction `mc_oracle.reference_stream` and checks that neighbouring trials
 and substreams do not correlate. `TestRealizeHop` and `TestComputeSinr` check
-the positional reference in `mc_oracle`; `TestMarkedPppSampler` pins
-`sinr_samples` to it, the conditional Laplace sampler to the raw exp(-s I)
-estimator there, and the SINR and association samplers to exact values on
-fixed seeds.
+the positional reference in `mc_oracle`. `TestEmpiricalCoverage` checks the
+conditional coverage estimator against the indicator of the reference SINR on
+the same positions; `TestMarkedPppSampler` pins each trial's coverage to the
+all-point product at the reference positions, the conditional Laplace
+sampler to the raw exp(-s I) estimator there, and the coverage and
+association samplers to exact values on fixed seeds.
 """
 
 import itertools
@@ -21,24 +23,24 @@ from mmtier import (
     NLOS,
     BlockageModel,
     ChannelParams,
+    QuadratureSpec,
     SimConfig,
     SimulationError,
     beam_gain_pmf,
+    coverage_probability,
     empirical_coverage,
     empirical_laplace,
     empirical_laplace_batch,
     serving_distance_samples,
-    sinr_samples,
-    trial_stream,
-    wilson_halfwidth,
 )
 from mmtier import montecarlo
-from mmtier.montecarlo import (_SUB_ASSOCIATION, _SUB_COVERAGE, _SUB_LAPLACE, _laplace_samples,
-                               _trial_streams)
+from mmtier.montecarlo import (_NEAR_CUT, _SUB_ASSOCIATION, _SUB_COVERAGE, _SUB_LAPLACE,
+                               _laplace_samples, _success_probabilities, _trial_streams)
 
 from conftest import intensity_for
 from mc_oracle import (HopRealization, compute_sinr, interferer_power, laplace_positions,
-                       raw_laplace_samples, realize_hop, reference_stream)
+                       raw_laplace_samples, realize_hop, reference_stream, sinr_samples,
+                       success_probability)
 
 ALWAYS_LOS = BlockageModel.constant(1.0)
 
@@ -51,6 +53,11 @@ def sim():
 @pytest.fixture(scope="module")
 def small_sim():
     return SimConfig(window_radius_m=2500.0, trials=400, master_seed=314)
+
+
+def _summary(lam0, channel, sim):
+    """A fresh coverage summary, past the cache."""
+    return montecarlo._coverage_summary.__wrapped__(lam0, channel, sim)
 
 
 class TestSimConfig:
@@ -78,11 +85,10 @@ class TestSimConfig:
 
 class TestStreams:
     def test_trial_streams_reproducible_and_distinct(self):
-        a = trial_stream(5, 0).random(4)
-        b = trial_stream(5, 0).random(4)
-        c = trial_stream(5, 1).random(4)
+        a, b = ([rng.random(4) for rng in itertools.islice(_trial_streams(5, 0), 2)]
+                for _ in range(2))
         np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, c)
+        assert not np.array_equal(a[0], a[1])
 
     @pytest.mark.parametrize("substream", [_SUB_COVERAGE, _SUB_ASSOCIATION, _SUB_LAPLACE])
     @pytest.mark.parametrize("seed", [0, 2718, 2**64 - 1])
@@ -91,9 +97,6 @@ class TestStreams:
             np.testing.assert_array_equal(
                 rng.random(6), reference_stream(seed, trial, substream).random(6))
             rng.standard_normal(trial)  # the next trial does not depend on the draws
-            np.testing.assert_array_equal(
-                trial_stream(seed, trial, substream).random(6),
-                reference_stream(seed, trial, substream).random(6))
 
     @pytest.mark.parametrize("seed, substream", [
         (0, _SUB_COVERAGE), (2718, _SUB_ASSOCIATION), (2**64 - 1, _SUB_LAPLACE)])
@@ -123,7 +126,7 @@ class TestRealizeHop:
         sim = SimConfig(window_radius_m=500.0, trials=1, master_seed=0)
         lam = intensity_for(100.0)
         for seed in range(30):
-            real = realize_hop(lam, chan, sim, trial_stream(seed, 0))
+            real = realize_hop(lam, chan, sim, reference_stream(seed, 0, 0))
             assert real.serving_is_los
             if len(real.interferer_positions):
                 assert real.serving_distance <= real.interferer_distances.min()
@@ -131,19 +134,19 @@ class TestRealizeHop:
     def test_exclusion_invariant_always_holds(self, channel, lam0):
         sim = SimConfig(window_radius_m=1500.0, trials=1, master_seed=0)
         for seed in range(300):
-            real = realize_hop(lam0, channel, sim, trial_stream(seed, 0))
+            real = realize_hop(lam0, channel, sim, reference_stream(seed, 0, 0))
             assert real.exclusion_holds(channel)
 
     def test_partition_counts(self, channel, lam0):
         sim = SimConfig(window_radius_m=1000.0, trials=1, master_seed=0)
-        real = realize_hop(lam0, channel, sim, trial_stream(8, 0))
+        real = realize_hop(lam0, channel, sim, reference_stream(8, 0, 0))
         assert len(real.interferer_positions) == len(real.interferer_is_los)
         assert real.resamples == 0
 
     def test_persistently_empty_window_aborts(self, channel):
         sim = SimConfig(window_radius_m=1.0, trials=1, master_seed=0)
         with pytest.raises(SimulationError):
-            realize_hop(1e-12, channel, sim, trial_stream(0, 0))
+            realize_hop(1e-12, channel, sim, reference_stream(0, 0, 0))
 
 
 class TestComputeSinr:
@@ -153,8 +156,8 @@ class TestComputeSinr:
             serving_position=np.array([30.0, 40.0]), serving_is_los=True,
             interferer_positions=np.empty((0, 2)),
             interferer_is_los=np.empty(0, dtype=bool))
-        rng = trial_stream(4, 0)
-        h0 = trial_stream(4, 0).exponential()
+        rng = reference_stream(4, 0, 0)
+        h0 = reference_stream(4, 0, 0).exponential()
         got = compute_sinr(real, 3, chan, beam, rng)
         assert got == pytest.approx(h0 * beam.g_main**2 * 50.0**-2.0 / 2.0, rel=1e-12)
 
@@ -164,7 +167,7 @@ class TestComputeSinr:
             serving_position=np.array([3.0, 4.0]), serving_is_los=True,
             interferer_positions=np.empty((0, 2)),
             interferer_is_los=np.empty(0, dtype=bool))
-        assert compute_sinr(real, 1, chan, beam, trial_stream(0, 0)) == math.inf
+        assert compute_sinr(real, 1, chan, beam, reference_stream(0, 0, 0)) == math.inf
 
     def test_scale_invariance_interference_limited(self, beam):
         # With a common exponent and no noise, scaling every distance by 2
@@ -175,26 +178,69 @@ class TestComputeSinr:
         states = rng.random(25) < 0.5
         base = HopRealization(np.array([20.0, 15.0]), True, pos, states)
         doubled = HopRealization(np.array([40.0, 30.0]), True, 2.0 * pos, states)
-        s1 = compute_sinr(base, 4, chan, beam, trial_stream(5, 0))
-        s2 = compute_sinr(doubled, 4, chan, beam, trial_stream(5, 0))
+        s1 = compute_sinr(base, 4, chan, beam, reference_stream(5, 0, 0))
+        s2 = compute_sinr(doubled, 4, chan, beam, reference_stream(5, 0, 0))
         assert s1 == pytest.approx(s2, rel=1e-12)
+
+
+# Positions of 2 000 trials at ~100 points each, and the reference SINR drawn at them.
+INDICATOR_SIM = SimConfig(window_radius_m=1000.0, trials=2_000, master_seed=4242)
+INDICATOR_TAUS = (0.1, 1.0, 10.0, 100.0, 1000.0)
+
+
+@pytest.fixture(scope="module")
+def indicator_sinr(lam0, channel, beam):
+    return {k: sinr_samples(k, lam0, channel, beam, INDICATOR_SIM) for k in (1, 6, 12)}
 
 
 class TestEmpiricalCoverage:
     def test_extreme_thresholds(self, lam0, channel, beam, small_sim):
-        samples = sinr_samples(3, lam0, channel, beam, small_sim)
-        finite = samples[np.isfinite(samples)]
-        below, _ = empirical_coverage(float(finite.min()) * 0.5, 3, lam0, channel,
-                                      beam, small_sim)
-        above, _ = empirical_coverage(float(finite.max()) * 2.0, 3, lam0, channel,
-                                      beam, small_sim)
-        assert below == 1.0
-        assert above == 0.0
+        assert empirical_coverage(5e-324, 3, lam0, channel, beam, small_sim) == (1.0, 0.0)
+        above, ci = empirical_coverage(1e300, 3, lam0, channel, beam, small_sim)
+        assert 0.0 <= above < 1e-280 and ci < 1e-280
 
     def test_monotone_in_tau(self, lam0, channel, beam, small_sim):
         estimates = [empirical_coverage(t, 6, lam0, channel, beam, small_sim)[0]
                      for t in (0.1, 1.0, 10.0, 100.0)]
         assert all(a >= b for a, b in zip(estimates, estimates[1:]))
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-7])
+    def test_bounded_and_monotone_at_every_finite_tau(self, lam0, beam, noise, small_sim):
+        # From the least subnormal to the largest double, across the switch
+        # from the far-field series to its bracket at tau = 1/(2 cut).
+        chan = ChannelParams(2.0, 4.0, 1.0, BlockageModel.exponential(141.4), noise_power=noise)
+        switch = 0.5 / _NEAR_CUT
+        taus = sorted({5e-324, *np.logspace(-300, 300, 121), switch * (1.0 - 1e-9), switch,
+                       np.nextafter(switch, np.inf), 1e5, 1e6, np.finfo(float).max})
+        for k in (1, 6, 12):
+            got = [empirical_coverage(float(t), k, lam0, chan, beam, small_sim) for t in taus]
+            assert all(0.0 <= est <= 1.0 and 0.0 <= ci < math.inf for est, ci in got)
+            assert all(a[0] >= b[0] for a, b in zip(got, got[1:])), k
+
+    @pytest.mark.parametrize("k", [1, 6, 12])
+    def test_conditional_value_is_the_mean_of_the_indicator(self, lam0, channel, beam, k,
+                                                            indicator_sinr):
+        # Tower property on identical positions: 1{SINR > tau} - P_s has mean zero.
+        summary = _summary(lam0, channel, INDICATOR_SIM)
+        for tau in INDICATOR_TAUS:
+            p_s, _ = _success_probabilities(tau, k, channel, beam, summary)
+            diff = (indicator_sinr[k] > tau) - p_s
+            # Given the positions, the indicator is Bernoulli(P_s): the sum of the
+            # differences has variance sum P_s (1 - P_s), which the sample
+            # variance misses when failures are rare.
+            sd = math.sqrt(math.fsum(p_s * (1.0 - p_s)))
+            assert abs(math.fsum(diff)) <= 4.0 * sd, (tau, sd)
+
+    def test_indicator_agrees_with_analytic(self, lam0, channel, beam, indicator_sinr):
+        # Keeps the drawn fading and gains of the oracle cross-checked.
+        quad = QuadratureSpec(truncation_radius_m=INDICATOR_SIM.window_radius_m)
+        n = INDICATOR_SIM.trials
+        for k, sinr in indicator_sinr.items():
+            for tau in INDICATOR_TAUS:
+                cov, err = coverage_probability(tau, k, lam0, channel, beam, quad,
+                                                full_output=True)
+                hit = np.count_nonzero(sinr > tau) / n
+                assert abs(hit - cov) <= 4.0 * math.sqrt(cov * (1.0 - cov) / n) + err + 1.0 / n
 
     def test_minimum_trials_enforced(self, lam0, channel, beam):
         sim = SimConfig(window_radius_m=2500.0, trials=50, master_seed=0)
@@ -208,10 +254,12 @@ class TestEmpiricalCoverage:
         _, ci4 = empirical_coverage(3.0, 6, lam0, channel, beam, sim4)
         assert 1.5 <= ci1 / ci4 <= 2.5
 
+    def test_summary_cache_holds_two_configurations(self):
+        assert montecarlo._coverage_summary.cache_info().maxsize == 2
+
     @pytest.mark.parametrize("tau", [math.inf, math.nan], ids=["inf", "nan"])
     def test_both_twins_reject_non_finite_threshold(self, tau, lam0, channel, beam, quad,
                                                     small_sim):
-        from mmtier import coverage_probability
         with pytest.raises(ValueError, match="positive and finite"):
             empirical_coverage(tau, 6, lam0, channel, beam, small_sim)
         with pytest.raises(ValueError, match="positive and finite"):
@@ -220,7 +268,7 @@ class TestEmpiricalCoverage:
     @pytest.mark.parametrize("estimator, lam", [
         pytest.param(estimator, lam, id=f"{estimator}-{name}")
         for estimator in ("coverage_probability", "laplace_interference", "empirical_laplace",
-                          "sinr_samples", "empirical_coverage", "serving_distance_samples")
+                          "empirical_coverage", "serving_distance_samples")
         for name, lam in (("negative", -1e-5), ("zero", 0.0), ("nan", math.nan),
                           ("inf", math.inf))
         if not (lam == 0.0 and "laplace" in estimator)])
@@ -232,17 +280,12 @@ class TestEmpiricalCoverage:
         args = {"coverage_probability": (3.0, 6, lam, channel, beam, quad),
                 "laplace_interference": (3.0, 80.0, LOS, 6, lam, channel, beam, quad),
                 "empirical_laplace": (3.0, 80.0, LOS, 6, lam, channel, beam, small_sim),
-                "sinr_samples": (6, lam, channel, beam, small_sim),
                 "empirical_coverage": (3.0, 6, lam, channel, beam, small_sim),
                 "serving_distance_samples": (lam, channel, small_sim)}
         monkeypatch.setattr(montecarlo, "_trial_streams", None)  # a draw would raise
         message = "non-negative" if "laplace" in estimator else "positive"
         with pytest.raises(ValueError, match=f"intensity must be {message} and finite"):
             getattr(mmtier, estimator)(*args[estimator])
-
-    def test_wilson_halfwidth_reference_value(self):
-        # 80/100 successes: Wilson 95% interval is (0.7112, 0.8666)
-        assert wilson_halfwidth(80, 100) == pytest.approx(0.0777, abs=1e-4)
 
 
 class TestAssociation:
@@ -347,19 +390,20 @@ GOLDEN_ASSOCIATION = {
          18.453973068002153, 100.99205730599006, 161.3336322379981, 169.30505820582263],
         [0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0]),
 }
-# sinr_samples(k, lam0, ., beam, GOLDEN_SIM) per kind -> (k, values), recorded
-# on the same streams, followed by n fadings and n gain uniforms.
-GOLDEN_SINR = {
-    "exponential": (6, [
-        266.96907636100207, 2.9690775548272788, 2007.572745304888, 5612.317517310981,
-        4.8871717503831285, 12.24327742887436, 196.79535143711607, 737.6649533219891,
-        4676.376341333382, 2506.328191240585, 189.52085436880975, 8681.019204144408,
-        0.37153235570700816, 6.456449246780447, 16.968172552662526, 16452.567076650197]),
-    "los_ball": (3, [
-        441.16110092446195, 115.73072652736631, 13.03769714786243, 0.04429380104989731,
-        114.11491844100141, 5822247.68724115, 22711.956337277246, 9482.088489146792,
-        5377063.795716106, 1.8888289176432758, 345533.4507976393, 2027692.8382765802,
-        1.6981221667853406, 9.44230284665506, 14.070575791985583, 5109070.995468963]),
+# Per-trial coverage (`_success_probabilities`) at (tau, k) on GOLDEN_SIM per kind ->
+# (tau, k, values), recorded on the same streams after each value matched the
+# all-point product at the reference positions within its remainder bound.
+GOLDEN_COVERAGE = {
+    "exponential": (10.0, 6, [
+        0.40706830219636203, 0.45006035174549974, 0.9931904815664996, 0.5704882151971429,
+        0.6729443610283381, 0.6011625915529608, 0.6990772606783958, 0.4439192626858837,
+        0.9956124074569352, 0.9929216191483421, 0.5767794921478886, 0.8096143630040668,
+        0.6680879965454197, 0.8270281641744617, 0.5206218535483538, 0.9873016814063901]),
+    "los_ball": (3.0, 3, [
+        0.8134674887553562, 0.9187877823854592, 0.805500952407719, 0.6907910326982025,
+        0.948411413104158, 0.9999919232258854, 0.9519512334072908, 0.9466736281932028,
+        0.9999987704402176, 0.7229326600674132, 0.9999894433690795, 0.9999956959580134,
+        0.6904182425550298, 0.692827655584806, 0.9272928460512959, 0.9999976462885143]),
 }
 # (s, r, state, k, blockage) -> (mean, se) of the raw exp(-s I) estimator
 # (`mc_oracle.raw_laplace_samples`) on a 1000 m window, 10^4 trials, seed 2718,
@@ -393,23 +437,34 @@ class TestMarkedPppSampler:
         # nothing interferes (SINR = inf), and one empty draw stays within the limit.
         (BlockageModel.exponential(141.4), 0.0, 6, 210.0),
     ], ids=["exponential", "los_ball", "noise", "mixed_states", "single_ap"])
-    def test_sinr_matches_per_realization_reference(self, lam0, beam, blockage, noise, k,
+    def test_coverage_matches_the_all_point_product(self, lam0, beam, blockage, noise, k,
                                                     window_m):
+        # Each trial's value is the exact product over every interferer at the
+        # reference positions, within its remainder bound and rounding; the
+        # thresholds span the far-field series and, above 1/(2 cut), its bracket.
         chan = ChannelParams(2.0, 4.0, 1.0, blockage, noise_power=noise)
         sim = SimConfig(window_radius_m=window_m, trials=40, master_seed=31)
-        got = sinr_samples(k, lam0, chan, beam, sim)
-        ref = []
-        for i in range(sim.trials):
-            rng = reference_stream(sim.master_seed, i, _SUB_COVERAGE)
-            ref.append(compute_sinr(realize_hop(lam0, chan, sim, rng), k, chan, beam, rng))
-        np.testing.assert_allclose(got, ref, rtol=1e-12)
-        assert np.isinf(ref).any() == (window_m < 1000.0)
+        summary = _summary(lam0, chan, sim)
+        reals = [realize_hop(lam0, chan, sim, reference_stream(sim.master_seed, i, _SUB_COVERAGE))
+                 for i in range(sim.trials)]
+        for tau in (0.1, 10.0, 1e3, 1e5, 1e6, 1e9):
+            got, bound = _success_probabilities(tau, k, chan, beam, summary)
+            want = np.array([success_probability(r, tau, k, chan, beam) for r in reals])
+            assert np.all(np.abs(got - want) <= bound + 1e-12 * want), tau
+            if tau <= 1e3:  # up to 30 dB the series' bound is far below any standard error
+                assert np.all(bound <= 1e-5), tau
+        alone = [len(r.interferer_positions) == 0 for r in reals]
+        assert any(alone) == (window_m < 1000.0)
+        if noise == 0.0:  # SINR = inf: covered at every threshold
+            assert np.all(got[alone] == 1.0)
 
     def test_values_do_not_depend_on_the_chunk_size(self, lam0, channel, beam, monkeypatch):
         sim = SimConfig(window_radius_m=1000.0, trials=300, master_seed=8)
 
         def run():
-            return (sinr_samples(6, lam0, channel, beam, sim),
+            summary = _summary(lam0, channel, sim)
+            return (*summary,
+                    *_success_probabilities(30.0, 6, channel, beam, summary),
                     *serving_distance_samples(lam0, channel, sim),
                     _laplace_samples([(30.0, 80.0, LOS, 6), (3.0, 40.0, NLOS, 2)], lam0,
                                      channel, beam, sim))
@@ -426,7 +481,9 @@ class TestMarkedPppSampler:
                                                            seed, m, extra):
         def run(trials):
             sim = SimConfig(window_radius_m=500.0, trials=trials, master_seed=seed)
-            return (sinr_samples(6, lam0, channel, beam, sim),
+            summary = _summary(lam0, channel, sim)
+            return (summary[0], summary[-1],
+                    *_success_probabilities(30.0, 6, channel, beam, summary),
                     *serving_distance_samples(lam0, channel, sim),
                     _laplace_samples([(30.0, 80.0, LOS, 6), (3.0, 40.0, NLOS, 2)], lam0,
                                      channel, beam, sim))
@@ -441,10 +498,12 @@ class TestMarkedPppSampler:
         assert dist.tolist() == want_dist
         assert is_los.tolist() == [bool(v) for v in want_los]
 
-    @pytest.mark.parametrize("kind", sorted(GOLDEN_SINR))
-    def test_sinr_golden_values(self, lam0, beam, kind):
-        k, want = GOLDEN_SINR[kind]
-        assert sinr_samples(k, lam0, _golden_channel(kind), beam, GOLDEN_SIM).tolist() == want
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_COVERAGE))
+    def test_coverage_golden_values(self, lam0, beam, kind):
+        tau, k, want = GOLDEN_COVERAGE[kind]
+        chan = _golden_channel(kind)
+        got, _ = _success_probabilities(tau, k, chan, beam, _summary(lam0, chan, GOLDEN_SIM))
+        assert got.tolist() == want
 
     @pytest.mark.parametrize("args, want", GOLDEN_LAPLACE)
     def test_laplace_golden_values(self, lam0, beam, args, want):
@@ -464,6 +523,6 @@ class TestMarkedPppSampler:
     def test_window_too_small_raises(self, lam0, channel, beam, window_m):
         sim = SimConfig(window_radius_m=window_m, trials=100, master_seed=3)
         with pytest.raises(SimulationError):
-            sinr_samples(6, lam0, channel, beam, sim)
+            empirical_coverage(3.0, 6, lam0, channel, beam, sim)
         with pytest.raises(SimulationError):
             serving_distance_samples(lam0, channel, sim)
