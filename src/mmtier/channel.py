@@ -165,25 +165,10 @@ class GainPmf:
             raise ValueError(f"gain probabilities sum to {total!r}, not 1")
         if any(p < 0.0 or p > 1.0 for p in self.probs):
             raise ValueError("gain probabilities must lie in [0, 1]")
-        e0, e1, _ = np.cumsum(self.probs).tolist()
-        object.__setattr__(self, "_edges", (e0, e1))
-        object.__setattr__(self, "_gain_arr", np.asarray(self.gains, dtype=float))
-        self._gain_arr.setflags(write=False)  # one cached `GainPmf` serves every caller
 
     @property
     def expected_gain(self) -> float:
         return math.fsum(g * p for g, p in zip(self.gains, self.probs))
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` i.i.d. gains, one uniform u each.
-
-        Atom i is drawn when u lies in [e_{i-1}, e_i) of the cumulative edges;
-        the last atom takes every u >= e_1, so rounding of the final edge
-        cannot index past it.
-        """
-        e0, e1 = self._edges
-        u = rng.random(size)
-        return self._gain_arr.take(np.add(u >= e0, u >= e1, dtype=np.intp))
 
 
 @functools.lru_cache(maxsize=64)

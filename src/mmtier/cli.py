@@ -280,13 +280,13 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0) -> list
     checks.append(CheckResult("coverage-agreement", worst_gap <= 1.0, worst_gap, 1.0,
                               worst_detail))
 
-    mono_tau = all(
-        cov_grid[(cfg.tau_db_list[i], k)] >= cov_grid[(cfg.tau_db_list[i + 1], k)] - 1e-9
-        for k in cfg.k_list for i in range(len(cfg.tau_db_list) - 1))
+    # Neighbours in sorted order of the distinct grid values, whatever the config order.
+    taus, ks = sorted(set(cfg.tau_db_list)), sorted(set(cfg.k_list))
+    mono_tau = all(cov_grid[(lo, k)] >= cov_grid[(hi, k)] - 1e-9
+                   for k in ks for lo, hi in zip(taus, taus[1:]))
     checks.append(CheckResult("coverage-monotone-tau", mono_tau, float(mono_tau), 1.0))
-    mono_k = all(
-        cov_grid[(tau_db, cfg.k_list[i])] >= cov_grid[(tau_db, cfg.k_list[i + 1])] - 1e-9
-        for tau_db in cfg.tau_db_list for i in range(len(cfg.k_list) - 1))
+    mono_k = all(cov_grid[(tau_db, lo)] >= cov_grid[(tau_db, hi)] - 1e-9
+                 for tau_db in taus for lo, hi in zip(ks, ks[1:]))
     checks.append(CheckResult("coverage-monotone-gain", mono_k, float(mono_k), 1.0))
 
     # 6/7. Topology statistics: CSR without multiplexing, clustering with it.

@@ -159,37 +159,27 @@ _BLOCKAGE_PARAM_KEYS = {
     "constant": "blockage_p",
 }
 
-_INT_KEYS = {"rf_chains", "k", "mc_trials", "seed"}
-_BOOL_KEYS = {"floor_hops"}
-_STR_KEYS = {"blockage", "out_dir"}
-_LIST_KEYS = {"tau_db_list", "k_list"}
-# Keys that are resolved into canonical fields rather than stored verbatim.
+# Keys that are resolved into canonical fields rather than stored verbatim; all floats.
 _DERIVED_KEYS = {"r0_m", "lambda_ratio", "blockage_mu_m", "blockage_radius_m", "blockage_p"}
 
-_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)} - {"blockage_param"}
-_KNOWN_KEYS = _FIELD_NAMES | _DERIVED_KEYS
+# Annotation (a string under postponed evaluation) of every field a config file may set.
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig) if f.name != "blockage_param"}
+_KNOWN_KEYS = _FIELD_TYPES.keys() | _DERIVED_KEYS
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_PARSERS = {"int": int, "float": float, "str": str, "bool": lambda raw: _BOOLS[raw.lower()]}
 
 
 def _parse_scalar(key: str, raw: str):
+    """``raw`` as the annotated type of field ``key`` (a derived key is a float); a
+    ``tuple[T, ...]`` field takes comma- or space-separated items of type T."""
+    kind = _FIELD_TYPES.get(key, "float")
+    item = kind.removeprefix("tuple[").removesuffix(", ...]")
+    parse = _PARSERS[item]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _BOOL_KEYS:
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if key in _STR_KEYS:
-            return raw
-        if key in _LIST_KEYS:
-            parts = [p for p in raw.replace(",", " ").split() if p]
-            if key == "k_list":
-                return tuple(int(p) for p in parts)
-            return tuple(float(p) for p in parts)
-        return float(raw)
-    except ValueError as exc:
+        if item != kind:
+            return tuple(parse(p) for p in raw.replace(",", " ").split())
+        return parse(raw)
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"cannot parse value for {key!r}: {raw!r}") from exc
 
 
@@ -216,7 +206,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = _parse_scalar(key, value)
 
-    kwargs: dict[str, object] = {k: v for k, v in raw.items() if k in _FIELD_NAMES}
+    kwargs: dict[str, object] = {k: v for k, v in raw.items() if k in _FIELD_TYPES}
 
     # Tier-0 density from either surface form.
     if "r0_m" in raw:

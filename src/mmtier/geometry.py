@@ -67,11 +67,26 @@ def sample_ppp(intensity: float, window: Window, rng: np.random.Generator) -> np
     """
     if intensity < 0.0:
         raise ValueError("intensity must be non-negative")
-    n = rng.poisson(intensity * window.area)
-    radii = window.radius * np.sqrt(rng.random(n))
-    angles = 2.0 * math.pi * rng.random(n)
-    pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    return pts + window.center.as_array()
+    return _ppp_draws(intensity, window, 1, rng)[0]
+
+
+def _ppp_draws(intensity: float, window: Window, n_draws: int,
+               rng: np.random.Generator) -> list[np.ndarray]:
+    """n_draws successive PPP patterns on the window, (n_i, 2) arrays.
+
+    Per draw a Poisson count n, then n radius and n angle uniforms (one
+    `random(2n)`); every draw is placed at once.
+    """
+    counts, uniforms = [], []
+    for _ in range(n_draws):
+        n = rng.poisson(intensity * window.area)
+        counts.append(n)
+        uniforms.append(rng.random(2 * n).reshape(2, n))
+    u = np.concatenate(uniforms, axis=1)
+    radius = window.radius * np.sqrt(u[0])
+    angle = 2.0 * math.pi * u[1]
+    pts = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    return np.split(pts + window.center.as_array(), np.cumsum(counts)[:-1])
 
 
 class RadialSampler:
@@ -145,16 +160,6 @@ class TierTopology:
     @property
     def hops(self) -> int:
         return len(self.tiers) - 1
-
-    @property
-    def scheduled(self) -> list[np.ndarray]:
-        """The transmitters of each hop, (m, 2) points of the tier below."""
-        return [tier[idx] for tier, idx in zip(self.tiers, self.scheduled_indices)]
-
-    @property
-    def cluster_map(self) -> list[np.ndarray]:
-        """Per hop, the receiver clusters as an (m, k, 2) view: [j] is scheduled[j]'s."""
-        return [tier.reshape(-1, k, 2) for tier, k in zip(self.tiers[1:], self.gains)]
 
     def all_points(self) -> np.ndarray:
         if not self.tiers:
@@ -328,24 +333,11 @@ def _reference_k(intensity: float, window: Window, radii: np.ndarray, n_sims: in
                  rng: np.random.Generator) -> np.ndarray:
     """Ripley's K of n_sims CSR draws, one row each (NaN below two points).
 
-    Draws the stream of n_sims successive `sample_ppp` calls: per draw a
-    Poisson count n, then n radius and n angle uniforms (one `random(2n)`).
-    All draws are placed at once, then counted in batches of at most
+    Counts the patterns of one `_ppp_draws` call in batches of at most
     `_MAX_BATCH_POINTS` points (a larger draw is a batch of its own).
     """
-    counts, uniforms = [], []
-    for _ in range(n_sims):
-        n = rng.poisson(intensity * window.area)
-        counts.append(n)
-        uniforms.append(rng.random(2 * n).reshape(2, n))
-    u = np.concatenate(uniforms, axis=1)
-    radius = window.radius * np.sqrt(u[0])
-    angle = 2.0 * math.pi * u[1]
-    pts = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
-    patterns = np.split(pts + window.center.as_array(), np.cumsum(counts)[:-1])
-
     rows, batch, size = [], [], 0
-    for pattern in patterns:
+    for pattern in _ppp_draws(intensity, window, n_sims, rng):
         if batch and size + len(pattern) > _MAX_BATCH_POINTS:
             rows.append(_ripley_batch(batch, window, radii))
             batch, size = [], 0

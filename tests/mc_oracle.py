@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mmtier.channel import (LOS, NLOS, BeamParams, ChannelParams, beam_gain_pmf,
+from mmtier.channel import (LOS, NLOS, BeamParams, ChannelParams, GainPmf, beam_gain_pmf,
                             los_probability)
 from mmtier.montecarlo import _SUB_COVERAGE, _SUB_LAPLACE, SimConfig, SimulationError
 
@@ -46,6 +46,18 @@ def reference_stream(seed: int, trial: int, substream: int) -> np.random.Generat
     substream]), jumped `trial` times."""
     bits = np.random.PCG64DXSM(np.random.SeedSequence([seed, substream]))
     return np.random.Generator(bits.jumped(trial))
+
+
+def draw_gains(pmf: GainPmf, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` i.i.d. gains of ``pmf``, one uniform u each.
+
+    Atom i is drawn when u lies in [e_{i-1}, e_i) of the cumulative edges; the
+    last atom takes every u >= e_1, so rounding of the final edge cannot index
+    past it.
+    """
+    e0, e1, _ = np.cumsum(pmf.probs).tolist()
+    u = rng.random(size)
+    return np.asarray(pmf.gains, dtype=float).take(np.add(u >= e0, u >= e1, dtype=np.intp))
 
 
 @dataclass
@@ -132,7 +144,7 @@ def compute_sinr(real: HopRealization, k: int, channel: ChannelParams, beam: Bea
     a0 = channel.alpha_los if real.serving_is_los else channel.alpha_nlos
     d, j = real.interferer_distances, real.serving_index
     h = rng.exponential(size=len(d) + 1)
-    gains = pmf.sample(rng, len(d) + 1)
+    gains = draw_gains(pmf, rng, len(d) + 1)
     signal = h[j] * beam.g_main**2 * channel.beta * d0**-a0
 
     h, gains = np.delete(h, j), np.delete(gains, j)
@@ -201,6 +213,6 @@ def raw_laplace_samples(s: float, serving_distance: float, serving_state: str, k
         rng = reference_stream(sim.master_seed, i, _SUB_LAPLACE)
         radii, is_los = laplace_positions(lambda0, channel, sim, rng)
         power = interferer_power(radii, is_los, serving_distance, serving_state, channel)
-        weights = rng.exponential(size=len(power)) * pmf.sample(rng, len(power))
+        weights = rng.exponential(size=len(power)) * draw_gains(pmf, rng, len(power))
         vals[i] = math.exp(-s * channel.beta * float(weights @ power))
     return vals

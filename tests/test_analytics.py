@@ -39,6 +39,7 @@ from mmtier import analytics, cli, config, los_probability
 from mmtier.analytics import evaluate_point
 
 import adaptive_oracle as oracle
+import mc_oracle
 from conftest import MU_M, intensity_for, latency_bounds
 
 ALWAYS_LOS = BlockageModel.constant(1.0)
@@ -277,7 +278,7 @@ class TestGainMoment:
         n = 1_000_000
         t = np.sqrt(rng.uniform(d * d, upper * upper, n))
         h = rng.exponential(size=n)
-        g = pmf.sample(rng, n)
+        g = mc_oracle.draw_gains(pmf, rng, n)
         vals = -np.expm1(-s * QUARTIC_LOS.beta * h * g * t**-4.0)
         half_area = 0.5 * (upper**2 - d**2)
         got = laplace_interference(s, d, LOS, k, LAM, QUARTIC_LOS, beam, quad)
@@ -366,8 +367,8 @@ class TestConditionalCoverage:
             keep = np.where(is_los, d > excl_los, d > excl_nlos)
             d = d[keep]
             alpha = np.where(is_los[keep], 2.0, 4.0)
-            interference = np.sum(rng.exponential(size=len(d)) * pmf.sample(rng, len(d))
-                                  * d**-alpha)
+            fading = rng.exponential(size=len(d))
+            interference = np.sum(fading * mc_oracle.draw_gains(pmf, rng, len(d)) * d**-alpha)
             h0 = rng.exponential()
             covered += h0 * beam.g_main**2 * r**-2.0 > tau * interference
         estimate = covered / trials

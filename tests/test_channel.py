@@ -30,7 +30,7 @@ from mmtier import (
 from mmtier.analytics import _state_probability
 
 from conftest import intensity_for
-from mc_oracle import HopRealization, compute_sinr
+from mc_oracle import HopRealization, compute_sinr, draw_gains
 
 
 class TestBlockage:
@@ -198,7 +198,7 @@ class TestBeamGainPmf:
     def test_sampling_matches_probabilities(self, beam):
         pmf = beam_gain_pmf(beam, 6)
         rng = np.random.default_rng(7)
-        draws = pmf.sample(rng, 100_000)
+        draws = draw_gains(pmf, rng, 100_000)
         for gain, prob in zip(pmf.gains, pmf.probs):
             frac = np.mean(draws == gain)
             assert frac == pytest.approx(prob, abs=0.006)
@@ -224,7 +224,7 @@ class TestBeamGainPmf:
                 return u
 
         want = np.asarray(pmf.gains)[np.minimum(edges.searchsorted(u, side="right"), 2)]
-        np.testing.assert_array_equal(pmf.sample(FixedUniforms(), len(u)), want)
+        np.testing.assert_array_equal(draw_gains(pmf, FixedUniforms(), len(u)), want)
 
 
 class TestFading:
@@ -241,9 +241,19 @@ class TestFading:
         return np.array([compute_sinr(self.ALONE, 1, self.CHANNEL, self.BEAM, rng)
                          for _ in range(n)])
 
+    def test_returns_the_serving_fading_draw(self):
+        # Per call one unit exponential (the serving link's fading), then one
+        # gain uniform; the SINR is that exponential, bit for bit.
+        rng, twin = np.random.default_rng(123), np.random.default_rng(123)
+        for sinr in self.fading(rng, 5):
+            assert sinr == twin.exponential(size=1)[0]
+            twin.random(1)
+        assert rng.random() == twin.random()
+
     @pytest.fixture(scope="class")
     def draws(self):
-        return self.fading(np.random.default_rng(123), 100_000)
+        # The law of that draw, on one vectorised call rather than 10^5 SINRs.
+        return np.random.default_rng(123).exponential(size=100_000)
 
     def test_unit_mean(self, draws):
         assert draws.mean() == pytest.approx(1.0, abs=0.01)

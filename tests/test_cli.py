@@ -230,6 +230,15 @@ class TestRunValidate:
                                                     channel, beam, quad, full_output=True)
             assert cli._coverage_tolerance(ci, err, len(mc)) <= 0.02, (tau_db, k)
 
+    def test_monotone_checks_ignore_grid_order(self, monkeypatch):
+        # A grid listed in descending order is still monotone in tau and in k.
+        monkeypatch.setattr(cli, "topology_checks", lambda cfg: [])
+        cfg = parse_config(BASE + "mc_trials = 10000\ntau_db_list = 10, 0\nk_list = 6, 1\n")
+        checks = run_validate(cfg)
+        failed = [c.name for c in checks if not c.passed]
+        assert failed == [] and {"coverage-monotone-tau", "coverage-monotone-gain"} <= {
+            c.name for c in checks}
+
     def test_corrupted_exponent_breaks_coverage_agreement(self):
         cfg = parse_config(VALIDATE_CFG)
         checks = run_validate(cfg, corrupt_alpha_nlos=-1.0)

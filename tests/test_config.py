@@ -1,10 +1,11 @@
 """Configuration surface: parsing, defaults, conversions."""
 
+import dataclasses
 import math
 
 import pytest
 
-from mmtier.config import ConfigError, ExperimentConfig, parse_config
+from mmtier.config import _BLOCKAGE_PARAM_KEYS, ConfigError, ExperimentConfig, parse_config
 
 
 def test_r0_defines_intensity():
@@ -114,6 +115,20 @@ def test_roundtrip_identity():
         g_side_db=-3.0, rel_tol=1e-5, abs_tol=1e-8, truncation_radius_m=3000.0,
         window_radius_m=3200.0, mc_trials=500, seed=42, floor_hops=True,
         tau_db_list=(-5.0, 0.0, 5.0), k_list=(1, 2, 6), out_dir="results")
+
+
+def test_every_default_field_round_trips():
+    # Each field written as `key = value` parses back as its annotated type;
+    # repr tells 12 from 12.0, which dataclass equality does not.
+    default = ExperimentConfig()
+    lines = []
+    for f in dataclasses.fields(default):
+        value = getattr(default, f.name)
+        key = _BLOCKAGE_PARAM_KEYS[default.blockage] if f.name == "blockage_param" else f.name
+        text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        lines.append(f"{key} = {text}\n")
+    parsed = parse_config("".join(lines))
+    assert parsed == default and repr(parsed) == repr(default)
 
 
 def test_default_truncation_and_window():

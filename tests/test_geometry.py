@@ -169,7 +169,8 @@ def cluster_displacements(lam0, channel, sampler, k, seeds, radius=1500.0):
     for seed in seeds:
         topo = build_tier_topology(net, channel, Window(ORIGIN, radius),
                                    np.random.default_rng(seed), sampler=sampler)
-        out += [c - sched[:, None, :] for sched, c in zip(topo.scheduled, topo.cluster_map)]
+        out += [child.reshape(-1, k, 2) - tier[idx][:, None, :] for tier, idx, child
+                in zip(topo.tiers, topo.scheduled_indices, topo.tiers[1:])]
     return np.concatenate(out)
 
 
@@ -204,7 +205,7 @@ class TestBuildTopology:
         topo6 = build_tier_topology(net6, channel, window, np.random.default_rng(41),
                                     sampler=serving_sampler)
         assert topo6.hops == 2 and len(topo6.tiers) == 3
-        assert [len(c[0]) for c in topo6.cluster_map] == [6, 6]
+        assert [len(t) for t in topo6.tiers[1:]] == [6 * len(i) for i in topo6.scheduled_indices]
 
     def test_structural_invariants_and_intensity_sum(self, lam0, channel,
                                                      serving_sampler):
@@ -218,7 +219,7 @@ class TestBuildTopology:
         assert math.fsum(tier_intensity) == pytest.approx(net.lambda_total, rel=1e-12)
         # realized counts: tier i+1 has exactly gain * |scheduled| points
         for i, g in enumerate(topo.gains):
-            assert len(topo.tiers[i + 1]) == g * len(topo.scheduled[i])
+            assert len(topo.tiers[i + 1]) == g * len(topo.scheduled_indices[i])
 
     def test_invariants_catch_broken_bookkeeping(self, lam0, channel, serving_sampler):
         net = NetworkParams(lambda_total=7 * lam0, lambda_tier0=lam0,

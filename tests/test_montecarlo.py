@@ -38,9 +38,9 @@ from mmtier.montecarlo import (_NEAR_CUT, _SUB_ASSOCIATION, _SUB_COVERAGE, _SUB_
                                _laplace_samples, _success_probabilities, _trial_streams)
 
 from conftest import intensity_for
-from mc_oracle import (HopRealization, compute_sinr, interferer_power, laplace_positions,
-                       raw_laplace_samples, realize_hop, reference_stream, sinr_samples,
-                       success_probability)
+from mc_oracle import (HopRealization, compute_sinr, draw_gains, interferer_power,
+                       laplace_positions, raw_laplace_samples, realize_hop, reference_stream,
+                       sinr_samples, success_probability)
 
 ALWAYS_LOS = BlockageModel.constant(1.0)
 
@@ -367,7 +367,7 @@ class TestEmpiricalLaplace:
                 power = interferer_power(radii, is_los, r, state, channel)
                 pmf = beam_gain_pmf(beam, k)
                 weights = (redraw.exponential(size=(draws, len(power)))
-                           * pmf.sample(redraw, draws * len(power)).reshape(draws, -1))
+                           * draw_gains(pmf, redraw, draws * len(power)).reshape(draws, -1))
                 raw = np.exp(-s * channel.beta * (weights @ power))
                 se = raw.std(ddof=1) / math.sqrt(draws)
                 assert abs(raw.mean() - cond[t, i]) <= 4.0 * se + 1e-12, (i, t)
