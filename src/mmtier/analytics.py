@@ -164,18 +164,6 @@ def _radial_mass(blockage: BlockageModel, state: str, z):
     return los if state == LOS else half_sq - los
 
 
-def _radial_mass_beyond(blockage: BlockageModel, state: str, z: float) -> float:
-    """int_z^inf P_state(r) r dr; inf when the state's far field is unbounded."""
-    q = blockage.param
-    if state == LOS:
-        if blockage.kind == "exponential":
-            return q * q * math.exp(-z / q) * (1.0 + z / q)
-        if blockage.kind == "los_ball":
-            return 0.5 * max(q * q - z * z, 0.0)
-        return math.inf if q > 0.0 else 0.0
-    return 0.0 if blockage.kind == "constant" and q == 1.0 else math.inf
-
-
 def _state_probability(blockage: BlockageModel, state: str, r):
     """P_state(r): the LOS probability or its complement."""
     p = los_probability(r, blockage)
@@ -255,7 +243,7 @@ class ServingDistanceTable:
 def _nearest_mass_beyond(lam: float, blockage: BlockageModel, upper: float):
     """Each state's nearest-AP mass beyond ``upper``: their sum bounds the serving mass there."""
     return tuple(math.exp(-_TWO_PI * lam * _radial_mass(blockage, state, upper))
-                 * -math.expm1(-_TWO_PI * lam * _radial_mass_beyond(blockage, state, upper))
+                 * -math.expm1(-_TWO_PI * lam * _tail_radial_bound(blockage, state, upper, 0.0))
                  for state in (LOS, NLOS))
 
 
@@ -312,7 +300,9 @@ def _tail_radial_bound(blockage: BlockageModel, state: str, start: float,
 
     Used with 1 - E[exp(-x)] <= E[x] to bound the truncated part of the
     interference exponent. Returns inf when the far field genuinely diverges
-    (flat blockage with alpha <= 2).
+    (flat blockage with alpha <= 2). At alpha = 0 the tangent line of r is r
+    itself, so the bound is exact: int_start^inf P_state(r) r dr for every
+    blockage law.
     """
     if start <= 0.0:
         return math.inf
@@ -682,11 +672,6 @@ class NetworkParams:
             raise ValueError("bandwidth must be positive")
         if not 1 <= self.gain_per_hop <= self.rf_chains:
             raise ValueError("per-hop gain must lie in 1..rf_chains")
-
-    @property
-    def r0_m(self) -> float:
-        """Mean inter-AP spacing of the scheduled tier, (pi*lambda_tier0)^-1/2."""
-        return math.sqrt(1.0 / (math.pi * self.lambda_tier0))
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,7 @@ class SweepRow:
     quad_error: float
 
 
+# The CSV names of `SweepRow`'s fields, in field order; the rows list the fields' values.
 SWEEP_HEADER = "tau_db,k,coverage_analytic,coverage_mc,mc_ci,latency_hops,throughput_bps,quad_error"
 
 
@@ -133,12 +134,7 @@ def _coverage_tolerance(mc_ci: float, quad_error: float, points: int) -> float:
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
-    lines = [SWEEP_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            _fmt(r.tau_db), str(r.k), _fmt(r.coverage_analytic), _fmt(r.coverage_mc),
-            _fmt(r.mc_ci), _fmt(r.latency), _fmt(r.throughput), _fmt(r.quad_error),
-        ]))
+    lines = [SWEEP_HEADER, *(",".join(map(_fmt, vars(r).values())) for r in rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -212,8 +208,8 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0) -> list
         raise ConfigError("validate mode needs mc_trials >= 10000")
     _topology_split_hops(cfg.network())  # before any Monte Carlo trial runs
     channel = cfg.channel()
-    channel_analytic = channel if corrupt_alpha_nlos == 0.0 else dataclasses.replace(
-        channel, alpha_nlos=channel.alpha_nlos + corrupt_alpha_nlos)
+    channel_analytic = dataclasses.replace(
+        cfg, alpha_nlos=cfg.alpha_nlos + corrupt_alpha_nlos).channel()
     beam = cfg.beam()
     quad = cfg.quad()
     sim = cfg.sim()
@@ -294,13 +290,14 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0) -> list
     return checks
 
 
-def _topology_split_hops(net: analytics.NetworkParams) -> int:
-    """Hop count at k = 1, or ConfigError when the split cannot feed the topology checks.
+def _topology_split_hops(net: analytics.NetworkParams) -> tuple[int, int]:
+    """Hop count at k = 1 and clustering gain, or ConfigError when the split cannot feed
+    the topology checks.
 
     The topology checks build the k = 1 relay tiers, so they need
     lambda_total to be an integer multiple of lambda0, and at least 2 lambda0.
     Their clustering check builds relay tiers at a gain k > 1, so some k in
-    2..rf_chains must divide the relay tiers evenly.
+    2..rf_chains must divide the relay tiers evenly: 6 if it does, else the largest.
     """
     try:
         hops = analytics.hop_count(net.lambda_total, net.lambda_tier0, 1)
@@ -310,10 +307,11 @@ def _topology_split_hops(net: analytics.NetworkParams) -> int:
     if hops < 1:
         raise ConfigError("the topology checks need lambda_total >= 2 lambda0: they "
                           "test at least one relay tier")
-    if analytics.feasible_gains(net)[-1] == 1:
+    gains = analytics.feasible_gains(net)
+    if gains[-1] == 1:
         raise ConfigError(f"the topology checks need a gain k in 2..{net.rf_chains} that "
                           f"divides the number of relay tiers at k = 1 ({hops})")
-    return hops
+    return hops, 6 if 6 in gains else gains[-1]
 
 
 def topology_checks(cfg: ExperimentConfig) -> list[CheckResult]:
@@ -340,7 +338,7 @@ def topology_checks(cfg: ExperimentConfig) -> list[CheckResult]:
     checks = []
 
     net1 = dataclasses.replace(cfg.network(), gain_per_hop=1)
-    hops1 = _topology_split_hops(net1)
+    hops1, k_cluster = _topology_split_hops(net1)
     build_window = nominal.with_guard(hops1, sampler.rms)
     rng = _philox_stream(cfg.seed, 1, 29)
     topo1 = geometry.build_tier_topology(net1, channel, build_window, rng, sampler=sampler)
@@ -351,11 +349,8 @@ def topology_checks(cfg: ExperimentConfig) -> list[CheckResult]:
         checks.append(CheckResult(f"topology-csr-{label}-tier-k1", observed <= bound,
                                   observed, bound, "studentized max K deviation"))
 
-    feasible = analytics.feasible_gains(cfg.network())
-    k_cluster = 6 if 6 in feasible else max(feasible)
-    net6 = dataclasses.replace(cfg.network(), gain_per_hop=k_cluster)
-    hops6 = analytics.hop_count(net6.lambda_total, net6.lambda_tier0, k_cluster)
-    build_window = nominal.with_guard(hops6, sampler.rms)
+    net6 = dataclasses.replace(net1, gain_per_hop=k_cluster)
+    build_window = nominal.with_guard(hops1 // k_cluster, sampler.rms)
     rng = _philox_stream(cfg.seed, 3, 29)
     topo6 = geometry.build_tier_topology(net6, channel, build_window, rng, sampler=sampler)
     cluster_radii = r0 * np.array([0.2, 0.3, 0.4, 0.48])

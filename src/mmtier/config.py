@@ -91,11 +91,13 @@ class ExperimentConfig:
         for key in ("truncation_radius_m", "window_radius_m", "topology_window_radius_m"):
             if not getattr(self, key) >= 0.0:
                 raise ConfigError(f"{key} must be 0 (the default) or positive")
-        # Eagerly build the typed params so every component invariant trips here.
-        self.network()
-        self.channel()
-        self.beam()
-        self.quad()
+        try:  # eagerly build the typed params so every component invariant trips here
+            self.network()
+            self.channel()
+            self.beam()
+            self.quad()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def r0_m(self) -> float:
@@ -183,6 +185,15 @@ def _parse_scalar(key: str, raw: str):
         raise ConfigError(f"cannot parse value for {key!r}: {raw!r}") from exc
 
 
+def _either(raw: dict, kwargs: dict, key: str, alt: str, from_alt: float) -> None:
+    """Set ``key`` to ``from_alt``, its value implied by the given ``alt``, unless ``key``
+    is given too: then the two must agree within 0.1%."""
+    if key not in raw:
+        kwargs[key] = from_alt
+    elif abs(raw[key] - from_alt) > 1e-3 * from_alt:
+        raise ConfigError(f"{key}={raw[key]!r} and {alt}={raw[alt]!r} disagree by more than 0.1%")
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a key-value config document into a validated ExperimentConfig.
 
@@ -208,35 +219,16 @@ def parse_config(text: str) -> ExperimentConfig:
 
     kwargs: dict[str, object] = {k: v for k, v in raw.items() if k in _FIELD_TYPES}
 
-    # Tier-0 density from either surface form.
+    # Tier-0 and total density, each from either surface form.
     if "r0_m" in raw:
-        r0 = float(raw["r0_m"])
-        if not r0 > 0.0:
+        if not raw["r0_m"] > 0.0:
             raise ConfigError("r0_m must be positive")
-        lam_from_r0 = 1.0 / (math.pi * r0**2)
-        if "lambda0" in raw:
-            lam = float(raw["lambda0"])
-            if abs(lam - lam_from_r0) > 1e-3 * lam_from_r0:
-                raise ConfigError(
-                    f"lambda0={lam!r} and r0_m={r0!r} disagree by more than 0.1%")
-        else:
-            kwargs["lambda0"] = lam_from_r0
-    lam0 = float(kwargs.get("lambda0", ExperimentConfig.lambda0))
-
-    # Total density from either surface form.
+        _either(raw, kwargs, "lambda0", "r0_m", 1.0 / (math.pi * raw["r0_m"]**2))
+    lam0 = kwargs.get("lambda0", ExperimentConfig.lambda0)
     if "lambda_ratio" in raw:
-        ratio = float(raw["lambda_ratio"])
-        if not ratio >= 1.0:
+        if not raw["lambda_ratio"] >= 1.0:
             raise ConfigError("lambda_ratio must be at least 1")
-        total_from_ratio = ratio * lam0
-        if "lambda_total" in raw:
-            total = float(raw["lambda_total"])
-            if abs(total - total_from_ratio) > 1e-3 * total_from_ratio:
-                raise ConfigError(
-                    f"lambda_total={total!r} and lambda_ratio={ratio!r} disagree "
-                    "by more than 0.1%")
-        else:
-            kwargs["lambda_total"] = total_from_ratio
+        _either(raw, kwargs, "lambda_total", "lambda_ratio", raw["lambda_ratio"] * lam0)
     elif "lambda_total" not in raw:
         # Keep the default 13x split consistent with an overridden lambda0.
         kwargs["lambda_total"] = 13.0 * lam0
@@ -257,9 +249,4 @@ def parse_config(text: str) -> ExperimentConfig:
     elif kind != "exponential":
         raise ConfigError(f"blockage kind {kind!r} needs {param_key}")
 
-    try:
-        return ExperimentConfig(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**kwargs)

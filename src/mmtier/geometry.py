@@ -252,7 +252,7 @@ def ripley_k(points: np.ndarray, window: Window, radii) -> np.ndarray:
 _MAX_BATCH_POINTS = 8192
 
 
-def _ripley_batch(patterns, window: Window, radii: np.ndarray) -> np.ndarray:
+def _ripley_batch(patterns, window: Window, radii) -> np.ndarray:
     """Ripley's K of each (n_i, 2) pattern on one window: (n_patterns, n_radii).
 
     Row p is `ripley_k(patterns[p], window, radii)`; a pattern with fewer
@@ -329,7 +329,7 @@ def points_in_window(points: np.ndarray, window: Window) -> np.ndarray:
     return pts[np.hypot(*(pts - center).T) <= window.radius]
 
 
-def _reference_k(intensity: float, window: Window, radii: np.ndarray, n_sims: int,
+def _reference_k(intensity: float, window: Window, radii, n_sims: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Ripley's K of n_sims CSR draws, one row each (NaN below two points).
 
@@ -350,7 +350,6 @@ def _reference_k(intensity: float, window: Window, radii: np.ndarray, n_sims: in
 def csr_envelope(intensity: float, window: Window, radii, n_sims: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise 99% CSR envelope of ripley_k from n_sims reference PPP draws."""
-    radii = np.asarray(radii, dtype=float)
     sims = _reference_k(intensity, window, radii, n_sims, rng)
     lo, hi = np.nanquantile(sims, [0.005, 0.995], axis=0)
     return lo, hi
@@ -365,7 +364,6 @@ def csr_global_test(points: np.ndarray, window: Window, radii, n_sims: int,
     quantile). Observed below the quantile means the pattern is CSR-compatible
     across all radii simultaneously at level 0.01.
     """
-    radii = np.asarray(radii, dtype=float)
     sims = _reference_k(len(points) / window.area, window, radii, n_sims, rng)
     mean = np.nanmean(sims, axis=0)
     sd = np.maximum(np.nanstd(sims, axis=0), 1e-12)

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -955,6 +956,36 @@ class TestTailBound:
             want = MU_M * math.exp(-start / MU_M) * scaled
             got = analytics._tail_radial_bound(BlockageModel.exponential(MU_M), LOS, start, alpha)
             assert want * (1.0 - 1e-10) <= got <= want * (1.0 + MU_M / start), start
+
+    @pytest.mark.parametrize("blockage", [
+        BlockageModel.exponential(MU_M), BlockageModel.exponential(965.0),
+        BlockageModel.los_ball(100.0), BlockageModel.los_ball(1234.5),
+        BlockageModel.constant(0.0), BlockageModel.constant(0.5), BlockageModel.constant(1.0),
+    ], ids=repr)
+    @pytest.mark.parametrize("state", [LOS, NLOS])
+    def test_zero_exponent_is_the_mass_beyond(self, blockage, state):
+        # At alpha = 0 the tangent line of r is r itself, so the bound is the
+        # closed form of int_z^inf P_state(r) r dr that the serving-distance
+        # grid and the coverage error use for the mass beyond their range.
+        q = blockage.param
+        length = MU_M if blockage.kind == "constant" else q
+        for z in [*np.geomspace(0.01, 40.0 * length, 97), length, 5000.0]:
+            z = float(z)
+            got = analytics._tail_radial_bound(blockage, state, z, 0.0)
+            if state == NLOS:
+                assert got == (0.0 if blockage == BlockageModel.constant(1.0) else math.inf)
+            elif blockage.kind == "exponential":
+                # the same closed form, its five roundings in another order
+                want = q * q * math.exp(-z / q) * (1.0 + z / q)
+                assert abs(got - want) <= 4 * math.ulp(want), z
+            elif blockage.kind == "los_ball":
+                # (q^2 - z^2) / 2 cancels near the ball's edge: exact rational
+                # reference, within the rounding of q^2 and z^2
+                want = float((Fraction(q) ** 2 - Fraction(min(z, q)) ** 2) / 2)
+                assert abs(got - want) <= math.ulp(q * q), z
+                assert (got == 0.0) == (z >= q), z
+            else:
+                assert got == (math.inf if q > 0.0 else 0.0)
 
     def test_coverage_below_unit_exponent_loads_no_scipy(self):
         code = ("import math, sys; from mmtier import *; "

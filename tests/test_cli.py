@@ -129,6 +129,12 @@ class TestSerializationFormats:
         # numbers print as plain floats that read back exactly
         assert float(fields[2]) == row.coverage_analytic
         assert float(fields[7]) == row.quad_error
+        # one column per SweepRow field, in field order
+        names = [f.name for f in dataclasses.fields(cli.SweepRow)]
+        assert len(header.split(",")) == len(names)
+        assert all(column.startswith(name) for column, name in zip(header.split(","), names))
+        made = cli.SweepRow(-10.0, 3, 0.25, None, None, 4.0, 0.5, 1e-09)
+        assert sweep_to_csv([made]).split("\n")[1] == "-10.0,3,0.25,,,4.0,0.5,1e-09"
 
     def test_json_carries_full_config(self, fast_cfg):
         cfg = dataclasses.replace(fast_cfg, tau_db_list=(5.0,), k_list=(2,))
@@ -390,6 +396,31 @@ class TestMainExitCodes:
         assert out.returncode == 1, out.stderr
         assert "Traceback" not in out.stderr
         assert f"{message} must be finite" in out.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("corrupt, message", [("-3", "alpha_nlos must be >= alpha_los"),
+                                                  ("nan", "alpha_nlos must be finite"),
+                                                  ("inf", "alpha_nlos must be finite")],
+                             ids=["-3", "nan", "inf"])
+    def test_invalid_corrupted_exponent_is_one_before_any_trial(self, tmp_path, corrupt,
+                                                                message):
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(VALIDATE_CFG)
+        argv = ["validate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet",
+                f"--corrupt-analytics-alpha-nlos={corrupt}"]
+        code = ("import sys\n"
+                "from mmtier import cli, montecarlo\n"
+                "def no_trials(*args, **kwargs):\n"
+                "    raise AssertionError('Monte Carlo ran before the exponent was checked')\n"
+                "montecarlo.serving_distance_samples = no_trials\n"
+                f"sys.exit(cli.main({argv!r}))\n")
+        src = str(Path(mmtier.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True)
+        assert out.returncode == 1, out.stderr
+        assert "Traceback" not in out.stderr
+        assert out.stderr == f"ERROR mmtier: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_too_few_trials_is_one(self, tmp_path, caplog):

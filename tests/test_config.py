@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -54,7 +55,8 @@ def test_duplicate_key_rejected():
 
 
 def test_inconsistent_density_forms_rejected():
-    with pytest.raises(ConfigError, match="disagree"):
+    with pytest.raises(ConfigError, match=re.escape(
+            "lambda0=3.5e-05 and r0_m=100.0 disagree by more than 0.1%")):
         parse_config("r0_m = 100\nlambda0 = 3.5e-5\nblockage = exponential\n")
     # consistent duplicates are fine
     lam = 1.0 / (math.pi * 100.0**2)
@@ -65,7 +67,8 @@ def test_inconsistent_density_forms_rejected():
 def test_lambda_ratio_and_total():
     cfg = parse_config("r0_m = 100\nlambda_ratio = 7\nblockage = exponential\n")
     assert cfg.lambda_total == pytest.approx(7.0 * cfg.lambda0, rel=1e-12)
-    with pytest.raises(ConfigError, match="disagree"):
+    with pytest.raises(ConfigError, match=re.escape(
+            "lambda_total=9.0 and lambda_ratio=7.0 disagree by more than 0.1%")):
         parse_config("lambda0 = 1.0\nlambda_ratio = 7\nlambda_total = 9.0\n"
                      "blockage = exponential\n")
 
@@ -143,6 +146,9 @@ def test_builder_invariants_surface_as_config_errors():
         parse_config("lambda0 = -1\nblockage = exponential\n")
     with pytest.raises(ConfigError, match="unknown key 'mode'"):
         parse_config("mode = dance\nblockage = exponential\n")
+    # the channel's own invariant, tripped by a replaced field rather than a parse
+    with pytest.raises(ConfigError, match="alpha_nlos must be >= alpha_los"):
+        dataclasses.replace(ExperimentConfig(), alpha_nlos=1.0)
 
 
 @pytest.mark.parametrize("trials", [-1, 1, 99])
