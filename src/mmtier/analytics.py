@@ -32,9 +32,8 @@ from .channel import (
     beam_gain_pmf,
     los_probability,
     _check_state,
+    _TWO_PI,
 )
-
-_TWO_PI = 2.0 * math.pi
 
 
 class QuadratureError(ArithmeticError):
@@ -69,8 +68,8 @@ class QuadratureSpec:
             raise ValueError("truncation radius must be positive")
 
     @classmethod
-    def for_tier_intensity(cls, lambda0: float, rel_tol: float = 1e-6,
-                           abs_tol: float = 1e-9) -> "QuadratureSpec":
+    def for_tier_intensity(cls, lambda0: float, rel_tol: float = rel_tol,
+                           abs_tol: float = abs_tol) -> "QuadratureSpec":
         """Truncate at 50 mean inter-AP distances r0 = (pi*lambda0)^-1/2."""
         if not lambda0 > 0.0:
             raise ValueError("tier intensity must be positive")
@@ -190,6 +189,14 @@ def nearest_distance_pdf(z, state: str, lam: float, blockage: BlockageModel):
     return float(out) if np.ndim(z) == 0 else out
 
 
+def _exclusion_radii(state: str, r, channel: ChannelParams):
+    """((state, r), (other, r^(alpha_state/alpha_other))): an interferer offers more
+    average power than a serving ``state`` AP at distance r iff it lies inside its
+    state's radius. ``r`` is a float or an array, and the radii keep its type."""
+    other = NLOS if state == LOS else LOS
+    return (state, r), (other, r ** (channel.alpha(state) / channel.alpha(other)))
+
+
 def serving_distance_pdf(r, state: str, lam: float, channel: ChannelParams):
     """Density (per state) of the distance to the max-average-power AP.
 
@@ -200,14 +207,10 @@ def serving_distance_pdf(r, state: str, lam: float, channel: ChannelParams):
     probability. Summing the two states gives a proper density with unit
     total mass. Closed form, elementwise over an array ``r``.
     """
-    _check_state(state)
-    if not lam > 0.0:
-        raise ValueError("intensity must be positive")
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0):
         raise ValueError("serving distance must be positive")
-    other = NLOS if state == LOS else LOS
-    w = r_arr ** (channel.alpha(state) / channel.alpha(other))
+    _, (other, w) = _exclusion_radii(state, r_arr, channel)
     out = (nearest_distance_pdf(r_arr, state, lam, channel.blockage)
            * np.exp(-_TWO_PI * lam * _radial_mass(channel.blockage, other, w)))
     return float(out) if np.ndim(r) == 0 else out
@@ -479,9 +482,7 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
         return (1.0, 0.0) if full_output else 1.0
 
     pmf = beam_gain_pmf(beam, k)
-    other = NLOS if serving_state == LOS else LOS
-    d = serving_distance
-    lower = {serving_state: d, other: d ** (channel.alpha(serving_state) / channel.alpha(other))}
+    lower = dict(_exclusion_radii(serving_state, serving_distance, channel))
     tail = _TWO_PI * lambda0 * _interference_tail(
         s * channel.beta * pmf.expected_gain, lower[LOS], lower[NLOS], channel, quad)
     s_arr = np.array([s])
@@ -548,9 +549,7 @@ class _CoveragePlan:
             served.append((state, rs[start:], weight[start:]))
         fields = []
         for i, (state, rs, _) in enumerate(served):
-            other = NLOS if state == LOS else LOS
-            exclusion = rs ** (channel.alpha(state) / channel.alpha(other))
-            for lower, field_state in ((rs, state), (exclusion, other)):
+            for field_state, lower in _exclusion_radii(state, rs, channel):
                 padded = [np.full(len(rows), np.inf) for _, rows, _ in served]
                 padded[i] = lower
                 fields.append((np.concatenate(padded), field_state))
@@ -698,10 +697,15 @@ def evaluate_point(tau: float, k: int, net: NetworkParams, channel: ChannelParam
     """
     cov, err = coverage_probability(tau, k, net.lambda_tier0, channel, beam, quad,
                                     full_output=True)
-    latency = (net.lambda_total - net.lambda_tier0) / (k * net.lambda_tier0)
+    latency = _hop_ratio(net.lambda_total, net.lambda_tier0, k)
     thr = throughput_identity(k, tau, net, cov)
     return CoverageResult(tau=tau, k=k, coverage=cov, latency=latency,
                           throughput=thr, quad_error=err)
+
+
+def _hop_ratio(lambda_total: float, lambda0: float, k: int) -> float:
+    """Relay tiers per hop, (lambda_total - lambda0)/(k*lambda0): the latency in hops."""
+    return (lambda_total - lambda0) / (k * lambda0)
 
 
 def hop_count(lambda_total: float, lambda0: float, k: int, allow_floor: bool = False) -> int:
@@ -715,7 +719,7 @@ def hop_count(lambda_total: float, lambda0: float, k: int, allow_floor: bool = F
         raise ValueError("need lambda_total >= lambda0 > 0")
     if k < 1:
         raise ValueError("per-hop gain must be at least 1")
-    m_real = (lambda_total - lambda0) / (k * lambda0)
+    m_real = _hop_ratio(lambda_total, lambda0, k)
     m_int = round(m_real)
     if abs(m_real - m_int) <= 1e-9 * max(1.0, abs(m_int)):
         return int(m_int)

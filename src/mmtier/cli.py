@@ -27,7 +27,7 @@ import numpy as np
 from . import analytics, geometry, montecarlo
 from .analytics import QuadratureError
 from .channel import LOS, NLOS
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, _db_to_linear, parse_config
 from .montecarlo import SimulationError
 
 log = logging.getLogger("mmtier")
@@ -45,10 +45,6 @@ def _philox_stream(seed: int, trial: int, substream: int) -> np.random.Generator
     bits = np.random.Philox(key=np.uint64(seed),
                             counter=[0, 0, np.uint64(substream), np.uint64(trial)])
     return np.random.Generator(bits)
-
-
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
 
 
 def _fmt(value) -> str:
@@ -100,14 +96,13 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     for tau_db in cfg.tau_db_list:
         tau = _db_to_linear(tau_db)
         for k in cfg.k_list:
+            latency = analytics._hop_ratio(net.lambda_total, net.lambda_tier0, k)
             try:
                 point = analytics.evaluate_point(tau, k, net, channel, beam, quad)
                 cov, thr, err = point.coverage, point.throughput, point.quad_error
-                latency = point.latency
             except QuadratureError as exc:
                 log.error("grid point tau=%.3g dB k=%d failed: %s", tau_db, k, exc)
                 cov, thr, err = math.nan, math.nan, math.inf
-                latency = (net.lambda_total - net.lambda_tier0) / (k * net.lambda_tier0)
             cov_mc, ci = mc.get((tau_db, k), (None, None))
             rows.append(SweepRow(tau_db=tau_db, k=k, coverage_analytic=cov,
                                  coverage_mc=cov_mc, mc_ci=ci, latency=latency,
@@ -208,8 +203,11 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0) -> list
         raise ConfigError("validate mode needs mc_trials >= 10000")
     _topology_split_hops(cfg.network())  # before any Monte Carlo trial runs
     channel = cfg.channel()
-    channel_analytic = dataclasses.replace(
-        cfg, alpha_nlos=cfg.alpha_nlos + corrupt_alpha_nlos).channel()
+    try:
+        channel_analytic = dataclasses.replace(
+            cfg, alpha_nlos=cfg.alpha_nlos + corrupt_alpha_nlos).channel()
+    except ConfigError as exc:
+        raise ConfigError(f"--corrupt-analytics-alpha-nlos={corrupt_alpha_nlos!r}: {exc}") from exc
     beam = cfg.beam()
     quad = cfg.quad()
     sim = cfg.sim()
@@ -241,8 +239,7 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0) -> list
         r = float(np.interp(q, table.cdf, table.radii))
         state = LOS if tuple_rng.random() < table.los_mass / table.total_mass else NLOS
         k = int(tuple_rng.integers(1, cfg.rf_chains + 1))
-        alpha0 = channel.alpha_los if state == LOS else channel.alpha_nlos
-        s = r**alpha0 * _db_to_linear(tau_db) / (beam.g_main**2 * channel.beta)
+        s = r**channel.alpha(state) * _db_to_linear(tau_db) / (beam.g_main**2 * channel.beta)
         tuples.append((s, r, state, k))
         analytic.append(analytics.laplace_interference(
             s, r, state, k, lam0, channel_analytic, beam, quad, full_output=True))

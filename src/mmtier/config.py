@@ -26,6 +26,10 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
+def _db_to_linear(db: float) -> float:
+    return 10.0 ** (db / 10.0)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully-resolved experiment description (defaults applied, units canonical).
@@ -53,8 +57,8 @@ class ExperimentConfig:
     g_main_db: float = 20.0
     g_side_db: float = 0.0
     # quadrature
-    rel_tol: float = 1e-6
-    abs_tol: float = 1e-9
+    rel_tol: float = QuadratureSpec.rel_tol
+    abs_tol: float = QuadratureSpec.abs_tol
     truncation_radius_m: float = 0.0  # 0 -> 50 * r0, resolved at build time
     # simulation
     window_radius_m: float = 0.0  # 0 -> truncation radius
@@ -124,8 +128,8 @@ class ExperimentConfig:
     def beam(self) -> BeamParams:
         return BeamParams(
             theta_a=math.radians(self.theta_a_deg),
-            g_main=10.0 ** (self.g_main_db / 10.0),
-            g_side=10.0 ** (self.g_side_db / 10.0),
+            g_main=_db_to_linear(self.g_main_db),
+            g_side=_db_to_linear(self.g_side_db),
             rf_chains=self.rf_chains,
         )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .channel import ChannelParams
+from .channel import ChannelParams, _TWO_PI
 from .analytics import QuadratureSpec, DEFAULT_QUAD
 
 
@@ -84,7 +84,7 @@ def _ppp_draws(intensity: float, window: Window, n_draws: int,
         uniforms.append(rng.random(2 * n).reshape(2, n))
     u = np.concatenate(uniforms, axis=1)
     radius = window.radius * np.sqrt(u[0])
-    angle = 2.0 * math.pi * u[1]
+    angle = _TWO_PI * u[1]
     pts = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
     return np.split(pts + window.center.as_array(), np.cumsum(counts)[:-1])
 
@@ -207,7 +207,7 @@ def build_tier_topology(net: analytics.NetworkParams, channel: ChannelParams,
         # Cluster j takes k_i radius uniforms, then k_i angle uniforms.
         u = rng.random((len(sched), 2, k_i))
         radii = sampler.quantile(u[:, 0])
-        angles = 2.0 * math.pi * u[:, 1]
+        angles = _TWO_PI * u[:, 1]
         clusters = np.stack([sched[:, 0, None] + radii * np.cos(angles),
                              sched[:, 1, None] + radii * np.sin(angles)], axis=-1)
         scheduled_idx.append(idx)

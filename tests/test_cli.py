@@ -6,6 +6,7 @@ insensitive to it while every trial gets ~40x cheaper.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -116,6 +117,11 @@ class TestRunSweep:
         assert len(rows) == 2
         assert all(math.isnan(r.coverage_analytic) for r in rows)
         assert all(math.isinf(r.quad_error) for r in rows)
+        # a failed row still carries its hop ratio, and no throughput
+        for r in rows:
+            assert r.latency == (cfg.lambda_total - cfg.lambda0) / (r.k * cfg.lambda0)
+            assert r.latency == pytest.approx(12.0 / r.k, rel=1e-12)
+            assert math.isnan(r.throughput)
 
 
 class TestSerializationFormats:
@@ -158,6 +164,29 @@ class TestSerializationFormats:
         doc = {"config": config, "rows": [dataclasses.asdict(r) for r in rows]}
         want = json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
         assert sweep_to_json(cfg, rows) == want
+
+    # sha256 of sweep.csv and sweep.json from `mmtier coverage`, recorded before
+    # the exclusion radius and the hop ratio each got one definition.
+    @pytest.mark.parametrize("text, extra, csv_digest, json_digest", [
+        (None, [],
+         "7cc37e41ffc7d19988763946f86145a9288aa78dac93209f5426aed922e95fb0",
+         "42acdf08aed4bca359d143370ab09b54b2208595ade306eb16130038217466d8"),
+        ("blockage = los_ball\nblockage_radius_m = 100\n", [],
+         "7ae53ce9eca85276aac2672b4ba7621d37e19473d1f5622d76ae612a3495037d",
+         "0580807273f6cec2e4751b0aaa7d1e9ca4bf898f7c463c9c60327ed41b1a5ee7"),
+        (None, ["--trials", "1000"],
+         "900056e01c9fccae2630edf954f22af9711c6f372e40fe9a3ce9f0e44ee2fbbf",
+         "43df8c70dcc9aa1d1e4a30ae2c7915705ef826b1e8004a44fe4ef46f964c4c1f"),
+    ], ids=["default", "los_ball", "trials"])
+    def test_coverage_outputs_match_recorded_digests(self, tmp_path, text, extra,
+                                                     csv_digest, json_digest):
+        argv = ["coverage", "--out", str(tmp_path), "--quiet", *extra]
+        if text is not None:
+            (tmp_path / "run.cfg").write_text(text)
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert main(argv) == 0
+        for name, digest in (("sweep.csv", csv_digest), ("sweep.json", json_digest)):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 class TestEmitTopology:
@@ -398,10 +427,11 @@ class TestMainExitCodes:
         assert f"{message} must be finite" in out.stderr
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("corrupt, message", [("-3", "alpha_nlos must be >= alpha_los"),
-                                                  ("nan", "alpha_nlos must be finite"),
-                                                  ("inf", "alpha_nlos must be finite")],
-                             ids=["-3", "nan", "inf"])
+    @pytest.mark.parametrize("corrupt, message", [
+        ("-3", "--corrupt-analytics-alpha-nlos=-3.0: alpha_nlos must be >= alpha_los"),
+        ("nan", "--corrupt-analytics-alpha-nlos=nan: alpha_nlos must be finite"),
+        ("inf", "--corrupt-analytics-alpha-nlos=inf: alpha_nlos must be finite"),
+    ], ids=["-3", "nan", "inf"])
     def test_invalid_corrupted_exponent_is_one_before_any_trial(self, tmp_path, corrupt,
                                                                 message):
         cfg = tmp_path / "v.cfg"
