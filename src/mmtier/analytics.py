@@ -49,6 +49,11 @@ class QuadratureError(ArithmeticError):
         self.error_estimate = error_estimate
 
 
+def _r0(lambda0: float) -> float:
+    """The mean inter-AP distance scale r0 = (pi*lambda0)^-1/2 of a PPP of intensity lambda0."""
+    return math.sqrt(1.0 / (math.pi * lambda0))
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances and the finite stand-in for infinite integration limits.
@@ -73,8 +78,7 @@ class QuadratureSpec:
         """Truncate at 50 mean inter-AP distances r0 = (pi*lambda0)^-1/2."""
         if not lambda0 > 0.0:
             raise ValueError("tier intensity must be positive")
-        r0 = math.sqrt(1.0 / (math.pi * lambda0))
-        return cls(rel_tol=rel_tol, abs_tol=abs_tol, truncation_radius_m=50.0 * r0)
+        return cls(rel_tol=rel_tol, abs_tol=abs_tol, truncation_radius_m=50.0 * _r0(lambda0))
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -265,7 +269,7 @@ def tabulate_serving_distance(lam: float, channel: ChannelParams,
     """
     if not lam > 0.0:
         raise ValueError("intensity must be positive")
-    r_scale = math.sqrt(1.0 / (math.pi * lam))
+    r_scale = _r0(lam)
     if channel.blockage.kind == "exponential":
         r_scale = max(r_scale, channel.blockage.param)
     elif channel.blockage.kind == "los_ball":
@@ -504,7 +508,7 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
 
 def _outer_r_min(lambda0: float, quad: QuadratureSpec) -> float:
     """Lower limit of the outer integral over the serving distance."""
-    return _R_MIN_FACTOR * min(math.sqrt(1.0 / (math.pi * lambda0)), quad.truncation_radius_m)
+    return _R_MIN_FACTOR * min(_r0(lambda0), quad.truncation_radius_m)
 
 
 class _CoveragePlan:
@@ -526,7 +530,7 @@ class _CoveragePlan:
                  quad: QuadratureSpec, halvings: int):
         blockage = channel.blockage
         upper = quad.truncation_radius_m
-        r0 = math.sqrt(1.0 / (math.pi * lambda0))
+        r0 = _r0(lambda0)
         # Outer edges: where an NLOS-served receiver's LOS exclusion disc reaches
         # the truncation radius; r0, 2 r0 and 4 r0, beyond which the law falls like
         # exp(-pi lambda0 r^2); for a LOS ball of radius b, b itself and where

@@ -13,7 +13,7 @@ import logging
 import math
 from dataclasses import dataclass, fields
 
-from .analytics import NetworkParams, QuadratureSpec
+from .analytics import NetworkParams, QuadratureSpec, _r0
 from .channel import BeamParams, BlockageModel, ChannelParams
 from .montecarlo import SimConfig
 
@@ -105,7 +105,7 @@ class ExperimentConfig:
 
     @property
     def r0_m(self) -> float:
-        return math.sqrt(1.0 / (math.pi * self.lambda0))
+        return _r0(self.lambda0)
 
     def network(self) -> NetworkParams:
         return NetworkParams(

@@ -137,7 +137,8 @@ def _marked_ppp(lambda0: float, channel: ChannelParams, sim: SimConfig, substrea
         counts = np.array(counts)
         radii = sim.window_radius_m * np.sqrt(buf[0, :end])
         is_los = buf[1, :end] < _p_los_raw(radii, channel.blockage)
-        inv_power = radii ** np.where(is_los, channel.alpha_los, channel.alpha_nlos)
+        inv_power = (radii * radii) ** (0.5 * channel.alpha_nlos)  # a square at alpha 4,
+        inv_power[is_los] = radii[is_los] ** channel.alpha_los  # and at 2: no per-point pow
         yield first, counts, np.cumsum(counts) - counts, radii, is_los, inv_power
 
 
@@ -198,7 +199,9 @@ def _success_probabilities(tau: float, k: int, channel: ChannelParams, beam: Bea
     pmf = beam_gain_pmf(beam, k)
     atoms = [(p, tau * (g / beam.g_main**2)) for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
     p_s = np.exp(-tau * (channel.noise_power / (beam.g_main**2 * channel.beta)) * w0)
-    factors = sum(p / (1.0 + c * near) for p, c in atoms)
+    factors, term = np.zeros_like(near), np.empty_like(near)  # the only near-sized arrays
+    for p, c in atoms:
+        factors += np.divide(p, np.add(1.0, np.multiply(c, near, out=term), out=term), out=term)
     p_s *= np.minimum(np.multiply.reduceat(factors, near_starts), 1.0)
     m1 = math.fsum(p * c for p, c in atoms)
     if max(c for _, c in atoms) * _NEAR_CUT <= 0.5:
@@ -228,8 +231,7 @@ def empirical_coverage(tau: float, k: int, lambda0: float, channel: ChannelParam
 def serving_distance_samples(lambda0: float, channel: ChannelParams,
                              sim: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Association distances and LOS flags over sim.trials realizations."""
-    dist = np.empty(sim.trials)
-    is_los = np.empty(sim.trials, dtype=bool)
+    dist, is_los = np.empty(sim.trials), np.empty(sim.trials, dtype=bool)
     for first, counts, starts, radii, los, inv_power in _marked_ppp(
             lambda0, channel, sim, _SUB_ASSOCIATION, served=True):
         j = _strongest(inv_power, counts, starts)
@@ -277,25 +279,29 @@ def _laplace_samples(tuples, lambda0: float, channel: ChannelParams, beam: BeamP
                      sim: SimConfig) -> np.ndarray:
     """E[exp(-s * I) | positions] per tuple (row) and trial i on trial i's stream (column).
 
-    An empty window is a valid draw. With unit-mean Rayleigh fading and gain
-    atoms (g, p_g), a point at d^alpha = w adds the factor sum_g p_g/(1 + c_g/w)
-    = 1 - sum_g p_g c_g/(w + c_g), c_g = s beta g: exactly 1 at s = 0, clamped at
-    0. A point with w at most the serving AP's r^alpha takes w = inf (factor 1).
+    An empty window is a valid draw. With unit-mean Rayleigh fading and gain atoms
+    (g, p_g), a point at d^alpha = w adds the factor 1 - sum_g p_g c_g/(w + c_g), c_g =
+    s beta g, its terms summed in place in atom order, clamped at 0, and exactly 1 where
+    w is at most the serving AP's r^alpha. A tuple at s = 0 is skipped (all factors 1).
     Steps are elementwise or a per-trial sequential product, so a value does not
     depend on the chunking, the trial count or the other tuples.
     """
+    vals = np.ones((len(tuples), sim.trials))  # an empty window's value, and any at s = 0
     laws = []
-    for s, serving_distance, serving_state, k in tuples:
+    for row, (s, serving_distance, serving_state, k) in zip(vals, tuples):
         pmf = beam_gain_pmf(beam, k)
-        atoms = [(p * s * channel.beta * g, s * channel.beta * g)
-                 for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
-        laws.append((serving_distance ** channel.alpha(serving_state), atoms))
-    vals = np.ones((len(tuples), sim.trials))  # an empty window's value
+        if s > 0.0:
+            laws.append((row, serving_distance ** channel.alpha(serving_state),
+                         [(p * s * channel.beta * g, s * channel.beta * g)
+                          for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]))
     for first, counts, starts, _, _, inv_power in _marked_ppp(
             lambda0, channel, sim, _SUB_LAPLACE, served=False):
         live = np.flatnonzero(counts)
-        for row, (serving, atoms) in zip(vals, laws):
-            w = np.where(inv_power > serving, inv_power, np.inf)
-            factor = np.maximum(1.0 - sum(pc / (w + c) for pc, c in atoms), 0.0)
+        for row, serving, ((pc, c), *atoms) in laws:
+            factor = pc / (inv_power + c)
+            for pc, c in atoms:
+                factor += pc / (inv_power + c)
+            np.maximum(np.subtract(1.0, factor, out=factor), 0.0, out=factor)
+            factor[inv_power <= serving] = 1.0
             row[first + live] = np.multiply.reduceat(factor, starts[live])
     return vals

@@ -26,6 +26,10 @@ Laplace transform: on each trial's Laplace stream it draws the positions
 `mmtier.montecarlo` integrates those two draws out; by the tower property
 its per-trial value is the mean of this one's over fading and gains at the
 trial's positions.
+
+`dense_laplace_samples` is that integrated-out value by the plain dense rule,
+on `mmtier.montecarlo._marked_ppp`'s own chunks: it pins the arithmetic of the
+sampler's Laplace kernel, not its positions.
 """
 
 import math
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mmtier import montecarlo
 from mmtier.channel import (LOS, NLOS, BeamParams, ChannelParams, GainPmf, beam_gain_pmf,
                             los_probability)
 from mmtier.montecarlo import _SUB_COVERAGE, _SUB_LAPLACE, SimConfig, SimulationError
@@ -215,4 +220,24 @@ def raw_laplace_samples(s: float, serving_distance: float, serving_state: str, k
         power = interferer_power(radii, is_los, serving_distance, serving_state, channel)
         weights = rng.exponential(size=len(power)) * draw_gains(pmf, rng, len(power))
         vals[i] = math.exp(-s * channel.beta * float(weights @ power))
+    return vals
+
+
+def dense_laplace_samples(tuples, lambda0: float, channel: ChannelParams, beam: BeamParams,
+                          sim: SimConfig) -> np.ndarray:
+    """E[exp(-s I) | positions] per tuple (row) and trial (column): every point takes
+    w = d^alpha, or w = inf when w is at most the serving AP's r^alpha, and adds the
+    factor max(1 - sum_g p_g c_g/(w + c_g), 0), c_g = s beta g; a trial's value is the
+    product of its factors in draw order, an empty window's 1."""
+    vals = np.ones((len(tuples), sim.trials))
+    for first, counts, starts, _, _, inv_power in montecarlo._marked_ppp(
+            lambda0, channel, sim, _SUB_LAPLACE, served=False):
+        for row, (s, r, state, k) in zip(vals, tuples):
+            pmf = beam_gain_pmf(beam, k)
+            w = np.where(inv_power > r ** channel.alpha(state), inv_power, np.inf)
+            total = sum(p * s * channel.beta * g / (w + s * channel.beta * g)
+                        for g, p in zip(pmf.gains, pmf.probs) if p > 0.0)
+            factor = np.maximum(1.0 - total, 0.0).tolist()
+            for i, (start, n) in enumerate(zip(starts, counts), first):
+                row[i] = math.prod(factor[start:start + n])
     return vals

@@ -7,12 +7,14 @@ the positional reference in `mc_oracle`. `TestEmpiricalCoverage` checks the
 conditional coverage estimator against the indicator of the reference SINR on
 the same positions; `TestMarkedPppSampler` pins each trial's coverage to the
 all-point product at the reference positions, the conditional Laplace
-sampler to the raw exp(-s I) estimator there, and the coverage and
-association samplers to exact values on fixed seeds.
+sampler to the raw exp(-s I) estimator there and, bit for bit, to the dense
+rule on its own chunks, the sampler's d^alpha to r^alpha, and the coverage
+and association samplers to exact values on fixed seeds.
 """
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from mmtier import (
     LOS,
     NLOS,
+    BeamParams,
     BlockageModel,
     ChannelParams,
     QuadratureSpec,
@@ -38,9 +41,9 @@ from mmtier.montecarlo import (_NEAR_CUT, _SUB_ASSOCIATION, _SUB_COVERAGE, _SUB_
                                _laplace_samples, _success_probabilities, _trial_streams)
 
 from conftest import intensity_for
-from mc_oracle import (HopRealization, compute_sinr, draw_gains, interferer_power,
-                       laplace_positions, raw_laplace_samples, realize_hop, reference_stream,
-                       sinr_samples, success_probability)
+from mc_oracle import (HopRealization, compute_sinr, dense_laplace_samples, draw_gains,
+                       interferer_power, laplace_positions, raw_laplace_samples, realize_hop,
+                       reference_stream, sinr_samples, success_probability)
 
 ALWAYS_LOS = BlockageModel.constant(1.0)
 
@@ -421,6 +424,11 @@ GOLDEN_CONDITIONAL_LAPLACE = [
     ((1e4, 90.0, LOS, 12, "los_ball"), (0.3791199405631578, 0.0024029116224420373)),
 ]
 
+BLOCKAGE_KINDS = {"exponential": BlockageModel.exponential(141.4),
+                  "los_ball": BlockageModel.los_ball(100.0),
+                  "constant": BlockageModel.constant(0.5)}
+
+
 def _golden_channel(kind: str) -> ChannelParams:
     if kind == "exponential":
         return ChannelParams(2.0, 4.0, 1.0, BlockageModel.exponential(141.4))
@@ -518,6 +526,57 @@ class TestMarkedPppSampler:
         *tup, kind = args
         got = empirical_laplace(*tup, lam0, _golden_channel(kind), beam, GOLDEN_LAPLACE_SIM)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alphas", [(2.0, 4.0), (2.5, 3.7)], ids=["2-4", "2.5-3.7"])
+    @pytest.mark.parametrize("kind", sorted(BLOCKAGE_KINDS))
+    def test_path_loss_is_the_power_law(self, lam0, kind, alphas):
+        # d^alpha comes from one scalar exponent per state, not a per-point pow.
+        chan = ChannelParams(*alphas, 1.0, BLOCKAGE_KINDS[kind])
+        sim = SimConfig(window_radius_m=1000.0, trials=500, master_seed=17)
+        states = set()
+        for _, _, _, radii, is_los, inv_power in montecarlo._marked_ppp(
+                lam0, chan, sim, _SUB_LAPLACE, served=False):
+            want = radii ** np.where(is_los, *alphas)
+            assert np.all(np.abs(inv_power - want) <= 1e-15 * want)
+            states.update(is_los.tolist())
+        assert states == {False, True}
+
+    @pytest.mark.parametrize("window_m", [150.0, 1000.0])
+    @pytest.mark.parametrize("kind", sorted(BLOCKAGE_KINDS))
+    def test_laplace_kernel_is_the_dense_rule(self, lam0, kind, window_m):
+        # LOS- and NLOS-served tuples; s = 1e25 at k = 1, where this beam's gain
+        # probabilities sum to 1 + 2^-52, so factors round below 0 and are clamped (the
+        # 150 m window holds ~2 points, so a trial's product can be one such factor);
+        # s = 0; and an NLOS AP at the window's edge, which excludes every point.
+        beam = BeamParams(theta_a=0.3, g_main=100.0, g_side=1.0, rf_chains=12)
+        chan = ChannelParams(2.0, 4.0, 1.0, BLOCKAGE_KINDS[kind])
+        sim = SimConfig(window_radius_m=window_m, trials=500, master_seed=41)
+        tuples = [(30.0, 80.0, LOS, 6), (3.0, 40.0, NLOS, 2), (1e25, 50.0, LOS, 1),
+                  (0.0, 80.0, LOS, 6), (30.0, window_m, NLOS, 6)]
+        got = _laplace_samples(tuples, lam0, chan, beam, sim)
+        np.testing.assert_array_equal(got, dense_laplace_samples(tuples, lam0, chan, beam, sim))
+        assert np.all(np.any(got[:3] < 1.0, axis=1))
+        assert np.any(got[2] == 0.0)
+        assert np.all(got[3:] == 1.0)
+
+    def test_a_point_at_the_origin_at_zero_s_is_exactly_one(self, lam0, channel, beam,
+                                                           monkeypatch):
+        # Its d^alpha is 0, so at s = 0 a term p_g c_g/(w + c_g) would read 0/0.
+        marked_ppp = montecarlo._marked_ppp
+
+        def origin_first(*args, **kwargs):
+            for first, counts, starts, radii, is_los, inv_power in marked_ppp(*args, **kwargs):
+                radii[starts[counts > 0]] = inv_power[starts[counts > 0]] = 0.0
+                yield first, counts, starts, radii, is_los, inv_power
+
+        monkeypatch.setattr(montecarlo, "_marked_ppp", origin_first)
+        sim = SimConfig(window_radius_m=1000.0, trials=50, master_seed=5)
+        tuples = [(0.0, 80.0, LOS, 6), (30.0, 80.0, LOS, 6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _laplace_samples(tuples, lam0, channel, beam, sim)
+        assert np.all(got[0] == 1.0)
+        np.testing.assert_array_equal(got, dense_laplace_samples(tuples, lam0, channel, beam, sim))
 
     @pytest.mark.parametrize("window_m", [0.1, 60.0], ids=["always-empty", "often-empty"])
     def test_window_too_small_raises(self, lam0, channel, beam, window_m):
