@@ -101,6 +101,7 @@ _R_MIN_FACTOR = 1e-6
 # Coverage falls with tau: a larger tau is evaluated here, with the value added to the
 # error, which keeps s = r^alpha tau / (g^2 beta) and every product c = g tau finite.
 _TAU_CLAMP = 1e200
+_SERVING_MASS_TOL = 1e-3  # how far the serving-distance mass may miss 1; `validate` checks it too
 
 
 def _panel_edges(breaks, halvings: int) -> np.ndarray:
@@ -264,8 +265,8 @@ def tabulate_serving_distance(lam: float, channel: ChannelParams,
     32768) while the closed-form bound on the mass beyond it exceeds 1e-10.
     The masses sum each branch over every interval by the 2-node
     Gauss-Legendre rule; ``cdf`` is the cumulative sum of both over its last
-    value, from exactly 0 to exactly 1. A total mass off 1 by more than 1e-3
-    raises. ``quad`` is not used.
+    value, from exactly 0 to exactly 1. A total mass off 1 by more than
+    `_SERVING_MASS_TOL` raises. ``quad`` is not used.
     """
     if not lam > 0.0:
         raise ValueError("intensity must be positive")
@@ -288,7 +289,7 @@ def tabulate_serving_distance(lam: float, channel: ChannelParams,
     seg_l, seg_n = half * (f_l[:n] + f_l[n:]), half * (f_n[:n] + f_n[n:])
     # .sum(), not a dot product: a BLAS call can start its thread pool per table.
     mass_l, mass_n = float(seg_l.sum()), float(seg_n.sum())
-    if abs(mass_l + mass_n - 1.0) > 1e-3:
+    if abs(mass_l + mass_n - 1.0) > _SERVING_MASS_TOL:
         raise QuadratureError(f"serving-distance law integrates to {mass_l + mass_n!r}",
                               value=mass_l + mass_n)
     cum = np.cumsum(seg_l + seg_n)
@@ -492,7 +493,7 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
     s_arr = np.array([s])
     fields = [(np.array([lower[st]]), st) for st in (LOS, NLOS)]
     upper = quad.truncation_radius_m
-    atoms = [(p, g) for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
+    atoms = [(p, g) for g, p in pmf.support]
 
     def evaluate(halvings):
         blocks = _exponent_blocks(s_arr, fields, channel, upper, halvings)
@@ -627,7 +628,7 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     # this (the bound from the truncation radius covers every exclusion radius).
     tail_per_s = _TWO_PI * lambda0 * _interference_tail(
         channel.beta * pmf.expected_gain, upper, upper, channel, quad)
-    atoms = [(p, g * tau) for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
+    atoms = [(p, g * tau) for g, p in pmf.support]
     cs = [c for _, c in atoms]
 
     def evaluate(halvings):

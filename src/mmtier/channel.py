@@ -53,18 +53,6 @@ class BlockageModel:
         else:
             raise ValueError(f"unknown blockage kind {self.kind!r}")
 
-    @classmethod
-    def exponential(cls, mu_m: float) -> "BlockageModel":
-        return cls("exponential", mu_m)
-
-    @classmethod
-    def los_ball(cls, radius_m: float) -> "BlockageModel":
-        return cls("los_ball", radius_m)
-
-    @classmethod
-    def constant(cls, p: float) -> "BlockageModel":
-        return cls("constant", p)
-
 
 def _p_los_raw(r_arr: np.ndarray, blockage: BlockageModel):
     """los_probability without validation; hot path for internal array use."""
@@ -85,9 +73,7 @@ def los_probability(r, blockage: BlockageModel):
     if np.any(r_arr < 0.0):
         raise ValueError("link length must be non-negative")
     out = _p_los_raw(r_arr, blockage)
-    if np.isscalar(r) or np.ndim(r) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(r) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -166,9 +152,14 @@ class GainPmf:
         if any(p < 0.0 or p > 1.0 for p in self.probs):
             raise ValueError("gain probabilities must lie in [0, 1]")
 
+    @functools.cached_property
+    def support(self) -> tuple[tuple[float, float], ...]:
+        """The live atoms: each (g, p) with p > 0, in atom order (read-only, computed once)."""
+        return tuple((g, p) for g, p in zip(self.gains, self.probs) if p > 0.0)
+
     @property
     def expected_gain(self) -> float:
-        return math.fsum(g * p for g, p in zip(self.gains, self.probs))
+        return math.fsum(g * p for g, p in self.support)
 
 
 @functools.lru_cache(maxsize=64)

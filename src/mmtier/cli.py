@@ -48,12 +48,8 @@ def _philox_stream(seed: int, trial: int, substream: int) -> np.random.Generator
 
 
 def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats; empty cell for None."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """Shortest round-trip decimal for floats (`str` is `repr`); empty cell for None."""
+    return "" if value is None else str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +193,8 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0) -> list
     ``corrupt_alpha_nlos`` perturbs the NLOS exponent on the analytics side
     only; it exists to prove the coverage-agreement check has teeth.
     """
-    from scipy import stats  # imported here: no other command needs it
-
-    if cfg.mc_trials < 10_000:
-        raise ConfigError("validate mode needs mc_trials >= 10000")
+    if cfg.mc_trials < montecarlo._MIN_LAPLACE_TRIALS:
+        raise ConfigError(f"validate mode needs mc_trials >= {montecarlo._MIN_LAPLACE_TRIALS}")
     _topology_split_hops(cfg.network())  # before any Monte Carlo trial runs
     channel = cfg.channel()
     try:
@@ -217,10 +211,12 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0) -> list
     # 1. The association-distance law integrates to one.
     table = analytics.tabulate_serving_distance(lam0, channel_analytic, quad)
     mass_err = abs(table.total_mass - 1.0)
-    checks.append(CheckResult("serving-distance-mass", mass_err <= 1e-3, mass_err, 1e-3))
+    checks.append(CheckResult("serving-distance-mass", mass_err <= analytics._SERVING_MASS_TOL,
+                              mass_err, analytics._SERVING_MASS_TOL))
 
     # 2/3. Simulated association distances match the law (KS) and its LOS split.
     dist, is_los = montecarlo.serving_distance_samples(lam0, channel, sim)
+    from scipy import stats  # imported here, after every configuration check: only KS needs it
     ks = stats.ks_1samp(dist, table.cdf_at)
     checks.append(CheckResult("association-distance-ks", bool(ks.pvalue > 0.01),
                               float(ks.pvalue), 0.01, f"D={ks.statistic:.4g}"))
@@ -232,11 +228,12 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0) -> list
 
     # 4. Interference Laplace functional vs conditioned simulation, 20 tuples in one call.
     tuple_rng = _philox_stream(cfg.seed, 0, 23)
+    radial = geometry.RadialSampler(table.radii, table.cdf)
     tuples, analytic = [], []
     for _ in range(20):
         tau_db = float(tuple_rng.uniform(-10.0, 25.0))
         q = float(tuple_rng.uniform(0.1, 0.9))
-        r = float(np.interp(q, table.cdf, table.radii))
+        r = float(radial.quantile(q))
         state = LOS if tuple_rng.random() < table.los_mass / table.total_mass else NLOS
         k = int(tuple_rng.integers(1, cfg.rf_chains + 1))
         s = r**channel.alpha(state) * _db_to_linear(tau_db) / (beam.g_main**2 * channel.beta)

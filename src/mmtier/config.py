@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 from .analytics import NetworkParams, QuadratureSpec, _r0
 from .channel import BeamParams, BlockageModel, ChannelParams
-from .montecarlo import SimConfig
+from .montecarlo import _MIN_COVERAGE_TRIALS, SimConfig
 
 log = logging.getLogger("mmtier")
 
@@ -88,8 +88,8 @@ class ExperimentConfig:
             raise ConfigError("k_list entries must lie in 1..rf_chains")
         if not 1 <= self.k <= self.rf_chains:
             raise ConfigError("k must lie in 1..rf_chains")
-        if self.mc_trials != 0 and self.mc_trials < 100:
-            raise ConfigError("mc_trials must be 0 or at least 100")
+        if self.mc_trials != 0 and self.mc_trials < _MIN_COVERAGE_TRIALS:
+            raise ConfigError(f"mc_trials must be 0 or at least {_MIN_COVERAGE_TRIALS}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must lie in 0 .. 2^64 - 1")
         for key in ("truncation_radius_m", "window_radius_m", "topology_window_radius_m"):

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import BeamParams, ChannelParams, beam_gain_pmf, _check_state, _p_los_raw
+from .channel import LOS, BeamParams, ChannelParams, beam_gain_pmf, _check_state, _p_los_raw
 
 # Substream tags keep unrelated experiments off the same variates.
 _SUB_COVERAGE = 1
@@ -36,6 +36,8 @@ _MASK_128 = (1 << 128) - 1  # PCG64DXSM's LCG state is taken mod 2^128
 _Z95 = 1.959963984540054  # the two-sided 95% normal quantile
 
 _NEAR_CUT = 1e-5  # interferers with w_0/w_j above it enter coverage exactly
+_MIN_COVERAGE_TRIALS = 100  # fewest trials of a coverage estimate, and of a nonzero `mc_trials`
+_MIN_LAPLACE_TRIALS = 10_000  # fewest trials of a Laplace estimate, and of `validate`
 
 
 class SimulationError(RuntimeError):
@@ -97,6 +99,13 @@ def _trial_streams(master_seed: int, substream: int):
         x = (mult * x + plus) & _MASK_128
 
 
+def _path_loss(radii: np.ndarray, is_los: np.ndarray, channel: ChannelParams) -> np.ndarray:
+    """d^alpha(state) of every point, one rule for the drawn APs and the pinned ones."""
+    inv_power = (radii * radii) ** (0.5 * channel.alpha_nlos)  # a square at alpha 4,
+    inv_power[is_los] = radii[is_los] ** channel.alpha_los  # and at 2: no per-point pow
+    return inv_power
+
+
 def _marked_ppp(lambda0: float, channel: ChannelParams, sim: SimConfig, substream: int,
                 served: bool):
     """Every trial's draw of the LOS-marked PPP, in chunks of about `_CHUNK_POINTS` points.
@@ -137,8 +146,7 @@ def _marked_ppp(lambda0: float, channel: ChannelParams, sim: SimConfig, substrea
         counts = np.array(counts)
         radii = sim.window_radius_m * np.sqrt(buf[0, :end])
         is_los = buf[1, :end] < _p_los_raw(radii, channel.blockage)
-        inv_power = (radii * radii) ** (0.5 * channel.alpha_nlos)  # a square at alpha 4,
-        inv_power[is_los] = radii[is_los] ** channel.alpha_los  # and at 2: no per-point pow
+        inv_power = _path_loss(radii, is_los, channel)
         yield first, counts, np.cumsum(counts) - counts, radii, is_los, inv_power
 
 
@@ -197,7 +205,7 @@ def _success_probabilities(tau: float, k: int, channel: ChannelParams, beam: Bea
     """
     w0, near, near_starts, (s1, s2, s3) = summary
     pmf = beam_gain_pmf(beam, k)
-    atoms = [(p, tau * (g / beam.g_main**2)) for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
+    atoms = [(p, tau * (g / beam.g_main**2)) for g, p in pmf.support]
     p_s = np.exp(-tau * (channel.noise_power / (beam.g_main**2 * channel.beta)) * w0)
     factors, term = np.zeros_like(near), np.empty_like(near)  # the only near-sized arrays
     for p, c in atoms:
@@ -219,8 +227,8 @@ def empirical_coverage(tau: float, k: int, lambda0: float, channel: ChannelParam
     (tau, k) of a configuration reads one cached draw of positions."""
     if not 0.0 < tau < math.inf:
         raise ValueError("SINR threshold must be positive and finite")
-    if sim.trials < 100:
-        raise ValueError("coverage estimation needs at least 100 trials")
+    if sim.trials < _MIN_COVERAGE_TRIALS:
+        raise ValueError(f"coverage estimation needs at least {_MIN_COVERAGE_TRIALS} trials")
     p_s, bound = _success_probabilities(tau, k, channel, beam,
                                         _coverage_summary(lambda0, channel, sim))
     mean = math.fsum(p_s) / sim.trials
@@ -265,7 +273,7 @@ def empirical_laplace_batch(tuples, lambda0: float, channel: ChannelParams,
             raise ValueError("transform variable must be non-negative and finite")
         if not serving_distance > 0.0:
             raise ValueError("serving distance must be positive")
-    if sim.trials < 10_000:
+    if sim.trials < _MIN_LAPLACE_TRIALS:
         raise ValueError("Laplace estimation needs at least 10^4 trials")
     out = []
     for vals in _laplace_samples(tuples, lambda0, channel, beam, sim):
@@ -282,18 +290,19 @@ def _laplace_samples(tuples, lambda0: float, channel: ChannelParams, beam: BeamP
     An empty window is a valid draw. With unit-mean Rayleigh fading and gain atoms
     (g, p_g), a point at d^alpha = w adds the factor 1 - sum_g p_g c_g/(w + c_g), c_g =
     s beta g, its terms summed in place in atom order, clamped at 0, and exactly 1 where
-    w is at most the serving AP's r^alpha. A tuple at s = 0 is skipped (all factors 1).
+    w is at most the pinned AP's d^alpha (`_path_loss`). A tuple at s = 0 is skipped.
     Steps are elementwise or a per-trial sequential product, so a value does not
     depend on the chunking, the trial count or the other tuples.
     """
     vals = np.ones((len(tuples), sim.trials))  # an empty window's value, and any at s = 0
+    pinned = _path_loss(np.array([t[1] for t in tuples], dtype=float),
+                        np.array([t[2] == LOS for t in tuples], dtype=bool), channel)
     laws = []
-    for row, (s, serving_distance, serving_state, k) in zip(vals, tuples):
+    for row, serving, (s, _, _, k) in zip(vals, pinned, tuples):
         pmf = beam_gain_pmf(beam, k)
         if s > 0.0:
-            laws.append((row, serving_distance ** channel.alpha(serving_state),
-                         [(p * s * channel.beta * g, s * channel.beta * g)
-                          for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]))
+            laws.append((row, serving, [(p * s * channel.beta * g, s * channel.beta * g)
+                                        for g, p in pmf.support]))
     for first, counts, starts, _, _, inv_power in _marked_ppp(
             lambda0, channel, sim, _SUB_LAPLACE, served=False):
         live = np.flatnonzero(counts)

@@ -45,7 +45,7 @@ def latency_bounds(lambda_total: float, lambda0: float, rf_chains: int) -> tuple
 
 @pytest.fixture(scope="session")
 def blockage():
-    return BlockageModel.exponential(MU_M)
+    return BlockageModel("exponential", MU_M)
 
 
 @pytest.fixture(scope="session")

@@ -43,10 +43,10 @@ import adaptive_oracle as oracle
 import mc_oracle
 from conftest import MU_M, intensity_for, latency_bounds
 
-ALWAYS_LOS = BlockageModel.constant(1.0)
-HALF_LOS = BlockageModel.constant(0.5)
+ALWAYS_LOS = BlockageModel("constant", 1.0)
+HALF_LOS = BlockageModel("constant", 0.5)
 LAM = intensity_for(100.0)
-LOS_BALL_CHANNEL = ChannelParams(2.0, 4.0, 1.0, BlockageModel.los_ball(100.0))
+LOS_BALL_CHANNEL = ChannelParams(2.0, 4.0, 1.0, BlockageModel("los_ball", 100.0))
 
 
 def rayleigh_nearest_pdf(z, lam):
@@ -147,7 +147,7 @@ class TestServingDistancePdf:
         pytest.param(66.0, 965.0, 1e-8, id="66.0-mu965.0"),
     ])
     def test_total_probability_with_blockage(self, r0, mu, tol, quad):
-        channel = ChannelParams(2.0, 4.0, 1.0, BlockageModel.exponential(mu))
+        channel = ChannelParams(2.0, 4.0, 1.0, BlockageModel("exponential", mu))
         table = tabulate_serving_distance(intensity_for(r0), channel, quad)
         assert table.total_mass == pytest.approx(1.0, abs=tol)
 
@@ -198,8 +198,8 @@ class TestServingDistancePdf:
 
 
 BLOCKAGE_KINDS = {
-    "exponential": BlockageModel.exponential(MU_M),
-    "los_ball": BlockageModel.los_ball(100.0),
+    "exponential": BlockageModel("exponential", MU_M),
+    "los_ball": BlockageModel("los_ball", 100.0),
     "constant": HALF_LOS,
 }
 # Lengths on both sides of 64, where the distance laws once switched from
@@ -315,7 +315,7 @@ class TestLaplaceInterference:
     def test_divergent_far_field_raises(self, beam):
         # Flat blockage with a LOS exponent of 2: the interference integral has
         # a non-integrable far field and no truncation can bound the tail.
-        chan = ChannelParams(2.0, 4.0, 1.0, BlockageModel.constant(0.5))
+        chan = ChannelParams(2.0, 4.0, 1.0, BlockageModel("constant", 0.5))
         with pytest.raises(QuadratureError):
             laplace_interference(1.0, 50.0, LOS, 1, LAM, chan,
                                  beam, QuadratureSpec(truncation_radius_m=2500.0))
@@ -428,6 +428,25 @@ class TestCoverageProbability(_FreshCoverageCaches):
                                        QuadratureSpec(truncation_radius_m=20000.0))
             assert abs(short - far) <= err, (tau, k, short, far, err)
 
+    def test_error_covers_the_quartic_closed_form(self):
+        # Always LOS at alpha = 4 with no noise, infinite-plane coverage is
+        # 1/(1 + sum_g p_g rho(tau g/g_main^2)), rho(c) = sqrt(c) (pi/2 - atan c^-1/2)
+        # (Andrews, Baccelli & Ganti, IEEE TCOM 2011, gain atoms mixed in). Truncation
+        # drops interferers, so every default point lies above it, by at most quad_error.
+        cfg = config.ExperimentConfig(alpha_los=4.0, blockage="constant", blockage_param=1.0)
+        channel, beam, quad = cfg.channel(), cfg.beam(), cfg.quad()
+        assert channel.alpha_nlos == 4.0 and channel.noise_power == 0.0
+        for tau_db in cfg.tau_db_list:
+            tau = config._db_to_linear(tau_db)
+            for k in cfg.k_list:
+                pmf = beam_gain_pmf(beam, k)
+                atoms = [(p, tau * g / beam.g_main**2) for g, p in zip(pmf.gains, pmf.probs)]
+                rho = math.fsum(p * math.sqrt(c) * (0.5 * math.pi - math.atan(c ** -0.5))
+                                for p, c in atoms)
+                cov, err = coverage_probability(tau, k, cfg.lambda0, channel, beam, quad,
+                                                full_output=True)
+                assert 0.0 <= cov - 1.0 / (1.0 + rho) <= err, (tau_db, k)
+
     def test_k_validated(self, lam0, channel, beam, quad):
         with pytest.raises(ValueError):
             coverage_probability(1.0, 13, lam0, channel, beam, quad)
@@ -505,7 +524,7 @@ class TestCoveragePlan(_FreshCoverageCaches):
         assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("blockage", [BLOCKAGE_KINDS[kind] for kind in sorted(BLOCKAGE_KINDS)]
-                             + [ALWAYS_LOS, BlockageModel.constant(0.0)],
+                             + [ALWAYS_LOS, BlockageModel("constant", 0.0)],
                              ids=[*sorted(BLOCKAGE_KINDS), "always_los", "never_los"])
     def test_no_inner_node_of_weight_zero(self, blockage, lam0, beam, quad):
         # beyond a LOS ball the LOS field weighs 0, inside it the NLOS field;
@@ -954,13 +973,15 @@ class TestTailBound:
             scaled, _ = integrate.quad(lambda t: math.exp(-t) * (start + MU_M * t) ** (1.0 - alpha),
                                        0.0, math.inf, epsabs=0.0, epsrel=1e-12)
             want = MU_M * math.exp(-start / MU_M) * scaled
-            got = analytics._tail_radial_bound(BlockageModel.exponential(MU_M), LOS, start, alpha)
+            got = analytics._tail_radial_bound(BlockageModel("exponential", MU_M), LOS, start,
+                                               alpha)
             assert want * (1.0 - 1e-10) <= got <= want * (1.0 + MU_M / start), start
 
     @pytest.mark.parametrize("blockage", [
-        BlockageModel.exponential(MU_M), BlockageModel.exponential(965.0),
-        BlockageModel.los_ball(100.0), BlockageModel.los_ball(1234.5),
-        BlockageModel.constant(0.0), BlockageModel.constant(0.5), BlockageModel.constant(1.0),
+        BlockageModel("exponential", MU_M), BlockageModel("exponential", 965.0),
+        BlockageModel("los_ball", 100.0), BlockageModel("los_ball", 1234.5),
+        BlockageModel("constant", 0.0), BlockageModel("constant", 0.5),
+        BlockageModel("constant", 1.0),
     ], ids=repr)
     @pytest.mark.parametrize("state", [LOS, NLOS])
     def test_zero_exponent_is_the_mass_beyond(self, blockage, state):
@@ -973,7 +994,7 @@ class TestTailBound:
             z = float(z)
             got = analytics._tail_radial_bound(blockage, state, z, 0.0)
             if state == NLOS:
-                assert got == (0.0 if blockage == BlockageModel.constant(1.0) else math.inf)
+                assert got == (0.0 if blockage == BlockageModel("constant", 1.0) else math.inf)
             elif blockage.kind == "exponential":
                 # the same closed form, its five roundings in another order
                 want = q * q * math.exp(-z / q) * (1.0 + z / q)
@@ -989,7 +1010,7 @@ class TestTailBound:
 
     def test_coverage_below_unit_exponent_loads_no_scipy(self):
         code = ("import math, sys; from mmtier import *; "
-                "ch = ChannelParams(0.8, 4.0, 1.0, BlockageModel.exponential(141.4)); "
+                "ch = ChannelParams(0.8, 4.0, 1.0, BlockageModel('exponential', 141.4)); "
                 "beam = BeamParams(math.pi / 6.0, 100.0, 1.0, 12); "
                 "coverage_probability(1.0, 6, 1e-4 / math.pi, ch, beam, "
                 "QuadratureSpec(truncation_radius_m=2500.0)); "
@@ -1003,10 +1024,10 @@ class TestTailBound:
 # laws (constant blockage needs alpha_los > 2 for a finite far field) and
 # a noise-limited case.
 ORACLE_CASES = {
-    "exponential": (ChannelParams(2.0, 4.0, 1.0, BlockageModel.exponential(MU_M)), 2.0, 6),
+    "exponential": (ChannelParams(2.0, 4.0, 1.0, BlockageModel("exponential", MU_M)), 2.0, 6),
     "los_ball": (LOS_BALL_CHANNEL, 0.5, 3),
     "constant": (ChannelParams(2.5, 4.0, 1.0, HALF_LOS), 1.0, 6),
-    "noise": (ChannelParams(2.0, 4.0, 1.0, BlockageModel.exponential(MU_M), noise_power=0.5),
+    "noise": (ChannelParams(2.0, 4.0, 1.0, BlockageModel("exponential", MU_M), noise_power=0.5),
               1.0, 1),
 }
 

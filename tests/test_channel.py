@@ -35,29 +35,29 @@ from mc_oracle import HopRealization, compute_sinr, draw_gains
 
 class TestBlockage:
     def test_exponential_zero_length_is_los(self):
-        assert los_probability(0.0, BlockageModel.exponential(50.0)) == 1.0
+        assert los_probability(0.0, BlockageModel("exponential", 50.0)) == 1.0
 
     def test_exponential_at_mu(self):
-        assert los_probability(141.4, BlockageModel.exponential(141.4)) == pytest.approx(
+        assert los_probability(141.4, BlockageModel("exponential", 141.4)) == pytest.approx(
             math.exp(-1.0), abs=1e-12)
 
     def test_los_ball_indicator(self):
-        ball = BlockageModel.los_ball(100.0)
+        ball = BlockageModel("los_ball", 100.0)
         assert los_probability(99.0, ball) == 1.0
         assert los_probability(101.0, ball) == 0.0
 
     def test_constant(self):
-        assert los_probability(12345.0, BlockageModel.constant(0.3)) == 0.3
+        assert los_probability(12345.0, BlockageModel("constant", 0.3)) == 0.3
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
-            los_probability(-1.0, BlockageModel.constant(0.5))
+            los_probability(-1.0, BlockageModel("constant", 0.5))
 
     def test_invalid_models_rejected(self):
         with pytest.raises(ValueError):
-            BlockageModel.exponential(0.0)
+            BlockageModel("exponential", 0.0)
         with pytest.raises(ValueError):
-            BlockageModel.constant(1.5)
+            BlockageModel("constant", 1.5)
         with pytest.raises(ValueError):
             BlockageModel("fancy", 1.0)
 
@@ -65,7 +65,7 @@ class TestBlockage:
            mu=st.floats(min_value=1e-3, max_value=1e4))
     def test_states_partition_probability(self, r, mu):
         # the analytics' per-state probability: the LOS law and its complement
-        model = BlockageModel.exponential(mu)
+        model = BlockageModel("exponential", mu)
         p_los = _state_probability(model, LOS, r)
         assert p_los == los_probability(r, model)
         assert p_los + _state_probability(model, NLOS, r) == pytest.approx(1.0, abs=1e-12)
@@ -75,11 +75,11 @@ class TestBlockage:
            r2=st.floats(min_value=0.0, max_value=1e4))
     def test_monotone_non_increasing(self, r1, r2):
         lo, hi = sorted((r1, r2))
-        for model in (BlockageModel.exponential(100.0), BlockageModel.los_ball(100.0)):
+        for model in (BlockageModel("exponential", 100.0), BlockageModel("los_ball", 100.0)):
             assert los_probability(lo, model) >= los_probability(hi, model)
 
     def test_array_input(self):
-        model = BlockageModel.exponential(100.0)
+        model = BlockageModel("exponential", 100.0)
         r = np.array([0.0, 100.0, 300.0])
         np.testing.assert_allclose(los_probability(r, model),
                                    np.exp(-r / 100.0), atol=1e-15)
@@ -94,7 +94,7 @@ class TestPathLoss:
     @pytest.fixture
     def params(self):
         return ChannelParams(alpha_los=2.0, alpha_nlos=4.0, beta=1.0,
-                             blockage=BlockageModel.constant(1.0))
+                             blockage=BlockageModel("constant", 1.0))
 
     def test_los_decade(self, params):
         assert path_loss(10.0, LOS, params) == pytest.approx(0.01, abs=1e-15)
@@ -105,7 +105,7 @@ class TestPathLoss:
     def test_unit_distance_gives_intercept(self, params):
         assert path_loss(1.0, LOS, params) == 1.0
         assert path_loss(1.0, NLOS, params) == 1.0
-        scaled = ChannelParams(2.0, 4.0, 3.0, BlockageModel.constant(1.0))
+        scaled = ChannelParams(2.0, 4.0, 3.0, BlockageModel("constant", 1.0))
         assert path_loss(1.0, LOS, scaled) == 3.0
 
     def test_zero_distance_rejected(self, params, beam):
@@ -126,18 +126,18 @@ class TestPathLoss:
     @given(r1=st.floats(min_value=1e-3, max_value=1e5),
            r2=st.floats(min_value=1e-3, max_value=1e5))
     def test_strictly_decreasing(self, r1, r2):
-        params = ChannelParams(2.0, 4.0, 3.0, BlockageModel.constant(0.5))
+        params = ChannelParams(2.0, 4.0, 3.0, BlockageModel("constant", 0.5))
         lo, hi = sorted((r1, r2))
         if lo < hi:
             assert path_loss(lo, LOS, params) > path_loss(hi, LOS, params)
 
     @given(r=st.floats(min_value=1.0, max_value=1e5))
     def test_los_dominates_nlos_beyond_unit_distance(self, r):
-        params = ChannelParams(2.1, 3.7, 2.0, BlockageModel.constant(0.5))
+        params = ChannelParams(2.1, 3.7, 2.0, BlockageModel("constant", 0.5))
         assert path_loss(r, LOS, params) >= path_loss(r, NLOS, params)
 
     def test_invariants_rejected(self):
-        blk = BlockageModel.constant(1.0)
+        blk = BlockageModel("constant", 1.0)
         with pytest.raises(ValueError):
             ChannelParams(alpha_los=0.0, alpha_nlos=4.0, beta=1.0, blockage=blk)
         with pytest.raises(ValueError):
@@ -176,6 +176,15 @@ class TestBeamGainPmf:
         pmf = beam_gain_pmf(beam, k)
         assert abs(math.fsum(pmf.probs) - 1.0) <= 1e-12
         assert all(0.0 <= p <= 1.0 for p in pmf.probs)
+
+    def test_support_is_the_live_atoms_in_order(self, beam):
+        # k = 12 covers the circle: only the main-main atom is live
+        assert beam_gain_pmf(beam, 12).support == ((10000.0, 1.0),)
+        pmf = beam_gain_pmf(beam, 6)
+        assert pmf.support == tuple(zip(pmf.gains, pmf.probs))
+        for k in range(1, 13):
+            pmf = beam_gain_pmf(beam, k)
+            assert pmf.expected_gain == math.fsum(g * p for g, p in zip(pmf.gains, pmf.probs))
 
     def test_expected_gain_monotone_in_k(self, beam):
         expected = [beam_gain_pmf(beam, k).expected_gain for k in range(1, 13)]
@@ -231,7 +240,7 @@ class TestFading:
     """With one serving AP at unit distance, unit gains, unit intercept and
     unit noise, `compute_sinr` returns the serving link's fading draw."""
 
-    CHANNEL = ChannelParams(2.0, 4.0, 1.0, BlockageModel.constant(1.0), noise_power=1.0)
+    CHANNEL = ChannelParams(2.0, 4.0, 1.0, BlockageModel("constant", 1.0), noise_power=1.0)
     BEAM = BeamParams(theta_a=0.5, g_main=1.0, g_side=1.0, rf_chains=1)
     ALONE = HopRealization(serving_position=np.array([1.0, 0.0]), serving_is_los=True,
                            interferer_positions=np.empty((0, 2)),

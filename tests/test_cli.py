@@ -191,6 +191,28 @@ class TestSerializationFormats:
         for name, digest in (("sweep.csv", csv_digest), ("sweep.json", json_digest)):
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
+    # sha256 of the default `mmtier topology` dumps and of `validation.txt` from
+    # `mmtier validate --trials 10000` on FAST (every check passes), recorded before the
+    # live gain atoms, the serving inverse CDF and the trial floors each got one home.
+    OUTPUT_DIGESTS = {
+        "topology.csv": "314e2c1b2b3b911e3fcf7041277794bf489e25cec789d7d84a11844c4d3ecb7c",
+        "topology.dat": "ef84e180714361bbc84cfa934bc5f0750908325fb88227fd4824d0921f6260ba",
+        "validation.txt": "6cb0c18c2c779399b2e88b4c670922c7a5cfa82e011e2c4149d99d13e97eb5b7",
+    }
+
+    def test_topology_outputs_match_recorded_digests(self, tmp_path):
+        assert main(["topology", "--out", str(tmp_path), "--quiet"]) == 0
+        for name in ("topology.csv", "topology.dat"):
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == self.OUTPUT_DIGESTS[name], name
+
+    def test_validation_report_matches_recorded_digest(self, tmp_path):
+        (tmp_path / "fast.cfg").write_text(FAST)
+        assert main(["validate", "--config", str(tmp_path / "fast.cfg"), "--trials", "10000",
+                     "--out", str(tmp_path), "--quiet"]) == 0
+        digest = hashlib.sha256((tmp_path / "validation.txt").read_bytes()).hexdigest()
+        assert digest == self.OUTPUT_DIGESTS["validation.txt"]
+
 
 class TestEmitTopology:
     def test_gain_one_gives_thirteen_blocks(self, fast_cfg, tmp_path):
@@ -463,6 +485,23 @@ class TestMainExitCodes:
                      "--trials", "50", "--quiet"]) == 1
         assert "mc_trials must be 0 or at least 100" in caplog.text
         assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_validate_config_error_loads_no_scipy_stats(tmp_path):
+    # every configuration check of `validate` runs before its one KS test imports scipy.stats
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text(VALIDATE_CFG)
+    argv = ["validate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet",
+            "--corrupt-analytics-alpha-nlos=nan"]
+    code = ("import sys\n"
+            "from mmtier import cli\n"
+            f"assert cli.main({argv!r}) == 1\n"
+            "print('scipy.stats' in sys.modules)\n")
+    src = str(Path(mmtier.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_import_loads_neither_scipy_stats_nor_integrate():

@@ -89,8 +89,8 @@ class TestRadialSampler:
         # E[r^2] = 1 / (pi lam) = r0^2
         assert sampler.rms == pytest.approx(100.0, rel=1e-6)
 
-    @pytest.mark.parametrize("blockage", [BlockageModel.exponential(141.4),
-                                          BlockageModel.los_ball(100.0)])
+    @pytest.mark.parametrize("blockage", [BlockageModel("exponential", 141.4),
+                                          BlockageModel("los_ball", 100.0)])
     def test_inverts_the_serving_table_cdf(self, lam0, blockage):
         # one CDF: the sampler inverts exactly the table that validate's KS test reads
         channel = ChannelParams(2.0, 4.0, 1.0, blockage)

@@ -45,7 +45,7 @@ from mc_oracle import (HopRealization, compute_sinr, dense_laplace_samples, draw
                        interferer_power, laplace_positions, raw_laplace_samples, realize_hop,
                        reference_stream, sinr_samples, success_probability)
 
-ALWAYS_LOS = BlockageModel.constant(1.0)
+ALWAYS_LOS = BlockageModel("constant", 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +211,7 @@ class TestEmpiricalCoverage:
     def test_bounded_and_monotone_at_every_finite_tau(self, lam0, beam, noise, small_sim):
         # From the least subnormal to the largest double, across the switch
         # from the far-field series to its bracket at tau = 1/(2 cut).
-        chan = ChannelParams(2.0, 4.0, 1.0, BlockageModel.exponential(141.4), noise_power=noise)
+        chan = ChannelParams(2.0, 4.0, 1.0, BlockageModel("exponential", 141.4), noise_power=noise)
         switch = 0.5 / _NEAR_CUT
         taus = sorted({5e-324, *np.logspace(-300, 300, 121), switch * (1.0 - 1e-9), switch,
                        np.nextafter(switch, np.inf), 1e5, 1e6, np.finfo(float).max})
@@ -424,26 +424,26 @@ GOLDEN_CONDITIONAL_LAPLACE = [
     ((1e4, 90.0, LOS, 12, "los_ball"), (0.3791199405631578, 0.0024029116224420373)),
 ]
 
-BLOCKAGE_KINDS = {"exponential": BlockageModel.exponential(141.4),
-                  "los_ball": BlockageModel.los_ball(100.0),
-                  "constant": BlockageModel.constant(0.5)}
+BLOCKAGE_KINDS = {"exponential": BlockageModel("exponential", 141.4),
+                  "los_ball": BlockageModel("los_ball", 100.0),
+                  "constant": BlockageModel("constant", 0.5)}
 
 
 def _golden_channel(kind: str) -> ChannelParams:
     if kind == "exponential":
-        return ChannelParams(2.0, 4.0, 1.0, BlockageModel.exponential(141.4))
-    return ChannelParams(2.0, 4.0, 1.0, BlockageModel.los_ball(100.0), noise_power=1e-9)
+        return ChannelParams(2.0, 4.0, 1.0, BlockageModel("exponential", 141.4))
+    return ChannelParams(2.0, 4.0, 1.0, BlockageModel("los_ball", 100.0), noise_power=1e-9)
 
 
 class TestMarkedPppSampler:
     @pytest.mark.parametrize("blockage, noise, k, window_m", [
-        (BlockageModel.exponential(141.4), 0.0, 6, 1000.0),
-        (BlockageModel.los_ball(100.0), 0.0, 3, 1000.0),
-        (BlockageModel.exponential(141.4), 1e-7, 12, 1000.0),
-        (BlockageModel.constant(0.5), 0.0, 6, 1000.0),
+        (BlockageModel("exponential", 141.4), 0.0, 6, 1000.0),
+        (BlockageModel("los_ball", 100.0), 0.0, 3, 1000.0),
+        (BlockageModel("exponential", 141.4), 1e-7, 12, 1000.0),
+        (BlockageModel("constant", 0.5), 0.0, 6, 1000.0),
         # About 4.4 APs per window: 3 of the 40 trials hold one AP, so at zero noise
         # nothing interferes (SINR = inf), and one empty draw stays within the limit.
-        (BlockageModel.exponential(141.4), 0.0, 6, 210.0),
+        (BlockageModel("exponential", 141.4), 0.0, 6, 210.0),
     ], ids=["exponential", "los_ball", "noise", "mixed_states", "single_ap"])
     def test_coverage_matches_the_all_point_product(self, lam0, beam, blockage, noise, k,
                                                     window_m):
@@ -558,6 +558,27 @@ class TestMarkedPppSampler:
         assert np.all(np.any(got[:3] < 1.0, axis=1))
         assert np.any(got[2] == 0.0)
         assert np.all(got[3:] == 1.0)
+
+    def test_a_pinned_ap_excludes_a_drawn_point_at_its_own_radius(self, lam0, channel, beam):
+        # An NLOS point's d^alpha, (r * r)^2, and r ** 4.0 are two roundings of r^4. Pin an
+        # NLOS AP at the radius of each trial's weakest point, where that point is NLOS
+        # and its d^alpha rounds above r ** 4.0: no point then offers less power than the
+        # AP, so the trial's value is exactly 1, as it is when V is taken by the same rule.
+        sim = SimConfig(window_radius_m=1000.0, trials=100, master_seed=43)
+        pins = {}
+        for first, counts, starts, radii, is_los, inv_power in montecarlo._marked_ppp(
+                lam0, channel, sim, _SUB_LAPLACE, served=False):
+            for trial, (start, n) in enumerate(zip(starts, counts), first):
+                if n == 0:
+                    continue
+                j = start + int(np.argmax(inv_power[start:start + n]))
+                r = float(radii[j])
+                if not is_los[j] and inv_power[j] > r ** 4.0:
+                    pins[trial] = r
+        assert len(pins) >= 10
+        vals = _laplace_samples([(30.0, r, NLOS, 6) for r in pins.values()], lam0, channel,
+                                beam, sim)
+        assert [row[trial] for row, trial in zip(vals, pins)] == [1.0] * len(pins)
 
     def test_a_point_at_the_origin_at_zero_s_is_exactly_one(self, lam0, channel, beam,
                                                            monkeypatch):
