@@ -32,6 +32,7 @@ from .channel import (
     beam_gain_pmf,
     los_probability,
     _check_state,
+    _require,
     _TWO_PI,
 )
 
@@ -67,17 +68,15 @@ class QuadratureSpec:
     truncation_radius_m: float = 5000.0
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("quadrature tolerances must be positive")
-        if not self.truncation_radius_m > 0.0:
-            raise ValueError("truncation radius must be positive")
+        _require("quadrature tolerances", self.rel_tol)
+        _require("quadrature tolerances", self.abs_tol)
+        _require("truncation radius", self.truncation_radius_m)
 
     @classmethod
     def for_tier_intensity(cls, lambda0: float, rel_tol: float = rel_tol,
                            abs_tol: float = abs_tol) -> "QuadratureSpec":
         """Truncate at 50 mean inter-AP distances r0 = (pi*lambda0)^-1/2."""
-        if not lambda0 > 0.0:
-            raise ValueError("tier intensity must be positive")
+        _require("tier intensity", lambda0)
         return cls(rel_tol=rel_tol, abs_tol=abs_tol, truncation_radius_m=50.0 * _r0(lambda0))
 
 
@@ -184,8 +183,7 @@ def nearest_distance_pdf(z, state: str, lam: float, blockage: BlockageModel):
     elementwise over an array ``z``.
     """
     _check_state(state)
-    if not lam > 0.0:
-        raise ValueError("intensity must be positive")
+    _require("intensity", lam)
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr < 0.0):
         raise ValueError("distance must be non-negative")
@@ -268,8 +266,7 @@ def tabulate_serving_distance(lam: float, channel: ChannelParams,
     value, from exactly 0 to exactly 1. A total mass off 1 by more than
     `_SERVING_MASS_TOL` raises. ``quad`` is not used.
     """
-    if not lam > 0.0:
-        raise ValueError("intensity must be positive")
+    _require("intensity", lam)
     r_scale = _r0(lam)
     if channel.blockage.kind == "exponential":
         r_scale = max(r_scale, channel.blockage.param)
@@ -289,7 +286,7 @@ def tabulate_serving_distance(lam: float, channel: ChannelParams,
     seg_l, seg_n = half * (f_l[:n] + f_l[n:]), half * (f_n[:n] + f_n[n:])
     # .sum(), not a dot product: a BLAS call can start its thread pool per table.
     mass_l, mass_n = float(seg_l.sum()), float(seg_n.sum())
-    if abs(mass_l + mass_n - 1.0) > _SERVING_MASS_TOL:
+    if not abs(mass_l + mass_n - 1.0) <= _SERVING_MASS_TOL:
         raise QuadratureError(f"serving-distance law integrates to {mass_l + mass_n!r}",
                               value=mass_l + mass_n)
     cum = np.cumsum(seg_l + seg_n)
@@ -477,12 +474,9 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
     panel-halving difference plus the analytic truncation tail bound.
     """
     _check_state(serving_state)
-    if not 0.0 <= s < math.inf:
-        raise ValueError("transform variable must be non-negative and finite")
-    if not serving_distance > 0.0:
-        raise ValueError("serving distance must be positive")
-    if not 0.0 <= lambda0 < math.inf:
-        raise ValueError("intensity must be non-negative and finite")
+    _require("transform variable", s, zero_ok=True)
+    _require("serving distance", serving_distance)
+    _require("intensity", lambda0, zero_ok=True)
     if s == 0.0 or lambda0 == 0.0:
         return (1.0, 0.0) if full_output else 1.0
 
@@ -616,10 +610,8 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     product, share one flat pass over each block. Finer panels are planned per
     call, every live atom summed in one pass over the blocks as they are built.
     """
-    if not 0.0 < tau < math.inf:
-        raise ValueError("SINR threshold must be positive and finite")
-    if not 0.0 < lambda0 < math.inf:
-        raise ValueError("tier intensity must be positive and finite")
+    _require("SINR threshold", tau)
+    _require("tier intensity", lambda0)
     clamped = tau > _TAU_CLAMP
     tau = min(tau, _TAU_CLAMP)
     pmf = beam_gain_pmf(beam, k)  # validates k against the RF-chain budget
@@ -666,14 +658,13 @@ class NetworkParams:
     gain_per_hop: int = 1
 
     def __post_init__(self):
-        if not self.lambda_tier0 > 0.0:
-            raise ValueError("tier-0 intensity must be positive")
-        if not self.lambda_tier0 <= self.lambda_total < math.inf:
-            raise ValueError("total density must be finite and at least the tier-0 density")
-        if self.rf_chains < 1:
+        _require("tier-0 intensity", self.lambda_tier0)
+        _require("total density", self.lambda_total)
+        if not self.lambda_total >= self.lambda_tier0:
+            raise ValueError("total density must be at least the tier-0 density")
+        if not self.rf_chains >= 1:
             raise ValueError("need at least one RF chain")
-        if not self.bandwidth > 0.0:
-            raise ValueError("bandwidth must be positive")
+        _require("bandwidth", self.bandwidth)
         if not 1 <= self.gain_per_hop <= self.rf_chains:
             raise ValueError("per-hop gain must lie in 1..rf_chains")
 
@@ -720,9 +711,11 @@ def hop_count(lambda_total: float, lambda0: float, k: int, allow_floor: bool = F
     non-integer result is rejected unless ``allow_floor`` is set, in which case
     the count is floored (the residual intensity is then unreachable).
     """
-    if not lambda0 > 0.0 or lambda_total < lambda0:
+    _require("lambda0", lambda0)
+    _require("lambda_total", lambda_total)
+    if not lambda_total >= lambda0:
         raise ValueError("need lambda_total >= lambda0 > 0")
-    if k < 1:
+    if not k >= 1:
         raise ValueError("per-hop gain must be at least 1")
     m_real = _hop_ratio(lambda_total, lambda0, k)
     m_int = round(m_real)

@@ -30,6 +30,14 @@ def _check_state(state: str) -> None:
         raise ValueError(f"unknown link state {state!r}, expected one of {_STATES}")
 
 
+def _require(name: str, value: float, zero_ok: bool = False) -> None:
+    """The domain rule of a scalar model argument: positive (non-negative when
+    ``zero_ok``) and finite. Written so that NaN fails."""
+    low_ok = 0.0 <= value if zero_ok else 0.0 < value
+    if not (low_ok and value < math.inf):
+        raise ValueError(f"{name} must be {'non-negative' if zero_ok else 'positive'} and finite")
+
+
 @dataclass(frozen=True)
 class BlockageModel:
     """LOS probability law P_L(r) for a link of length r.
@@ -45,8 +53,7 @@ class BlockageModel:
 
     def __post_init__(self):
         if self.kind in ("exponential", "los_ball"):
-            if not self.param > 0.0:
-                raise ValueError(f"{self.kind} blockage needs a positive length, got {self.param}")
+            _require(f"{self.kind} blockage length", self.param)
         elif self.kind == "constant":
             if not 0.0 <= self.param <= 1.0:
                 raise ValueError(f"constant blockage needs p in [0, 1], got {self.param}")
@@ -92,14 +99,12 @@ class ChannelParams:
     noise_power: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha_los > 0.0:
-            raise ValueError("alpha_los must be positive")
-        if self.alpha_nlos < self.alpha_los:
+        _require("alpha_los", self.alpha_los)
+        if not self.alpha_nlos >= self.alpha_los:
             raise ValueError("alpha_nlos must be >= alpha_los")
-        if not self.beta > 0.0:
-            raise ValueError("path-loss intercept beta must be positive")
-        if self.noise_power < 0.0:
-            raise ValueError("noise power must be non-negative")
+        _require("alpha_nlos", self.alpha_nlos)
+        _require("path-loss intercept beta", self.beta)
+        _require("noise power", self.noise_power, zero_ok=True)
 
     def alpha(self, state: str) -> float:
         _check_state(state)
@@ -123,13 +128,15 @@ class BeamParams:
     def __post_init__(self):
         if not 0.0 < self.theta_a <= _TWO_PI:
             raise ValueError("main-lobe width must lie in (0, 2*pi]")
-        if not self.g_main >= self.g_side > 0.0:
+        _require("g_main", self.g_main)
+        _require("g_side", self.g_side)
+        if not self.g_main >= self.g_side:
             raise ValueError("need g_main >= g_side > 0")
-        if self.rf_chains < 1:
+        if not self.rf_chains >= 1:
             raise ValueError("need at least one RF chain")
         # With k beams active the main lobes cover theta_a * k of the circle;
         # the alignment probability theta_a*k/(2*pi) must stay <= 1 even at k = K.
-        if self.theta_a * self.rf_chains > _TWO_PI * (1.0 + 1e-12):
+        if not self.theta_a * self.rf_chains <= _TWO_PI * (1.0 + 1e-12):
             raise ValueError("theta_a * rf_chains must not exceed 2*pi")
 
 
@@ -147,9 +154,9 @@ class GainPmf:
 
     def __post_init__(self):
         total = math.fsum(self.probs)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"gain probabilities sum to {total!r}, not 1")
-        if any(p < 0.0 or p > 1.0 for p in self.probs):
+        if not all(0.0 <= p <= 1.0 for p in self.probs):
             raise ValueError("gain probabilities must lie in [0, 1]")
 
     @functools.cached_property

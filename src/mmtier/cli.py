@@ -221,8 +221,9 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0) -> list
     checks.append(CheckResult("association-distance-ks", bool(ks.pvalue > 0.01),
                               float(ks.pvalue), 0.01, f"D={ks.statistic:.4g}"))
     los_frac = float(np.mean(is_los))
-    split_se = math.sqrt(max(table.los_mass * (1 - table.los_mass), 1e-12) / sim.trials)
-    split_err = abs(los_frac - table.los_mass / table.total_mass)
+    los_share = table.los_mass / table.total_mass  # the law's LOS split, normalized
+    split_se = math.sqrt(max(los_share * (1 - los_share), 1e-12) / sim.trials)
+    split_err = abs(los_frac - los_share)
     checks.append(CheckResult("association-los-split", split_err <= 4 * split_se + 1e-6,
                               split_err, 4 * split_se + 1e-6))
 
@@ -234,7 +235,7 @@ def run_validate(cfg: ExperimentConfig, corrupt_alpha_nlos: float = 0.0) -> list
         tau_db = float(tuple_rng.uniform(-10.0, 25.0))
         q = float(tuple_rng.uniform(0.1, 0.9))
         r = float(radial.quantile(q))
-        state = LOS if tuple_rng.random() < table.los_mass / table.total_mass else NLOS
+        state = LOS if tuple_rng.random() < los_share else NLOS
         k = int(tuple_rng.integers(1, cfg.rf_chains + 1))
         s = r**channel.alpha(state) * _db_to_linear(tau_db) / (beam.g_main**2 * channel.beta)
         tuples.append((s, r, state, k))

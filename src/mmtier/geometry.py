@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .channel import ChannelParams, _TWO_PI
+from .channel import ChannelParams, _require, _TWO_PI
 from .analytics import QuadratureSpec, DEFAULT_QUAD
 
 
@@ -44,8 +44,7 @@ class Window:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("window radius must be positive")
+        _require("window radius", self.radius)
 
     @property
     def area(self) -> float:
@@ -65,8 +64,7 @@ def sample_ppp(intensity: float, window: Window, rng: np.random.Generator) -> np
     Returns an (n, 2) array. Identical (intensity, window, rng state) gives
     bit-identical output.
     """
-    if intensity < 0.0:
-        raise ValueError("intensity must be non-negative")
+    _require("intensity", intensity, zero_ok=True)
     return _ppp_draws(intensity, window, 1, rng)[0]
 
 

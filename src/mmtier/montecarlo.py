@@ -23,7 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import LOS, BeamParams, ChannelParams, beam_gain_pmf, _check_state, _p_los_raw
+from .channel import (LOS, BeamParams, ChannelParams, beam_gain_pmf, _check_state, _p_los_raw,
+                      _require)
 
 # Substream tags keep unrelated experiments off the same variates.
 _SUB_COVERAGE = 1
@@ -64,8 +65,7 @@ class SimConfig:
                 operator.index(getattr(self, name))
             except TypeError:
                 raise ValueError(f"{name} must be an integer") from None
-        if not 0.0 < self.window_radius_m < math.inf:
-            raise ValueError("window radius must be positive and finite")
+        _require("window radius", self.window_radius_m)
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if not 0 <= self.master_seed < 2**64:
@@ -118,8 +118,8 @@ def _marked_ppp(lambda0: float, channel: ChannelParams, sim: SimConfig, substrea
     count and first index, and the chunk's radii, LOS marks and d^alpha(state)
     (the inverse mean power per unit intercept).
     """
-    if served and not 0.0 < lambda0 < math.inf:
-        raise ValueError("tier intensity must be positive and finite")
+    if served:
+        _require("tier intensity", lambda0)
     mean_count = lambda0 * math.pi * sim.window_radius_m**2
     chunk = max(1, int(_CHUNK_POINTS / (mean_count + 1.0)))
     resample_limit = max(1.0, 1e-4 * sim.trials)
@@ -225,8 +225,7 @@ def empirical_coverage(tau: float, k: int, lambda0: float, channel: ChannelParam
     """Mean of P(SINR > tau | positions) over the trials, and a 95% half-width: 1.96
     standard errors plus the mean error bound (`_success_probabilities`). Every
     (tau, k) of a configuration reads one cached draw of positions."""
-    if not 0.0 < tau < math.inf:
-        raise ValueError("SINR threshold must be positive and finite")
+    _require("SINR threshold", tau)
     if sim.trials < _MIN_COVERAGE_TRIALS:
         raise ValueError(f"coverage estimation needs at least {_MIN_COVERAGE_TRIALS} trials")
     p_s, bound = _success_probabilities(tau, k, channel, beam,
@@ -265,14 +264,11 @@ def empirical_laplace_batch(tuples, lambda0: float, channel: ChannelParams,
     integrated out (`_laplace_samples`); per-trial values are combined by
     compensated summation.
     """
-    if not 0.0 <= lambda0 < math.inf:
-        raise ValueError("intensity must be non-negative and finite")
+    _require("intensity", lambda0, zero_ok=True)
     for s, serving_distance, serving_state, _ in tuples:
         _check_state(serving_state)
-        if not 0.0 <= s < math.inf:
-            raise ValueError("transform variable must be non-negative and finite")
-        if not serving_distance > 0.0:
-            raise ValueError("serving distance must be positive")
+        _require("transform variable", s, zero_ok=True)
+        _require("serving distance", serving_distance)
     if sim.trials < _MIN_LAPLACE_TRIALS:
         raise ValueError("Laplace estimation needs at least 10^4 trials")
     out = []

@@ -151,6 +151,13 @@ class TestServingDistancePdf:
         table = tabulate_serving_distance(intensity_for(r0), channel, quad)
         assert table.total_mass == pytest.approx(1.0, abs=tol)
 
+    def test_nan_mass_raises(self, channel):
+        # A finite intensity so high that the pdf overflows: the masses are NaN,
+        # which a guard written as "off 1 by more than the tolerance" lets through.
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(QuadratureError, match="integrates to nan"):
+            tabulate_serving_distance(1e305, channel)
+
     @pytest.mark.parametrize("r0", [287.3, 150.0])
     def test_los_ball_split_is_exact(self, r0):
         # Every LOS AP lies within b = 100 m, where it outpowers every NLOS AP

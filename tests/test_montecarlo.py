@@ -14,6 +14,7 @@ and association samplers to exact values on fixed seeds.
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -196,6 +197,58 @@ def indicator_sinr(lam0, channel, beam):
     return {k: sinr_samples(k, lam0, channel, beam, INDICATOR_SIM) for k in (1, 6, 12)}
 
 
+# The domain rule of every scalar model argument: the message each site raises
+# (a bare estimator name is its intensity), and the valid boundary values of the
+# sites where zero, or one, is in the domain.
+DOMAIN_MESSAGES = {
+    "BlockageModel.exponential": "exponential blockage length must be positive and finite",
+    "BlockageModel.los_ball": "los_ball blockage length must be positive and finite",
+    "BlockageModel.constant": "constant blockage needs p in [0, 1]",
+    "ChannelParams.alpha_los": "alpha_los must be positive and finite",
+    "ChannelParams.alpha_nlos": "alpha_nlos must be",  # >= alpha_los, or positive and finite
+    "ChannelParams.beta": "path-loss intercept beta must be positive and finite",
+    "ChannelParams.noise_power": "noise power must be non-negative and finite",
+    "BeamParams.g_main": "g_main must be positive and finite",
+    "BeamParams.g_side": "g_side must be positive and finite",
+    "GainPmf": "gain probabilities",
+    "QuadratureSpec.rel_tol": "quadrature tolerances must be positive and finite",
+    "QuadratureSpec.abs_tol": "quadrature tolerances must be positive and finite",
+    "QuadratureSpec.truncation_radius_m": "truncation radius must be positive and finite",
+    "QuadratureSpec.for_tier_intensity": "tier intensity must be positive and finite",
+    "nearest_distance_pdf": "intensity must be positive and finite",
+    "tabulate_serving_distance": "intensity must be positive and finite",
+    "laplace_interference": "intensity must be non-negative and finite",
+    "laplace_interference.s": "transform variable must be non-negative and finite",
+    "laplace_interference.serving_distance": "serving distance must be positive and finite",
+    "coverage_probability": "tier intensity must be positive and finite",
+    "coverage_probability.tau": "SINR threshold must be positive and finite",
+    "NetworkParams.lambda_tier0": "tier-0 intensity must be positive and finite",
+    "NetworkParams.lambda_total": "total density must be positive and finite",
+    "NetworkParams.bandwidth": "bandwidth must be positive and finite",
+    "hop_count.lambda0": "lambda0 must be positive and finite",
+    "hop_count.lambda_total": "lambda_total must be positive and finite",
+    "Window.radius": "window radius must be positive and finite",
+    "sample_ppp": "intensity must be non-negative and finite",
+    "SimConfig.window_radius_m": "window radius must be positive and finite",
+    "serving_distance_samples": "tier intensity must be positive and finite",
+    "empirical_coverage": "tier intensity must be positive and finite",
+    "empirical_coverage.tau": "SINR threshold must be positive and finite",
+    "empirical_laplace": "intensity must be non-negative and finite",
+    "empirical_laplace.s": "transform variable must be non-negative and finite",
+    "empirical_laplace.serving_distance": "serving distance must be positive and finite",
+}
+DOMAIN_BOUNDARY = {
+    "BlockageModel.constant": (0.0, 1.0),
+    "ChannelParams.noise_power": (0.0,),
+    "GainPmf": (0.0,),
+    "laplace_interference": (0.0,),
+    "laplace_interference.s": (0.0,),
+    "sample_ppp": (0.0,),
+    "empirical_laplace": (0.0,),
+    "empirical_laplace.s": (0.0,),
+}
+
+
 class TestEmpiricalCoverage:
     def test_extreme_thresholds(self, lam0, channel, beam, small_sim):
         assert empirical_coverage(5e-324, 3, lam0, channel, beam, small_sim) == (1.0, 0.0)
@@ -268,27 +321,74 @@ class TestEmpiricalCoverage:
         with pytest.raises(ValueError, match="positive and finite"):
             coverage_probability(tau, 6, lam0, channel, beam, quad)
 
-    @pytest.mark.parametrize("estimator, lam", [
-        pytest.param(estimator, lam, id=f"{estimator}-{name}")
-        for estimator in ("coverage_probability", "laplace_interference", "empirical_laplace",
-                          "empirical_coverage", "serving_distance_samples")
-        for name, lam in (("negative", -1e-5), ("zero", 0.0), ("nan", math.nan),
+    @pytest.mark.parametrize("site, value, valid", [
+        *(pytest.param(site, x, False, id=f"{site}-{name}")
+          for site in DOMAIN_MESSAGES
+          for name, x in (("negative", -1.0), ("zero", 0.0), ("nan", math.nan),
                           ("inf", math.inf))
-        if not (lam == 0.0 and "laplace" in estimator)])
-    def test_intensity_must_be_finite_and_not_negative(self, estimator, lam, channel, beam,
-                                                       quad, small_sim, monkeypatch):
-        # lambda0 = 0 is valid for both Laplace twins (no interferer), not for
-        # coverage or association; the samplers reject it before any draw
+          if x not in DOMAIN_BOUNDARY.get(site, ())),
+        *(pytest.param(site, x, True, id=f"{site}-valid-{x:g}")
+          for site, xs in DOMAIN_BOUNDARY.items() for x in xs)])
+    def test_intensity_must_be_finite_and_not_negative(self, site, value, valid, lam0, blockage,
+                                                       channel, beam, quad, monkeypatch):
+        # One domain table for every scalar model argument of the four library
+        # modules; an invalid value is rejected before any table or draw
         import mmtier
-        args = {"coverage_probability": (3.0, 6, lam, channel, beam, quad),
-                "laplace_interference": (3.0, 80.0, LOS, 6, lam, channel, beam, quad),
-                "empirical_laplace": (3.0, 80.0, LOS, 6, lam, channel, beam, small_sim),
-                "empirical_coverage": (3.0, 6, lam, channel, beam, small_sim),
-                "serving_distance_samples": (lam, channel, small_sim)}
+        from mmtier.channel import GainPmf
+        sim = SimConfig(window_radius_m=100.0, trials=10_000, master_seed=314)
+        window = mmtier.Window(mmtier.Point(0.0, 0.0), 100.0)
+        calls = {
+            "BlockageModel.exponential": lambda x: BlockageModel("exponential", x),
+            "BlockageModel.los_ball": lambda x: BlockageModel("los_ball", x),
+            "BlockageModel.constant": lambda x: BlockageModel("constant", x),
+            "ChannelParams.alpha_los": lambda x: ChannelParams(x, 4.0, 1.0, blockage),
+            "ChannelParams.alpha_nlos": lambda x: ChannelParams(2.0, x, 1.0, blockage),
+            "ChannelParams.beta": lambda x: ChannelParams(2.0, 4.0, x, blockage),
+            "ChannelParams.noise_power": lambda x: ChannelParams(2.0, 4.0, 1.0, blockage, x),
+            "BeamParams.g_main": lambda x: BeamParams(math.pi / 6.0, x, 1.0, 12),
+            "BeamParams.g_side": lambda x: BeamParams(math.pi / 6.0, 100.0, x, 12),
+            "GainPmf": lambda x: GainPmf((1.0, 1.0, 1.0), (x, 0.5, 0.5)),
+            "QuadratureSpec.rel_tol": lambda x: QuadratureSpec(rel_tol=x),
+            "QuadratureSpec.abs_tol": lambda x: QuadratureSpec(abs_tol=x),
+            "QuadratureSpec.truncation_radius_m": lambda x: QuadratureSpec(truncation_radius_m=x),
+            "QuadratureSpec.for_tier_intensity": QuadratureSpec.for_tier_intensity,
+            "nearest_distance_pdf": lambda x: mmtier.nearest_distance_pdf(80.0, LOS, x, blockage),
+            "tabulate_serving_distance": lambda x: mmtier.tabulate_serving_distance(x, channel),
+            "laplace_interference": lambda x: mmtier.laplace_interference(
+                3.0, 80.0, LOS, 6, x, channel, beam, quad),
+            "laplace_interference.s": lambda x: mmtier.laplace_interference(
+                x, 80.0, LOS, 6, lam0, channel, beam, quad),
+            "laplace_interference.serving_distance": lambda x: mmtier.laplace_interference(
+                3.0, x, LOS, 6, lam0, channel, beam, quad),
+            "coverage_probability": lambda x: coverage_probability(3.0, 6, x, channel, beam, quad),
+            "coverage_probability.tau": lambda x: coverage_probability(
+                x, 6, lam0, channel, beam, quad),
+            "NetworkParams.lambda_tier0": lambda x: mmtier.NetworkParams(1.0, x, 12, 1.0),
+            "NetworkParams.lambda_total": lambda x: mmtier.NetworkParams(x, lam0, 12, 1.0),
+            "NetworkParams.bandwidth": lambda x: mmtier.NetworkParams(13.0 * lam0, lam0, 12, x),
+            "hop_count.lambda0": lambda x: mmtier.hop_count(13.0, x, 1),
+            "hop_count.lambda_total": lambda x: mmtier.hop_count(x, 1.0, 1),
+            "Window.radius": lambda x: mmtier.Window(mmtier.Point(0.0, 0.0), x),
+            "sample_ppp": lambda x: mmtier.sample_ppp(x, window, np.random.default_rng(1)),
+            "SimConfig.window_radius_m": lambda x: SimConfig(window_radius_m=x, trials=1),
+            "serving_distance_samples": lambda x: serving_distance_samples(x, channel, sim),
+            "empirical_coverage": lambda x: empirical_coverage(3.0, 6, x, channel, beam, sim),
+            "empirical_coverage.tau": lambda x: empirical_coverage(
+                x, 6, lam0, channel, beam, sim),
+            "empirical_laplace": lambda x: empirical_laplace(
+                3.0, 80.0, LOS, 6, x, channel, beam, sim),
+            "empirical_laplace.s": lambda x: empirical_laplace(
+                x, 80.0, LOS, 6, lam0, channel, beam, sim),
+            "empirical_laplace.serving_distance": lambda x: empirical_laplace(
+                3.0, x, LOS, 6, lam0, channel, beam, sim),
+        }
+        assert calls.keys() == DOMAIN_MESSAGES.keys()
+        if valid:
+            calls[site](value)
+            return
         monkeypatch.setattr(montecarlo, "_trial_streams", None)  # a draw would raise
-        message = "non-negative" if "laplace" in estimator else "positive"
-        with pytest.raises(ValueError, match=f"intensity must be {message} and finite"):
-            getattr(mmtier, estimator)(*args[estimator])
+        with pytest.raises(ValueError, match="^" + re.escape(DOMAIN_MESSAGES[site])):
+            calls[site](value)
 
 
 class TestAssociation:
