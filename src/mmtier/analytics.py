@@ -275,15 +275,18 @@ def tabulate_serving_distance(lam: float, channel: ChannelParams,
         ball = channel.blockage.param
         r_scale = ball * 2.0 ** max(0, math.ceil(math.log2(r_scale / ball)))
     upper, n = 32.0 * r_scale, 16384
-    while sum(_nearest_mass_beyond(lam, channel.blockage, upper)) > 1e-10:
-        upper, n = 2.0 * upper, min(2 * n, 32768)
+    # At an intensity so high that 2 pi lam r^2 overflows on the grid, the masses
+    # become inf * 0 = nan: the guard below reports that, not numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while sum(_nearest_mass_beyond(lam, channel.blockage, upper)) > 1e-10:
+            upper, n = 2.0 * upper, min(2 * n, 32768)
 
-    radii = np.linspace(0.0, upper, n + 1)
-    half = 0.5 * upper / n  # Gauss nodes at mid -+ half / sqrt(3), weights half
-    mid = radii[:-1] + half
-    r = np.concatenate([mid - half / math.sqrt(3.0), mid + half / math.sqrt(3.0)])
-    f_l, f_n = (serving_distance_pdf(r, state, lam, channel) for state in (LOS, NLOS))
-    seg_l, seg_n = half * (f_l[:n] + f_l[n:]), half * (f_n[:n] + f_n[n:])
+        radii = np.linspace(0.0, upper, n + 1)
+        half = 0.5 * upper / n  # Gauss nodes at mid -+ half / sqrt(3), weights half
+        mid = radii[:-1] + half
+        r = np.concatenate([mid - half / math.sqrt(3.0), mid + half / math.sqrt(3.0)])
+        f_l, f_n = (serving_distance_pdf(r, state, lam, channel) for state in (LOS, NLOS))
+        seg_l, seg_n = half * (f_l[:n] + f_l[n:]), half * (f_n[:n] + f_n[n:])
     # .sum(), not a dot product: a BLAS call can start its thread pool per table.
     mass_l, mass_n = float(seg_l.sum()), float(seg_n.sum())
     if not abs(mass_l + mass_n - 1.0) <= _SERVING_MASS_TOL:

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -129,16 +129,73 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_float(x: float) -> str:
+    """A float as `json` writes it with ``allow_nan=True``."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0.0 else "-Infinity"
+
+
+# How `json` renders each leaf type, in the order its encoder tests them; a subclass
+# such as `numpy.float64` takes its base's rule.
+_JSON_LEAF = {
+    str: encode_basestring_ascii,
+    type(None): lambda _: "null",
+    bool: lambda b: "true" if b else "false",
+    int: int.__repr__,
+    float: _json_float,
+}
+
+
+def _json_leaf(value) -> str:
+    """``value`` by its type's rule, or by its base's for a subclass of a leaf type."""
+    render = _JSON_LEAF.get(type(value))
+    if render is None:
+        render = next((rule for base, rule in _JSON_LEAF.items() if isinstance(value, base)),
+                      None)
+        if render is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not a sweep.json leaf")
+    return render(value)
+
+
+def _json_object(obj: dict, indent: str) -> str:
+    """``obj`` with sorted keys, one item a line at ``indent`` plus two spaces. A value is a
+    leaf, or a list or tuple of leaves written one item a line."""
+    if not obj:
+        return "{}"
+    inner = indent + "  "
+    items = []
+    for key in sorted(obj):
+        value = obj[key]
+        render = _JSON_LEAF.get(type(value))
+        if render is not None:
+            text = render(value)
+        elif not isinstance(value, (list, tuple)):
+            text = _json_leaf(value)
+        elif value:
+            text = ("[\n" + ",\n".join([inner + "  " + _json_leaf(v) for v in value])
+                    + "\n" + inner + "]")
+        else:
+            text = "[]"
+        items.append(inner + encode_basestring_ascii(key) + ": " + text)
+    return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+
+
 def sweep_to_json(cfg: ExperimentConfig, rows: list[SweepRow]) -> str:
-    # Plain field dicts: both dataclasses hold only scalars and tuples of
-    # scalars, which json renders as `dataclasses.asdict`'s deep copies would.
+    """The config (without ``out_dir``) and the rows as the bytes of
+    ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\\n"``.
+
+    The writer knows the document's shape, so it runs no generator per level: the
+    config's values are leaves or tuples of leaves, each row is a flat object, and
+    each leaf is rendered by its type's rule in `_JSON_LEAF`. A leaf outside those
+    types raises TypeError, as `json` does for the types it cannot encode; so does a
+    container nested deeper than that shape, which the writer does not render.
+    """
     config = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
               if f.name != "out_dir"}  # not provenance; keeps outputs location-independent
-    doc = {
-        "config": config,
-        "rows": [vars(r) for r in rows],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    rows_text = ",\n".join(["    " + _json_object(vars(r), "    ") for r in rows])
+    rows_text = "[\n" + rows_text + "\n  ]" if rows else "[]"
+    return '{\n  "config": ' + _json_object(config, "  ") + ',\n  "rows": ' + rows_text + "\n}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mmtier
 
@@ -43,6 +45,46 @@ seed = 3
 """
 
 FAST = BASE + "tau_db_list = 0, 10\nk_list = 1, 6\n"
+
+# Flat blockage with a LOS exponent of 2: the interference far field diverges, so
+# every grid point fails its quadrature.
+DIVERGENT = ("blockage = constant\nblockage_p = 0.5\nlambda0 = 3e-5\n"
+             "truncation_radius_m = 500\ntau_db_list = 0\nk_list = 1, 2\n")
+
+
+@dataclasses.dataclass(frozen=True)
+class JsonLeaves:
+    """A config of every leaf type `sweep_to_json` writes, and an empty or tuple grid."""
+
+    label: str
+    flag: bool
+    count: int
+    value: float
+    missing: None
+    grid: tuple
+    out_dir: str = "not written"
+
+
+# Floats where json has a rule of its own (nan, +-inf) or `repr` changes form (1e16
+# and 1e-5 switch to exponent form), -0.0 and subnormals, then any other float, and
+# numpy's float64 of each.
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.225073858507201e-308,
+               1e16, 9999999999999998.0, 1e-5, 0.0001]
+JSON_FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats()
+JSON_FLOATS = JSON_FLOATS | JSON_FLOATS.map(np.float64)
+JSON_ROWS = st.builds(cli.SweepRow, tau_db=JSON_FLOATS, k=st.integers(),
+                      coverage_analytic=JSON_FLOATS, coverage_mc=st.none() | JSON_FLOATS,
+                      mc_ci=st.none() | JSON_FLOATS, latency=JSON_FLOATS,
+                      throughput=JSON_FLOATS, quad_error=JSON_FLOATS)
+
+
+def json_oracle(cfg, rows) -> str:
+    """The `sweep.json` contract: the json module's bytes for the config without
+    `out_dir` and the rows."""
+    config = dataclasses.asdict(cfg)
+    config.pop("out_dir")
+    doc = {"config": config, "rows": [dataclasses.asdict(r) for r in rows]}
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -108,11 +150,9 @@ class TestRunSweep:
         assert all(0.0 <= r.coverage_mc <= 1.0 for r in rows)
 
     def test_quadrature_failure_recorded_not_fatal(self):
-        # Flat blockage with a LOS exponent of 2 has a divergent interference
-        # far field: the row must record the failure and the sweep continue.
-        cfg = parse_config(
-            "blockage = constant\nblockage_p = 0.5\nlambda0 = 3e-5\n"
-            "truncation_radius_m = 500\ntau_db_list = 0\nk_list = 1, 2\n")
+        # Every point of DIVERGENT fails: the row must record the failure and the
+        # sweep continue.
+        cfg = parse_config(DIVERGENT)
         rows = run_sweep(cfg)
         assert len(rows) == 2
         assert all(math.isnan(r.coverage_analytic) for r in rows)
@@ -150,12 +190,18 @@ class TestSerializationFormats:
         assert doc["config"]["blockage"] == "exponential"
         assert len(doc["rows"]) == 1
 
-    @pytest.mark.parametrize("mc_trials, tau_db_list, k_list", [
-        (0, ExperimentConfig.tau_db_list, ExperimentConfig.k_list),
-        (200, (0.0, 10.0), (1, 6)),
-    ])
-    def test_json_matches_the_asdict_rendering(self, mc_trials, tau_db_list, k_list):
-        cfg = dataclasses.replace(ExperimentConfig(), mc_trials=mc_trials,
+    # The failed grid points write NaN coverage and throughput and an infinite
+    # quad_error; the LOS ball config writes `floor_hops` as true.
+    @pytest.mark.parametrize("mc_trials, tau_db_list, k_list, text", [
+        (0, ExperimentConfig.tau_db_list, ExperimentConfig.k_list, ""),
+        (200, (0.0, 10.0), (1, 6), ""),
+        (0, (0.0,), (1, 2), DIVERGENT),
+        (0, ExperimentConfig.tau_db_list, (5,),
+         "blockage = los_ball\nblockage_radius_m = 100\nfloor_hops = true\n"),
+    ], ids=["0-tau_db_list0-k_list0", "200-tau_db_list1-k_list1", "failed_points",
+            "los_ball-floor_hops"])
+    def test_json_matches_the_asdict_rendering(self, mc_trials, tau_db_list, k_list, text):
+        cfg = dataclasses.replace(parse_config(text), mc_trials=mc_trials,
                                   tau_db_list=tau_db_list, k_list=k_list)
         rows = run_sweep(cfg)
         assert (rows[0].coverage_mc is None) == (mc_trials == 0)
@@ -164,6 +210,35 @@ class TestSerializationFormats:
         doc = {"config": config, "rows": [dataclasses.asdict(r) for r in rows]}
         want = json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
         assert sweep_to_json(cfg, rows) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=st.builds(JsonLeaves, label=st.text(), flag=st.booleans(),
+                         count=st.integers(), value=JSON_FLOATS, missing=st.none(),
+                         grid=st.lists(JSON_FLOATS | st.integers(), max_size=3).map(tuple)),
+           rows=st.lists(JSON_ROWS, max_size=3))
+    @example(cfg=JsonLeaves("mmtier", True, 3, np.float64(-0.0), None, ()),
+             rows=[cli.SweepRow(np.float64(1e16), 2, np.float64(math.nan), None, None,
+                                1e-5, math.inf, 5e-324)])
+    def test_json_is_the_json_module_rendering(self, cfg, rows):
+        assert sweep_to_json(cfg, rows) == json_oracle(cfg, rows)
+
+    @pytest.mark.parametrize("leaf", [np.int64(3), np.bool_(True), 1 + 2j, b"1", object()],
+                             ids=lambda leaf: f"{type(leaf).__module__}.{type(leaf).__name__}")
+    def test_leaf_json_rejects_raises_type_error(self, leaf):
+        cfg = JsonLeaves("x", False, 1, 0.5, None, (1.0, leaf))
+        row = cli.SweepRow(0.0, 1, leaf, None, None, 1.0, 1.0, 0.0)
+        for args in ((cfg, []), (dataclasses.replace(cfg, grid=()), [row])):
+            with pytest.raises(TypeError):
+                json_oracle(*args)
+            with pytest.raises(TypeError):
+                sweep_to_json(*args)
+
+    @pytest.mark.parametrize("grid, value", [(((1.0,),), 0.5), ((), {"a": 1.0})],
+                             ids=["list-in-list", "object-value"])
+    def test_container_outside_the_shape_raises_type_error(self, grid, value):
+        # json writes these, so the writer must not write anything else for them.
+        with pytest.raises(TypeError):
+            sweep_to_json(JsonLeaves("x", False, 1, value, None, grid), [])
 
     # sha256 of sweep.csv and sweep.json from `mmtier coverage`, recorded before
     # the exclusion radius and the hop ratio each got one definition. The `trials`
