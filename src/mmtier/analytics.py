@@ -88,7 +88,7 @@ DEFAULT_QUAD = QuadratureSpec()
 # estimate is accepted once halving every panel moves it by at most
 # max(abs_tol, rel_tol * value), and that difference is its quadrature error.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
-_PANEL_WIDTH = 2.0   # width in ln(radius) of the coarsest panels
+_PANEL_WIDTH = 2.0   # width in ln(radius) of the coarsest panels; x max(alpha) in ln(path loss)
 _MAX_HALVINGS = 4
 _MAX_TENSOR = 1 << 18  # entries per block of the interference tensor: 4 MB of 1/x and weight
 # Every grid point is accepted after one halving in the default settings;
@@ -103,15 +103,15 @@ _TAU_CLAMP = 1e200
 _SERVING_MASS_TOL = 1e-3  # how far the serving-distance mass may miss 1; `validate` checks it too
 
 
-def _panel_edges(breaks, halvings: int) -> np.ndarray:
+def _panel_edges(breaks, halvings: int, width: float) -> np.ndarray:
     """Panel edges over [breaks[0], breaks[-1]] with an edge at every break.
 
-    Each gap between breaks holds ceil(gap / _PANEL_WIDTH) * 2**halvings equal
+    Each gap between breaks holds ceil(gap / width) * 2**halvings equal
     panels, so one more halving splits every panel in two.
     """
     edges = [np.asarray(breaks[:1], dtype=float)]
     for a, b in zip(breaks[:-1], breaks[1:]):
-        n = max(1, math.ceil((b - a) / _PANEL_WIDTH)) << halvings
+        n = max(1, math.ceil((b - a) / width)) << halvings
         edges.append(np.linspace(a, b, n + 1)[1:])
     return np.concatenate(edges)
 
@@ -192,14 +192,6 @@ def nearest_distance_pdf(z, state: str, lam: float, blockage: BlockageModel):
     return float(out) if np.ndim(z) == 0 else out
 
 
-def _exclusion_radii(state: str, r, channel: ChannelParams):
-    """((state, r), (other, r^(alpha_state/alpha_other))): an interferer offers more
-    average power than a serving ``state`` AP at distance r iff it lies inside its
-    state's radius. ``r`` is a float or an array, and the radii keep its type."""
-    other = NLOS if state == LOS else LOS
-    return (state, r), (other, r ** (channel.alpha(state) / channel.alpha(other)))
-
-
 def serving_distance_pdf(r, state: str, lam: float, channel: ChannelParams):
     """Density (per state) of the distance to the max-average-power AP.
 
@@ -213,7 +205,8 @@ def serving_distance_pdf(r, state: str, lam: float, channel: ChannelParams):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0):
         raise ValueError("serving distance must be positive")
-    _, (other, w) = _exclusion_radii(state, r_arr, channel)
+    other = NLOS if state == LOS else LOS
+    w = r_arr ** (channel.alpha(state) / channel.alpha(other))
     out = (nearest_distance_pdf(r_arr, state, lam, channel.blockage)
            * np.exp(-_TWO_PI * lam * _radial_mass(channel.blockage, other, w)))
     return float(out) if np.ndim(r) == 0 else out
@@ -344,10 +337,12 @@ def _exponent_blocks(s: np.ndarray, fields, channel: ChannelParams, upper: float
                      halvings: int):
     """The tensor quadrature of the interference exponent as a ragged table.
 
-    ``fields`` holds the interferer fields of the rows as (lower, state) pairs.
-    Per row i the exponent sums, over the fields, int_{lower_i}^upper
-    (1 - GainMoment(s_i, t)) P_state(t) t dt. With unit-mean exponential
-    fading, 1 - GainMoment = sum_g p_g x g/(1 + x g), x = s * beta * t^-alpha_state.
+    ``fields`` holds the interferer fields of the rows as (lower, state) pairs:
+    for coverage and the Laplace functional, the two of `_interferer_limits`
+    at each row's serving path loss. Per row i the exponent sums, over the
+    fields, int_{lower_i}^upper (1 - GainMoment(s_i, t)) P_state(t) t dt. With
+    unit-mean exponential fading, 1 - GainMoment = sum_g p_g x g/(1 + x g),
+    x = s * beta * t^-alpha_state.
     The rows of one field share one set of panels in ln t, split at the
     blockage's LOS-ball radius; a row takes a partial panel of its own from
     its lower limit to the next edge, plus the nodes of every panel above.
@@ -373,7 +368,8 @@ def _exponent_blocks(s: np.ndarray, fields, channel: ChannelParams, upper: float
         live = np.flatnonzero(lower < upper)
         if not len(live):
             continue
-        edges = _panel_edges(_log_breaks(float(lower[live].min()), upper, ball), halvings)
+        edges = _panel_edges(_log_breaks(float(lower[live].min()), upper, ball), halvings,
+                             _PANEL_WIDTH)
         u, w = _gauss_nodes(edges)
         t = np.exp(u)
         v_full = w * _state_probability(channel.blockage, state, t) * t * t  # dt = t du
@@ -464,17 +460,23 @@ def _interference_tail(s_beta_gain: float, lower_los: float, lower_nlos: float,
     return tail
 
 
+def _interferer_limits(d, alpha: float, channel: ChannelParams):
+    """(LOS, NLOS) radii (d^alpha)^(1/alpha_state) = d^(alpha/alpha_state), elementwise: every
+    interferer has a larger path loss than a serving AP at d^alpha, whichever state serves."""
+    return tuple(d ** (alpha / channel.alpha(state)) for state in (LOS, NLOS))
+
+
 def laplace_interference(s: float, serving_distance: float, serving_state: str, k: int,
                          lambda0: float, channel: ChannelParams, beam: BeamParams,
                          quad: QuadratureSpec = DEFAULT_QUAD, full_output: bool = False):
     """Laplace functional E[exp(-s * I)] of the aggregate interference.
 
     Conditioning on the serving AP (state + distance d) excludes every
-    interferer with more average power: same-state interferers start at d,
-    opposite-state ones at d^(alpha_serving/alpha_other). The two independent
-    state fields contribute one exponential factor each. Returns the value
-    in (0, 1]; with ``full_output`` also an absolute error estimate: the
-    panel-halving difference plus the analytic truncation tail bound.
+    interferer with more average power: each state's interferers start at
+    l0^(1/alpha_state), l0 = d^alpha_serving the serving path loss. The two
+    independent state fields contribute one exponential factor each. Returns
+    the value in (0, 1]; with ``full_output`` also an absolute error estimate:
+    the panel-halving difference plus the analytic truncation tail bound.
     """
     _check_state(serving_state)
     _require("transform variable", s, zero_ok=True)
@@ -484,16 +486,15 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
         return (1.0, 0.0) if full_output else 1.0
 
     pmf = beam_gain_pmf(beam, k)
-    lower = dict(_exclusion_radii(serving_state, serving_distance, channel))
+    limits = _interferer_limits(serving_distance, channel.alpha(serving_state), channel)
     tail = _TWO_PI * lambda0 * _interference_tail(
-        s * channel.beta * pmf.expected_gain, lower[LOS], lower[NLOS], channel, quad)
+        s * channel.beta * pmf.expected_gain, *limits, channel, quad)
     s_arr = np.array([s])
-    fields = [(np.array([lower[st]]), st) for st in (LOS, NLOS)]
-    upper = quad.truncation_radius_m
+    fields = [(np.array([lower]), state) for lower, state in zip(limits, (LOS, NLOS))]
     atoms = [(p, g) for g, p in pmf.support]
 
     def evaluate(halvings):
-        blocks = _exponent_blocks(s_arr, fields, channel, upper, halvings)
+        blocks = _exponent_blocks(s_arr, fields, channel, quad.truncation_radius_m, halvings)
         exponent = _combine_atoms(atoms, _atom_sums(blocks, 1, [g for _, g in atoms]))[0]
         return (math.exp(-_TWO_PI * lambda0 * exponent),)
 
@@ -505,63 +506,59 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
 
 
 def _outer_r_min(lambda0: float, quad: QuadratureSpec) -> float:
-    """Lower limit of the outer integral over the serving distance."""
+    """The least serving distance r_min of the outer integral, at r_min^alpha in path loss."""
     return _R_MIN_FACTOR * min(_r0(lambda0), quad.truncation_radius_m)
 
 
 class _CoveragePlan:
-    """The threshold- and gain-free part of the coverage quadrature, both serving states.
+    """The threshold- and gain-free part of the coverage quadrature, one row per outer
+    node of the serving path loss l0 = d^alpha(state), whichever state serves.
 
-    ``weight``: the outer weights w * r * f_state(r) of the nodes with non-zero
-    weight, LOS-served rows first. ``s_unit``: their s at tau = 1, r^alpha /
-    (g_main^2 beta). ``blocks``: the blocks of `_exponent_blocks` at those s,
-    lazily, from one call with four fields (each state's same- and
-    opposite-state interferers, dead at lower limit inf on the other state's
-    rows). ``outside``: the serving-distance mass left out, at most pi lambda0
-    r_min^2 below r_min, each state's nearest-AP mass beyond the truncation
-    radius, and per state the leading nodes of cumulative weight at most
-    _R_MIN_FACTOR^2 (the order of the mass below r_min), which are dropped
-    because their inner range spans every panel.
+    ``path_loss``: l0 at the nodes of non-zero weight. ``weight``: w times the
+    density of the least path loss in ln l0. ``s_unit``: s at tau = 1,
+    l0 / (g_main^2 beta). ``blocks``: the blocks of `_exponent_blocks` at those
+    s, lazily, with fields (l0^(1/alpha_los), LOS) and (l0^(1/alpha_nlos), NLOS).
+    ``outside``: the serving-distance mass left out, at most pi lambda0 r_min^2
+    below r_min, each state's nearest-AP mass beyond the truncation radius, and
+    the leading nodes of cumulative weight at most _R_MIN_FACTOR^2 (the order
+    of the mass below r_min), which are dropped because their inner range
+    spans every panel.
     """
 
     def __init__(self, lambda0: float, channel: ChannelParams, g_main: float,
                  quad: QuadratureSpec, halvings: int):
-        blockage = channel.blockage
-        upper = quad.truncation_radius_m
-        r0 = _r0(lambda0)
-        # Outer edges: where an NLOS-served receiver's LOS exclusion disc reaches
-        # the truncation radius; r0, 2 r0 and 4 r0, beyond which the law falls like
-        # exp(-pi lambda0 r^2); for a LOS ball of radius b, b itself and where
-        # either exclusion disc reaches b.
-        ratio = channel.alpha_los / channel.alpha_nlos
-        breaks = [upper ** ratio, r0, 2.0 * r0, 4.0 * r0]
+        blockage, upper = channel.blockage, quad.truncation_radius_m
+        r0, r_min = _r0(lambda0), _outer_r_min(lambda0, quad)
+        alphas = (channel.alpha_los, channel.alpha_nlos)
+        # Outer edges at each state's path loss of the truncation radius; of r0, 2 r0
+        # and 4 r0, beyond which the law falls like exp(-pi lambda0 r^2); of a LOS ball.
+        radii = [upper, r0, 2.0 * r0, 4.0 * r0]
         if blockage.kind == "los_ball":
-            breaks += [blockage.param, blockage.param ** ratio, blockage.param ** (1.0 / ratio)]
-        u, w = _gauss_nodes(_panel_edges(_log_breaks(_outer_r_min(lambda0, quad), upper,
-                                                     breaks), halvings))
-        r = np.exp(u)
-        served, dropped = [], 0.0
-        for state in (LOS, NLOS):
-            weight = w * r * serving_distance_pdf(r, state, lambda0, channel)  # dr = r du
-            keep = weight > 0.0
-            rs, weight = r[keep], weight[keep]
-            cum = np.cumsum(weight)
-            start = int(np.searchsorted(cum, _R_MIN_FACTOR**2, side="right"))
-            dropped += float(cum[start - 1]) if start else 0.0
-            served.append((state, rs[start:], weight[start:]))
-        fields = []
-        for i, (state, rs, _) in enumerate(served):
-            for field_state, lower in _exclusion_radii(state, rs, channel):
-                padded = [np.full(len(rows), np.inf) for _, rows, _ in served]
-                padded[i] = lower
-                fields.append((np.concatenate(padded), field_state))
+            radii.append(blockage.param)
+        breaks = _log_breaks(min(r_min ** a for a in alphas), max(upper ** a for a in alphas),
+                             [r ** a for r in radii for a in alphas])
+        u, w = _gauss_nodes(_panel_edges(breaks, halvings, _PANEL_WIDTH * max(alphas)))
+        path_loss, states = np.exp(u), (LOS, NLOS)
+        limits = _interferer_limits(path_loss, 1.0, channel)
+        # APs of path loss below l: a Poisson count of mean Lambda(l) = 2 pi lambda0
+        # sum_s M_s(l^(1/alpha_s)), M_s the radial mass. The least one has density
+        # Lambda'(l) exp(-Lambda(l)), in ln l 2 pi lambda0 sum_s P_s(t_s) t_s^2 / alpha_s
+        # at t_s = l^(1/alpha_s), for serving distances t_s up to the truncation radius.
+        density = sum(_state_probability(blockage, state, t) * t * t / a * (t <= upper)
+                      for state, t, a in zip(states, limits, alphas))
+        mass = sum(_radial_mass(blockage, state, t) for state, t in zip(states, limits))
+        weight = w * _TWO_PI * lambda0 * density * np.exp(-_TWO_PI * lambda0 * mass)
+        rows = np.flatnonzero(weight > 0.0)
+        cum = np.cumsum(weight[rows])
+        start = int(np.searchsorted(cum, _R_MIN_FACTOR**2, side="right"))
+        rows = rows[start:]
         beyond_los, beyond_nlos = _nearest_mass_beyond(lambda0, blockage, upper)
-        self.weight = np.concatenate([weight for *_, weight in served])
-        self.s_unit = np.concatenate([rs ** channel.alpha(state) / (g_main**2 * channel.beta)
-                                      for state, rs, _ in served])
+        self.path_loss, self.weight = path_loss[rows], weight[rows]
+        self.s_unit = self.path_loss / (g_main**2 * channel.beta)
+        fields = [(lower[rows], state) for lower, state in zip(limits, states)]
         self.blocks = _exponent_blocks(self.s_unit, fields, channel, upper, halvings)
-        self.outside = (math.pi * lambda0 * _outer_r_min(lambda0, quad)**2 + beyond_los
-                        + beyond_nlos + dropped)
+        self.outside = (math.pi * lambda0 * r_min**2 + beyond_los
+                        + beyond_nlos + (float(cum[start - 1]) if start else 0.0))
 
 
 @functools.lru_cache(maxsize=8)
@@ -571,7 +568,7 @@ def _coverage_plan(lambda0: float, channel: ChannelParams, g_main: float,
     tables are tau- and k-free, so one plan serves a configuration's (tau, k) grid."""
     plan = _CoveragePlan(lambda0, channel, g_main, quad, halvings)
     plan.blocks = tuple(tuple(block) for block in plan.blocks)
-    for a in (plan.weight, plan.s_unit, *(a for block in plan.blocks for a in block)):
+    for a in (plan.path_loss, plan.weight, plan.s_unit, *(a for b in plan.blocks for a in b)):
         a.setflags(write=False)
     return plan
 
@@ -597,21 +594,23 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     """Coverage P(SINR > tau) of a typical receiver, marginalized over association.
 
     Integrates the conditional coverage exp(-s sigma^2) * LaplaceInterference(s),
-    s = r^alpha_state * tau / (g_main^2 beta), against the two serving-distance
-    branches (Bai & Heath's Laplace-functional form) as one tensor quadrature:
-    outer panels in ln r from 1e-6 r0 to the truncation radius, inner panels in
-    ln t for every outer node at once. The reported error sums the panel-halving
-    difference, the truncation tail bound weighted by the integrand, and the
-    serving-distance mass outside the outer range or on the leading outer
-    nodes that `_CoveragePlan` drops.
+    s = l0 * tau / (g_main^2 beta), against the law of the serving path loss
+    l0 = d^alpha(state), the least of the APs of both states (the path-loss
+    process of Haenggi, IEEE TIT 2008; Bai & Heath's Laplace-functional form),
+    as one tensor quadrature: outer panels in ln l0 from (1e-6 r0)^alpha to the
+    truncation radius^alpha, inner panels in ln t for every outer node at once.
+    The reported error sums the panel-halving difference, the truncation tail
+    bound weighted by the integrand, and the serving-distance mass outside the
+    outer range or on the leading outer nodes that `_CoveragePlan` drops.
 
-    Both serving states are one row set, a `_CoveragePlan` of tau- and k-free
-    tables. Up to _CACHED_HALVINGS halvings, `_coverage_plan` keeps one per
-    configuration and panel count, looked up once per halving, and
-    `_plan_atom_rows` its row sums per product c = g tau of a gain atom and
-    tau, so all k at one tau, and the atoms of other thresholds with the same
-    product, share one flat pass over each block. Finer panels are planned per
-    call, every live atom summed in one pass over the blocks as they are built.
+    Given l0 the interferers do not depend on the serving state, so the rows
+    are one set, a `_CoveragePlan` of tau- and k-free tables. Up to
+    _CACHED_HALVINGS halvings, `_coverage_plan` keeps one per configuration and
+    panel count, looked up once per halving, and `_plan_atom_rows` its row sums
+    per product c = g tau of a gain atom and tau, so all k at one tau, and the
+    atoms of other thresholds with the same product, share one flat pass over
+    each block. Finer panels are planned per call, every live atom summed in one
+    pass over the blocks as they are built.
     """
     _require("SINR threshold", tau)
     _require("tier intensity", lambda0)
@@ -620,7 +619,7 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     pmf = beam_gain_pmf(beam, k)  # validates k against the RF-chain budget
     upper = quad.truncation_radius_m
     # The far-field tail of each node's Laplace exponent is at most s times
-    # this (the bound from the truncation radius covers every exclusion radius).
+    # this (the bound from the truncation radius covers every lower limit).
     tail_per_s = _TWO_PI * lambda0 * _interference_tail(
         channel.beta * pmf.expected_gain, upper, upper, channel, quad)
     atoms = [(p, g * tau) for g, p in pmf.support]

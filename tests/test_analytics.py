@@ -208,6 +208,18 @@ BLOCKAGE_KINDS = {
     "los_ball": BlockageModel("los_ball", 100.0),
     "constant": HALF_LOS,
 }
+# (channel, tau, k): the engine's reference setting, the other two blockage
+# laws (constant blockage needs alpha_los > 2 for a finite far field) and
+# a noise-limited case.
+ORACLE_CASES = {
+    "exponential": (ChannelParams(2.0, 4.0, 1.0, BlockageModel("exponential", MU_M)), 2.0, 6),
+    "los_ball": (LOS_BALL_CHANNEL, 0.5, 3),
+    "constant": (ChannelParams(2.5, 4.0, 1.0, HALF_LOS), 1.0, 6),
+    "noise": (ChannelParams(2.0, 4.0, 1.0, BlockageModel("exponential", MU_M), noise_power=0.5),
+              1.0, 1),
+}
+
+
 # Lengths on both sides of 64, where the distance laws once switched from
 # adaptive quadrature to a trapezoid table.
 SPLIT_RADII = list(np.linspace(5.0, 600.0, 65))
@@ -513,21 +525,37 @@ class TestCoveragePlan(_FreshCoverageCaches):
             arrays[0][0] = 0.0
 
     def test_memory_of_the_sweep_benchmark_plans(self):
-        # the default configuration under the two blockage laws of the sweep benchmark
-        configs = [config.parse_config("blockage = exponential\nblockage_mu_m = 141.4\n"),
-                   config.parse_config("blockage = los_ball\nblockage_radius_m = 100\n")]
         tracemalloc.start()
         try:
-            for cfg in configs:
+            for law in sorted(SWEEP_BENCH_CONFIGS):
                 for halvings in range(analytics._CACHED_HALVINGS + 1):
-                    analytics._coverage_plan(cfg.network().lambda_tier0, cfg.channel(),
-                                             cfg.beam().g_main, cfg.quad(), halvings)
+                    analytics._coverage_plan(*_plan_key(law), halvings)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # the ragged plans, 1/x and the weight per entry, both float64, hold
-        # 1.6 MiB and peak at 1.74 MiB
-        assert peak < 2 * 2**20
+        # 0.70 MiB and peak at 0.87 MiB
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("law, halvings, rows, entries", [
+        ("exponential", 0, 112, 7050), ("exponential", 1, 225, 25440),
+        ("los_ball", 0, 71, 2760), ("los_ball", 1, 144, 10560),
+    ])
+    def test_sizes_of_the_sweep_benchmark_plans(self, law, halvings, rows, entries):
+        # Deterministic counts: an outer row or an inner entry more is a cost every
+        # sweep pays, so a plan that grows fails here without any timing.
+        plan = analytics._CoveragePlan(*_plan_key(law), halvings)
+        assert len(plan.s_unit) == len(plan.weight) == rows
+        assert sum(inv_x.size for _, _, inv_x, _ in plan.blocks) == entries
+
+    @pytest.mark.parametrize("truncation", ["2500m", "50r0"])
+    @pytest.mark.parametrize("kind", sorted(ORACLE_CASES))
+    def test_outer_weights_and_outside_make_unit_mass(self, kind, truncation, lam0, beam, quad):
+        # The outer weights integrate the law of the least path loss over the
+        # rows kept; with the mass the plan leaves out, they must make 1.
+        spec = quad if truncation == "2500m" else QuadratureSpec.for_tier_intensity(lam0)
+        plan = analytics._CoveragePlan(lam0, ORACLE_CASES[kind][0], beam.g_main, spec, 1)
+        assert abs(1.0 - plan.weight.sum() - plan.outside) <= 1e-8
 
     @pytest.mark.parametrize("blockage", [BLOCKAGE_KINDS[kind] for kind in sorted(BLOCKAGE_KINDS)]
                              + [ALWAYS_LOS, BlockageModel("constant", 0.0)],
@@ -568,9 +596,9 @@ class TestCoveragePlan(_FreshCoverageCaches):
             keep = coverage_probability(*args)
             m.setattr(analytics, "_refine", at_one_halving)
             v_keep, e_keep = coverage_probability(*args, full_output=True)
-        # each serving state drops at most _R_MIN_FACTOR^2 of leading mass
+        # the one row set drops at most _R_MIN_FACTOR^2 of leading mass
         for mass, kept in zip(with_drop, without_drop):
-            assert 0.0 <= mass - kept <= 2.0 * analytics._R_MIN_FACTOR**2, (mass, kept)
+            assert 0.0 <= mass - kept <= analytics._R_MIN_FACTOR**2, (mass, kept)
         assert abs(keep - value) <= err, (keep, value, err)
         # At one panel count, with no halving difference, the error the rule
         # adds covers the coverage it removes, up to the rounding of two sums
@@ -620,9 +648,10 @@ class TestCoveragePlan(_FreshCoverageCaches):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # ~5M entries of 16 bytes in all, 3.7M of them at the finest panels
+        # 2.0M entries in all, 1.5M of them at the finest panels: at 16 bytes
+        # each they would exceed the 16 MiB cap if held at once
         assert peak < 16 * 2**20, peak
-        assert sum(sizes) > 16 * analytics._MAX_TENSOR
+        assert sum(sizes) > 4 * analytics._MAX_TENSOR
         assert max(sizes) <= analytics._MAX_TENSOR
 
     def test_values_independent_of_the_block_size(self, lam0, beam, quad, monkeypatch):
@@ -647,6 +676,19 @@ class TestCoveragePlan(_FreshCoverageCaches):
         assert small == default
         assert all(len(rows) == 1 or inv_x.size <= 64 for rows, _, inv_x, _ in blocks)
         assert max(inv_x.size for _, _, inv_x, _ in blocks) > 64
+
+
+# The default configuration under the two blockage laws of the sweep benchmark.
+SWEEP_BENCH_CONFIGS = {
+    "exponential": "blockage = exponential\nblockage_mu_m = 141.4\n",
+    "los_ball": "blockage = los_ball\nblockage_radius_m = 100\n",
+}
+
+
+def _plan_key(law: str):
+    """The (lambda0, channel, g_main, quad) of a plan of `SWEEP_BENCH_CONFIGS` ``law``."""
+    cfg = config.parse_config(SWEEP_BENCH_CONFIGS[law])
+    return cfg.network().lambda_tier0, cfg.channel(), cfg.beam().g_main, cfg.quad()
 
 
 def _fresh_coverage_caches() -> None:
@@ -735,7 +777,7 @@ class TestAtomRows(_FreshCoverageCaches):
         with monkeypatch.context() as m:
             if patch == "block_size":
                 m.setattr(analytics, "_MAX_TENSOR", 64)
-            elif patch == "dropped_rows":  # two more outer rows per plan
+            elif patch == "dropped_rows":  # 23 and 46 more outer rows per plan
                 m.setattr(analytics, "_outer_r_min", lambda *_: r_min)
                 m.setattr(analytics, "_R_MIN_FACTOR", 0.0)
             _fresh_coverage_caches()
@@ -908,8 +950,9 @@ class TestMergedFieldBlocks:
 
     @pytest.mark.parametrize("kind", sorted(BLOCKAGE_KINDS))
     def test_no_more_pairs_than_one_field_blocks(self, kind, lam0, beam, monkeypatch):
-        # At 50 r0, the sweep benchmark's truncation, an NLOS-served row's LOS
-        # field dies inside the outer integral (at r = 70.7 m when alpha = 2, 4).
+        # At 50 r0, the sweep benchmark's truncation, the LOS field dies inside the
+        # outer integral, where l0^(1/alpha_los) passes it (an NLOS serving distance
+        # of 70.7 m when alpha = 2, 4).
         chan = ORACLE_CASES[kind][0]
         quad = QuadratureSpec.for_tier_intensity(lam0)
         blocks = analytics._exponent_blocks
@@ -942,32 +985,30 @@ class TestMergedFieldBlocks:
 
     @pytest.mark.parametrize("halvings", [0, 1])
     @pytest.mark.parametrize("kind", sorted(BLOCKAGE_KINDS))
-    def test_table_rows_equal_each_state_built_alone(self, kind, halvings, lam0, beam, quad,
-                                                     monkeypatch):
-        # The coverage table's four fields are each state's two, dead (lower
-        # limit inf) on the other state's rows: every row sum must be bitwise
-        # that of its state's two-field table.
+    def test_table_rows_are_two_fields_of_the_serving_path_loss(self, kind, halvings, lam0,
+                                                                 beam, quad, monkeypatch):
+        # One row per outer node of the serving path loss l0, whichever state
+        # serves: the LOS and NLOS fields start at l0^(1/alpha_state), s at tau = 1
+        # is l0 / (g_main^2 beta), and every row sum is bitwise that of a
+        # two-field table built at the same s.
         chan = ORACLE_CASES[kind][0]
+        build = analytics._exponent_blocks
         calls = _record_builder_calls(monkeypatch)
         plan = analytics._CoveragePlan(lam0, chan, beam.g_main, quad, halvings)
-        s_unit, blocks = plan.s_unit, plan.blocks
+        ell = plan.path_loss
         (s, fields, args), = calls
+        assert args == (chan, quad.truncation_radius_m, halvings)
+        assert (np.diff(ell) > 0.0).all() and len(ell) == len(plan.weight)
+        want = [(ell ** (1.0 / chan.alpha(state)), state) for state in (LOS, NLOS)]
+        assert [state for _, state in fields] == [LOS, NLOS]
+        for (lower, _), (limit, state) in zip(fields, want):
+            np.testing.assert_array_equal(lower, limit, err_msg=state)
+        np.testing.assert_array_equal(plan.s_unit, ell / (beam.g_main**2 * chan.beta))
+        assert s is plan.s_unit
         cs = [1e4 * 0.1, 100.0 * 3.0, 1.0, 1e-3]
-        table = analytics._atom_sums(blocks, len(s), cs)
-        los_rows = np.isfinite(fields[0][0])
-        assert los_rows[0] and not los_rows[-1] and (np.diff(los_rows.astype(int)) <= 0).all()
-        for (state, other), mine in [((LOS, NLOS), los_rows), ((NLOS, LOS), ~los_rows)]:
-            same, opposite = fields[:2] if state == LOS else fields[2:]
-            assert (same[1], opposite[1]) == (state, other)
-            r = same[0][mine]
-            np.testing.assert_array_equal(opposite[0][mine],
-                                          r ** (chan.alpha(state) / chan.alpha(other)))
-            assert np.isinf(same[0][~mine]).all() and np.isinf(opposite[0][~mine]).all()
-            np.testing.assert_array_equal(
-                s_unit[mine], r ** chan.alpha(state) / (beam.g_main**2 * chan.beta))
-            alone = analytics._exponent_blocks(
-                s[mine], [(r, state), (opposite[0][mine], other)], *args)
-            assert (table[:, mine] == analytics._atom_sums(alone, len(r), cs)).all(), state
+        table = analytics._atom_sums(plan.blocks, len(ell), cs)
+        alone = build(plan.s_unit, want, chan, quad.truncation_radius_m, halvings)
+        assert (table == analytics._atom_sums(alone, len(ell), cs)).all()
 
 
 class TestTailBound:
@@ -1026,31 +1067,21 @@ class TestTailBound:
         assert out.stdout.strip() == "[]"
 
 
-# (channel, tau, k): the engine's reference setting, the other two blockage
-# laws (constant blockage needs alpha_los > 2 for a finite far field) and
-# a noise-limited case.
-ORACLE_CASES = {
-    "exponential": (ChannelParams(2.0, 4.0, 1.0, BlockageModel("exponential", MU_M)), 2.0, 6),
-    "los_ball": (LOS_BALL_CHANNEL, 0.5, 3),
-    "constant": (ChannelParams(2.5, 4.0, 1.0, HALF_LOS), 1.0, 6),
-    "noise": (ChannelParams(2.0, 4.0, 1.0, BlockageModel("exponential", MU_M), noise_power=0.5),
-              1.0, 1),
-}
-
-
 class TestPinnedValues:
-    """(value, error) of the kernel as recorded before entries stored their
-    weights beside their 1/x: a change of table layout or block order must
-    not move them. The error is a difference of close numbers plus bounds,
-    so it is pinned absolutely."""
+    """(value, error) of the kernel: a change of table layout or block order
+    must not move them. Coverage was recorded when its outer integral moved
+    from the serving distance of each state to the serving path loss
+    l0 = d^alpha (one row set); the Laplace functional, before entries stored
+    their weights beside their 1/x. The error is a difference of close numbers
+    plus bounds, so it is pinned absolutely."""
 
     @pytest.mark.parametrize("kind, tau, k, value, err", [
-        ("exponential", 0.1, 1, 0.9994594352189702, 1.8328957654378607e-07),
-        ("exponential", 10.0, 6, 0.6622786785221343, 3.3938274719867825e-05),
-        ("los_ball", 1.0, 12, 0.632194930198132, 0.00041633215995185384),
-        ("los_ball", 100.0, 3, 0.6239821542173337, 0.0012464326975315744),
-        ("constant", 1.0, 6, 0.6047220120708297, 0.08890433581047107),
-        ("constant", 31.6, 9, 0.0346200109028211, 0.008849532965710847),
+        ("exponential", 0.1, 1, 0.9994594352205624, 1.8469984231578586e-07),
+        ("exponential", 10.0, 6, 0.6622786785238672, 3.3937629905759555e-05),
+        ("los_ball", 1.0, 12, 0.6321949301991912, 0.00041633416843553166),
+        ("los_ball", 100.0, 3, 0.6239821542162381, 0.0012464466011693424),
+        ("constant", 1.0, 6, 0.6047220120604844, 0.08890377393613319),
+        ("constant", 31.6, 9, 0.034620010907234315, 0.008862947858983554),
     ])
     def test_coverage(self, kind, tau, k, value, err, lam0, beam, quad):
         got, got_err = coverage_probability(tau, k, lam0, ORACLE_CASES[kind][0], beam, quad,

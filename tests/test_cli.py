@@ -240,21 +240,20 @@ class TestSerializationFormats:
         with pytest.raises(TypeError):
             sweep_to_json(JsonLeaves("x", False, 1, value, None, grid), [])
 
-    # sha256 of sweep.csv and sweep.json from `mmtier coverage`, recorded before
-    # the exclusion radius and the hop ratio each got one definition. The `trials`
-    # pair was recorded again when the sampler began to take d^alpha by scalar
-    # exponents (no per-point pow): two of its 45 `mc_ci` values moved by at most
-    # 2.1e-16 relative, nothing else did.
+    # sha256 of sweep.csv and sweep.json from `mmtier coverage`, recorded when the
+    # coverage integral moved to the serving path loss l0 = d^alpha (one row set
+    # over both serving states): every coverage moved by at most 2.1e-12, under
+    # 5e-5 of its quad_error, and the Monte Carlo columns did not move.
     @pytest.mark.parametrize("text, extra, csv_digest, json_digest", [
         (None, [],
-         "7cc37e41ffc7d19988763946f86145a9288aa78dac93209f5426aed922e95fb0",
-         "42acdf08aed4bca359d143370ab09b54b2208595ade306eb16130038217466d8"),
+         "7ecf12347179c4422ae9bb827433dd346381db58f7badfe8c7dc7b7edfe426af",
+         "8519d74a7dcf980cc3ec39b1afb7c92b5d04b08b120bc0dbad93da2bc0430833"),
         ("blockage = los_ball\nblockage_radius_m = 100\n", [],
-         "7ae53ce9eca85276aac2672b4ba7621d37e19473d1f5622d76ae612a3495037d",
-         "0580807273f6cec2e4751b0aaa7d1e9ca4bf898f7c463c9c60327ed41b1a5ee7"),
+         "8ba8021d80dd2beecff053bd3aa324de3c2c57b812e59a46eecc8d915ecbe33d",
+         "02db88bffe863f8629a1550ecb36bc37887d3867e210cbf3c83f8564ccb65153"),
         (None, ["--trials", "1000"],
-         "f041c15abab9228c1a4dacf83fc68c1ef5a69338293e50b5015c83e4937f7442",
-         "011ce380331bc72f90a533244ad7babb855cd2a9df5b12153bdf77add0e09da2"),
+         "18e3f4ba0fa54c7167d6ad269b5386e5613575465b68bbed98abef06c5a3a9f3",
+         "77859d9af7f67562e5cf3a313ed46437b6d47190dcc60330bf2e7aa82df5f614"),
     ], ids=["default", "los_ball", "trials"])
     def test_coverage_outputs_match_recorded_digests(self, tmp_path, text, extra,
                                                      csv_digest, json_digest):
