@@ -5,7 +5,7 @@ Everything here is a deterministic numerical evaluation: the association
 PPP, the Laplace functional of the out-of-cluster interference, the SINR
 coverage integral, hop counts, and the per-gain throughput.
 The distance laws are closed form; the Laplace functional and coverage use
-fixed-node Gauss-Legendre panels in log radius, refined by halving until the
+fixed-node Gauss-Legendre panels in log path loss, refined by halving until the
 tolerances of `QuadratureSpec` hold. Semi-infinite integrals are truncated
 at ``QuadratureSpec.truncation_radius_m`` with an analytic tail bound folded
 into the reported error estimate.
@@ -33,6 +33,7 @@ from .channel import (
     los_probability,
     _check_state,
     _require,
+    _require_all,
     _TWO_PI,
 )
 
@@ -84,11 +85,11 @@ DEFAULT_QUAD = QuadratureSpec()
 
 
 # Fixed-node panel quadrature. Every integral below is a sum over
-# Gauss-Legendre panels in log-radius, split at the integrand's kinks; an
+# Gauss-Legendre panels in log path loss, split at the integrand's kinks; an
 # estimate is accepted once halving every panel moves it by at most
 # max(abs_tol, rel_tol * value), and that difference is its quadrature error.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
-_PANEL_WIDTH = 2.0   # width in ln(radius) of the coarsest panels; x max(alpha) in ln(path loss)
+_PANEL_WIDTH = 2.0   # width in ln(radius) of the coarsest panels; x alpha in ln(path loss)
 _MAX_HALVINGS = 4
 _MAX_TENSOR = 1 << 18  # entries per block of the interference tensor: 4 MB of 1/x and weight
 # Every grid point is accepted after one halving in the default settings;
@@ -103,14 +104,14 @@ _TAU_CLAMP = 1e200
 _SERVING_MASS_TOL = 1e-3  # how far the serving-distance mass may miss 1; `validate` checks it too
 
 
-def _panel_edges(breaks, halvings: int, width: float) -> np.ndarray:
+def _panel_edges(breaks, halvings: int, widths) -> np.ndarray:
     """Panel edges over [breaks[0], breaks[-1]] with an edge at every break.
 
-    Each gap between breaks holds ceil(gap / width) * 2**halvings equal
+    Gap i between breaks holds ceil(gap / widths[i]) * 2**halvings equal
     panels, so one more halving splits every panel in two.
     """
     edges = [np.asarray(breaks[:1], dtype=float)]
-    for a, b in zip(breaks[:-1], breaks[1:]):
+    for a, b, width in zip(breaks[:-1], breaks[1:], widths):
         n = max(1, math.ceil((b - a) / width)) << halvings
         edges.append(np.linspace(a, b, n + 1)[1:])
     return np.concatenate(edges)
@@ -185,8 +186,7 @@ def nearest_distance_pdf(z, state: str, lam: float, blockage: BlockageModel):
     _check_state(state)
     _require("intensity", lam)
     z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0.0):
-        raise ValueError("distance must be non-negative")
+    _require_all("distance", z_arr, zero_ok=True)
     out = (_TWO_PI * lam * z_arr * _state_probability(blockage, state, z_arr)
            * np.exp(-_TWO_PI * lam * _radial_mass(blockage, state, z_arr)))
     return float(out) if np.ndim(z) == 0 else out
@@ -203,8 +203,7 @@ def serving_distance_pdf(r, state: str, lam: float, channel: ChannelParams):
     total mass. Closed form, elementwise over an array ``r``.
     """
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
-        raise ValueError("serving distance must be positive")
+    _require_all("serving distance", r_arr)
     other = NLOS if state == LOS else LOS
     w = r_arr ** (channel.alpha(state) / channel.alpha(other))
     out = (nearest_distance_pdf(r_arr, state, lam, channel.blockage)
@@ -333,82 +332,79 @@ def _tail_radial_bound(blockage: BlockageModel, state: str, start: float,
     return start ** (2.0 - alpha) / (alpha - 2.0) if alpha > 2.0 else math.inf
 
 
-def _exponent_blocks(s: np.ndarray, fields, channel: ChannelParams, upper: float,
-                     halvings: int):
+def _path_loss_density(path_loss, channel: ChannelParams, upper: float):
+    """APs per unit ln l and per 2 pi lambda0 at path loss l = d^alpha(state), elementwise:
+    sum_s P_s(t_s) t_s^2 / alpha_s at t_s = l^(1/alpha_s) <= ``upper``, the intensity of
+    the path-loss process of both states (Haenggi, IEEE TIT 2008)."""
+    density = 0.0
+    for state in (LOS, NLOS):
+        t = path_loss ** (1.0 / channel.alpha(state))
+        density = density + (_state_probability(channel.blockage, state, t) * t * t
+                             / channel.alpha(state) * (t <= upper))
+    return density
+
+
+def _exponent_blocks(s: np.ndarray, lower: np.ndarray, lo: float, channel: ChannelParams,
+                     upper: float, halvings: int):
     """The tensor quadrature of the interference exponent as a ragged table.
 
-    ``fields`` holds the interferer fields of the rows as (lower, state) pairs:
-    for coverage and the Laplace functional, the two of `_interferer_limits`
-    at each row's serving path loss. Per row i the exponent sums, over the
-    fields, int_{lower_i}^upper (1 - GainMoment(s_i, t)) P_state(t) t dt. With
-    unit-mean exponential fading, 1 - GainMoment = sum_g p_g x g/(1 + x g),
-    x = s * beta * t^-alpha_state.
-    The rows of one field share one set of panels in ln t, split at the
-    blockage's LOS-ball radius; a row takes a partial panel of its own from
-    its lower limit to the next edge, plus the nodes of every panel above.
-    Nodes of weight exactly 0 (P_state(t) = 0) add nothing and are left out,
-    and a field is live on a row only while its lower limit is below the top
-    edge of the field's last weighted panel. A row's entries are, field after
-    field, those of its partial panel and then those of its full panels.
+    Per row i the exponent is the integral of sum_g p_g x g/(1 + x g)
+    `_path_loss_density`(l) over ln l from lower_i to max_s upper^alpha_s,
+    x = s_i beta / l: with unit-mean exponential fading an interferer of path
+    loss l adds 1 - GainMoment = sum_g p_g x g/(1 + x g), and the interferers
+    of both states are the path-loss process above the serving path loss.
+    The panels in ln l run from ``lo`` up and depend on the configuration
+    alone: they split at each state's path loss of ``upper`` and of a LOS
+    ball, and each gap is _PANEL_WIDTH * alpha wide, alpha the least exponent
+    whose distances up to ``upper`` reach the gap's top. A row takes a partial
+    panel of its own from its lower limit (or ``lo``, if that is higher) to
+    the next edge, then the nodes of every panel above, so its sums depend on
+    no other row. Nodes of weight exactly 0 are left out: a row from the top
+    of the last weighted panel up has no entry.
 
     Returns a lazy iterator of blocks of whole rows with at most _MAX_TENSOR
     entries in all (a longer row is a block on its own). Each block is
     (rows, starts, inv_x, weight): the row indices; each row's first entry in
-    the block; and per entry 1/x and its inner weight. Rows without an entry
-    are in no block, and nothing here depends on the gain law.
+    the block; and per entry 1/x = l / (s beta) and its inner weight. Rows
+    without an entry are in no block, and nothing here depends on the gain law.
     """
-    ball = [channel.blockage.param] if channel.blockage.kind == "los_ball" else []
-    # Per row and field, two runs of the tables v and t_alpha: the partial
-    # panel's, then the full panels'.
-    v, t_alpha, starts, lengths, size = [], [], [], [], 0
-    for lower, state in fields:
-        start, length = np.zeros((2, 2, len(s)), dtype=np.int32)
-        starts.append(start)
-        lengths.append(length)
-        live = np.flatnonzero(lower < upper)
-        if not len(live):
-            continue
-        edges = _panel_edges(_log_breaks(float(lower[live].min()), upper, ball), halvings,
-                             _PANEL_WIDTH)
-        u, w = _gauss_nodes(edges)
-        t = np.exp(u)
-        v_full = w * _state_probability(channel.blockage, state, t) * t * t  # dt = t du
-        weighted = np.flatnonzero(v_full)
-        if not len(weighted):
-            continue
-        node_panel = weighted // len(_GL_X)
-        # The weight is 0 from the top of the last weighted panel up (beyond a
-        # LOS ball), and so is the partial panel of a row that starts there.
-        log_lower = np.log(lower[live])
-        keep = log_lower < edges[node_panel[-1] + 1]
-        live, log_lower = live[keep], log_lower[keep]
-        first = np.searchsorted(edges, log_lower)
-        half = 0.5 * (edges[first] - log_lower)
-        u_part = (log_lower + half)[:, None] + half[:, None] * _GL_X
-        t_part = np.exp(u_part)
-        v_part = (half[:, None] * _GL_W * t_part**2
-                  * _state_probability(channel.blockage, state, t_part))
-        weighted_part = v_part > 0.0
-        n_part = weighted_part.sum(axis=1)
-        start[0, live] = size + len(weighted) + np.cumsum(n_part) - n_part
-        length[0, live] = n_part
-        lo = np.searchsorted(node_panel, first)  # the first node at or above a row's limit
-        start[1, live] = size + lo
-        length[1, live] = len(weighted) - lo
-        v += [v_full[weighted], v_part[weighted_part]]
-        with np.errstate(over="ignore"):
-            t_alpha += [np.exp(channel.alpha(state) * np.concatenate(
-                [u[weighted], u_part[weighted_part]]))]
-        size += len(weighted) + int(n_part.sum())
-    v = np.concatenate(v) if v else np.zeros(0)
-    t_alpha = np.concatenate(t_alpha) if t_alpha else np.zeros(0)
-    start, length = (np.vstack(a).T for a in (starts, lengths))
-    return _ragged_blocks(v, t_alpha, 1.0 / (s * channel.beta), start, length)
+    alphas = (channel.alpha_los, channel.alpha_nlos)
+    tops = [upper ** a for a in alphas]
+    points = tops + ([channel.blockage.param ** a for a in alphas]
+                     if channel.blockage.kind == "los_ball" else [])
+    breaks = _log_breaks(lo, max(tops), points)
+    reach = [(math.log(top), a) for top, a in zip(tops, alphas)]
+    edges = _panel_edges(breaks, halvings, [
+        _PANEL_WIDTH * min(a for log_top, a in reach if log_top >= b) for b in breaks[1:]])
+    u, w = _gauss_nodes(edges)
+    path_loss = np.exp(u)
+    v_full = w * _path_loss_density(path_loss, channel, upper)
+    weighted = np.flatnonzero(v_full)
+    # Per row, two runs of the tables v and path_loss: the partial panel's,
+    # then the full panels'. The weight is 0 from the top of the last weighted
+    # panel up, and so is the partial panel of a row that starts there.
+    start, length = np.zeros((2, len(s), 2), dtype=np.int32)
+    log_lower = np.log(np.maximum(lower, lo))
+    live = np.flatnonzero(log_lower < edges[weighted[-1] // len(_GL_X) + 1])
+    log_lower = log_lower[live]
+    first = np.searchsorted(edges, log_lower)
+    half = 0.5 * (edges[first] - log_lower)
+    path_loss_part = np.exp((log_lower + half)[:, None] + half[:, None] * _GL_X)
+    v_part = half[:, None] * _GL_W * _path_loss_density(path_loss_part, channel, upper)
+    weighted_part = v_part > 0.0
+    n_part = weighted_part.sum(axis=1)
+    start[live, 0] = len(weighted) + np.cumsum(n_part) - n_part
+    length[live, 0] = n_part
+    start[live, 1] = np.searchsorted(weighted // len(_GL_X), first)  # first node above
+    length[live, 1] = len(weighted) - start[live, 1]
+    v = np.concatenate([v_full[weighted], v_part[weighted_part]])
+    path_loss = np.concatenate([path_loss[weighted], path_loss_part[weighted_part]])
+    return _ragged_blocks(v, path_loss, 1.0 / (s * channel.beta), start, length)
 
 
-def _ragged_blocks(v, t_alpha, inv_s_beta, start, length):
+def _ragged_blocks(v, path_loss, inv_s_beta, start, length):
     """Blocks of whole rows: run j of row i takes length[i, j] entries of v
-    and t_alpha from start[i, j] on; 1/x = t^alpha / (s beta)."""
+    and path_loss from start[i, j] on; 1/x = l / (s beta)."""
     row_length = length.sum(axis=1)
     rows_left = np.flatnonzero(row_length)
     while len(rows_left):
@@ -419,7 +415,7 @@ def _ragged_blocks(v, t_alpha, inv_s_beta, start, length):
         run_end = np.cumsum(run_length, dtype=np.int32)
         index = np.repeat(start[rows].ravel() - (run_end - run_length), run_length)
         index += np.arange(run_end[-1], dtype=np.int32)
-        inv_x = t_alpha[index]
+        inv_x = path_loss[index]
         with np.errstate(over="ignore"):
             inv_x *= np.repeat(inv_s_beta[rows], row_length[rows])
         yield rows, np.cumsum(row_length[rows]) - row_length[rows], inv_x, v[index]
@@ -444,14 +440,15 @@ def _atom_sums(blocks, n: int, cs) -> np.ndarray:
     return out
 
 
-def _interference_tail(s_beta_gain: float, lower_los: float, lower_nlos: float,
-                       channel: ChannelParams, quad: QuadratureSpec) -> float:
-    """Bound on the exponent's part beyond the truncation radius, per unit 2*pi*lambda."""
+def _interference_tail(s_beta_gain: float, path_loss: float, channel: ChannelParams,
+                       quad: QuadratureSpec) -> float:
+    """Bound on the exponent's part beyond the truncation radius, per unit 2*pi*lambda,
+    for interferers of path loss above ``path_loss``: each state's from
+    max(path_loss^(1/alpha_state), truncation radius) on."""
     upper = quad.truncation_radius_m
-    tail = s_beta_gain * (
-        _tail_radial_bound(channel.blockage, LOS, max(lower_los, upper), channel.alpha_los)
-        + _tail_radial_bound(channel.blockage, NLOS, max(lower_nlos, upper),
-                             channel.alpha_nlos))
+    tail = s_beta_gain * sum(
+        _tail_radial_bound(channel.blockage, state, max(path_loss ** (1.0 / alpha), upper), alpha)
+        for state, alpha in ((LOS, channel.alpha_los), (NLOS, channel.alpha_nlos)))
     if not math.isfinite(tail):
         raise QuadratureError(
             "interference tail bound diverges beyond the truncation radius "
@@ -460,10 +457,15 @@ def _interference_tail(s_beta_gain: float, lower_los: float, lower_nlos: float,
     return tail
 
 
-def _interferer_limits(d, alpha: float, channel: ChannelParams):
-    """(LOS, NLOS) radii (d^alpha)^(1/alpha_state) = d^(alpha/alpha_state), elementwise: every
-    interferer has a larger path loss than a serving AP at d^alpha, whichever state serves."""
-    return tuple(d ** (alpha / channel.alpha(state)) for state in (LOS, NLOS))
+def _outer_r_min(lambda0: float, quad: QuadratureSpec) -> float:
+    """The least serving distance r_min of the outer integral, at r_min^alpha in path loss."""
+    return _R_MIN_FACTOR * min(_r0(lambda0), quad.truncation_radius_m)
+
+
+def _least_path_loss(lambda0: float, channel: ChannelParams, quad: QuadratureSpec) -> float:
+    """min_s r_min^alpha_s: where the outer panels and every inner grid start in ln l."""
+    r_min = _outer_r_min(lambda0, quad)
+    return min(r_min ** a for a in (channel.alpha_los, channel.alpha_nlos))
 
 
 def laplace_interference(s: float, serving_distance: float, serving_state: str, k: int,
@@ -472,11 +474,12 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
     """Laplace functional E[exp(-s * I)] of the aggregate interference.
 
     Conditioning on the serving AP (state + distance d) excludes every
-    interferer with more average power: each state's interferers start at
-    l0^(1/alpha_state), l0 = d^alpha_serving the serving path loss. The two
-    independent state fields contribute one exponential factor each. Returns
-    the value in (0, 1]; with ``full_output`` also an absolute error estimate:
-    the panel-halving difference plus the analytic truncation tail bound.
+    interferer with more average power: the interferers of both states are
+    the path-loss process above l0 = d^alpha_serving, the serving path loss.
+    Their exponent is one row of `_exponent_blocks`, bitwise the coverage
+    plan's row at the same s and l0. Returns the value in (0, 1]; with
+    ``full_output`` also an absolute error estimate: the panel-halving
+    difference plus the analytic truncation tail bound.
     """
     _check_state(serving_state)
     _require("transform variable", s, zero_ok=True)
@@ -486,15 +489,16 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
         return (1.0, 0.0) if full_output else 1.0
 
     pmf = beam_gain_pmf(beam, k)
-    limits = _interferer_limits(serving_distance, channel.alpha(serving_state), channel)
+    with np.errstate(over="ignore"):  # no interferer lies beyond an infinite path loss
+        path_loss = float(np.float64(serving_distance) ** channel.alpha(serving_state))
     tail = _TWO_PI * lambda0 * _interference_tail(
-        s * channel.beta * pmf.expected_gain, *limits, channel, quad)
-    s_arr = np.array([s])
-    fields = [(np.array([lower]), state) for lower, state in zip(limits, (LOS, NLOS))]
+        s * channel.beta * pmf.expected_gain, path_loss, channel, quad)
+    row = (np.array([s]), np.array([path_loss]), _least_path_loss(lambda0, channel, quad),
+           channel, quad.truncation_radius_m)
     atoms = [(p, g) for g, p in pmf.support]
 
     def evaluate(halvings):
-        blocks = _exponent_blocks(s_arr, fields, channel, quad.truncation_radius_m, halvings)
+        blocks = _exponent_blocks(*row, halvings)
         exponent = _combine_atoms(atoms, _atom_sums(blocks, 1, [g for _, g in atoms]))[0]
         return (math.exp(-_TWO_PI * lambda0 * exponent),)
 
@@ -505,11 +509,6 @@ def laplace_interference(s: float, serving_distance: float, serving_state: str, 
     return value
 
 
-def _outer_r_min(lambda0: float, quad: QuadratureSpec) -> float:
-    """The least serving distance r_min of the outer integral, at r_min^alpha in path loss."""
-    return _R_MIN_FACTOR * min(_r0(lambda0), quad.truncation_radius_m)
-
-
 class _CoveragePlan:
     """The threshold- and gain-free part of the coverage quadrature, one row per outer
     node of the serving path loss l0 = d^alpha(state), whichever state serves.
@@ -517,37 +516,35 @@ class _CoveragePlan:
     ``path_loss``: l0 at the nodes of non-zero weight. ``weight``: w times the
     density of the least path loss in ln l0. ``s_unit``: s at tau = 1,
     l0 / (g_main^2 beta). ``blocks``: the blocks of `_exponent_blocks` at those
-    s, lazily, with fields (l0^(1/alpha_los), LOS) and (l0^(1/alpha_nlos), NLOS).
-    ``outside``: the serving-distance mass left out, at most pi lambda0 r_min^2
-    below r_min, each state's nearest-AP mass beyond the truncation radius, and
-    the leading nodes of cumulative weight at most _R_MIN_FACTOR^2 (the order
-    of the mass below r_min), which are dropped because their inner range
-    spans every panel.
+    s and lower limits l0, lazily. ``outside``: the serving-distance mass left
+    out, at most pi lambda0 r_min^2 below r_min, each state's nearest-AP mass
+    beyond the truncation radius, and the leading nodes of cumulative weight
+    at most _R_MIN_FACTOR^2 (the order of the mass below r_min), which are
+    dropped because their inner range spans every panel.
     """
 
     def __init__(self, lambda0: float, channel: ChannelParams, g_main: float,
                  quad: QuadratureSpec, halvings: int):
         blockage, upper = channel.blockage, quad.truncation_radius_m
-        r0, r_min = _r0(lambda0), _outer_r_min(lambda0, quad)
+        r0, lo = _r0(lambda0), _least_path_loss(lambda0, channel, quad)
         alphas = (channel.alpha_los, channel.alpha_nlos)
         # Outer edges at each state's path loss of the truncation radius; of r0, 2 r0
         # and 4 r0, beyond which the law falls like exp(-pi lambda0 r^2); of a LOS ball.
         radii = [upper, r0, 2.0 * r0, 4.0 * r0]
         if blockage.kind == "los_ball":
             radii.append(blockage.param)
-        breaks = _log_breaks(min(r_min ** a for a in alphas), max(upper ** a for a in alphas),
+        breaks = _log_breaks(lo, max(upper ** a for a in alphas),
                              [r ** a for r in radii for a in alphas])
-        u, w = _gauss_nodes(_panel_edges(breaks, halvings, _PANEL_WIDTH * max(alphas)))
-        path_loss, states = np.exp(u), (LOS, NLOS)
-        limits = _interferer_limits(path_loss, 1.0, channel)
+        u, w = _gauss_nodes(_panel_edges(breaks, halvings,
+                                         [_PANEL_WIDTH * max(alphas)] * (len(breaks) - 1)))
+        path_loss = np.exp(u)
         # APs of path loss below l: a Poisson count of mean Lambda(l) = 2 pi lambda0
         # sum_s M_s(l^(1/alpha_s)), M_s the radial mass. The least one has density
-        # Lambda'(l) exp(-Lambda(l)), in ln l 2 pi lambda0 sum_s P_s(t_s) t_s^2 / alpha_s
-        # at t_s = l^(1/alpha_s), for serving distances t_s up to the truncation radius.
-        density = sum(_state_probability(blockage, state, t) * t * t / a * (t <= upper)
-                      for state, t, a in zip(states, limits, alphas))
-        mass = sum(_radial_mass(blockage, state, t) for state, t in zip(states, limits))
-        weight = w * _TWO_PI * lambda0 * density * np.exp(-_TWO_PI * lambda0 * mass)
+        # Lambda'(l) exp(-Lambda(l)), in ln l 2 pi lambda0 `_path_loss_density`(l).
+        mass = sum(_radial_mass(blockage, state, path_loss ** (1.0 / channel.alpha(state)))
+                   for state in (LOS, NLOS))
+        weight = (w * _TWO_PI * lambda0 * _path_loss_density(path_loss, channel, upper)
+                  * np.exp(-_TWO_PI * lambda0 * mass))
         rows = np.flatnonzero(weight > 0.0)
         cum = np.cumsum(weight[rows])
         start = int(np.searchsorted(cum, _R_MIN_FACTOR**2, side="right"))
@@ -555,9 +552,8 @@ class _CoveragePlan:
         beyond_los, beyond_nlos = _nearest_mass_beyond(lambda0, blockage, upper)
         self.path_loss, self.weight = path_loss[rows], weight[rows]
         self.s_unit = self.path_loss / (g_main**2 * channel.beta)
-        fields = [(lower[rows], state) for lower, state in zip(limits, states)]
-        self.blocks = _exponent_blocks(self.s_unit, fields, channel, upper, halvings)
-        self.outside = (math.pi * lambda0 * r_min**2 + beyond_los
+        self.blocks = _exponent_blocks(self.s_unit, self.path_loss, lo, channel, upper, halvings)
+        self.outside = (math.pi * lambda0 * _outer_r_min(lambda0, quad)**2 + beyond_los
                         + beyond_nlos + (float(cum[start - 1]) if start else 0.0))
 
 
@@ -598,7 +594,8 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     l0 = d^alpha(state), the least of the APs of both states (the path-loss
     process of Haenggi, IEEE TIT 2008; Bai & Heath's Laplace-functional form),
     as one tensor quadrature: outer panels in ln l0 from (1e-6 r0)^alpha to the
-    truncation radius^alpha, inner panels in ln t for every outer node at once.
+    truncation radius^alpha, inner panels in the interferers' ln l for every
+    outer node at once.
     The reported error sums the panel-halving difference, the truncation tail
     bound weighted by the integrand, and the serving-distance mass outside the
     outer range or on the leading outer nodes that `_CoveragePlan` drops.
@@ -617,11 +614,10 @@ def coverage_probability(tau: float, k: int, lambda0: float, channel: ChannelPar
     clamped = tau > _TAU_CLAMP
     tau = min(tau, _TAU_CLAMP)
     pmf = beam_gain_pmf(beam, k)  # validates k against the RF-chain budget
-    upper = quad.truncation_radius_m
     # The far-field tail of each node's Laplace exponent is at most s times
     # this (the bound from the truncation radius covers every lower limit).
     tail_per_s = _TWO_PI * lambda0 * _interference_tail(
-        channel.beta * pmf.expected_gain, upper, upper, channel, quad)
+        channel.beta * pmf.expected_gain, 0.0, channel, quad)
     atoms = [(p, g * tau) for g, p in pmf.support]
     cs = [c for _, c in atoms]
 

@@ -38,6 +38,13 @@ def _require(name: str, value: float, zero_ok: bool = False) -> None:
         raise ValueError(f"{name} must be {'non-negative' if zero_ok else 'positive'} and finite")
 
 
+def _require_all(name: str, values: np.ndarray, zero_ok: bool = False) -> None:
+    """`_require` for every entry of an array: one NaN or inf anywhere fails."""
+    low_ok = values >= 0.0 if zero_ok else values > 0.0
+    if not np.all(low_ok & (values < math.inf)):
+        _require(name, math.nan, zero_ok)
+
+
 @dataclass(frozen=True)
 class BlockageModel:
     """LOS probability law P_L(r) for a link of length r.
@@ -77,8 +84,7 @@ def los_probability(r, blockage: BlockageModel):
     in r for the exponential and los_ball kinds.
     """
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0.0):
-        raise ValueError("link length must be non-negative")
+    _require_all("link length", r_arr, zero_ok=True)
     out = _p_los_raw(r_arr, blockage)
     return float(out) if np.ndim(r) == 0 else out
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .channel import ChannelParams, _require, _TWO_PI
+from .channel import ChannelParams, _require, _require_all, _TWO_PI
 from .analytics import QuadratureSpec, DEFAULT_QUAD
 
 
@@ -100,9 +100,10 @@ class RadialSampler:
         cdf = np.asarray(cdf, dtype=float)
         if radii.ndim != 1 or radii.shape != cdf.shape or len(radii) < 2:
             raise ValueError("need matching 1-d radius/CDF tables of length >= 2")
-        if np.any(np.diff(radii) <= 0.0):
+        _require_all("radius", radii, zero_ok=True)
+        if not np.all(np.diff(radii) > 0.0):
             raise ValueError("radii must increase strictly")
-        if np.any(np.diff(cdf) < 0.0) or cdf[0] != 0.0 or cdf[-1] != 1.0:
+        if not (np.all(np.diff(cdf) >= 0.0) and cdf[0] == 0.0 and cdf[-1] == 1.0):
             raise ValueError("the CDF must not decrease and must run from 0 to 1")
         a, b = radii[:-1], radii[1:]
         # .sum(), not a dot product: a BLAS call can start its thread pool per sampler.

@@ -4,7 +4,7 @@ Laplace functional and coverage, kept as a test oracle for `mmtier.analytics`.
 This is the nested scipy ``quad`` implementation that `mmtier.analytics`
 replaced with fixed-node panel quadrature. Its code is unchanged except that
 `coverage_probability` no longer runs the weight-form self-check, which is
-now `test_analytics.TestConditionalCoverage.test_coverage_weight_forms_agree`,
+now `test_analytics.TestServingDistancePdf.test_agrees_with_its_ratio_form`,
 and that the scipy ``quad`` wrapper `_quad` moved here from `mmtier.analytics`.
 Its error estimates come from QUADPACK and from the same truncation tail
 bound, so the two implementations must agree within the sum of their

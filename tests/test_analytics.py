@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,9 +55,9 @@ def rayleigh_nearest_pdf(z, lam):
     return 2.0 * math.pi * z * lam * math.exp(-math.pi * lam * z * z)
 
 
-def _serving_weight_literal(r: float, state: str, lambda0: float,
+def _serving_pdf_ratio_form(r: float, state: str, lambda0: float,
                             channel: ChannelParams) -> float | None:
-    """Coverage weight in ratio form: f_state(r) * f_other(w) / (2*pi*w*lam*P_other(w)).
+    """`serving_distance_pdf` in ratio form: f_state(r) * f_other(w) / (2*pi*w*lam*P_other(w)).
 
     Returns None where the ratio is 0/0 (opposite-state probability vanishes).
     Algebraically identical to `serving_distance_pdf`; kept as a consistency
@@ -77,12 +78,12 @@ def _serving_weight_literal(r: float, state: str, lambda0: float,
     return f_state * f_other / (2.0 * math.pi * w * lambda0 * p_other)
 
 
-def _check_weight_forms(lambda0: float, channel: ChannelParams, quad: QuadratureSpec) -> None:
-    """Assert the simplified and ratio weight forms agree at probe radii."""
+def _check_ratio_form(lambda0: float, channel: ChannelParams, quad: QuadratureSpec) -> None:
+    """Assert `serving_distance_pdf` and its ratio form agree at probe radii."""
     r0 = math.sqrt(1.0 / (math.pi * lambda0))
     for state in (LOS, NLOS):
         for r in (0.25 * r0, r0, 4.0 * r0):
-            literal = _serving_weight_literal(r, state, lambda0, channel)
+            literal = _serving_pdf_ratio_form(r, state, lambda0, channel)
             if literal is None:
                 continue
             simplified = serving_distance_pdf(r, state, lambda0, channel)
@@ -127,6 +128,10 @@ class TestNearestDistancePdf:
 
 
 class TestServingDistancePdf:
+    def test_agrees_with_its_ratio_form(self, lam0, channel, quad):
+        for chan in (channel, LOS_BALL_CHANNEL, dataclasses.replace(channel, blockage=HALF_LOS)):
+            _check_ratio_form(lam0, chan, quad)
+
     def test_no_blockage_reduces_to_rayleigh(self):
         chan = ChannelParams(2.0, 4.0, 1.0, ALWAYS_LOS)
         for r in (20.0, 100.0, 250.0):
@@ -217,6 +222,13 @@ ORACLE_CASES = {
     "constant": (ChannelParams(2.5, 4.0, 1.0, HALF_LOS), 1.0, 6),
     "noise": (ChannelParams(2.0, 4.0, 1.0, BlockageModel("exponential", MU_M), noise_power=0.5),
               1.0, 1),
+}
+
+
+# The default configuration under the two blockage laws of the sweep benchmark.
+SWEEP_BENCH_CONFIGS = {
+    "exponential": "blockage = exponential\nblockage_mu_m = 141.4\n",
+    "los_ball": "blockage = los_ball\nblockage_radius_m = 100\n",
 }
 
 
@@ -349,6 +361,19 @@ class TestLaplaceInterference:
         v = laplace_interference(5.0, 80.0, NLOS, 3, lam0, channel, beam, quad)
         assert 0.0 < v <= 1.0
 
+    @pytest.mark.parametrize("state", [LOS, NLOS])
+    def test_serving_path_loss_beyond_the_grid(self, state, lam0, channel, beam, quad):
+        # A serving path loss d^alpha at the top one, R^alpha_NLOS, or above it,
+        # up to one that overflows to inf, leaves no interferer: an empty row.
+        # One below the grid's lower end, down to one that underflows to 0,
+        # starts the row there.
+        def value(d):
+            return laplace_interference(5.0, d, state, 3, lam0, channel, beam, quad)
+
+        upper = quad.truncation_radius_m
+        assert value(upper ** (channel.alpha_nlos / channel.alpha(state))) == value(1e200) == 1.0
+        assert value(1e-20) == value(1e-200) == pytest.approx(value(1e-3), rel=1e-9)
+
 
 def _coverage_s(tau, r, state, channel, beam):
     """s = r^alpha tau / (g_main^2 beta): coverage given a serving AP at r is
@@ -395,10 +420,6 @@ class TestConditionalCoverage:
         got = laplace_interference(_coverage_s(tau, r, LOS, channel, beam), r, LOS, k, lam0,
                                    channel, beam, quad)
         assert abs(got - estimate) < 0.02
-
-    def test_coverage_weight_forms_agree(self, lam0, channel, quad):
-        for chan in (channel, LOS_BALL_CHANNEL, dataclasses.replace(channel, blockage=HALF_LOS)):
-            _check_weight_forms(lam0, chan, quad)
 
 
 class _FreshCoverageCaches:
@@ -534,12 +555,12 @@ class TestCoveragePlan(_FreshCoverageCaches):
         finally:
             tracemalloc.stop()
         # the ragged plans, 1/x and the weight per entry, both float64, hold
-        # 0.70 MiB and peak at 0.87 MiB
+        # 0.65 MiB and peak at 0.83 MiB
         assert peak < 2**20
 
     @pytest.mark.parametrize("law, halvings, rows, entries", [
-        ("exponential", 0, 112, 7050), ("exponential", 1, 225, 25440),
-        ("los_ball", 0, 71, 2760), ("los_ball", 1, 144, 10560),
+        ("exponential", 0, 112, 5950), ("exponential", 1, 225, 22870),
+        ("los_ball", 0, 71, 2800), ("los_ball", 1, 144, 10730),
     ])
     def test_sizes_of_the_sweep_benchmark_plans(self, law, halvings, rows, entries):
         # Deterministic counts: an outer row or an inner entry more is a cost every
@@ -547,6 +568,23 @@ class TestCoveragePlan(_FreshCoverageCaches):
         plan = analytics._CoveragePlan(*_plan_key(law), halvings)
         assert len(plan.s_unit) == len(plan.weight) == rows
         assert sum(inv_x.size for _, _, inv_x, _ in plan.blocks) == entries
+
+    @pytest.mark.parametrize("law", sorted(SWEEP_BENCH_CONFIGS))
+    def test_every_default_point_converges_in_the_cached_plans(self, law, monkeypatch):
+        # A point that needs one more halving plans its finer panels on every
+        # call, several times the cost of a cached one, and no lookup count
+        # shows it. All 9 x 12 points must build the cached plans once each.
+        cfg = config.parse_config(SWEEP_BENCH_CONFIGS[law])
+        halvings = []
+        plan = analytics._CoveragePlan
+        monkeypatch.setattr(analytics, "_CoveragePlan",
+                            lambda *args: halvings.append(args[-1]) or plan(*args))
+        assert len(cfg.tau_db_list) == 9
+        for tau_db in cfg.tau_db_list:
+            for k in range(1, 13):
+                coverage_probability(config._db_to_linear(tau_db), k, cfg.network().lambda_tier0,
+                                     cfg.channel(), cfg.beam(), cfg.quad())
+        assert halvings == list(range(analytics._CACHED_HALVINGS + 1))
 
     @pytest.mark.parametrize("truncation", ["2500m", "50r0"])
     @pytest.mark.parametrize("kind", sorted(ORACLE_CASES))
@@ -648,7 +686,7 @@ class TestCoveragePlan(_FreshCoverageCaches):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 2.0M entries in all, 1.5M of them at the finest panels: at 16 bytes
+        # 1.85M entries in all, 1.39M of them at the finest panels: at 16 bytes
         # each they would exceed the 16 MiB cap if held at once
         assert peak < 16 * 2**20, peak
         assert sum(sizes) > 4 * analytics._MAX_TENSOR
@@ -676,13 +714,6 @@ class TestCoveragePlan(_FreshCoverageCaches):
         assert small == default
         assert all(len(rows) == 1 or inv_x.size <= 64 for rows, _, inv_x, _ in blocks)
         assert max(inv_x.size for _, _, inv_x, _ in blocks) > 64
-
-
-# The default configuration under the two blockage laws of the sweep benchmark.
-SWEEP_BENCH_CONFIGS = {
-    "exponential": "blockage = exponential\nblockage_mu_m = 141.4\n",
-    "los_ball": "blockage = los_ball\nblockage_radius_m = 100\n",
-}
 
 
 def _plan_key(law: str):
@@ -852,163 +883,107 @@ class TestAtomRows(_FreshCoverageCaches):
         assert held < 2**18, held  # 0.25 MiB
 
 
-def _exponent(blocks, n, pmf):
-    """Per row, the exponent of `analytics._exponent_blocks` under the gain law ``pmf``."""
-    atoms = [(p, g) for g, p in zip(pmf.gains, pmf.probs) if p > 0.0]
-    return analytics._combine_atoms(atoms, analytics._atom_sums(blocks, n,
-                                                                [g for _, g in atoms]))
-
-
-def _one_field_exponents(s, fields, chan, upper, halvings, pmf):
-    """Each field's exponent per row, from the one-field case of the block builder."""
-    return [_exponent(analytics._exponent_blocks(s, [field], chan, upper, halvings), len(s), pmf)
-            for field in fields]
-
-
-def _assert_rows_have_weight(table) -> None:
-    """A one-field table holds only rows the field has weight on above their
-    lower limit, each with at least one entry, and no entry of weight 0."""
-    for rows, starts, inv_x, weight in table:
-        assert len(rows) == len(starts) and starts[0] == 0 and inv_x.size == weight.size
-        assert (np.diff(starts) > 0).all() and starts[-1] < inv_x.size
-        assert (weight > 0.0).all()
-
-
-def _entry_radii(s, field, chan, table):
-    """Per block: the lower limit of each entry's row, and t recovered from
-    the entry's 1/x = t^alpha / (s beta)."""
-    lower, state = field
-    for rows, starts, inv_x, _ in table:
-        row = np.repeat(rows, np.diff(starts, append=inv_x.size))
-        yield lower[row], (inv_x * s[row] * chan.beta) ** (1.0 / chan.alpha(state))
-
-
 def _record_builder_calls(monkeypatch) -> list:
-    """Record the (s, fields, other arguments) of every `_exponent_blocks` call."""
+    """Record the arguments (s, lower, lo, channel, upper, halvings) of every
+    `_exponent_blocks` call."""
     calls = []
     blocks = analytics._exponent_blocks
 
-    def record(s, fields, *args):
-        calls.append((s, fields, args))
-        return blocks(s, fields, *args)
+    def record(*args):
+        calls.append(args)
+        return blocks(*args)
 
     monkeypatch.setattr(analytics, "_exponent_blocks", record)
     return calls
 
 
-class TestMergedFieldBlocks:
-    """`analytics._exponent_blocks` puts every interferer field of a row into one
-    block; each row's exponent must equal the sum of its fields built alone."""
+def _row_sums(args, cs, build=analytics._exponent_blocks) -> np.ndarray:
+    """`analytics._atom_sums` per c of ``cs`` (rows) and row of a builder call (columns)."""
+    return analytics._atom_sums(build(*args), len(args[0]), cs)
 
-    @settings(max_examples=60, deadline=None)
-    @given(kind=st.sampled_from(sorted(BLOCKAGE_KINDS)), state=st.sampled_from([LOS, NLOS]),
-           radii=st.lists(st.floats(1e-3, 2500.0), min_size=1, max_size=300),
-           tau=st.floats(1e-2, 1e3), k=st.integers(1, 12), halvings=st.integers(0, 1))
-    # NLOS-served rows whose LOS exclusion (r^2) passes the truncation radius at
-    # 50 m, so the LOS field is live on the first rows only; rows out of order;
-    # one row. The channels are the oracle's: the constant law's far field is finite.
-    @example(kind="exponential", state=NLOS, radii=list(np.geomspace(1.0, 2000.0, 300)),
-             tau=1.0, k=6, halvings=1)
-    @example(kind="los_ball", state=NLOS, radii=[60.0, 20.0, 55.0, 3.0], tau=10.0, k=3,
-             halvings=0)
-    @example(kind="constant", state=NLOS, radii=[70.0], tau=1.0, k=1, halvings=0)
-    # A LOS-served row at the ball radius b: its LOS field has no weighted
-    # node, and its NLOS field starts beyond the truncation radius.
-    @example(kind="los_ball", state=LOS, radii=[100.0], tau=1.0, k=1, halvings=0)
-    # NLOS-served rows whose LOS exclusion (r^2) passes b but not the
-    # truncation radius: the LOS field is dead, and the NLOS field weighs 0 up to b.
-    @example(kind="los_ball", state=NLOS, radii=[12.0, 30.0, 45.0], tau=1.0, k=6, halvings=1)
-    def test_rows_equal_the_sum_of_their_fields(self, kind, state, radii, tau, k, halvings,
-                                                beam, quad):
+
+class TestOneFieldRows:
+    """`analytics._exponent_blocks` integrates the interferers of both states as
+    the one path-loss process above each row's lower limit, on panels that
+    depend on the configuration alone: a row's sums depend on no other row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(BLOCKAGE_KINDS)),
+           rows=st.lists(st.tuples(st.floats(1e-3, 6000.0), st.sampled_from([LOS, NLOS])),
+                         min_size=1, max_size=60),
+           tau=st.floats(1e-2, 1e3), halvings=st.integers(0, 1),
+           max_tensor=st.sampled_from([64, 1000, analytics._MAX_TENSOR]))
+    # NLOS-served rows far apart, out of order; a LOS-served row at the ball
+    # radius b; rows whose lower limit passes the top path loss.
+    @example(kind="los_ball", rows=[(60.0, NLOS), (20.0, NLOS), (55.0, NLOS),
+                                                     (3.0, NLOS), (100.0, LOS)],
+             tau=10.0, halvings=0, max_tensor=64)
+    @example(kind="exponential", rows=[(3000.0, LOS), (1.0, NLOS), (2000.0, NLOS)], tau=1.0,
+             halvings=1, max_tensor=analytics._MAX_TENSOR)
+    def test_each_row_equals_the_row_built_alone(self, kind, rows, tau, halvings, max_tensor,
+                                                 lam0, beam, quad):
         chan = ORACLE_CASES[kind][0]
-        other = NLOS if state == LOS else LOS
-        r = np.array(radii)
-        s = r ** chan.alpha(state) * tau / (beam.g_main**2 * chan.beta)
-        fields = [(r, state), (r ** (chan.alpha(state) / chan.alpha(other)), other)]
-        pmf = beam_gain_pmf(beam, k)
-        upper = quad.truncation_radius_m
-        merged = _exponent(analytics._exponent_blocks(s, fields, chan, upper, halvings), len(r),
-                           pmf)
-        alone = sum(_one_field_exponents(s, fields, chan, upper, halvings, pmf))
-        np.testing.assert_allclose(merged, alone, rtol=1e-14, atol=0.0)
-        for field in fields:
-            _assert_rows_have_weight(analytics._exponent_blocks(s, [field], chan, upper,
-                                                                halvings))
+        lower = np.array([r ** chan.alpha(state) for r, state in rows])
+        s = lower * tau / (beam.g_main**2 * chan.beta)
+        rest = (analytics._least_path_loss(lam0, chan, quad), chan, quad.truncation_radius_m,
+                halvings)
+        cs = [1e4 * tau, 100.0 * tau, tau]
+        with mock.patch.object(analytics, "_MAX_TENSOR", max_tensor):
+            together = _row_sums((s, lower, *rest), cs)
+            for i in range(len(rows)):
+                alone = _row_sums((s[i:i + 1], lower[i:i + 1], *rest), cs)
+                assert (together[:, i] == alone[:, 0]).all(), rows[i]
 
+    @pytest.mark.parametrize("halvings", [0, 1])
     @pytest.mark.parametrize("kind", sorted(BLOCKAGE_KINDS))
-    @pytest.mark.parametrize("state, r", [(LOS, 90.0), (NLOS, 20.0), (NLOS, 300.0)])
-    def test_laplace_interference_is_one_merged_row(self, kind, state, r, lam0, beam, quad,
-                                                    monkeypatch):
+    def test_laplace_interference_is_one_plan_row(self, kind, halvings, lam0, beam, quad,
+                                                  monkeypatch):
+        # The plan's rows start at their serving path loss l0, s at tau = 1 is
+        # l0 / (g_main^2 beta), and a Laplace call at the same (s, l0) builds
+        # that row bitwise, whichever state serves.
         chan = ORACLE_CASES[kind][0]
         calls = _record_builder_calls(monkeypatch)
-        value = laplace_interference(30.0, r, state, 3, lam0, chan, beam, quad)
-        s, fields, (_, upper, halvings) = calls[-1]
-        assert len(s) == 1 and [field_state for _, field_state in fields] == [LOS, NLOS]
-        alone = sum(_one_field_exponents(s, fields, chan, upper, halvings,
-                                         beam_gain_pmf(beam, 3)))
-        assert value == pytest.approx(math.exp(-2.0 * math.pi * lam0 * alone[0]), rel=1e-14)
-
-    @pytest.mark.parametrize("kind", sorted(BLOCKAGE_KINDS))
-    def test_no_more_pairs_than_one_field_blocks(self, kind, lam0, beam, monkeypatch):
-        # At 50 r0, the sweep benchmark's truncation, the LOS field dies inside the
-        # outer integral, where l0^(1/alpha_los) passes it (an NLOS serving distance
-        # of 70.7 m when alpha = 2, 4).
-        chan = ORACLE_CASES[kind][0]
-        quad = QuadratureSpec.for_tier_intensity(lam0)
-        blocks = analytics._exponent_blocks
-        calls = _record_builder_calls(monkeypatch)
-        for halvings in range(analytics._CACHED_HALVINGS + 1):
-            merged = list(analytics._CoveragePlan(lam0, chan, beam.g_main, quad, halvings).blocks)
-            alone = [b for s, fields, args in calls for field in fields
-                     for b in blocks(s, [field], *args)]
-            calls.clear()
-            assert all(len(b[0]) == 1 or b[2].size <= analytics._MAX_TENSOR for b in merged)
-            assert sum(b[2].size for b in merged) == sum(b[2].size for b in alone), halvings
-            assert len(merged) < len(alone)
+        plan = analytics._CoveragePlan(lam0, chan, beam.g_main, quad, halvings)
+        (s, lower, *rest), = calls
+        assert s is plan.s_unit and lower is plan.path_loss
+        assert rest == [analytics._least_path_loss(lam0, chan, quad), chan,
+                        quad.truncation_radius_m, halvings]
+        cs = [g for g, _ in beam_gain_pmf(beam, 3).support]
+        table = analytics._atom_sums(plan.blocks, len(s), cs)
+        checked = 0
+        for i in range(len(s)):
+            for state in (LOS, NLOS):
+                # a serving distance whose d^alpha is l0 in floating point, if one is near
+                alpha = chan.alpha(state)
+                d = lower[i] ** (1.0 / alpha)
+                d = [c for c in (d, np.nextafter(d, 0.0), np.nextafter(d, np.inf))
+                     if c ** alpha == lower[i]]
+                if not d:
+                    continue
+                calls.clear()
+                laplace_interference(s[i], d[0], state, 3, lam0, chan, beam, quad)
+                (row_s, row_lower, *row_rest), = [c for c in calls if c[-1] == halvings]
+                assert row_s[0] == s[i] and row_lower[0] == lower[i] and row_rest == rest
+                assert (_row_sums((row_s, row_lower, *row_rest), cs)[:, 0] == table[:, i]).all()
+                checked += 1
+        assert checked >= len(s) // 10, checked
 
     @pytest.mark.parametrize("kind", sorted(BLOCKAGE_KINDS))
     def test_no_entry_below_its_rows_lower_limit(self, kind, lam0, beam, quad, monkeypatch):
         chan = ORACLE_CASES[kind][0]
-        blocks = analytics._exponent_blocks
+        build = analytics._exponent_blocks
         calls = _record_builder_calls(monkeypatch)
         for halvings in range(analytics._CACHED_HALVINGS + 1):
             analytics._CoveragePlan(lam0, chan, beam.g_main, quad, halvings)
         for r, state in [(90.0, LOS), (20.0, NLOS)]:
             laplace_interference(30.0, r, state, 3, lam0, chan, beam, quad)
         checked = 0
-        for s, fields, args in calls:
-            for field in fields:
-                for lower, t in _entry_radii(s, field, chan, blocks(s, [field], *args)):
-                    assert (t >= lower * (1.0 - 1e-12)).all()
-                    checked += t.size
+        for s, lower, *rest in calls:
+            for rows, starts, inv_x, _ in build(s, lower, *rest):
+                row = np.repeat(rows, np.diff(starts, append=inv_x.size))
+                assert (inv_x * s[row] * chan.beta >= lower[row] * (1.0 - 1e-12)).all()
+                checked += inv_x.size
         assert checked
-
-    @pytest.mark.parametrize("halvings", [0, 1])
-    @pytest.mark.parametrize("kind", sorted(BLOCKAGE_KINDS))
-    def test_table_rows_are_two_fields_of_the_serving_path_loss(self, kind, halvings, lam0,
-                                                                 beam, quad, monkeypatch):
-        # One row per outer node of the serving path loss l0, whichever state
-        # serves: the LOS and NLOS fields start at l0^(1/alpha_state), s at tau = 1
-        # is l0 / (g_main^2 beta), and every row sum is bitwise that of a
-        # two-field table built at the same s.
-        chan = ORACLE_CASES[kind][0]
-        build = analytics._exponent_blocks
-        calls = _record_builder_calls(monkeypatch)
-        plan = analytics._CoveragePlan(lam0, chan, beam.g_main, quad, halvings)
-        ell = plan.path_loss
-        (s, fields, args), = calls
-        assert args == (chan, quad.truncation_radius_m, halvings)
-        assert (np.diff(ell) > 0.0).all() and len(ell) == len(plan.weight)
-        want = [(ell ** (1.0 / chan.alpha(state)), state) for state in (LOS, NLOS)]
-        assert [state for _, state in fields] == [LOS, NLOS]
-        for (lower, _), (limit, state) in zip(fields, want):
-            np.testing.assert_array_equal(lower, limit, err_msg=state)
-        np.testing.assert_array_equal(plan.s_unit, ell / (beam.g_main**2 * chan.beta))
-        assert s is plan.s_unit
-        cs = [1e4 * 0.1, 100.0 * 3.0, 1.0, 1e-3]
-        table = analytics._atom_sums(plan.blocks, len(ell), cs)
-        alone = build(plan.s_unit, want, chan, quad.truncation_radius_m, halvings)
-        assert (table == analytics._atom_sums(alone, len(ell), cs)).all()
 
 
 class TestTailBound:
@@ -1068,19 +1043,21 @@ class TestTailBound:
 
 
 class TestPinnedValues:
-    """(value, error) of the kernel: a change of table layout or block order
-    must not move them. Coverage was recorded when its outer integral moved
-    from the serving distance of each state to the serving path loss
-    l0 = d^alpha (one row set); the Laplace functional, before entries stored
-    their weights beside their 1/x. The error is a difference of close numbers
-    plus bounds, so it is pinned absolutely."""
+    """(value, error) of the kernel: a change of block order must not move
+    them. Coverage was recorded when its outer integral moved from the
+    serving distance of each state to the serving path loss l0 = d^alpha
+    (one row set); the Laplace functional, before entries stored their
+    weights beside their 1/x. Three errors were recorded again when the
+    interferers of both states became one field in ln l, which left every
+    value within rel 1e-13. The error is a difference of close numbers plus
+    bounds, so it is pinned absolutely."""
 
     @pytest.mark.parametrize("kind, tau, k, value, err", [
         ("exponential", 0.1, 1, 0.9994594352205624, 1.8469984231578586e-07),
-        ("exponential", 10.0, 6, 0.6622786785238672, 3.3937629905759555e-05),
+        ("exponential", 10.0, 6, 0.6622786785238672, 3.393763258227598e-05),
         ("los_ball", 1.0, 12, 0.6321949301991912, 0.00041633416843553166),
         ("los_ball", 100.0, 3, 0.6239821542162381, 0.0012464466011693424),
-        ("constant", 1.0, 6, 0.6047220120604844, 0.08890377393613319),
+        ("constant", 1.0, 6, 0.6047220120604844, 0.08890377393609662),
         ("constant", 31.6, 9, 0.034620010907234315, 0.008862947858983554),
     ])
     def test_coverage(self, kind, tau, k, value, err, lam0, beam, quad):
@@ -1090,7 +1067,7 @@ class TestPinnedValues:
         assert got_err == pytest.approx(err, rel=0.0, abs=1e-14)
 
     @pytest.mark.parametrize("kind, s, r, state, k, value, err", [
-        ("exponential", 30.0, 60.0, LOS, 3, 0.7406926893138013, 2.3960168386787823e-07),
+        ("exponential", 30.0, 60.0, LOS, 3, 0.7406926893138013, 2.39240606477668e-07),
         ("los_ball", 0.5, 150.0, NLOS, 6, 0.9999943532140144, 2.0401884794272323e-08),
         ("constant", 2.0, 20.0, NLOS, 12, 0.7562317031618513, 0.06049877824709466),
     ])

@@ -241,19 +241,19 @@ class TestSerializationFormats:
             sweep_to_json(JsonLeaves("x", False, 1, value, None, grid), [])
 
     # sha256 of sweep.csv and sweep.json from `mmtier coverage`, recorded when the
-    # coverage integral moved to the serving path loss l0 = d^alpha (one row set
-    # over both serving states): every coverage moved by at most 2.1e-12, under
-    # 5e-5 of its quad_error, and the Monte Carlo columns did not move.
+    # interferers of both states became one field on the path-loss line: on the
+    # default grid 29 of 45 coverage cells moved, by at most 1.9e-15, every
+    # quad_error moved, and the Monte Carlo columns did not move.
     @pytest.mark.parametrize("text, extra, csv_digest, json_digest", [
         (None, [],
-         "7ecf12347179c4422ae9bb827433dd346381db58f7badfe8c7dc7b7edfe426af",
-         "8519d74a7dcf980cc3ec39b1afb7c92b5d04b08b120bc0dbad93da2bc0430833"),
+         "fe58c19a5adaeb2acd99ab188e2ea5d65c5b1990f2d3a08ad93adf992ead70a9",
+         "93e9e48a38ebefda5409adcdf3f4bd099ba9c9bcc0e69679f09cddc3182250d7"),
         ("blockage = los_ball\nblockage_radius_m = 100\n", [],
-         "8ba8021d80dd2beecff053bd3aa324de3c2c57b812e59a46eecc8d915ecbe33d",
-         "02db88bffe863f8629a1550ecb36bc37887d3867e210cbf3c83f8564ccb65153"),
+         "d17f65fa0e416589d58ba91502bd0e4f08376a0aa6469781568fd7182e604459",
+         "d939a6d6d86fe2cca0f620ada75ccd2f4ef8adedbd1a10791ee1ed58b127aa28"),
         (None, ["--trials", "1000"],
-         "18e3f4ba0fa54c7167d6ad269b5386e5613575465b68bbed98abef06c5a3a9f3",
-         "77859d9af7f67562e5cf3a313ed46437b6d47190dcc60330bf2e7aa82df5f614"),
+         "2dff502b6e406a4294ab86eab95effb3e7bfe3ef7ebac9111596554112ea3476",
+         "1dccb7806684b73e0ae1dd498c360de1ac0af76e4cfb175b1e33effea83d615e"),
     ], ids=["default", "los_ball", "trials"])
     def test_coverage_outputs_match_recorded_digests(self, tmp_path, text, extra,
                                                      csv_digest, json_digest):

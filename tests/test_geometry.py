@@ -106,6 +106,12 @@ class TestRadialSampler:
             RadialSampler(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 0.9]))
         with pytest.raises(ValueError, match="radii"):  # radii do not increase
             RadialSampler(np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.5, 1.0]))
+        for radii in ([0.0, math.nan, 2.0], [0.0, 1.0, math.nan], [0.0, 1.0, math.inf]):
+            with pytest.raises(ValueError, match="radius must be non-negative and finite"):
+                RadialSampler(np.array(radii), np.array([0.0, 0.5, 1.0]))
+        for cdf in ([0.0, math.nan, 1.0], [math.nan, 0.5, 1.0], [0.0, 0.5, math.nan]):
+            with pytest.raises(ValueError, match="CDF"):
+                RadialSampler(np.array([0.0, 1.0, 2.0]), np.array(cdf))
 
 
 class TestSelectScheduled:

@@ -215,7 +215,10 @@ DOMAIN_MESSAGES = {
     "QuadratureSpec.abs_tol": "quadrature tolerances must be positive and finite",
     "QuadratureSpec.truncation_radius_m": "truncation radius must be positive and finite",
     "QuadratureSpec.for_tier_intensity": "tier intensity must be positive and finite",
+    "los_probability": "link length must be non-negative and finite",
     "nearest_distance_pdf": "intensity must be positive and finite",
+    "nearest_distance_pdf.z": "distance must be non-negative and finite",
+    "serving_distance_pdf.r": "serving distance must be positive and finite",
     "tabulate_serving_distance": "intensity must be positive and finite",
     "laplace_interference": "intensity must be non-negative and finite",
     "laplace_interference.s": "transform variable must be non-negative and finite",
@@ -239,6 +242,8 @@ DOMAIN_MESSAGES = {
 }
 DOMAIN_BOUNDARY = {
     "BlockageModel.constant": (0.0, 1.0),
+    "los_probability": (0.0,),
+    "nearest_distance_pdf.z": (0.0,),
     "ChannelParams.noise_power": (0.0,),
     "GainPmf": (0.0,),
     "laplace_interference": (0.0,),
@@ -352,7 +357,10 @@ class TestEmpiricalCoverage:
             "QuadratureSpec.abs_tol": lambda x: QuadratureSpec(abs_tol=x),
             "QuadratureSpec.truncation_radius_m": lambda x: QuadratureSpec(truncation_radius_m=x),
             "QuadratureSpec.for_tier_intensity": QuadratureSpec.for_tier_intensity,
+            "los_probability": lambda x: mmtier.los_probability(x, blockage),
             "nearest_distance_pdf": lambda x: mmtier.nearest_distance_pdf(80.0, LOS, x, blockage),
+            "nearest_distance_pdf.z": lambda x: mmtier.nearest_distance_pdf(x, LOS, lam0, blockage),
+            "serving_distance_pdf.r": lambda x: mmtier.serving_distance_pdf(x, LOS, lam0, channel),
             "tabulate_serving_distance": lambda x: mmtier.tabulate_serving_distance(x, channel),
             "laplace_interference": lambda x: mmtier.laplace_interference(
                 3.0, 80.0, LOS, 6, x, channel, beam, quad),
